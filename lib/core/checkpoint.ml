@@ -1,5 +1,4 @@
-module H = Dfm_incr.Hash64
-module Failpoint = Dfm_util.Failpoint
+module Journal = Dfm_util.Journal
 
 type event = {
   q : int;
@@ -31,159 +30,79 @@ type entry = Header of string | Event of event | Accept of accept
 
 exception Error of string
 
-type t = { mutable chan : out_channel option }
+type t = { mutable journal : Journal.t option }
 
-(* v2 added the run-attributed solver-effort counters to [accept].  The
-   bump makes v1 journals fail the magic check, so [attach] restarts them
-   fresh instead of unmarshalling a mismatched record layout. *)
-let magic = "DFMCK02\n"
+(* Bumped with every change of the record layout, so older files fail the
+   magic check and [attach] restarts them fresh instead of unmarshalling a
+   mismatched layout. *)
+let magic = "DFMCK03\n"
 
 let m_frames =
   Dfm_obs.Metrics.counter ~help:"Checkpoint journal frames written"
     "dfm_checkpoint_frames_total"
 
-(* A frame whose length prefix exceeds this is treated as corruption rather
-   than attempted as an allocation: the largest honest payload is one
-   accepted netlist's text. *)
-let max_payload = 1 lsl 26
-
-let checksum ~len payload = H.mix (H.of_string payload) (H.of_int len)
-
 (* Entries are pure data (ints, floats, strings, options), so [Marshal] is a
-   faithful and exact encoding; the checksum, not Marshal, is what defends
-   against torn writes. *)
-let frame entry =
-  let payload = Marshal.to_string (entry : entry) [] in
-  let len = String.length payload in
-  let b = Bytes.create (4 + len + 8) in
-  Bytes.set_int32_le b 0 (Int32.of_int len);
-  Bytes.blit_string payload 0 b 4 len;
-  Bytes.set_int64_le b (4 + len) (checksum ~len payload);
-  b
+   faithful and exact encoding; the journal's checksum, not Marshal, is
+   what defends against torn writes. *)
+let encode (entry : entry) = Marshal.to_string entry []
 
-(* Best-effort load: surviving prefix of entries in file order, plus whether
-   the file must be compacted before appending (anything dropped leaves a
-   mis-framed tail). *)
-let load_file path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  let ok = ref [] and rewrite = ref false in
-  let head = Bytes.create (String.length magic) in
-  (try
-     really_input ic head 0 (String.length magic);
-     if Bytes.to_string head <> magic then begin
-       rewrite := true;
-       raise Exit
-     end;
-     let lenb = Bytes.create 4 in
-     let rec loop () =
-       (match input_char ic with
-       | exception End_of_file -> raise Exit (* clean end *)
-       | c0 -> Bytes.set lenb 0 c0);
-       for i = 1 to 3 do
-         Bytes.set lenb i (input_char ic)
-       done;
-       let len = Int32.to_int (Bytes.get_int32_le lenb 0) in
-       if len < 0 || len > max_payload then begin
-         rewrite := true;
-         raise Exit
-       end;
-       let tail = Bytes.create (len + 8) in
-       really_input ic tail 0 (len + 8);
-       let payload = Bytes.sub_string tail 0 len in
-       if Bytes.get_int64_le tail len <> checksum ~len payload then begin
-         (* A frame that fails its checksum means the rest of the file is
-            untrustworthy framing: drop it all. *)
-         rewrite := true;
-         raise Exit
-       end;
-       (match (Marshal.from_string payload 0 : entry) with
-       | e -> ok := e :: !ok
-       | exception _ ->
-           rewrite := true;
-           raise Exit);
-       loop ()
-     in
-     loop ()
-   with
-  | Exit -> ()
-  | End_of_file ->
-      (* truncated mid-frame: the classic kill-during-append tail *)
-      rewrite := true);
-  (List.rev !ok, !rewrite)
-
-let write_all path entries =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
-  output_string oc magic;
-  List.iter (fun e -> output_bytes oc (frame e)) entries
+(* Records are ordered, so only the intact prefix is usable; it ends early
+   at the first payload Marshal rejects.  Each entry keeps its payload so
+   the kept records are handed back to the journal byte for byte. *)
+let decode_prefix payloads =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | p :: rest -> (
+        match (Marshal.from_string p 0 : entry) with
+        | e -> go ((p, e) :: acc) rest
+        | exception _ -> List.rev acc)
+  in
+  go [] payloads
 
 (* Keep the prefix up to and including the last Accept: the dropped tail is
    exactly the work the resumed campaign re-derives deterministically. *)
 let truncate_to_last_accept entries =
   let rec last i best = function
     | [] -> best
-    | Accept _ :: tl -> last (i + 1) (i + 1) tl
-    | (Header _ | Event _) :: tl -> last (i + 1) best tl
+    | (_, Accept _) :: tl -> last (i + 1) (i + 1) tl
+    | (_, (Header _ | Event _)) :: tl -> last (i + 1) best tl
   in
   let n = last 0 0 entries in
   List.filteri (fun i _ -> i < n) entries
 
-let open_append path =
-  open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path
-
 let attach ?(resume = true) ~header path =
-  let fresh () =
-    write_all path [ Header header ];
-    ({ chan = Some (open_append path) }, [])
+  let loaded = Journal.load ~magic path in
+  let open_ keep =
+    { journal = Some (Journal.open_ ~sites:[ "checkpoint.append" ] ~magic ~keep loaded path) }
   in
-  if (not resume) || not (Sys.file_exists path) then fresh ()
-  else begin
-    let entries, rewrite = load_file path in
-    match entries with
-    | Header h :: rest ->
-        if h <> header then
-          raise
-            (Error
-               (Printf.sprintf
-                  "checkpoint %s was written by a different run configuration" path));
-        let kept = truncate_to_last_accept rest in
-        if rewrite || List.length kept <> List.length rest then
-          write_all path (Header header :: kept);
-        ({ chan = Some (open_append path) }, kept)
-    | _ ->
-        (* empty or headerless journal: nothing usable, start fresh *)
-        fresh ()
-  end
+  let entries = if resume then decode_prefix (Journal.intact_prefix loaded) else [] in
+  if resume && loaded.Journal.dropped > 0 then
+    Dfm_obs.Log.warn
+      (Printf.sprintf "checkpoint: recovered %s — dropped %d damaged record(s)" path
+         loaded.Journal.dropped);
+  match entries with
+  | (hp, Header h) :: rest ->
+      if h <> header then
+        raise
+          (Error
+             (Printf.sprintf "checkpoint %s was written by a different run configuration" path));
+      let kept = truncate_to_last_accept rest in
+      (open_ (hp :: List.map fst kept), List.map snd kept)
+  | _ ->
+      (* fresh campaign, or an empty or headerless journal: start over *)
+      (open_ [ encode (Header header) ], [])
 
 let append t entry =
-  match t.chan with
+  match t.journal with
   | None -> raise (Error "checkpoint: journal is closed")
-  | Some oc ->
-      let b = frame entry in
-      (match Failpoint.check "checkpoint.append" with
-      | Some Failpoint.Raise -> raise (Failpoint.Injected "checkpoint.append")
-      | Some Failpoint.Io_error -> raise (Sys_error "failpoint: checkpoint.append")
-      | Some Failpoint.Partial_write ->
-          (* A torn write: half a frame reaches the disk, then the
-             "process" dies.  The next attach must recover by dropping the
-             mis-framed tail. *)
-          output_bytes oc (Bytes.sub b 0 (Bytes.length b / 2));
-          Stdlib.flush oc;
-          raise (Sys_error "failpoint: checkpoint.append (partial write)")
-      | Some (Failpoint.Delay s) ->
-          Unix.sleepf s;
-          output_bytes oc b
-      | None -> output_bytes oc b);
-      Stdlib.flush oc;
+  | Some j ->
+      Journal.append j (encode entry);
+      Journal.flush j;
       Dfm_obs.Metrics.incr m_frames
 
 let append_event t ev = append t (Event ev)
 let append_accept t a = append t (Accept a)
 
 let close t =
-  match t.chan with
-  | None -> ()
-  | Some oc ->
-      close_out_noerr oc;
-      t.chan <- None
+  Option.iter Journal.close t.journal;
+  t.journal <- None

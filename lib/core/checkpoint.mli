@@ -16,11 +16,10 @@
     precisely the work that followed the last accept (whose journal tail is
     truncated at attach time so nothing is duplicated).
 
-    On-disk format, in the style of {!Dfm_incr.Store}: an 8-byte magic, then
-    framed records [u32le length | payload | u64le checksum].  Loading is
-    best-effort — a record with a bad checksum, a bad length or a truncated
-    tail (e.g. a crash mid-append) drops the rest of the file, and the
-    journal is compacted before new appends so it is always well-framed.
+    On disk it is a {!Dfm_util.Journal} (magic [DFMCK03]; the format,
+    loading and compaction rules are described there) of marshalled
+    {!entry} records.  Records are ordered, so attach keeps only the intact
+    prefix before the first damaged record.
 
     Appends pass the [checkpoint.append] {!Dfm_util.Failpoint} site, which
     is how the crash-matrix test kills a campaign at every record
@@ -67,10 +66,11 @@ val attach : ?resume:bool -> header:string -> string -> t * entry list
     for appending and returns the surviving entries to replay — [[]] for a
     fresh campaign.  With [resume = false] (or when no journal exists) any
     existing journal is truncated and the campaign starts fresh.  With
-    [resume = true] the file is loaded best-effort, the tail after the last
-    {!Accept} is dropped (that work is re-derived deterministically), and
-    the compacted journal is rewritten if anything was dropped.  The
-    returned list never contains [Header].
+    [resume = true] the intact prefix of the file is loaded, the tail after
+    the last {!Accept} is dropped (that work is re-derived
+    deterministically), and the compacted journal is rewritten if anything
+    was dropped; damage is logged as one warning.  The returned list never
+    contains [Header].
     @raise Error when the journal's header differs from [header].
     @raise Sys_error when [path] cannot be created or written. *)
 

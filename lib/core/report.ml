@@ -318,7 +318,7 @@ let resynth_report ~name (r : Resynth.result) =
           e.Resynth.ev_action e.Resynth.ev_u e.Resynth.ev_smax)
     r.Resynth.trace;
   Format.fprintf ppf "final netlist hash: %s@."
-    (Dfm_incr.Hash64.to_hex
-       (Dfm_incr.Hash64.of_string (Dfm_netlist.Netlist_io.to_string r.Resynth.final.Design.netlist)));
+    (Dfm_util.Hash64.to_hex
+       (Dfm_util.Hash64.of_string (Dfm_netlist.Netlist_io.to_string r.Resynth.final.Design.netlist)));
   Format.pp_print_flush ppf ();
   Buffer.contents buf

@@ -572,7 +572,7 @@ let run_phase st ~q ~phase ~p1 ~p2 =
    skip work, never change a result. *)
 let checkpoint_header ~p1_percent ~q_max ~seed ~sweep ~context_levels ~max_conflicts initial =
   Printf.sprintf "dfm-resynth v1 nl=%Lx p1=%h q_max=%d seed=%d sweep=%b ctx=%d mc=%s"
-    (Dfm_incr.Hash64.of_string
+    (Dfm_util.Hash64.of_string
        (Dfm_netlist.Netlist_io.to_string initial.Design.netlist))
     p1_percent q_max seed sweep context_levels
     (match max_conflicts with None -> "-" | Some c -> string_of_int c)

@@ -57,6 +57,4 @@ let hit_rate t = Store.hit_rate t.store
 
 let resweep_stats t = t.resweeps
 
-let flush t = Store.flush t.store
-
 let close t = Store.close t.store

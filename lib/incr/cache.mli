@@ -42,6 +42,4 @@ val hit_rate : t -> float
 val resweep_stats : t -> Invalidate.stats option
 (** Cumulative incremental-sweep stats; [None] before any resweep. *)
 
-val flush : t -> unit
-
 val close : t -> unit

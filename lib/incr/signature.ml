@@ -3,7 +3,7 @@ module Cell = Dfm_netlist.Cell
 module F = Dfm_faults.Fault
 module Tt = Dfm_logic.Truthtable
 module Udfm = Dfm_cellmodel.Udfm
-module H = Hash64
+module H = Dfm_util.Hash64
 
 type params = { semantics_version : int; max_conflicts : int option }
 

@@ -1,4 +1,5 @@
-module H = Hash64
+module H = Dfm_util.Hash64
+module Journal = Dfm_util.Journal
 
 (* Registry-level cache metrics, aggregated across every store instance.
    The per-instance [stats] record below stays the source of truth for
@@ -45,7 +46,7 @@ type t = {
   tbl : (int64, verdict * bool) Hashtbl.t;  (* verdict, certified *)
   order : int64 Queue.t;  (* insertion order, for FIFO eviction *)
   capacity : int;
-  mutable chan : out_channel option;
+  mutable journal : Journal.t option;
   log : string -> unit;
   mutable hits : int;
   mutable misses : int;
@@ -56,128 +57,58 @@ type t = {
   mutable degraded : bool;
 }
 
-(* Degrade to memory-only: log once, close the channel best-effort, keep
+(* Degrade to memory-only: log once, close the journal best-effort, keep
    serving lookups and stores from the memory tier.  A failing disk tier
    (ENOSPC, EACCES, a closed fd, a yanked mount) must never raise out of a
    campaign — losing persistence is recoverable, losing hours of
    resynthesis is not. *)
 let disable_disk t reason =
-  (match t.chan with
+  (match t.journal with
   | None -> ()
-  | Some oc ->
+  | Some j ->
       t.log (Printf.sprintf "cache: disk tier disabled (%s) — continuing memory-only" reason);
-      close_out_noerr oc;
-      t.chan <- None);
+      Journal.close j;
+      t.journal <- None);
   t.degraded <- true;
   Dfm_obs.Metrics.set m_degraded 1
 
 (* ---- disk format ----------------------------------------------------
-   8-byte magic, then records: u16le payload length | payload | u64le
-   checksum.  The payload of a v1 record is u64le signature + 1 verdict
-   byte; a v2 (certified) record appends a u64le certificate mark — a keyed
+   A {!Dfm_util.Journal} whose record payload is u64le signature + 1 verdict
+   byte; a certified record appends a u64le certificate mark — a keyed
    digest over the signature and the verdict, recomputed and compared on
    load, so a corrupted or hand-edited certified entry degrades to a miss
-   rather than a wrongly trusted verdict.  The length prefix is what lets
-   both versions coexist in one log. *)
+   rather than a wrongly trusted verdict. *)
 
-let magic = "DFMVC01\n"
-let payload_len = 9
-let payload_len_certified = 17
-
-let checksum ~len payload = H.mix (H.of_string payload) (H.of_int len)
+let magic = "DFMVC02\n"
 
 let verdict_code = function Detected -> 0 | Undetectable -> 1
 
 let cert_mark sg v =
   H.finalize (H.mix (H.mix (H.of_string "DFMCERTv2") sg) (H.of_int (verdict_code v)))
 
-let record_bytes ?(certified = false) sg v =
-  let plen = if certified then payload_len_certified else payload_len in
-  let b = Bytes.create (2 + plen + 8) in
-  Bytes.set_uint16_le b 0 plen;
-  Bytes.set_int64_le b 2 sg;
-  Bytes.set_uint8 b 10 (verdict_code v);
-  if certified then Bytes.set_int64_le b 11 (cert_mark sg v);
-  let payload = Bytes.sub_string b 2 plen in
-  Bytes.set_int64_le b (2 + plen) (checksum ~len:plen payload);
-  b
+let encode_record ~certified sg v =
+  let b = Bytes.create (if certified then 17 else 9) in
+  Bytes.set_int64_le b 0 sg;
+  Bytes.set_uint8 b 8 (verdict_code v);
+  if certified then Bytes.set_int64_le b 9 (cert_mark sg v);
+  Bytes.unsafe_to_string b
 
-(* Best-effort load: returns surviving records in file order, how many were
-   dropped, and whether the file must be compacted before appending (bad
-   tail / corrupt record would otherwise leave the log mis-framed). *)
-let load_file path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  let ok = ref [] and dropped = ref 0 and rewrite = ref false in
-  let head = Bytes.create (String.length magic) in
-  (try
-     really_input ic head 0 (String.length magic);
-     if Bytes.to_string head <> magic then begin
-       incr dropped;
-       rewrite := true;
-       raise Exit
-     end;
-     let lenb = Bytes.create 2 and tail = Bytes.create (payload_len_certified + 8) in
-     let rec loop () =
-       (match input_char ic with
-       | exception End_of_file -> raise Exit  (* clean end *)
-       | c0 -> Bytes.set lenb 0 c0);
-       Bytes.set lenb 1 (input_char ic);
-       let len = Bytes.get_uint16_le lenb 0 in
-       if len <> payload_len && len <> payload_len_certified then begin
-         (* A corrupt length prefix means we no longer know where records
-            start: drop the rest of the file. *)
-         incr dropped;
-         rewrite := true;
-         raise Exit
-       end;
-       really_input ic tail 0 (len + 8);
-       let payload = Bytes.sub_string tail 0 len in
-       if Bytes.get_int64_le tail len <> checksum ~len payload then begin
-         incr dropped;
-         rewrite := true
-       end
-       else begin
-         let sg = Bytes.get_int64_le tail 0 in
-         let verdict =
-           match Bytes.get_uint8 tail 8 with
-           | 0 -> Some Detected
-           | 1 -> Some Undetectable
-           | _ -> None
-         in
-         match verdict with
-         | None ->
-             incr dropped;
-             rewrite := true
-         | Some v ->
-             if len = payload_len then ok := (sg, v, false) :: !ok
-             else if Bytes.get_int64_le tail 9 = cert_mark sg v then ok := (sg, v, true) :: !ok
-             else begin
-               (* Stale or corrupted certificate mark: the record survives as
-                  an uncertified verdict at most — but since the mark is
-                  derived from the very bytes that just checksummed clean,
-                  a mismatch means the writer disagreed with us about the
-                  certificate scheme.  Drop it entirely. *)
-               incr dropped;
-               rewrite := true
-             end
-       end;
-       loop ()
-     in
-     loop ()
-   with
-  | Exit -> ()
-  | End_of_file ->
-      (* truncated mid-record *)
-      incr dropped;
-      rewrite := true);
-  (List.rev !ok, !dropped, !rewrite)
-
-let write_all path records =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
-  output_string oc magic;
-  List.iter (fun (sg, v, certified) -> output_bytes oc (record_bytes ~certified sg v)) records
+(* [None] for a payload this codec did not write, or whose certificate
+   mark does not match: the mark is derived from bytes that just
+   checksummed clean, so a mismatch means the writer disagreed with us
+   about the certificate scheme.  Such a record is dropped entirely. *)
+let decode_record p =
+  let n = String.length p in
+  if n <> 9 && n <> 17 then None
+  else
+    let sg = String.get_int64_le p 0 in
+    let verdict =
+      match String.get_uint8 p 8 with 0 -> Some Detected | 1 -> Some Undetectable | _ -> None
+    in
+    match verdict with
+    | Some v when n = 9 -> Some (sg, v, false)
+    | Some v when String.get_int64_le p 9 = cert_mark sg v -> Some (sg, v, true)
+    | Some _ | None -> None
 
 (* ---- store ---------------------------------------------------------- *)
 
@@ -208,7 +139,7 @@ let create ?(capacity = 1_000_000) ?path ?(log = fun m -> Dfm_obs.Log.warn m) ()
       tbl = Hashtbl.create 4096;
       order = Queue.create ();
       capacity = max 1 capacity;
-      chan = None;
+      journal = None;
       log;
       hits = 0;
       misses = 0;
@@ -222,26 +153,27 @@ let create ?(capacity = 1_000_000) ?path ?(log = fun m -> Dfm_obs.Log.warn m) ()
   (match path with
   | None -> ()
   | Some path -> (
+      let l = Journal.load ~magic path in
+      let kept =
+        List.filter_map (fun p -> Option.map (fun r -> (p, r)) (decode_record p)) l.Journal.records
+      in
+      List.iter
+        (fun (_, (sg, v, certified)) ->
+          if adopt t ~certified sg v then t.disk_loaded <- t.disk_loaded + 1)
+        kept;
+      t.disk_dropped <- l.Journal.dropped + List.length l.Journal.records - List.length kept;
+      if t.disk_dropped > 0 then
+        log
+          (Printf.sprintf
+             "cache: recovered %s — kept %d record(s), dropped %d corrupted/truncated" path
+             (List.length kept) t.disk_dropped);
       try
-        if Sys.file_exists path then begin
-          let records, dropped, rewrite = load_file path in
-          List.iter
-            (fun (sg, v, certified) ->
-              if adopt t ~certified sg v then t.disk_loaded <- t.disk_loaded + 1)
-            records;
-          t.disk_dropped <- dropped;
-          if dropped > 0 then
-            log
-              (Printf.sprintf
-                 "cache: recovered %s — kept %d record(s), dropped %d corrupted/truncated" path
-                 (List.length records) dropped);
-          if rewrite then write_all path records
-        end
-        else write_all path [];
-        t.chan <- Some (open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path)
+        t.journal <-
+          Some
+            (Journal.open_ ~sites:[ "store.enospc"; "store.append" ] ~magic
+               ~keep:(List.map fst kept) l path)
       with Sys_error e ->
         log (Printf.sprintf "cache: disk tier disabled (%s) — continuing memory-only" e);
-        t.chan <- None;
         t.degraded <- true));
   t
 
@@ -272,37 +204,21 @@ let find_certified t sg =
       Dfm_obs.Metrics.incr_attr m_misses;
       None
 
-(* One failpoint check shared by the disk-tier failure sites: [store.append]
-   models an append dying mid-call (exception, OS error, torn write);
-   [store.enospc] models the disk filling up — same degradation path, named
-   separately so the chaos matrix can target disk-full specifically. *)
-let failpoint_site oc b name =
-  match Dfm_util.Failpoint.check name with
-  | Some Dfm_util.Failpoint.Raise -> raise (Dfm_util.Failpoint.Injected name)
-  | Some Dfm_util.Failpoint.Io_error ->
-      raise (Sys_error (Printf.sprintf "failpoint: %s: No space left on device" name))
-  | Some Dfm_util.Failpoint.Partial_write ->
-      output_bytes oc (Bytes.sub b 0 (Bytes.length b / 2));
-      raise (Sys_error (Printf.sprintf "failpoint: %s (partial write)" name))
-  | Some (Dfm_util.Failpoint.Delay s) -> Unix.sleepf s
-  | None -> ()
-
-let append_record oc b =
-  failpoint_site oc b "store.enospc";
-  failpoint_site oc b "store.append";
-  output_bytes oc b
-
+(* Disk appends pass two failpoint sites: [store.append] models an append
+   dying mid-call (exception, OS error, torn write); [store.enospc] models
+   the disk filling up — same degradation path, named separately so the
+   chaos matrix can target disk-full specifically. *)
 let add ?(certified = false) t sg v =
   Mutex.protect t.lock @@ fun () ->
   if adopt t ~certified sg v then begin
     t.stores <- t.stores + 1;
-    match t.chan with
+    match t.journal with
     | None -> ()
-    | Some oc -> (
+    | Some j -> (
         try
-          let b = record_bytes ~certified sg v in
-          append_record oc b;
-          Dfm_obs.Metrics.incr ~by:(Bytes.length b) m_disk_bytes
+          let p = encode_record ~certified sg v in
+          Journal.append j p;
+          Dfm_obs.Metrics.incr ~by:(String.length p + Journal.overhead) m_disk_bytes
         with e -> disable_disk t (Printexc.to_string e))
   end
 
@@ -325,17 +241,7 @@ let hit_rate t =
   let n = t.hits + t.misses in
   if n = 0 then 0.0 else float_of_int t.hits /. float_of_int n
 
-let flush t =
-  Mutex.protect t.lock @@ fun () ->
-  match t.chan with
-  | None -> ()
-  | Some oc -> ( try Stdlib.flush oc with e -> disable_disk t (Printexc.to_string e))
-
 let close t =
   Mutex.protect t.lock @@ fun () ->
-  match t.chan with
-  | None -> ()
-  | Some oc ->
-      (try Stdlib.flush oc with Sys_error _ -> ());
-      close_out_noerr oc;
-      t.chan <- None
+  Option.iter Journal.close t.journal;
+  t.journal <- None

@@ -6,13 +6,11 @@
     outcome, which the correctness invariant forbids.
 
     Two tiers.  The in-memory tier is a bounded hash table with FIFO
-    eviction.  The optional on-disk tier is a single append-only file:
-    every {!add} appends one length-prefixed, checksummed record, and
-    {!create} loads the file best-effort — a record with a bad checksum is
-    dropped and loading continues; a bad length prefix or a truncated tail
-    drops the rest of the file; neither ever raises.  When anything was
-    dropped the file is compacted from the surviving records before new
-    appends, so the log is always well-framed afterwards.
+    eviction.  The optional on-disk tier is a {!Dfm_util.Journal} (magic
+    [DFMVC02]; its format, loading and compaction rules are described
+    there): every {!add} buffers one record, and {!create} keeps every
+    intact record of the file, compacting away the damaged ones before new
+    appends.  Loading never raises.
 
     Entries published by a certified campaign ([add ~certified:true]) carry
     a certificate mark on disk — a keyed digest over the signature and the
@@ -76,8 +74,6 @@ val stats : t -> stats
 
 val hit_rate : t -> float
 (** hits / (hits + misses), 0.0 when no lookups happened. *)
-
-val flush : t -> unit
 
 val close : t -> unit
 (** Flush and close the disk tier; the store stays usable memory-only. *)

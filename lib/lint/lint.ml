@@ -375,21 +375,8 @@ let pp_text ppf r =
   Format.fprintf ppf "%s: %d finding(s), %d error(s), %d warning(s)@." r.netlist_name
     (List.length r.findings) ne nw
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json r =
+  let json_escape = Dfm_obs.Export.json_escape in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "{\"netlist\":\"%s\",\"findings\":[" (json_escape r.netlist_name));
   List.iteri

@@ -1,5 +1,4 @@
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
+let json_escape_into buf s =
   String.iter
     (fun c ->
       match c with
@@ -11,7 +10,11 @@ let json_escape s =
       | c when Char.code c < 0x20 ->
           Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
-    s;
+    s
+
+let json_escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  json_escape_into buf s;
   Buffer.contents buf
 
 (* --- Chrome trace events ------------------------------------------------ *)
@@ -129,7 +132,7 @@ let complete_trace_string events =
 
 let write_atomic path content =
   let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
+  let oc = open_out_bin tmp in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc content);

@@ -26,8 +26,12 @@ val metrics_json_string : Metrics.metric list -> string
 (** One JSON object [{"metrics":[...]}]; histograms summarized as
     [count]/[sum].  Used by [bench] to embed a snapshot in its output. *)
 
+val json_escape_into : Buffer.t -> string -> unit
+(** Append a string escaped for inclusion inside JSON double quotes: the
+    one JSON string escaper of the repository. *)
+
 val json_escape : string -> string
-(** Escape a string for inclusion inside JSON double quotes. *)
+(** {!json_escape_into} to a fresh string. *)
 
 val prom_label_escape : string -> string
 (** Escape a string for inclusion inside a Prometheus label value

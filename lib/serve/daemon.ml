@@ -4,6 +4,7 @@ module Resynth = Dfm_core.Resynth
 module Report = Dfm_core.Report
 module Metrics = Dfm_obs.Metrics
 module Log = Dfm_obs.Log
+module Journal = Dfm_util.Journal
 
 type config = { socket_path : string; state_dir : string; jobs : int; certify : bool }
 
@@ -92,7 +93,7 @@ type t = {
   accounts : (string, account) Hashtbl.t;
   mutable account_order : string list;  (* reversed *)
   cache : Dfm_incr.Cache.t;
-  ledger : out_channel;
+  mutable ledger : Journal.t option;  (* None after a failed append *)
   mutable next_id : int;
   mutable running : job option;
   mutable accept_backoff : float;     (* current EMFILE backoff, 0 = healthy *)
@@ -110,6 +111,20 @@ type t = {
 let sigusr2_dump = Atomic.make false
 
 let now () = Unix.gettimeofday ()
+
+let pending_job ~id ~resume ~watchers sub =
+  {
+    id;
+    sub;
+    resume;
+    submitted = now ();
+    state = P.Pending;
+    detail = "";
+    result = None;
+    cancel = false;
+    started = 0.;
+    watchers;
+  }
 
 let account d client =
   match Hashtbl.find_opt d.accounts client with
@@ -177,14 +192,39 @@ let post_watchers ?droppable d job resp =
 
 (* ---- ledger ------------------------------------------------------------ *)
 
-(* Each record is one frame whose payload wraps a protocol message, so
-   replay reuses the protocol decoders and a torn tail from a kill lands on
-   the frame layer's checksum, exactly like a torn socket write. *)
+(* A journal of protocol messages, so replay reuses the protocol decoders.
+   Records are ordered (a result follows its submit), so only the intact
+   prefix is kept; opening compacts anything after it. *)
+let ledger_magic = "DFMLG01\n"
+
+let ledger_path state_dir = Filename.concat state_dir "ledger.bin"
+
+let open_ledger path =
+  let loaded = Journal.load ~magic:ledger_magic path in
+  let records = Journal.intact_prefix loaded in
+  ( Journal.open_ ~sites:[ "serve.ledger" ] ~magic:ledger_magic ~keep:records loaded path,
+    records,
+    loaded.Journal.dropped )
+
+(* A failed append may leave a torn record, so the journal is dropped and
+   the next append re-opens it, which compacts the tail instead of writing
+   behind the damage. *)
 let ledger_append d (v : Wire.t) =
   try
-    output_string d.ledger (Frame.encode (Wire.to_string v));
-    flush d.ledger
-  with Sys_error e -> Log.error (Printf.sprintf "serve: ledger append failed: %s" e)
+    let j =
+      match d.ledger with
+      | Some j -> j
+      | None ->
+          let j, _, _ = open_ledger (ledger_path d.cfg.state_dir) in
+          d.ledger <- Some j;
+          j
+    in
+    Journal.append j (Wire.to_string v);
+    Journal.flush j
+  with e ->
+    Option.iter Journal.close d.ledger;
+    d.ledger <- None;
+    Log.error (Printf.sprintf "serve: ledger append failed: %s" (Printexc.to_string e))
 
 let ledger_submit d (j : job) =
   ledger_append d
@@ -223,15 +263,15 @@ let finish_drain_if_idle d =
     wake d
   end
 
-let complete_job d (j : job) (p : P.result_payload) ~service =
+(* A finished job's state follows from its result, live or replayed. *)
+let settle (j : job) (p : P.result_payload) =
   j.state <-
-    (match p.P.r_outcome with
-    | "done" -> P.Done
-    | "cancelled" -> P.Cancelled
-    | "timeout" -> P.Failed
-    | _ -> P.Failed);
+    (match p.P.r_outcome with "done" -> P.Done | "cancelled" -> P.Cancelled | _ -> P.Failed);
   j.detail <- (if p.P.r_outcome = "done" then "" else p.P.r_outcome);
-  j.result <- Some p;
+  j.result <- Some p
+
+let complete_job d (j : job) (p : P.result_payload) ~service =
+  settle j p;
   Scheduler.charge d.sched ~client:j.sub.P.client service;
   let a = account d j.sub.P.client in
   a.a_jobs <- a.a_jobs + 1;
@@ -452,20 +492,7 @@ let handle_submit d conn (sub : P.submit) =
     | Ok _ when (match sub.P.limits.P.jobs with Some n -> n < 1 | None -> false) ->
         post d conn (P.Error_msg "jobs limit must be at least 1")
     | Ok _ ->
-        let j =
-          {
-            id = fresh_id d;
-            sub;
-            resume = false;
-            submitted = now ();
-            state = P.Pending;
-            detail = "";
-            result = None;
-            cancel = false;
-            started = 0.;
-            watchers = [ conn ];
-          }
-        in
+        let j = pending_job ~id:(fresh_id d) ~resume:false ~watchers:[ conn ] sub in
         register_job d j;
         ledger_submit d j;
         let position = Scheduler.submit d.sched ~client:sub.P.client j.id in
@@ -809,90 +836,45 @@ let claim_socket path =
           (Printf.sprintf "cannot listen on %s: %s" path (Unix.error_message e))));
   fd
 
-let ledger_path state_dir = Filename.concat state_dir "ledger.bin"
-
 type replayed = {
   rp_jobs : (string * job) list;  (* insertion order *)
   rp_next_id : int;
 }
 
-let replay_ledger path ckpt_dir_of =
-  if not (Sys.file_exists path) then { rp_jobs = []; rp_next_id = 1 }
-  else begin
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let data = really_input_string ic len in
-    close_in ic;
-    let dec = Frame.Decoder.create () in
-    Frame.Decoder.feed dec (Bytes.of_string data) len;
-    let jobs = ref [] in
-    let next = ref 1 in
-    let torn = ref None in
-    let rec go () =
-      match Frame.Decoder.next dec with
-      | Ok None -> if Frame.Decoder.buffered dec > 0 then torn := Some "truncated tail"
-      | Error e -> torn := Some e
-      | Ok (Some payload) ->
-          (match Wire.parse payload with
-          | Error _ -> ()
-          | Ok v -> (
-              match Wire.str_field "rec" v with
-              | Some "submit" -> (
-                  match
-                    ( Wire.str_field "job" v,
-                      Option.bind (Wire.str_field "sub" v) (fun s ->
-                          Result.to_option (P.request_of_json s)) )
-                  with
-                  | Some id, Some (P.Submit sub) ->
-                      (match int_of_string_opt (String.sub id 1 (String.length id - 1)) with
-                      | Some n when n >= !next -> next := n + 1
-                      | _ -> ());
-                      let ckpt =
-                        Filename.concat (ckpt_dir_of id) "campaign.ckpt"
-                      in
-                      let j =
-                        {
-                          id;
-                          sub;
-                          resume = Sys.file_exists ckpt;
-                          submitted = now ();
-                          state = P.Pending;
-                          detail = "";
-                          result = None;
-                          cancel = false;
-                          started = 0.;
-                          watchers = [];
-                        }
-                      in
-                      jobs := (id, j) :: !jobs
-                  | _ -> ())
-              | Some "done" -> (
-                  match
-                    ( Wire.str_field "job" v,
-                      Option.bind (Wire.str_field "res" v) (fun s ->
-                          Result.to_option (P.response_of_json s)) )
-                  with
-                  | Some id, Some (P.Result p) -> (
-                      match List.assoc_opt id !jobs with
-                      | Some j ->
-                          j.result <- Some p;
-                          j.state <-
-                            (match p.P.r_outcome with
-                            | "done" -> P.Done
-                            | "cancelled" -> P.Cancelled
-                            | _ -> P.Failed);
-                          j.detail <- (if p.P.r_outcome = "done" then "" else p.P.r_outcome)
-                      | None -> ())
-                  | _ -> ())
-              | _ -> ()));
-          go ()
-    in
-    go ();
-    (match !torn with
-    | Some e -> Log.warn (Printf.sprintf "serve: ledger tail dropped (%s)" e)
-    | None -> ());
-    { rp_jobs = List.rev !jobs; rp_next_id = !next }
-  end
+let replay_ledger records ckpt_dir_of =
+  let jobs = ref [] in
+  let next = ref 1 in
+  List.iter
+    (fun payload ->
+      match Wire.parse payload with
+      | Error _ -> ()
+      | Ok v -> (
+          match Wire.str_field "rec" v with
+          | Some "submit" -> (
+              match
+                ( Wire.str_field "job" v,
+                  Option.bind (Wire.str_field "sub" v) (fun s ->
+                      Result.to_option (P.request_of_json s)) )
+              with
+              | Some id, Some (P.Submit sub) ->
+                  (match int_of_string_opt (String.sub id 1 (String.length id - 1)) with
+                  | Some n when n >= !next -> next := n + 1
+                  | _ -> ());
+                  let resume = Sys.file_exists (Filename.concat (ckpt_dir_of id) "campaign.ckpt") in
+                  jobs := (id, pending_job ~id ~resume ~watchers:[] sub) :: !jobs
+              | _ -> ())
+          | Some "done" -> (
+              match
+                ( Wire.str_field "job" v,
+                  Option.bind (Wire.str_field "res" v) (fun s ->
+                      Result.to_option (P.response_of_json s)) )
+              with
+              | Some id, Some (P.Result p) ->
+                  Option.iter (fun j -> settle j p) (List.assoc_opt id !jobs)
+              | _ -> ())
+          | _ -> ()))
+    records;
+  { rp_jobs = List.rev !jobs; rp_next_id = !next }
 
 (* Route engine observability to the watchers of whichever job is running.
    The router drops nothing the engines rely on — logging is output-only —
@@ -930,16 +912,16 @@ let run ?(on_ready = fun () -> ()) cfg =
   ensure_dir (Filename.concat cfg.state_dir "jobs");
   ensure_dir (Filename.concat cfg.state_dir "cache");
   let listen_fd = claim_socket cfg.socket_path in
-  let ledger_file = ledger_path cfg.state_dir in
-  let replayed =
-    replay_ledger ledger_file (fun id ->
-        Filename.concat (Filename.concat cfg.state_dir "jobs") id)
-  in
-  let ledger =
-    try open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644 ledger_file
+  let ledger, records, dropped =
+    try open_ledger (ledger_path cfg.state_dir)
     with Sys_error e ->
       (try Unix.close listen_fd with Unix.Unix_error _ -> ());
       raise (Startup_error (Printf.sprintf "cannot open ledger: %s" e))
+  in
+  if dropped > 0 then
+    Log.warn (Printf.sprintf "serve: ledger tail dropped (%d damaged record(s))" dropped);
+  let replayed =
+    replay_ledger records (fun id -> Filename.concat (Filename.concat cfg.state_dir "jobs") id)
   in
   let cache =
     Dfm_incr.Cache.create
@@ -965,7 +947,7 @@ let run ?(on_ready = fun () -> ()) cfg =
       accounts = Hashtbl.create 16;
       account_order = [];
       cache;
-      ledger;
+      ledger = Some ledger;
       next_id = replayed.rp_next_id;
       running = None;
       accept_backoff = 0.;
@@ -1010,7 +992,7 @@ let run ?(on_ready = fun () -> ()) cfg =
   (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
   (try Unix.close wake_r with Unix.Unix_error _ -> ());
   (try Unix.close wake_w with Unix.Unix_error _ -> ());
-  close_out_noerr d.ledger;
+  Option.iter Journal.close d.ledger;
   Dfm_incr.Cache.close d.cache;
   Dfm_util.Parallel.set_pool_floor 0;
   (match old_usr2 with

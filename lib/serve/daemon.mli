@@ -26,12 +26,17 @@
     assertion in the serve smoke test.
 
     Durability: every accepted submit and every completion is appended to
-    [<state>/ledger.bin] as a {!Frame}-framed JSON record, and each
-    resynth job journals accepted design points to
-    [<state>/jobs/<id>/campaign.ckpt].  A daemon killed mid-campaign and
-    restarted on the same state dir re-enqueues the incomplete jobs and
-    resumes each resynth from its journal — same accepted ECO chain, same
-    final result, as the kill/restart test proves.
+    [<state>/ledger.bin], a {!Dfm_util.Journal} of JSON protocol records
+    (the format and recovery rules are described there), flushed per
+    record and passing the [serve.ledger] failpoint site.  Records are
+    ordered, so a restart replays only the intact prefix and compacts the
+    rest away; after a failed append the journal is re-opened (and so
+    compacted) before the next one.  Each resynth job journals accepted
+    design points to [<state>/jobs/<id>/campaign.ckpt].  A daemon killed
+    mid-campaign and restarted on the same state dir re-enqueues the
+    incomplete jobs and resumes each resynth from its journal — same
+    accepted ECO chain, same final result, as the kill/restart test
+    proves.
 
     Determinism: a job's report is byte-identical to the equivalent
     one-shot CLI run ([analyze --report], at any [jobs] value), because

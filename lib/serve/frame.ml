@@ -1,51 +1,11 @@
 module Failpoint = Dfm_util.Failpoint
-module Hash64 = Dfm_incr.Hash64
+module Journal = Dfm_util.Journal
 
 let magic = "DFS1"
 
-let header_len = 8 (* magic + u32le length *)
+let max_payload = Journal.max_record
 
-let trailer_len = 8 (* u64le checksum *)
-
-let max_payload = 64 * 1024 * 1024
-
-let checksum payload = Hash64.of_string payload
-
-let put_u32le b off v =
-  Bytes.set b off (Char.chr (v land 0xff));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 16) land 0xff));
-  Bytes.set b (off + 3) (Char.chr ((v lsr 24) land 0xff))
-
-let get_u32le s off =
-  Char.code s.[off]
-  lor (Char.code s.[off + 1] lsl 8)
-  lor (Char.code s.[off + 2] lsl 16)
-  lor (Char.code s.[off + 3] lsl 24)
-
-let put_u64le b off v =
-  for i = 0 to 7 do
-    Bytes.set b (off + i)
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL)))
-  done
-
-let get_u64le s off =
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code s.[off + i]))
-  done;
-  !v
-
-let encode payload =
-  let len = String.length payload in
-  if len = 0 then invalid_arg "Frame.encode: empty payload";
-  if len > max_payload then invalid_arg "Frame.encode: payload too large";
-  let b = Bytes.create (header_len + len + trailer_len) in
-  Bytes.blit_string magic 0 b 0 4;
-  put_u32le b 4 len;
-  Bytes.blit_string payload 0 b header_len len;
-  put_u64le b (header_len + len) (checksum payload);
-  Bytes.unsafe_to_string b
+let encode payload = magic ^ Journal.encode payload
 
 let write_all fd s pos len =
   let pos = ref pos and len = ref len in
@@ -56,22 +16,12 @@ let write_all fd s pos len =
   done
 
 (* The [serve.conn] site: a dropped connection is an [Io_error]; a torn
-   frame is a [Partial_write] that sends a strict prefix (half the frame,
-   at least one byte) before failing, so the peer's decoder sees exactly
-   what a connection dying mid-send leaves behind. *)
+   frame is a [Partial_write], so the peer's decoder sees exactly what a
+   connection dying mid-send leaves behind. *)
 let write fd payload =
   let frame = encode payload in
-  match Failpoint.check "serve.conn" with
-  | Some Failpoint.Raise -> raise (Failpoint.Injected "serve.conn")
-  | Some Failpoint.Io_error -> raise (Sys_error "serve.conn: injected connection drop")
-  | Some Failpoint.Partial_write ->
-      let torn = max 1 (String.length frame / 2) in
-      write_all fd frame 0 torn;
-      raise (Sys_error "serve.conn: injected torn frame write")
-  | Some (Failpoint.Delay s) ->
-      Unix.sleepf s;
-      write_all fd frame 0 (String.length frame)
-  | None -> write_all fd frame 0 (String.length frame)
+  Failpoint.guard_write "serve.conn" ~write:(write_all fd) frame;
+  write_all fd frame 0 (String.length frame)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental decoder                                                  *)
@@ -113,30 +63,22 @@ module Decoder = struct
     match t.failed with
     | Some msg -> Error msg
     | None ->
-        let avail = buffered t in
-        if avail < header_len then Ok None
+        if buffered t < String.length magic then Ok None
         else begin
           let contents = Buffer.contents t.buf in
           let off = t.consumed in
-          if String.sub contents off 4 <> magic then
+          if String.sub contents off (String.length magic) <> magic then
             fail t "protocol error: bad frame magic"
-          else begin
-            let len = get_u32le contents (off + 4) in
-            if len <= 0 || len > max_payload then
-              fail t (Printf.sprintf "protocol error: bad frame length %d" len)
-            else if avail < header_len + len + trailer_len then Ok None
-            else begin
-              let payload = String.sub contents (off + header_len) len in
-              let expected = get_u64le contents (off + header_len + len) in
-              if not (Int64.equal (checksum payload) expected) then
-                fail t "protocol error: frame checksum mismatch"
-              else begin
-                t.consumed <- off + header_len + len + trailer_len;
+          else
+            match Journal.decode contents (off + String.length magic) with
+            | Journal.Short -> Ok None
+            | Journal.Bad_length len ->
+                fail t (Printf.sprintf "protocol error: bad frame length %d" len)
+            | Journal.Bad_checksum _ -> fail t "protocol error: frame checksum mismatch"
+            | Journal.Record (payload, next) ->
+                t.consumed <- next;
                 compact t;
                 Ok (Some payload)
-              end
-            end
-          end
         end
 end
 

@@ -1,13 +1,9 @@
 (** Length-framed, checksummed protocol frames.
 
-    Every protocol message travels as one frame:
-
-    {v
-      4 bytes   magic "DFS1"
-      4 bytes   payload length, u32le (0 < len <= max_payload)
-      len bytes payload (a JSON document, but the frame layer is opaque)
-      8 bytes   checksum, u64le — Hash64.of_string of the payload
-    v}
+    Every protocol message travels as one frame: the 4-byte magic
+    ["DFS1"], then one {!Dfm_util.Journal} record (length prefix, payload,
+    checksum; the record layout is described there) whose payload is a
+    JSON document, opaque to the frame layer.
 
     The decoder is incremental: bytes arrive in arbitrary chunks (the
     daemon reads whatever [select] offers) and complete frames are pulled

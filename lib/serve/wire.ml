@@ -11,20 +11,6 @@ type t =
 (* Printer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let escape_into buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let rec print_into buf v =
   match v with
   | Null -> Buffer.add_string buf "null"
@@ -38,7 +24,7 @@ let rec print_into buf v =
       else Buffer.add_string buf (Printf.sprintf "%.17g" f)
   | String s ->
       Buffer.add_char buf '"';
-      escape_into buf s;
+      Dfm_obs.Export.json_escape_into buf s;
       Buffer.add_char buf '"'
   | List l ->
       Buffer.add_char buf '[';
@@ -54,7 +40,7 @@ let rec print_into buf v =
         (fun i (k, x) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_char buf '"';
-          escape_into buf k;
+          Dfm_obs.Export.json_escape_into buf k;
           Buffer.add_string buf "\":";
           print_into buf x)
         fields;

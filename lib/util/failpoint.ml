@@ -59,12 +59,19 @@ let check name =
             end
             else None)
 
-let hit name =
+let act name = function
+  | Raise -> raise (Injected name)
+  | Io_error | Partial_write -> raise (Sys_error ("failpoint: " ^ name))
+  | Delay s -> Unix.sleepf s
+
+let hit name = Option.iter (act name) (check name)
+
+let guard_write name ~write s =
   match check name with
-  | None -> ()
-  | Some Raise -> raise (Injected name)
-  | Some (Io_error | Partial_write) -> raise (Sys_error ("failpoint: " ^ name))
-  | Some (Delay s) -> Unix.sleepf s
+  | Some Partial_write ->
+      write s 0 (max 1 (String.length s / 2));
+      raise (Sys_error (Printf.sprintf "failpoint: %s (partial write)" name))
+  | a -> Option.iter (act name) a
 
 let hit_count name =
   if not !armed then 0

@@ -47,12 +47,17 @@ val parse_env : unit -> (unit, string) result
 
 val check : string -> action option
 (** Count one hit at [name]; return the action iff the site fires now.
-    Used by sites that implement [Partial_write] themselves; pure
-    observation, never raises. *)
+    Pure observation, never raises. *)
 
 val hit : string -> unit
 (** {!check}, then act: [Raise] raises {!Injected}, [Io_error] and
     [Partial_write] raise [Sys_error], [Delay] sleeps. *)
+
+val guard_write : string -> write:(string -> int -> int -> unit) -> string -> unit
+(** The one torn-write site: call it just before writing [s].  Like {!hit},
+    except that [Partial_write] first writes a strict prefix of [s] (half,
+    at least one byte) through [write s off len], then raises [Sys_error].
+    Returning normally means the caller writes all of [s] itself. *)
 
 val hit_count : string -> int
 (** How many times [name] was reached since it was (re)enabled; 0 for a

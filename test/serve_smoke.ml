@@ -17,6 +17,11 @@
       EMFILE accept failures (serve.accept_emfile failpoint) and
       --certify never exits — it backs off, recovers, and the certified
       job's report is still byte-identical to the uncertified one-shot.
+   6. Ledger recovery: a torn tail in the job ledger (a kill mid-append)
+      and a torn append in a live daemon (serve.ledger failpoint) each
+      lose at most the torn record — every job completed afterwards
+      survives the next restart, keeps its report, and job ids are never
+      reused.
 
    Usage: serve_smoke CLI_EXE NETLIST_FILE *)
 
@@ -373,6 +378,100 @@ let () =
           | Error e -> fail "await after restart: %s" e);
           Client.close c);
       stop_daemon ~sock:sock3 ~pid:pid4);
+
+  (* ---- 6. ledger recovery across four daemon lives ---------------- *)
+  let state5 = "smoke_state5" and sock5 = sock_path "ledger" in
+  let failures_before = !failures in
+  let life ?(failpoint = []) () =
+    let pid =
+      spawn exe
+        ([ "serve"; "--socket"; sock5; "--state-dir"; state5; "-j"; "1" ] @ failpoint)
+        ~log:"smoke_daemon5.log"
+    in
+    wait_ready sock5;
+    pid
+  in
+  let run_job name =
+    match submit_analyze ~client:"golf" ~name ~netlist:netlist_text sock5 with
+    | Ok r when r.Protocol.r_outcome = "done" -> Some r
+    | Ok r ->
+        fail "ledger job %s outcome %s" name r.Protocol.r_outcome;
+        None
+    | Error e ->
+        fail "ledger job %s: %s" name e;
+        None
+  in
+  let expect_id name want = function
+    | Some r when r.Protocol.r_job = want -> ()
+    | Some r -> fail "job %s was named %s, want %s" name r.Protocol.r_job want
+    | None -> ()
+  in
+  (* every listed job is done, and its awaited report is the one it first
+     delivered *)
+  let expect_history label done_jobs =
+    match Client.connect sock5 with
+    | Error e -> fail "%s: connect: %s" label e
+    | Ok c ->
+        (match Client.request c (Protocol.Status None) with
+        | Ok (Protocol.Status_report { jobs; _ }) ->
+            List.iter
+              (fun (id, _) ->
+                match List.find_opt (fun jv -> jv.Protocol.jv_id = id) jobs with
+                | Some jv when jv.Protocol.jv_state = Protocol.Done -> ()
+                | Some jv ->
+                    fail "%s: %s is %s, want done" label id
+                      (Protocol.state_to_string jv.Protocol.jv_state)
+                | None -> fail "%s: status does not list %s" label id)
+              done_jobs
+        | Ok _ -> fail "%s: unexpected status response" label
+        | Error e -> fail "%s: status: %s" label e);
+        Client.close c;
+        List.iter
+          (fun (id, first) ->
+            match (first, Client.connect sock5) with
+            | None, _ -> ()
+            | _, Error e -> fail "%s: connect: %s" label e
+            | Some first, Ok c ->
+                (match Client.await c id with
+                | Ok r
+                  when r.Protocol.r_job = id
+                       && String.equal r.Protocol.r_report first.Protocol.r_report ->
+                    ()
+                | Ok r -> fail "%s: await %s delivered job %s's report" label id r.Protocol.r_job
+                | Error e -> fail "%s: await %s: %s" label id e);
+                Client.close c)
+          done_jobs
+  in
+  (* life 1 completes J1; then a kill mid-append leaves half a record: a
+     length prefix of 64 followed by only 16 payload bytes *)
+  let pid = life () in
+  let j1 = run_job "ledger-life1" in
+  expect_id "ledger-life1" "J1" j1;
+  stop_daemon ~sock:sock5 ~pid;
+  Out_channel.with_open_gen [ Open_wronly; Open_append; Open_binary ] 0o644
+    (Filename.concat state5 "ledger.bin") (fun oc ->
+      output_string oc ("\x40\x00\x00\x00" ^ String.make 16 'x'));
+  (* life 2 must compact the torn tail before appending J2 *)
+  let pid = life () in
+  let j2 = run_job "ledger-life2" in
+  expect_id "ledger-life2" "J2" j2;
+  stop_daemon ~sock:sock5 ~pid;
+  (* life 3 sees both jobs and names the next one J3; the ledger append of
+     J3's result is torn, so J4 is appended only after a re-open *)
+  let pid = life ~failpoint:[ "--failpoint"; "serve.ledger=partial:after=1:times=1" ] () in
+  expect_history "life 3" [ ("J1", j1); ("J2", j2) ];
+  let j3 = run_job "ledger-life3a" in
+  expect_id "ledger-life3a" "J3" j3;
+  let j4 = run_job "ledger-life3b" in
+  expect_id "ledger-life3b" "J4" j4;
+  stop_daemon ~sock:sock5 ~pid;
+  (* life 4: J3 lost its result record and runs again; J4, completed after
+     the torn append, survived *)
+  let pid = life () in
+  expect_history "life 4" [ ("J1", j1); ("J2", j2); ("J4", j4) ];
+  stop_daemon ~sock:sock5 ~pid;
+  if !failures = failures_before then
+    pass "ledger recovered from a torn tail and a torn append";
 
   if !failures > 0 then begin
     Printf.printf "serve_smoke: %d failure(s)\n%!" !failures;

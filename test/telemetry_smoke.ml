@@ -189,15 +189,16 @@ let () =
                 with
                 | Error e -> fail "metrics subscribe: %s" e
                 | Ok () ->
-                    (* collect frames until one shows tenant attribution or
-                       we have seen plenty *)
+                    (* collect frames until one shows alpha's attribution
+                       (bravo's job may run first, and its frames carry
+                       only bravo's labels) or we have seen plenty *)
                     let rec go n =
                       if n > 0 then
                         match Client.next_telemetry c with
                         | Error e -> fail "metrics stream: %s" e
                         | Ok ("metrics", data) ->
                             metrics_frames := data :: !metrics_frames;
-                            if not (contains data "tenant=\"") then go (n - 1)
+                            if not (contains data "tenant=\"alpha\"") then go (n - 1)
                         | Ok _ -> go n
                     in
                     go 100))

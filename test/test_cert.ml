@@ -240,7 +240,7 @@ module B = N.Builder
 module F = Dfm_faults.Fault
 module Atpg = Dfm_atpg.Atpg
 module Store = Dfm_incr.Store
-module H = Dfm_incr.Hash64
+module H = Dfm_util.Hash64
 
 let origin = { F.category = Dfm_cellmodel.Defect.Via; guideline_index = 0 }
 
@@ -342,28 +342,24 @@ let test_store_certified_visibility () =
   Store.close s2;
   Sys.remove path
 
-let magic = "DFMVC01\n"
+let magic = "DFMVC02\n"
 
-(* A hand-crafted v2 record whose framing checksum is valid but whose
-   certificate mark is wrong: exercises the mark-verification branch
+(* A hand-crafted certified record whose journal checksum is valid but
+   whose certificate mark is wrong: exercises the mark-verification branch
    specifically (a flipped byte would fail the checksum first). *)
 let forged_record sg vcode =
-  let plen = 17 in
-  let b = Bytes.create (2 + plen + 8) in
-  Bytes.set_uint16_le b 0 plen;
-  Bytes.set_int64_le b 2 sg;
-  Bytes.set_uint8 b 10 vcode;
+  let b = Bytes.create 17 in
+  Bytes.set_int64_le b 0 sg;
+  Bytes.set_uint8 b 8 vcode;
   let mark = H.finalize (H.mix (H.mix (H.of_string "DFMCERTv2") sg) (H.of_int vcode)) in
-  Bytes.set_int64_le b 11 (Int64.logxor mark 1L);
-  let payload = Bytes.sub_string b 2 plen in
-  Bytes.set_int64_le b (2 + plen) (H.mix (H.of_string payload) (H.of_int plen));
-  b
+  Bytes.set_int64_le b 9 (Int64.logxor mark 1L);
+  Dfm_util.Journal.encode (Bytes.to_string b)
 
 let test_store_corrupt_mark_rejected () =
   let path = Filename.temp_file "dfm_cert_forged" ".bin" in
   let oc = open_out_bin path in
   output_string oc magic;
-  output_bytes oc (forged_record 42L 1);
+  output_string oc (forged_record 42L 1);
   close_out oc;
   let s = Store.create ~path ~log:(fun _ -> ()) () in
   Alcotest.(check int) "forged record dropped" 1 (Store.stats s).Store.disk_dropped;
@@ -380,11 +376,11 @@ let test_store_flipped_byte_rejected () =
   Store.close s;
   (* Flip one byte inside the stored certificate mark. *)
   let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
-  ignore (Unix.lseek fd (String.length magic + 11) Unix.SEEK_SET : int);
+  ignore (Unix.lseek fd (String.length magic + 13) Unix.SEEK_SET : int);
   let byte = Bytes.create 1 in
   ignore (Unix.read fd byte 0 1 : int);
   Bytes.set_uint8 byte 0 (Bytes.get_uint8 byte 0 lxor 0xff);
-  ignore (Unix.lseek fd (String.length magic + 11) Unix.SEEK_SET : int);
+  ignore (Unix.lseek fd (String.length magic + 13) Unix.SEEK_SET : int);
   ignore (Unix.write fd byte 0 1 : int);
   Unix.close fd;
   let s2 = Store.create ~path ~log:(fun _ -> ()) () in

@@ -102,10 +102,10 @@ let test_disk_recovery () =
     Store.add s (sig_of_i i) (verdict_of_i i)
   done;
   Store.close s;
-  (* layout: 8-byte magic, then 19-byte records (2 len + 9 payload + 8 sum) *)
+  (* layout: 8-byte magic, then 21-byte records (4 len + 9 payload + 8 sum) *)
   let b = read_file path in
-  Alcotest.(check int) "expected file size" (8 + (19 * 20)) (Bytes.length b);
-  let flip_at = 8 + (19 * 5) + 4 (* inside record 5's signature bytes *) in
+  Alcotest.(check int) "expected file size" (8 + (21 * 20)) (Bytes.length b);
+  let flip_at = 8 + (21 * 5) + 6 (* inside record 5's signature bytes *) in
   Bytes.set_uint8 b flip_at (Bytes.get_uint8 b flip_at lxor 0xff);
   write_file path b (Bytes.length b - 10) (* truncate mid-record 19 *);
   let logged = ref [] in

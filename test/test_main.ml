@@ -5,6 +5,7 @@ let () =
     [
       ("util", Test_util.suite);
       ("failpoint", Test_failpoint.suite);
+      ("journal", Test_journal.suite);
       ("parallel", Test_parallel.suite);
       ("properties", Test_properties.suite);
       ("logic", Test_logic.suite);
