@@ -1,13 +1,19 @@
 (* Tests for the incremental assumption-based SAT core.
 
-   Three layers of differential evidence:
+   Pinned effort first: the exact conflict, decision and propagation
+   counts of three [Design.implement] runs, so a change to the solver's
+   data layout cannot change its search unnoticed.
+
+   Then three layers of differential evidence:
 
    - Solver level: random CNF query batches run through an
      [Dfm_sat.Incremental] session (activation-guarded groups over one
      persistent solver) must answer exactly like a throwaway solver per
      query; after every solve the between-solve invariants hold
      ([Solver.check_invariants]) and every retained learnt clause is
-     re-proved to be implied by the clauses added so far.
+     re-proved to be implied by the clauses added so far.  One session is
+     driven until its clause arena is compacted, and keeps answering
+     correctly afterwards.
 
    - ATPG level: [Atpg.classify] / [generate] / [escalate] in Incremental
      mode must produce the same verdicts as Oneshot mode, at jobs 1 and 4,
@@ -77,24 +83,24 @@ let arb_session_problem =
         (list_size (int_range 0 10) clause)
         (list_size (int_range 1 6) (list_size (int_range 1 8) clause)))
 
-(* Re-prove a learnt clause: CNF-so-far /\ not(C) must be UNSAT. *)
+(* Re-prove learnt clauses: CNF-so-far /\ not(C) must be UNSAT.  Checks
+   the first 50 retained clauses and returns one that is not implied. *)
+let unimplied_learnt all_clauses solver =
+  List.filteri (fun i _ -> i < 50) (Solver.learnt_clauses solver)
+  |> List.find_opt (fun c ->
+         let s = Solver.create () in
+         Solver.ensure_vars s (Solver.num_vars solver);
+         List.iter (Solver.add_clause s) all_clauses;
+         List.iter (fun l -> Solver.add_clause s [ -l ]) c;
+         Solver.solve s <> Solver.Unsat)
+
+let show_clause c = String.concat " " (List.map string_of_int c)
+
 let check_learnts_implied all_clauses solver =
-  let learnts = Solver.learnt_clauses solver in
-  let checked = ref 0 in
-  List.iter
-    (fun c ->
-      if !checked < 50 then begin
-        incr checked;
-        let s = Solver.create () in
-        Solver.ensure_vars s (Solver.num_vars solver);
-        List.iter (Solver.add_clause s) all_clauses;
-        List.iter (fun l -> Solver.add_clause s [ -l ]) c;
-        if Solver.solve s <> Solver.Unsat then
-          QCheck.Test.fail_reportf "learnt clause [%s] is not implied by the CNF"
-            (String.concat " " (List.map string_of_int c))
-      end)
-    learnts;
-  true
+  match unimplied_learnt all_clauses solver with
+  | Some c ->
+      QCheck.Test.fail_reportf "learnt clause [%s] is not implied by the CNF" (show_clause c)
+  | None -> true
 
 let prop_session_matches_oneshot =
   QCheck.Test.make ~name:"incremental session answers = one-shot per query" ~count:100
@@ -206,6 +212,73 @@ let test_retire_semantics () =
   Alcotest.(check int) "retired" 1 st.Incr.retired;
   Alcotest.(check int) "solves" 4 st.Incr.solves;
   Alcotest.(check bool) "clause reuse accumulates" true (st.Incr.clauses_reused > 0)
+
+(* Arena collection: guarded add/solve/retire rounds on one session fill
+   the clause arena with retired cones until [simplify] compacts it.  Every
+   answer, before and after the compaction, must match a fresh solver on
+   base /\ group, the invariant audit (arena walk, dead-word count, watch
+   entries) must hold after every solve, and the learnt clauses that
+   survived the move must still be implied by the CNF. *)
+let test_arena_collection () =
+  let m_collect = Metrics.counter "dfm_sat_arena_collections_total" in
+  let c0 = Metrics.counter_value m_collect in
+  let rng = Rng.create 17 in
+  let nvars = 40 in
+  let clause () =
+    List.init 3
+      (fun _ ->
+        let v = 1 + Rng.int rng nvars in
+        if Rng.bool rng then v else -v)
+  in
+  let sess = Incr.create () in
+  let solver = Incr.solver sess in
+  Solver.ensure_vars solver nvars;
+  let base = List.init 8 (fun _ -> clause ()) in
+  List.iter (Incr.add_permanent sess) base;
+  let all_clauses = ref base in
+  (* each group is retired one round late, so the learnt clauses of the
+     live group are in the arena when a compaction moves it *)
+  let previous = ref None in
+  let round () =
+    let act = Incr.new_activation sess in
+    let group = List.init (140 + Rng.int rng 40) (fun _ -> clause ()) in
+    List.iter
+      (fun c ->
+        Incr.add_guarded sess ~act c;
+        all_clauses := (-act :: c) :: !all_clauses)
+      group;
+    let r = Incr.solve sess ~act in
+    Solver.check_invariants solver;
+    let fresh = Solver.create () in
+    List.iter (Solver.add_clause fresh) (base @ group);
+    Alcotest.(check bool) "session answer = fresh solver" true (r = Solver.solve fresh);
+    if r = Solver.Sat then
+      List.iter
+        (fun c ->
+          Alcotest.(check bool) "model satisfies base and group" true
+            (List.exists (Solver.lit_value solver) c))
+        (base @ group);
+    Option.iter
+      (fun prev ->
+        Incr.retire sess ~act:prev ~locals:[];
+        all_clauses := [ -prev ] :: !all_clauses)
+      !previous;
+    previous := Some act
+  in
+  let rounds = ref 0 in
+  while Metrics.counter_value m_collect = c0 && !rounds < 200 do
+    round ();
+    incr rounds
+  done;
+  Alcotest.(check bool) "the arena was collected" true (Metrics.counter_value m_collect > c0);
+  Alcotest.(check bool) "learnt clauses retained" true (Solver.num_learnts solver > 0);
+  (* keep using the compacted solver *)
+  for _ = 1 to 5 do
+    round ()
+  done;
+  match unimplied_learnt !all_clauses solver with
+  | Some c -> Alcotest.failf "learnt clause [%s] is not implied by the CNF" (show_clause c)
+  | None -> ()
 
 let test_session_metrics () =
   let m_act = Metrics.counter "dfm_sat_incr_activations_total" in
@@ -616,11 +689,51 @@ let test_kill_resume_mid_sat_session () =
     r.Resynth.implement_calls;
   Alcotest.(check int) "SAT queries" r_ref.Resynth.sat_queries r.Resynth.sat_queries
 
+(* ------------------------------------------------------------------ *)
+(* Pinned search effort                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The exact effort of a full [Design.implement ~jobs:1]: conflicts,
+   decisions and propagations summed over every solve.  Any change to the
+   order in which the solver visits watches, picks branch variables,
+   reduces learnts or simplifies moves these numbers, so they pin the
+   search step for step across rewrites of the solver's data layout.  A
+   change that alters the search on purpose updates the constants. *)
+let implement_effort nl =
+  let c0, d0, p0 = Solver.totals () in
+  ignore (Design.implement ~jobs:1 nl : Design.t);
+  let c1, d1, p1 = Solver.totals () in
+  (c1 - c0, d1 - d0, p1 - p0)
+
+let example_netlist file =
+  let path =
+    List.find Sys.file_exists
+      [ Filename.concat "../examples/netlists" file; Filename.concat "examples/netlists" file ]
+  in
+  Netlist_io.read_file ~library:lib path
+
+let check_effort name (c, d, p) nl =
+  let c', d', p' = implement_effort nl in
+  Alcotest.(check int) (name ^ ": conflicts") c c';
+  Alcotest.(check int) (name ^ ": decisions") d d';
+  Alcotest.(check int) (name ^ ": propagations") p p'
+
+let test_pinned_effort_aes () =
+  check_effort "aes_core@0.5" (16_446, 51_541, 577_389)
+    (Dfm_circuits.Circuits.build ~scale:0.5 "aes_core")
+
+let test_pinned_effort_examples () =
+  check_effort "sparc_ffu_s025" (400, 2_293, 6_893) (example_netlist "sparc_ffu_s025.nl");
+  check_effort "sparc_spu_s025" (472, 2_797, 9_868) (example_netlist "sparc_spu_s025.nl")
+
 let suite =
   [
+    Alcotest.test_case "pinned effort: example netlists" `Quick test_pinned_effort_examples;
+    Alcotest.test_case "pinned effort: aes_core@0.5" `Slow test_pinned_effort_aes;
     QCheck_alcotest.to_alcotest prop_session_matches_oneshot;
     QCheck_alcotest.to_alcotest prop_failed_assumptions;
     Alcotest.test_case "retire semantics" `Quick test_retire_semantics;
+    Alcotest.test_case "arena collection mid-session" `Quick test_arena_collection;
     Alcotest.test_case "session metrics" `Quick test_session_metrics;
     Alcotest.test_case "pool FIFO" `Quick test_pool_fifo;
     QCheck_alcotest.to_alcotest prop_modes_agree;
