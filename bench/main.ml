@@ -12,6 +12,7 @@
      cache    — resynthesis with/without the incremental verdict cache
      lint     — structural findings + static-untestability pre-SAT filter
      certify  — certificate-checking overhead (proof bytes, check p50/p99)
+     kernel   — ns and minor words per fault-simulation detect_word call
      micro    — Bechamel timings of the per-experiment kernels
 
    REPRO_SCALE scales the generated blocks (default 1.0);
@@ -42,7 +43,7 @@ let sections =
   match Sys.getenv_opt "REPRO_SECTIONS" with
   | None ->
       [ "table1"; "table2"; "fig2"; "ablation"; "choices"; "scaling"; "cache"; "lint";
-        "serve"; "certify"; "micro" ]
+        "serve"; "certify"; "kernel"; "micro" ]
   | Some s -> String.split_on_char ',' s |> List.map String.trim
 
 let wants s = List.mem s sections
@@ -1049,6 +1050,48 @@ let run_telemetry () =
 (* Bechamel micro-benchmarks: one kernel per experiment                 *)
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Fault-simulation kernel                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Cost of one [Fault_sim.detect_word] call: every fault of the design's
+   DFM fault list over 16 random 64-pattern blocks, the unit of work of the
+   random-pattern prefilter in [Atpg.classify].  Reports wall ns and minor
+   words allocated per call (the fault-free [Logic_sim.run] of each block is
+   outside the measured region). *)
+let run_kernel () =
+  header "Fault-simulation kernel: detect_word per call";
+  Printf.printf "  %-12s %8s %10s %12s %14s\n" "circuit" "gates" "faults" "ns/call"
+    "minor w/call";
+  List.iter
+    (fun name ->
+      let d = design_of name in
+      let nl = d.Design.netlist in
+      let faults = d.Design.fault_list.Dfm_guidelines.Translate.faults in
+      let fs = Dfm_sim.Fault_sim.prepare nl in
+      let ls = Dfm_sim.Fault_sim.sim fs in
+      let rng = Dfm_util.Rng.create 16 in
+      (* [sink] folds every result so no call is dead; a local ref that no
+         closure captures is kept unboxed, so the loop itself allocates
+         nothing. *)
+      let calls = ref 0 and secs = ref 0.0 and words = ref 0.0 and sink = ref 0L in
+      for _ = 1 to 16 do
+        let good = Dfm_sim.Logic_sim.run ls (Dfm_sim.Logic_sim.random_words ls rng) in
+        let w0 = Gc.minor_words () in
+        let t0 = Unix.gettimeofday () in
+        for i = 0 to Array.length faults - 1 do
+          sink := Int64.logxor !sink (Dfm_sim.Fault_sim.detect_word fs ~good faults.(i))
+        done;
+        secs := !secs +. (Unix.gettimeofday () -. t0);
+        words := !words +. (Gc.minor_words () -. w0);
+        calls := !calls + Array.length faults
+      done;
+      let per x = x /. float_of_int (max 1 !calls) in
+      Printf.printf "  %-12s %8d %10d %12.0f %14.1f   (xor %Lx)\n" name
+        (Dfm_netlist.Netlist.num_gates nl) (Array.length faults) (per (!secs *. 1e9))
+        (per !words) !sink)
+    [ "aes_core"; "des_perf"; "sparc_spu"; "tv80" ]
+
 let run_micro () =
   header "Bechamel micro-benchmarks (one kernel per experiment)";
   let open Bechamel in
@@ -1152,6 +1195,7 @@ let () =
     if wants "lint" then ignore (run_lint () : string);
     if wants "serve" then ignore (run_serve () : string);
     if wants "certify" then ignore (run_certify () : string);
+    if wants "kernel" then run_kernel ();
     if wants "micro" then run_micro ()
   end;
   (* The oneshot-vs-incremental comparison piggybacks on the scaling and

@@ -355,17 +355,29 @@ let classify ?(seed = 1) ?max_conflicts ?(random_blocks = 16) ?jobs ?cache ?stat
         sigs
   in
   let rng = Rng.create (seed + 77) in
-  if jobs = 1 then begin
-    (* Sequential reference path: no pool, no domains. *)
+  (* The random-pattern phase, one span on either path: [block] runs one
+     64-pattern block over the unresolved faults. *)
+  let random_phase block =
+    Span.with_ "atpg.random" @@ fun () ->
     let blocks = ref 0 in
-    let left = ref (unresolved_count s) in
+    let before = unresolved_count s in
+    let left = ref before in
     while !blocks < random_blocks && !left > 0 do
       incr blocks;
+      (* Pattern words and the fault-free simulation are produced once by
+         the coordinator, in the same order on both paths. *)
       let words = Ls.random_words s.ls rng in
-      let good = Ls.run s.ls words in
-      sim_range s s.fs ~words ~good ~lo:0 ~hi:nf;
+      block ~words ~good:(Ls.run s.ls words);
       left := unresolved_count s
     done;
+    Span.note "blocks" (string_of_int !blocks);
+    Span.note "resolved" (string_of_int (before - !left))
+  in
+  if jobs = 1 then begin
+    (* Sequential reference path: no pool, no domains. *)
+    random_phase (fun ~words ~good ->
+        sim_range s s.fs ~words ~good ~lo:0 ~hi:nf;
+        Fs.publish_counts s.fs);
     (* The query count is the number of faults entering the SAT phase
        unresolved — counted up front so a supervised retry of a shard
        (which re-queries only the still-unresolved suffix) cannot skew the
@@ -385,26 +397,19 @@ let classify ?(seed = 1) ?max_conflicts ?(random_blocks = 16) ?jobs ?cache ?stat
        which is what lets the supervised batch retry a shard whose worker
        raised (a poisoned task degrades throughput, never the verdicts). *)
     let shard_fs = Array.map (fun _ -> Fs.prepare nl) bounds in
-    let blocks = ref 0 in
-    let left = ref (unresolved_count s) in
-    while !blocks < random_blocks && !left > 0 do
-      incr blocks;
-      (* Pattern words and the fault-free simulation are produced once by
-         the coordinator, in the same order as the sequential path. *)
-      let words = Ls.random_words s.ls rng in
-      let good = Ls.run s.ls words in
-      ignore
-        (Parallel.run_tasks_supervised pool
-           (Array.mapi
-              (fun k (lo, hi) () ->
-                Span.with_ "classify.shard"
-                  ~attrs:
-                    [ ("phase", "sim"); ("lo", string_of_int lo); ("hi", string_of_int hi) ]
-                  (fun () -> sim_range s shard_fs.(k) ~words ~good ~lo ~hi))
-              bounds)
-          : Parallel.supervision);
-      left := unresolved_count s
-    done;
+    random_phase (fun ~words ~good ->
+        ignore
+          (Parallel.run_tasks_supervised pool
+             (Array.mapi
+                (fun k (lo, hi) () ->
+                  Span.with_ "classify.shard"
+                    ~attrs:
+                      [ ("phase", "sim"); ("lo", string_of_int lo); ("hi", string_of_int hi) ]
+                    (fun () ->
+                      sim_range s shard_fs.(k) ~words ~good ~lo ~hi;
+                      Fs.publish_counts shard_fs.(k)))
+                bounds)
+            : Parallel.supervision));
     s.sat_queries <- unresolved_count s;
     ignore
       (Parallel.run_tasks_supervised pool

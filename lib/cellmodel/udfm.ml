@@ -3,7 +3,11 @@ module Tt = Dfm_logic.Truthtable
 type entry = {
   site : Defect.site;
   activation : int list;
+  program : Dfm_logic.Wordprog.t;
 }
+
+let entry ~arity site activation =
+  { site; activation; program = Dfm_logic.Wordprog.of_minterms ~arity activation }
 
 type t = {
   cell_name : string;
@@ -35,7 +39,7 @@ let characterize (m : Osu018.model) =
   match m.Osu018.network with
   | None ->
       let entries =
-        List.map (fun site -> { site; activation = dff_activation site }) m.Osu018.sites
+        List.map (fun site -> entry ~arity site (dff_activation site)) m.Osu018.sites
       in
       { cell_name = name; arity; entries; benign_sites = 0 }
   | Some network ->
@@ -73,7 +77,7 @@ let characterize (m : Osu018.model) =
               incr benign;
               None
             end
-            else Some { site; activation = !activation })
+            else Some (entry ~arity site !activation))
           m.Osu018.sites
       in
       { cell_name = name; arity; entries; benign_sites = !benign }

@@ -17,6 +17,9 @@ type entry = {
   activation : int list;
       (** minterm indices over the cell inputs (pin order) that activate the
           defect, i.e. flip the cell output *)
+  program : Dfm_logic.Wordprog.t;
+      (** [activation] compiled once, for the fault simulator: the word of
+          patterns on which the defect flips the output *)
 }
 
 type t = {

@@ -3,6 +3,7 @@ type t = {
   inputs : string array;
   output : string;
   func : Dfm_logic.Truthtable.t;
+  prog : Dfm_logic.Wordprog.t;
   area : float;
   width : float;
   height : float;
@@ -27,6 +28,7 @@ let make ~name ~inputs ?(output = "Y") ~func ~area ~width ?(height = 5.0)
     inputs;
     output;
     func;
+    prog = Dfm_logic.Wordprog.compile func;
     area;
     width;
     height;

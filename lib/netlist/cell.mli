@@ -12,6 +12,7 @@ type t = {
   inputs : string array;        (** input pin names, in truth-table order *)
   output : string;              (** output pin name *)
   func : Dfm_logic.Truthtable.t;
+  prog : Dfm_logic.Wordprog.t;  (** [func] compiled once, for the simulators *)
   area : float;                 (** footprint area, um^2 *)
   width : float;                (** placement-row width, um *)
   height : float;               (** row height, um (uniform per library) *)
@@ -41,7 +42,8 @@ val make :
   ?is_seq:bool ->
   unit ->
   t
-(** [make] checks that the truth-table arity matches the pin count.
+(** [make] checks that the truth-table arity matches the pin count and
+    compiles [func] into [prog].
     [output] defaults to ["Y"]; [height] to [5.0]; [is_seq] to [false]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,280 +1,339 @@
 module N = Dfm_netlist.Netlist
 module F = Dfm_faults.Fault
 module Cell = Dfm_netlist.Cell
+module W = Dfm_logic.Wordprog
+module A = Bigarray.Array1
 
+let m_faults =
+  Dfm_obs.Metrics.counter ~help:"Faults simulated by the fault-simulation kernel"
+    "dfm_sim_faults_simulated_total"
+
+let m_gate_evals =
+  Dfm_obs.Metrics.counter
+    ~help:"Gate evaluations by the fault-simulation kernel (queued fanout gates)"
+    "dfm_sim_gate_evals_total"
+
+(* The netlist flattened into a gate table and a net table (compressed
+   sparse rows: the fanins of gate [g] are [fanin.(fanin_start.(g)) ..
+   fanin.(fanin_start.(g+1) - 1)], likewise the combinational sinks of a
+   net), plus the per-fault scratch.  A net's faulty word in [faulty] and a
+   gate's queued flag are valid only while their stamp equals [epoch], so
+   starting a fault is one increment and nothing is ever reset. *)
 type t = {
   ls : Logic_sim.t;
-  topo_pos : int array;     (* gate id -> position in topo order; -1 for seq *)
-  is_observe : bool array;  (* per net *)
-  (* Scratch state, reset after each fault: *)
-  override_ : int64 array;  (* per net: faulty value when touched *)
-  touched : bool array;     (* per net: override valid *)
-  scheduled : bool array;   (* per gate *)
+  fanin_start : int array;
+  fanin : int array;
+  gate_out : int array;
+  prog : W.t array;        (* per gate: compiled cell function *)
+  acts : W.t array array;  (* per gate: compiled activation of each UDFM entry *)
+  is_seq : bool array;
+  level : int array;       (* per gate: logic level (combinational gates) *)
+  sink_start : int array;
+  sink : int array;        (* combinational sink gates only *)
+  observe : bool array;
+  (* Level buckets: the gates queued at level [l] sit in
+     [queue.(bucket.(l)) .. queue.(bucket.(l) + fill.(l) - 1)]; a bucket
+     holds every gate of its level at most once. *)
+  bucket : int array;
+  fill : int array;
+  queue : int array;
+  mutable lo : int;        (* lowest and highest level queued *)
+  mutable hi : int;
+  faulty : Words.t;
+  net_stamp : int array;
+  gate_stamp : int array;
+  mutable epoch : int;
+  regs : W.regs;
+  detect : Words.t;        (* one word: difference seen at observable points *)
+  points : int array;      (* observable nets written by the current fault *)
+  mutable npoints : int;
+  mutable faults_simulated : int;
+  mutable gate_evals : int;
 }
+
+let csr n lists =
+  let start = Array.make (n + 1) 0 in
+  Array.iteri (fun i l -> start.(i + 1) <- start.(i) + List.length l) lists;
+  let flat = Array.make start.(n) 0 in
+  Array.iteri (fun i l -> List.iteri (fun k x -> flat.(start.(i) + k) <- x) l) lists;
+  (start, flat)
 
 let prepare nl =
   let ls = Logic_sim.prepare nl in
-  let topo = Logic_sim.topo ls in
-  let topo_pos = Array.make (N.num_gates nl) (-1) in
-  Array.iteri (fun pos gid -> topo_pos.(gid) <- pos) topo;
-  let is_observe = Array.make (N.num_nets nl) false in
-  List.iter (fun (_, n) -> is_observe.(n) <- true) (Logic_sim.observes ls);
+  let gates = nl.N.gates in
+  let ng = N.num_gates nl and nn = N.num_nets nl in
+  let fanin_start, fanin =
+    csr ng (Array.map (fun (g : N.gate) -> Array.to_list g.N.fanins) gates)
+  in
+  let is_seq = Array.map (fun (g : N.gate) -> g.N.cell.Cell.is_seq) gates in
+  let sink_start, sink =
+    csr nn
+      (Array.map
+         (fun (n : N.net) ->
+           List.filter_map (fun (g, _) -> if is_seq.(g) then None else Some g) n.N.sinks)
+         nl.N.nets)
+  in
+  let acts_by_cell = Hashtbl.create 32 in
+  let acts =
+    Array.map
+      (fun (g : N.gate) ->
+        let name = g.N.cell.Cell.name in
+        match Hashtbl.find_opt acts_by_cell name with
+        | Some a -> a
+        | None ->
+            let a =
+              match Dfm_cellmodel.Udfm.for_cell name with
+              | u ->
+                  Array.of_list
+                    (List.map
+                       (fun (e : Dfm_cellmodel.Udfm.entry) -> e.Dfm_cellmodel.Udfm.program)
+                       u.Dfm_cellmodel.Udfm.entries)
+              | exception Not_found -> [||]
+            in
+            Hashtbl.add acts_by_cell name a;
+            a)
+      gates
+  in
+  let level = N.gate_levels nl in
+  let nlevels = 1 + Array.fold_left max 0 level in
+  let bucket = Array.make (nlevels + 1) 0 in
+  Array.iteri (fun g l -> if not is_seq.(g) then bucket.(l + 1) <- bucket.(l + 1) + 1) level;
+  for l = 1 to nlevels do
+    bucket.(l) <- bucket.(l) + bucket.(l - 1)
+  done;
+  let observe = Array.make nn false in
+  List.iter (fun (_, n) -> observe.(n) <- true) (Logic_sim.observes ls);
   {
     ls;
-    topo_pos;
-    is_observe;
-    override_ = Array.make (N.num_nets nl) 0L;
-    touched = Array.make (N.num_nets nl) false;
-    scheduled = Array.make (N.num_gates nl) false;
+    fanin_start;
+    fanin;
+    gate_out = Array.map (fun (g : N.gate) -> g.N.fanout) gates;
+    prog = Array.map (fun (g : N.gate) -> g.N.cell.Cell.prog) gates;
+    acts;
+    is_seq;
+    level;
+    sink_start;
+    sink;
+    observe;
+    bucket;
+    fill = Array.make nlevels 0;
+    queue = Array.make (max 1 bucket.(nlevels)) 0;
+    lo = max_int;
+    hi = -1;
+    faulty = Words.create nn;
+    net_stamp = Array.make nn 0;
+    gate_stamp = Array.make ng 0;
+    epoch = 0;
+    regs = W.create_regs ();
+    detect = Words.create 1;
+    points = Array.make nn 0;
+    npoints = 0;
+    faults_simulated = 0;
+    gate_evals = 0;
   }
 
 let sim t = t.ls
 
-let value t ~good n = if t.touched.(n) then t.override_.(n) else good.(n)
+let publish_counts t =
+  Dfm_obs.Metrics.incr ~by:t.faults_simulated m_faults;
+  Dfm_obs.Metrics.incr ~by:t.gate_evals m_gate_evals;
+  t.faults_simulated <- 0;
+  t.gate_evals <- 0
 
-(* Activation word for a set of cell-input minterms at a gate. *)
-let activation_word t ~good ~gate minterms =
-  let nl = Logic_sim.netlist t.ls in
-  let g = N.gate nl gate in
-  let n = Array.length g.N.fanins in
-  let acc = ref 0L in
-  List.iter
-    (fun m ->
-      let term = ref (-1L) in
-      for k = 0 to n - 1 do
-        let w = good.(g.N.fanins.(k)) in
-        term := Int64.logand !term (if (m lsr k) land 1 = 1 then w else Int64.lognot w)
+(* ------------------------------------------------------------------ *)
+(* Kernel                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Words never cross a call: this compiler has no flambda and dune's dev
+   profile builds with [-opaque], so an [int64] returned by a function that
+   is not inlined is boxed.  Helpers that produce a word are
+   [@inline always] or leave it in [faulty], [regs] or [detect].  Net and
+   pin indices taken from the fault are bounds-checked; the tables' own
+   indices are not. *)
+
+(* Net [n]'s word under the current fault. *)
+let[@inline always] current t (good : Words.t) n =
+  if Array.unsafe_get t.net_stamp n = t.epoch then A.unsafe_get t.faulty n
+  else A.unsafe_get good n
+
+(* Load gate [g]'s fault-free fanin words into the register file. *)
+let load_good t (good : Words.t) g =
+  let f0 = t.fanin_start.(g) in
+  for j = f0 to t.fanin_start.(g + 1) - 1 do
+    A.unsafe_set t.regs (j - f0) (A.unsafe_get good (Array.unsafe_get t.fanin j))
+  done
+
+(* [faulty.{n}] now holds net [n]'s word under the fault: stamp it and fold
+   its difference into the detection word if [n] is observable.  A net set
+   twice (a bridge seed whose driver is re-evaluated) folds both. *)
+let mark t (good : Words.t) n =
+  if t.net_stamp.(n) <> t.epoch then begin
+    t.net_stamp.(n) <- t.epoch;
+    if t.observe.(n) then begin
+      t.points.(t.npoints) <- n;
+      t.npoints <- t.npoints + 1
+    end
+  end;
+  if t.observe.(n) then
+    A.unsafe_set t.detect 0
+      (Int64.logor (A.unsafe_get t.detect 0)
+         (Int64.logxor (A.unsafe_get t.faulty n) (A.unsafe_get good n)))
+
+let schedule_sinks t n =
+  for i = t.sink_start.(n) to t.sink_start.(n + 1) - 1 do
+    let g = t.sink.(i) in
+    if t.gate_stamp.(g) <> t.epoch then begin
+      t.gate_stamp.(g) <- t.epoch;
+      let l = t.level.(g) in
+      t.queue.(t.bucket.(l) + t.fill.(l)) <- g;
+      t.fill.(l) <- t.fill.(l) + 1;
+      if l < t.lo then t.lo <- l;
+      if l > t.hi then t.hi <- l
+    end
+  done
+
+(* Override net [n] with word [w] if it differs from the fault-free word. *)
+let[@inline always] seed t (good : Words.t) n w =
+  if w <> A.get good n then begin
+    A.unsafe_set t.faulty n w;
+    mark t good n;
+    schedule_sinks t n
+  end
+
+(* Evaluate the queued gates level by level.  A gate's level exceeds that
+   of every gate driving its fanins, so each gate runs once, after all of
+   its queued fanins, and only queues gates of higher levels: the order is
+   topological, and every gate reads final fanin words. *)
+let propagate t (good : Words.t) =
+  let l = ref t.lo in
+  while !l <= t.hi do
+    let lvl = !l in
+    let base = t.bucket.(lvl) and count = t.fill.(lvl) in
+    for i = base to base + count - 1 do
+      let g = t.queue.(i) in
+      let f0 = t.fanin_start.(g) in
+      for j = f0 to t.fanin_start.(g + 1) - 1 do
+        A.unsafe_set t.regs (j - f0) (current t good (Array.unsafe_get t.fanin j))
       done;
-      acc := Int64.logor !acc !term)
-    minterms;
-  !acc
-
-(* Propagate seeded differences through the fanout cones and return the word
-   of patterns with a difference at an observable point, plus the per-point
-   difference words.  [pin_force] is an optional (gate, pin, word) triple
-   overriding a single gate input. *)
-let propagate_full t ~good ~seeds ~pin_force =
-  let nl = Logic_sim.netlist t.ls in
-  let heap : int Dfm_util.Heap.t = Dfm_util.Heap.create () in
-  let touched_list = ref [] in
-  let scheduled_list = ref [] in
-  let detect = ref 0L in
-  let per_point : (int, int64) Hashtbl.t = Hashtbl.create 8 in
-  let set_net n w =
-    if not t.touched.(n) then begin
-      t.touched.(n) <- true;
-      touched_list := n :: !touched_list
-    end;
-    t.override_.(n) <- w;
-    if t.is_observe.(n) then begin
-      let diff = Int64.logxor w good.(n) in
-      Hashtbl.replace per_point n diff;
-      detect := Int64.logor !detect diff
-    end
-  in
-  let schedule_gate g =
-    if t.topo_pos.(g) >= 0 && not t.scheduled.(g) then begin
-      t.scheduled.(g) <- true;
-      scheduled_list := g :: !scheduled_list;
-      Dfm_util.Heap.push heap (float_of_int t.topo_pos.(g)) g
-    end
-  in
-  List.iter
-    (fun (n, w) ->
-      if w <> good.(n) || true then begin
-        set_net n w;
-        if w <> good.(n) then
-          List.iter (fun (g, _) -> schedule_gate g) (N.net nl n).N.sinks
-      end)
-    seeds;
-  let scratch = Array.make 8 0L in
-  let continue = ref true in
-  while !continue do
-    match Dfm_util.Heap.pop heap with
-    | None -> continue := false
-    | Some (_, gid) ->
-        t.scheduled.(gid) <- false;
-        let g = N.gate nl gid in
-        let arity = Array.length g.N.fanins in
-        for k = 0 to arity - 1 do
-          scratch.(k) <- value t ~good g.N.fanins.(k)
-        done;
-        (match pin_force with
-        | Some (fg, fp, w) when fg = gid -> scratch.(fp) <- w
-        | Some _ | None -> ());
-        let out = ref 0L in
-        let f = g.N.cell.Cell.func in
-        for m = 0 to (1 lsl arity) - 1 do
-          if Dfm_logic.Truthtable.eval_index f m then begin
-            let term = ref (-1L) in
-            for k = 0 to arity - 1 do
-              term :=
-                Int64.logand !term
-                  (if (m lsr k) land 1 = 1 then scratch.(k) else Int64.lognot scratch.(k))
-            done;
-            out := Int64.logor !out !term
-          end
-        done;
-        let onet = g.N.fanout in
-        if !out <> value t ~good onet then begin
-          set_net onet !out;
-          List.iter (fun (sg, _) -> schedule_gate sg) (N.net nl onet).N.sinks
-        end
-  done;
-  (* Reset scratch state. *)
-  List.iter (fun n -> t.touched.(n) <- false) !touched_list;
-  List.iter (fun g -> t.scheduled.(g) <- false) !scheduled_list;
-  let points =
-    Hashtbl.fold (fun n w acc -> if w <> 0L then (n, w) :: acc else acc) per_point []
-    |> List.sort compare
-  in
-  (!detect, points)
-
-let propagate t ~good ~seeds ~pin_force =
-  fst (propagate_full t ~good ~seeds ~pin_force)
+      let p = t.prog.(g) in
+      W.exec p t.regs;
+      let o = t.gate_out.(g) in
+      let w = A.unsafe_get t.regs p.W.out in
+      if w <> current t good o then begin
+        A.unsafe_set t.faulty o w;
+        mark t good o;
+        schedule_sinks t o
+      end
+    done;
+    t.fill.(lvl) <- 0;
+    t.gate_evals <- t.gate_evals + count;
+    incr l
+  done
 
 let forced_word = function F.Sa0 -> 0L | F.Sa1 -> -1L
 
-let is_seq_gate nl g = (N.gate nl g).N.cell.Cell.is_seq
-
-(* Stuck-at component shared by stuck and transition faults. *)
-let stuck_detect t ~good loc pol =
-  let nl = Logic_sim.netlist t.ls in
-  let w = forced_word pol in
-  match loc with
-  | F.On_net n -> propagate t ~good ~seeds:[ (n, w) ] ~pin_force:None
-  | F.On_pin (g, pin) ->
-      if is_seq_gate nl g then
-        (* The flop captures the forced value; the scan-out difference is
-           simply good-vs-forced on the D net. *)
-        Int64.logxor good.((N.gate nl g).N.fanins.(pin)) w
-      else begin
-        (* Re-evaluate the host gate with the pin forced, then propagate from
-           its output. *)
-        let g' = N.gate nl g in
-        let arity = Array.length g'.N.fanins in
-        let scratch = Array.init arity (fun k -> good.(g'.N.fanins.(k))) in
-        scratch.(pin) <- w;
-        let out = Logic_sim.eval_gate g' scratch in
-        if out = good.(g'.N.fanout) then 0L
-        else propagate t ~good ~seeds:[ (g'.N.fanout, out) ] ~pin_force:(Some (g, pin, w))
-      end
+(* The net on input [pin] of gate [g]. *)
+let pin_net t g pin =
+  if pin < 0 || pin >= t.fanin_start.(g + 1) - t.fanin_start.(g) then
+    invalid_arg "Fault_sim: no such pin";
+  t.fanin.(t.fanin_start.(g) + pin)
 
 let transition_stuck = function
   | F.Slow_to_rise -> F.Sa0  (* frame 2: the site fails to rise *)
   | F.Slow_to_fall -> F.Sa1
 
-let transition_init = function F.Slow_to_rise -> F.Sa0 | F.Slow_to_fall -> F.Sa1
-(* Frame 1 must put the site at the initial (pre-transition) value:
-   0 before a rise, 1 before a fall — the same polarity word as the
-   frame-2 stuck-at. *)
-
-let loc_net nl = function
-  | F.On_net n -> n
-  | F.On_pin (g, pin) -> (N.gate nl g).N.fanins.(pin)
-
-let detect_word t ~good (f : F.t) =
-  let nl = Logic_sim.netlist t.ls in
-  match f.F.kind with
-  | F.Stuck (loc, pol) -> stuck_detect t ~good loc pol
-  | F.Transition (loc, tr) -> stuck_detect t ~good loc (transition_stuck tr)
-  | F.Bridge (n1, n2, k) ->
-      let a = good.(n1) and b = good.(n2) in
-      let resolved =
-        match k with F.Wired_and -> Int64.logand a b | F.Wired_or -> Int64.logor a b
-      in
-      if resolved = a && resolved = b then 0L
-      else propagate t ~good ~seeds:[ (n1, resolved); (n2, resolved) ] ~pin_force:None
-  | F.Internal (g, entry_idx) ->
-      let gg = N.gate nl g in
-      let u = Dfm_cellmodel.Udfm.for_cell gg.N.cell.Cell.name in
-      let entry = List.nth u.Dfm_cellmodel.Udfm.entries entry_idx in
-      let act = activation_word t ~good ~gate:g entry.Dfm_cellmodel.Udfm.activation in
-      if act = 0L then 0L
-      else if gg.N.cell.Cell.is_seq then
-        (* Flop-internal defect: the corrupted captured value is observed
-           directly on the scan path whenever the defect is activated. *)
-        act
+(* The stuck-at component shared by stuck and transition faults. *)
+let inject_stuck t good loc pol =
+  match loc with
+  | F.On_net n ->
+      seed t good n (forced_word pol);
+      propagate t good
+  | F.On_pin (g, pin) ->
+      let w = forced_word pol in
+      let d = pin_net t g pin in
+      if t.is_seq.(g) then begin
+        (* The flop captures the forced value; the scan-out difference is
+           good-vs-forced on the D net, and no other sink sees it. *)
+        A.unsafe_set t.faulty d w;
+        mark t good d
+      end
       else begin
-        let flipped = Int64.logxor good.(gg.N.fanout) act in
-        propagate t ~good ~seeds:[ (gg.N.fanout, flipped) ] ~pin_force:None
+        (* Re-evaluate the host gate with the pin forced, then propagate
+           from its output. *)
+        load_good t good g;
+        A.unsafe_set t.regs pin w;
+        let p = t.prog.(g) in
+        W.exec p t.regs;
+        seed t good t.gate_out.(g) (A.unsafe_get t.regs p.W.out);
+        propagate t good
       end
 
-(* Per-observable-point difference words; mirrors [detect_word] case by
-   case. *)
-let syndrome t ~good (f : F.t) =
-  let nl = Logic_sim.netlist t.ls in
-  let single net w = if w = 0L then [] else [ (net, w) ] in
+(* Simulate fault [f] on the block whose fault-free words are [good]: on
+   return [detect] holds the detection word and [points] the observable
+   nets the fault wrote. *)
+let inject t (good : Words.t) (f : F.t) =
+  if A.dim good <> Array.length t.net_stamp then
+    invalid_arg "Fault_sim: value store of another netlist";
+  t.epoch <- t.epoch + 1;
+  t.npoints <- 0;
+  t.lo <- max_int;
+  t.hi <- -1;
+  A.unsafe_set t.detect 0 0L;
+  t.faults_simulated <- t.faults_simulated + 1;
   match f.F.kind with
-  | F.Stuck (loc, pol) -> (
-      let w = forced_word pol in
-      match loc with
-      | F.On_net n -> snd (propagate_full t ~good ~seeds:[ (n, w) ] ~pin_force:None)
-      | F.On_pin (g, pin) ->
-          if is_seq_gate nl g then begin
-            let dnet = (N.gate nl g).N.fanins.(pin) in
-            single dnet (Int64.logxor good.(dnet) w)
-          end
-          else begin
-            let g' = N.gate nl g in
-            let arity = Array.length g'.N.fanins in
-            let scratch = Array.init arity (fun k -> good.(g'.N.fanins.(k))) in
-            scratch.(pin) <- w;
-            let out = Logic_sim.eval_gate g' scratch in
-            if out = good.(g'.N.fanout) then []
-            else
-              snd
-                (propagate_full t ~good ~seeds:[ (g'.N.fanout, out) ]
-                   ~pin_force:(Some (g, pin, w)))
-          end)
-  | F.Transition (loc, tr) -> (
-      (* frame-2 component only; gating by frame-1 is the caller's job *)
-      let pol = transition_stuck tr in
-      let w = forced_word pol in
-      match loc with
-      | F.On_net n -> snd (propagate_full t ~good ~seeds:[ (n, w) ] ~pin_force:None)
-      | F.On_pin (g, pin) ->
-          if is_seq_gate nl g then begin
-            let dnet = (N.gate nl g).N.fanins.(pin) in
-            single dnet (Int64.logxor good.(dnet) w)
-          end
-          else begin
-            let g' = N.gate nl g in
-            let arity = Array.length g'.N.fanins in
-            let scratch = Array.init arity (fun k -> good.(g'.N.fanins.(k))) in
-            scratch.(pin) <- w;
-            let out = Logic_sim.eval_gate g' scratch in
-            if out = good.(g'.N.fanout) then []
-            else
-              snd
-                (propagate_full t ~good ~seeds:[ (g'.N.fanout, out) ]
-                   ~pin_force:(Some (g, pin, w)))
-          end)
+  | F.Stuck (loc, pol) -> inject_stuck t good loc pol
+  | F.Transition (loc, tr) -> inject_stuck t good loc (transition_stuck tr)
   | F.Bridge (n1, n2, k) ->
-      let a = good.(n1) and b = good.(n2) in
-      let resolved =
-        match k with F.Wired_and -> Int64.logand a b | F.Wired_or -> Int64.logor a b
-      in
-      if resolved = a && resolved = b then []
-      else snd (propagate_full t ~good ~seeds:[ (n1, resolved); (n2, resolved) ] ~pin_force:None)
-  | F.Internal (g, entry_idx) ->
-      let gg = N.gate nl g in
-      let u = Dfm_cellmodel.Udfm.for_cell gg.N.cell.Cell.name in
-      let entry = List.nth u.Dfm_cellmodel.Udfm.entries entry_idx in
-      let act = activation_word t ~good ~gate:g entry.Dfm_cellmodel.Udfm.activation in
-      if act = 0L then []
-      else if gg.N.cell.Cell.is_seq then single gg.N.fanins.(0) act
-      else begin
-        let flipped = Int64.logxor good.(gg.N.fanout) act in
-        snd (propagate_full t ~good ~seeds:[ (gg.N.fanout, flipped) ] ~pin_force:None)
+      let a = A.get good n1 and b = A.get good n2 in
+      let r = match k with F.Wired_and -> Int64.logand a b | F.Wired_or -> Int64.logor a b in
+      if r <> a || r <> b then begin
+        seed t good n1 r;
+        seed t good n2 r;
+        propagate t good
       end
+  | F.Internal (g, entry) ->
+      load_good t good g;
+      let p = t.acts.(g).(entry) in
+      W.exec p t.regs;
+      let act = A.unsafe_get t.regs p.W.out in
+      if act <> 0L then begin
+        if t.is_seq.(g) then begin
+          (* Flop-internal defect: the corrupted captured value is observed
+             directly on the scan path whenever the defect is activated. *)
+          let d = t.fanin.(t.fanin_start.(g)) in
+          A.unsafe_set t.faulty d (Int64.logxor (A.unsafe_get good d) act);
+          mark t good d
+        end
+        else begin
+          let o = t.gate_out.(g) in
+          seed t good o (Int64.logxor (A.unsafe_get good o) act);
+          propagate t good
+        end
+      end
+
+let detect_word t ~good f =
+  inject t good f;
+  A.unsafe_get t.detect 0
+
+let syndrome t ~good f =
+  inject t good f;
+  let points = ref [] in
+  for i = t.npoints - 1 downto 0 do
+    let n = t.points.(i) in
+    let w = Int64.logxor (A.unsafe_get t.faulty n) (A.unsafe_get good n) in
+    if w <> 0L then points := (n, w) :: !points
+  done;
+  List.sort compare !points
 
 let init_word t ~good (f : F.t) =
-  let nl = Logic_sim.netlist t.ls in
   match f.F.kind with
   | F.Transition (loc, tr) ->
-      let site = good.(loc_net nl loc) in
-      (match transition_init tr with
-      | F.Sa0 -> Int64.lognot site  (* patterns where the site is 0 *)
-      | F.Sa1 -> site)
+      let site =
+        match loc with
+        | F.On_net n -> A.get good n
+        | F.On_pin (g, pin) -> A.get good (pin_net t g pin)
+      in
+      (* Frame 1 must put the site at the pre-transition value: 0 before a
+         rise, 1 before a fall. *)
+      (match tr with F.Slow_to_rise -> Int64.lognot site | F.Slow_to_fall -> site)
   | F.Stuck _ | F.Bridge _ | F.Internal _ -> -1L

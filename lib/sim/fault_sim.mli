@@ -2,14 +2,18 @@
 
     Given the fault-free value words of every net ({!Logic_sim.run}), a fault
     is injected as one or two seed overrides and the difference is propagated
-    through the transitive fanout only, stopping when it dies out.  The
-    result is the set of the 64 patterns (as a bit word) that detect the
-    fault at an observable point.
+    through the transitive fanout only, level by level, stopping when it dies
+    out.  The result is the set of the 64 patterns (as a bit word) that
+    detect the fault at an observable point.  Gates are evaluated by their
+    compiled cell programs, internal (UDFM) faults activated by their
+    compiled activation programs; a call allocates nothing but its result.
 
     Transition faults need cross-pattern bookkeeping (an independent frame
     establishing the initial value — the enhanced-scan assumption documented
     in [Fault]); {!init_word} exposes the frame-1 condition so a campaign
-    driver can accumulate both sides. *)
+    driver can accumulate both sides.
+
+    A [t] is scratch state: one per domain. *)
 
 type t
 
@@ -18,20 +22,25 @@ val prepare : Dfm_netlist.Netlist.t -> t
 val sim : t -> Logic_sim.t
 (** The underlying prepared logic simulator. *)
 
-val detect_word : t -> good:int64 array -> Dfm_faults.Fault.t -> int64
+val detect_word : t -> good:Logic_sim.values -> Dfm_faults.Fault.t -> int64
 (** Patterns (bits) on which the fault effect reaches an observable point.
-    For a transition fault this is the frame-2 (stuck-at) component only. *)
+    For a transition fault this is the frame-2 (stuck-at) component only.
+    @raise Invalid_argument if [good] is not a store of this netlist. *)
 
-val init_word : t -> good:int64 array -> Dfm_faults.Fault.t -> int64
+val init_word : t -> good:Logic_sim.values -> Dfm_faults.Fault.t -> int64
 (** For a transition fault: patterns establishing the initial value at the
     site (frame 1).  [-1L] (all patterns) for other fault kinds. *)
 
-val activation_word : t -> good:int64 array -> gate:int -> int list -> int64
-(** Patterns matching one of the given cell-input minterms at a gate; the
-    activation condition of internal (UDFM) faults. *)
-
-val syndrome : t -> good:int64 array -> Dfm_faults.Fault.t -> (int * int64) list
+val syndrome :
+  t -> good:Logic_sim.values -> Dfm_faults.Fault.t -> (int * int64) list
 (** Per observable point: (net id, word of patterns on which that point
-    differs from the fault-free value).  The union of the words equals
-    {!detect_word}.  This is the per-output failure signature diagnosis
-    matches against tester data. *)
+    differs from the fault-free value), sorted by net id.  The union of the
+    words equals {!detect_word}.  This is the per-output failure signature
+    diagnosis matches against tester data. *)
+
+val publish_counts : t -> unit
+(** Add the faults simulated and the gate evaluations (queued fanout
+    gates) counted since the last call to the process metrics
+    [dfm_sim_faults_simulated_total] and [dfm_sim_gate_evals_total]; the
+    kernel counts in plain fields, so callers publish once per block or
+    shard. *)

@@ -1,5 +1,6 @@
 module N = Dfm_netlist.Netlist
-module Tt = Dfm_logic.Truthtable
+module A = Bigarray.Array1
+module W = Dfm_logic.Wordprog
 
 type t = {
   nl : N.t;
@@ -38,44 +39,29 @@ let words_of_pattern pattern =
 let pattern_of_words words b =
   Array.map (fun w -> Int64.logand (Int64.shift_right_logical w b) 1L = 1L) words
 
-(* Evaluate a truth table over fanin words by minterm expansion: for each
-   1-minterm, AND together the fanin words (complemented where the minterm
-   has a 0) and OR into the result. *)
-let eval_tt (f : Tt.t) (ws : int64 array) =
-  let n = Tt.arity f in
-  let out = ref 0L in
-  for m = 0 to (1 lsl n) - 1 do
-    if Tt.eval_index f m then begin
-      let term = ref (-1L) in
-      for k = 0 to n - 1 do
-        let w = ws.(k) in
-        term := Int64.logand !term (if (m lsr k) land 1 = 1 then w else Int64.lognot w)
-      done;
-      out := Int64.logor !out !term
-    end
-  done;
-  !out
-
-let eval_gate (g : N.gate) ws = eval_tt g.N.cell.Dfm_netlist.Cell.func ws
+type values = Words.t
 
 let run t ins =
-  let values = Array.make (N.num_nets t.nl) 0L in
-  List.iteri (fun i (_, nid) -> values.(nid) <- ins.(i)) t.ins;
+  let values = Words.create (N.num_nets t.nl) in
+  List.iteri (fun i (_, nid) -> A.set values nid ins.(i)) t.ins;
   Array.iter
     (fun (nn : N.net) ->
       match nn.N.driver with
-      | N.Const v -> values.(nn.N.net_id) <- (if v then -1L else 0L)
+      | N.Const v -> A.set values nn.N.net_id (if v then -1L else 0L)
       | N.Pi _ | N.Gate_out _ -> ())
     t.nl.N.nets;
-  let scratch = Array.make 8 0L in
+  let regs = W.create_regs () in
   Array.iter
     (fun gid ->
       let g = t.nl.N.gates.(gid) in
-      let n = Array.length g.N.fanins in
-      for k = 0 to n - 1 do
-        scratch.(k) <- values.(g.N.fanins.(k))
+      let fanins = g.N.fanins in
+      for k = 0 to Array.length fanins - 1 do
+        A.unsafe_set regs k (A.get values fanins.(k))
       done;
-      (* [eval_tt] only reads the first [arity] entries of the scratch. *)
-      values.(g.N.fanout) <- eval_tt g.N.cell.Dfm_netlist.Cell.func scratch)
+      let p = g.N.cell.Dfm_netlist.Cell.prog in
+      W.exec p regs;
+      A.set values g.N.fanout (A.unsafe_get regs p.W.out))
     t.order;
   values
+
+let value (v : values) n = A.get v n

@@ -2,8 +2,9 @@
 
     The controllable points of the netlist ({!Dfm_netlist.Netlist.input_nets}:
     primary inputs and flip-flop Q nets, full-scan style) are driven with one
-    64-bit word each; gate evaluation propagates whole words through the
-    truth tables in topological order. *)
+    64-bit word each; each gate's compiled cell program
+    ({!Dfm_netlist.Cell.t.prog}) propagates whole words in topological
+    order. *)
 
 type t
 
@@ -28,12 +29,17 @@ val words_of_pattern : bool array -> int64 array
 val pattern_of_words : int64 array -> int -> bool array
 (** Extract bit position [b] of each word as one pattern. *)
 
-val run : t -> int64 array -> int64 array
-(** [run t ins] simulates and returns one value word per net
-    (indexed by net id). *)
+type values = Words.t
+(** The fault-free value word of every net, as computed by {!run}.  Abstract
+    outside this library: an unboxed store that {!Fault_sim} reads in
+    place. *)
 
-val eval_gate : Dfm_netlist.Netlist.gate -> int64 array -> int64
-(** Evaluate one gate's truth table over fanin words. *)
+val run : t -> int64 array -> values
+(** [run t ins] simulates one block of 64 patterns ([ins] in {!inputs}
+    order) into a fresh store. *)
+
+val value : values -> int -> int64
+(** [value v n] is the word of net [n]. *)
 
 val topo : t -> int array
 (** Cached topological order of combinational gates. *)

@@ -22,11 +22,11 @@ let analyze ?(seed = 5) ?(blocks = 8) (rt : Dfm_layout.Route.t) =
   let toggles = Array.make (N.num_nets nl) 0 in
   for _ = 1 to blocks do
     let values = Dfm_sim.Logic_sim.run ls (Dfm_sim.Logic_sim.random_words ls rng) in
-    Array.iteri
-      (fun nid w ->
-        (* Adjacent bit positions act as consecutive cycles. *)
-        toggles.(nid) <- toggles.(nid) + popcount (Int64.logxor w (Int64.shift_right_logical w 1)))
-      values
+    for nid = 0 to N.num_nets nl - 1 do
+      let w = Dfm_sim.Logic_sim.value values nid in
+      (* Adjacent bit positions act as consecutive cycles. *)
+      toggles.(nid) <- toggles.(nid) + popcount (Int64.logxor w (Int64.shift_right_logical w 1))
+    done
   done;
   let cycles = float_of_int (blocks * 63) in
   let dynamic =

@@ -2,9 +2,11 @@
 
    Two engine pairs are cross-checked on random inputs:
 
-   - [Fault_sim.detect_word] (event-driven, fanout-cone-only propagation)
-     against a brute-force faulty-copy resimulation that recomputes every
-     net of the circuit with the fault injected;
+   - [Fault_sim.detect_word] and [Fault_sim.syndrome] (event-driven,
+     fanout-cone-only propagation through compiled cell programs) against a
+     brute-force faulty-copy resimulation that recomputes every net of the
+     circuit with the fault injected by minterm expansion, on netlists
+     drawing from every library cell, flip-flops included;
 
    - the Tseitin CNF encodings of [Dfm_sat] against exhaustive truth-table
      enumeration, assignment by assignment. *)
@@ -41,6 +43,25 @@ let random_netlist seed npis ngates =
   List.iteri (fun i n -> if i < 3 then B.mark_po b (Printf.sprintf "o%d" i) n) !nets;
   B.finish b
 
+(* Draws from every library cell, flip-flops included (their Q nets are
+   controllable and their D nets observable, full-scan style). *)
+let random_netlist_all_cells seed npis ngates =
+  let rng = Rng.create seed in
+  let b = B.create ~name:"prop_all" lib in
+  let nets = ref [] in
+  for i = 0 to npis - 1 do
+    nets := B.add_pi b (Printf.sprintf "i%d" i) :: !nets
+  done;
+  let cells = Array.of_list (Dfm_netlist.Library.cells lib) in
+  for _ = 1 to ngates do
+    let arr = Array.of_list !nets in
+    let c = Rng.pick rng cells in
+    let fanins = Array.init (Cell.arity c) (fun _ -> Rng.pick rng arr) in
+    nets := B.add_gate b ~cell:c.Cell.name fanins :: !nets
+  done;
+  List.iteri (fun i n -> if i < 3 then B.mark_po b (Printf.sprintf "o%d" i) n) !nets;
+  B.finish b
+
 (* ------------------------------------------------------------------ *)
 (* detect_word vs brute-force faulty-copy resimulation                  *)
 (* ------------------------------------------------------------------ *)
@@ -72,23 +93,31 @@ let minterm_word ws minterms =
 
 let forced_word = function F.Sa0 -> 0L | F.Sa1 -> -1L
 
+let forced_site = function
+  | F.Stuck (_, pol) -> forced_word pol
+  | F.Transition (_, tr) ->
+      (* frame-2 component: the site behaves as the matching stuck-at *)
+      forced_word (match tr with F.Slow_to_rise -> F.Sa0 | F.Slow_to_fall -> F.Sa1)
+  | F.Bridge _ | F.Internal _ -> assert false
+
 (* Recompute every net with the fault injected; no event propagation, no
-   cones — the clumsy-but-obvious reference implementation. *)
-let brute_detect_word nl (f : F.t) ~good words =
+   cones — the clumsy-but-obvious reference implementation.  Returns, per
+   observable net, the word of patterns on which an observer of that net
+   sees a difference: a primary output reads the net, a flip-flop captures
+   it through its D pin (where pin and internal flop faults act) onto the
+   scan path. *)
+let brute_syndrome nl (f : F.t) ~good words =
   let values = Array.make (N.num_nets nl) 0L in
   let override_net n = match f.F.kind with
-    | F.Stuck (F.On_net fn, pol) when fn = n -> values.(n) <- forced_word pol
-    | F.Transition (F.On_net fn, tr) when fn = n ->
-        (* frame-2 component: the site behaves as the matching stuck-at *)
-        values.(n) <-
-          forced_word (match tr with F.Slow_to_rise -> F.Sa0 | F.Slow_to_fall -> F.Sa1)
+    | (F.Stuck (F.On_net fn, _) | F.Transition (F.On_net fn, _)) when fn = n ->
+        values.(n) <- forced_site f.F.kind
     | F.Bridge (n1, n2, k) when n = n1 || n = n2 ->
         (* resolution over the fault-free values, as in the simulator's
            bridge model; the test only generates independent net pairs *)
         values.(n) <-
           (match k with
-          | F.Wired_and -> Int64.logand good.(n1) good.(n2)
-          | F.Wired_or -> Int64.logor good.(n1) good.(n2))
+          | F.Wired_and -> Int64.logand (Ls.value good n1) (Ls.value good n2)
+          | F.Wired_or -> Int64.logor (Ls.value good n1) (Ls.value good n2))
     | _ -> ()
   in
   List.iteri
@@ -104,28 +133,46 @@ let brute_detect_word nl (f : F.t) ~good words =
           override_net nn.N.net_id
       | N.Pi _ | N.Gate_out _ -> ())
     nl.N.nets;
+  (* the cell's input words with a pin fault applied, and the word of
+     patterns on which an internal fault of the cell is activated *)
+  let cell_inputs gid (g : N.gate) =
+    let ins = Array.map (fun n -> values.(n)) g.N.fanins in
+    (match f.F.kind with
+    | (F.Stuck (F.On_pin (fg, pin), _) | F.Transition (F.On_pin (fg, pin), _)) when fg = gid ->
+        ins.(pin) <- forced_site f.F.kind
+    | _ -> ());
+    let flip =
+      match f.F.kind with
+      | F.Internal (fg, entry_idx) when fg = gid ->
+          let u = Dfm_cellmodel.Udfm.for_cell g.N.cell.Cell.name in
+          let entry = List.nth u.Dfm_cellmodel.Udfm.entries entry_idx in
+          minterm_word ins entry.Dfm_cellmodel.Udfm.activation
+      | _ -> 0L
+    in
+    (ins, flip)
+  in
   Array.iter
     (fun gid ->
       let g = N.gate nl gid in
-      let ins = Array.map (fun n -> values.(n)) g.N.fanins in
-      (match f.F.kind with
-      | F.Stuck (F.On_pin (fg, pin), pol) when fg = gid -> ins.(pin) <- forced_word pol
-      | _ -> ());
-      let out = ref (eval_tt_words g.N.cell.Cell.func ins) in
-      (match f.F.kind with
-      | F.Internal (fg, entry_idx) when fg = gid ->
-          (* when activated the defective cell inverts its output; the
-             activation condition is over the cell's own input values *)
-          let u = Dfm_cellmodel.Udfm.for_cell g.N.cell.Cell.name in
-          let entry = List.nth u.Dfm_cellmodel.Udfm.entries entry_idx in
-          out := Int64.logxor !out (minterm_word ins entry.Dfm_cellmodel.Udfm.activation)
-      | _ -> ());
-      values.(g.N.fanout) <- !out;
+      (* when activated the defective cell inverts its output; the
+         activation condition is over the cell's own input values *)
+      let ins, flip = cell_inputs gid g in
+      values.(g.N.fanout) <- Int64.logxor (eval_tt_words g.N.cell.Cell.func ins) flip;
       override_net g.N.fanout)
     (N.topo_order nl);
-  List.fold_left
-    (fun acc (_, n) -> Int64.logor acc (Int64.logxor good.(n) values.(n)))
-    0L (N.observe_nets nl)
+  let diff = Hashtbl.create 8 in
+  let see n w =
+    let prev = Option.value ~default:0L (Hashtbl.find_opt diff n) in
+    Hashtbl.replace diff n (Int64.logor prev (Int64.logxor (Ls.value good n) w))
+  in
+  Array.iter (fun (_, n) -> see n values.(n)) nl.N.pos;
+  List.iter
+    (fun (g : N.gate) ->
+      let ins, flip = cell_inputs g.N.gate_id g in
+      see g.N.fanins.(0) (Int64.logxor ins.(0) flip))
+    (N.seq_gates nl);
+  Hashtbl.fold (fun n w acc -> if w <> 0L then (n, w) :: acc else acc) diff []
+  |> List.sort compare
 
 (* Forward reachability over nets, for picking independent bridge pairs. *)
 let downstream nl =
@@ -158,12 +205,11 @@ let faults_of_netlist nl rng =
     (fun gid (g : N.gate) ->
       Array.iteri
         (fun pin _ ->
-          List.iter (fun pol -> add (F.Stuck (F.On_pin (gid, pin), pol))) [ F.Sa0; F.Sa1 ])
+          List.iter (fun pol -> add (F.Stuck (F.On_pin (gid, pin), pol))) [ F.Sa0; F.Sa1 ];
+          add (F.Transition (F.On_pin (gid, pin), F.Slow_to_rise)))
         g.N.fanins;
       let u = Dfm_cellmodel.Udfm.for_cell g.N.cell.Cell.name in
-      List.iteri
-        (fun entry_idx _ -> if entry_idx < 4 then add (F.Internal (gid, entry_idx)))
-        u.Dfm_cellmodel.Udfm.entries)
+      List.iteri (fun entry_idx _ -> add (F.Internal (gid, entry_idx))) u.Dfm_cellmodel.Udfm.entries)
     nl.N.gates;
   (* a few bridges between independent nets (neither reaches the other) *)
   let reaches = downstream nl in
@@ -177,24 +223,32 @@ let faults_of_netlist nl rng =
 
 let prop_detect_word_vs_brute =
   QCheck.Test.make ~name:"detect_word matches brute-force faulty resimulation" ~count:20
-    QCheck.(pair (int_range 1 10000) (int_range 3 12))
+    QCheck.(pair (int_range 1 10000) (int_range 3 14))
     (fun (seed, ngates) ->
-      let nl = random_netlist seed 4 ngates in
+      let nl = random_netlist_all_cells seed 4 ngates in
       let rng = Rng.create (seed lxor 0x5eed) in
       let faults = faults_of_netlist nl rng in
       let ls = Ls.prepare nl in
       let fs = Fs.prepare nl in
+      let show points =
+        String.concat " " (List.map (fun (n, w) -> Printf.sprintf "%d:%Lx" n w) points)
+      in
       List.for_all
         (fun _block ->
           let words = Ls.random_words ls rng in
           let good = Ls.run ls words in
           List.for_all
             (fun (f : F.t) ->
+              let brute = brute_syndrome nl f ~good words in
+              let brute_detect = List.fold_left (fun acc (_, w) -> Int64.logor acc w) 0L brute in
               let fast = Fs.detect_word fs ~good f in
-              let brute = brute_detect_word nl f ~good words in
-              if fast <> brute then
+              let syndrome = Fs.syndrome fs ~good f in
+              if fast <> brute_detect then
                 QCheck.Test.fail_reportf "fault %d (%s): detect_word %Lx but brute force %Lx"
-                  f.F.fault_id (F.describe nl f) fast brute
+                  f.F.fault_id (F.describe nl f) fast brute_detect
+              else if syndrome <> brute then
+                QCheck.Test.fail_reportf "fault %d (%s): syndrome [%s] but brute force [%s]"
+                  f.F.fault_id (F.describe nl f) (show syndrome) (show brute)
               else true)
             faults)
         [ 1; 2 ])
@@ -205,7 +259,7 @@ let prop_init_word =
   QCheck.Test.make ~name:"init_word is the pre-transition site condition" ~count:20
     QCheck.(int_range 1 10000)
     (fun seed ->
-      let nl = random_netlist seed 4 8 in
+      let nl = random_netlist_all_cells seed 4 8 in
       let ls = Ls.prepare nl in
       let fs = Fs.prepare nl in
       let rng = Rng.create seed in
@@ -218,10 +272,45 @@ let prop_init_word =
               let f = { F.fault_id = 0; kind = F.Transition (F.On_net nn.N.net_id, tr); origin } in
               Fs.init_word fs ~good f = expect nn.N.net_id)
             [
-              (F.Slow_to_rise, fun n -> Int64.lognot good.(n));
-              (F.Slow_to_fall, fun n -> good.(n));
+              (F.Slow_to_rise, fun n -> Int64.lognot (Ls.value good n));
+              (F.Slow_to_fall, fun n -> Ls.value good n);
             ])
         nl.N.nets)
+
+(* Every compiled cell program and every compiled UDFM activation program
+   against minterm expansion: on the minterm-broadcast words (input [k]'s
+   word has bit [m] set iff bit [k] of [m] is, so the result word is the
+   whole truth table) and on random words. *)
+let test_programs_match_minterm_expansion () =
+  let rng = Rng.create 0x9e3 in
+  let broadcast arity =
+    Array.init arity (fun k ->
+        List.fold_left
+          (fun acc m ->
+            if (m lsr k) land 1 = 1 then Int64.logor acc (Int64.shift_left 1L m) else acc)
+          0L
+          (List.init (1 lsl arity) Fun.id))
+  in
+  let inputs arity =
+    broadcast arity :: List.init 8 (fun _ -> Array.init arity (fun _ -> Rng.bits64 rng))
+  in
+  List.iter
+    (fun (c : Cell.t) ->
+      let arity = Cell.arity c in
+      List.iter
+        (fun ws ->
+          Alcotest.(check int64) (c.Cell.name ^ " program")
+            (eval_tt_words c.Cell.func ws)
+            (Dfm_logic.Wordprog.eval c.Cell.prog ws);
+          List.iteri
+            (fun i (e : Dfm_cellmodel.Udfm.entry) ->
+              Alcotest.(check int64)
+                (Printf.sprintf "%s activation %d" c.Cell.name i)
+                (minterm_word ws e.Dfm_cellmodel.Udfm.activation)
+                (Dfm_logic.Wordprog.eval e.Dfm_cellmodel.Udfm.program ws))
+            (Dfm_cellmodel.Udfm.for_cell c.Cell.name).Dfm_cellmodel.Udfm.entries)
+        (inputs arity))
+    (Dfm_netlist.Library.cells lib)
 
 (* ------------------------------------------------------------------ *)
 (* Tseitin CNF vs truth-table enumeration                               *)
@@ -423,6 +512,8 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_detect_word_vs_brute;
     QCheck_alcotest.to_alcotest prop_init_word;
+    Alcotest.test_case "cell and activation programs = minterm expansion" `Quick
+      test_programs_match_minterm_expansion;
     QCheck_alcotest.to_alcotest prop_tseitin_vs_truth_table;
     QCheck_alcotest.to_alcotest prop_tseitin_gates;
     QCheck_alcotest.to_alcotest prop_cache_never_changes_verdicts;

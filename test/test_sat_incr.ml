@@ -698,12 +698,14 @@ let test_kill_resume_mid_sat_session () =
    order in which the solver visits watches, picks branch variables,
    reduces learnts or simplifies moves these numbers, so they pin the
    search step for step across rewrites of the solver's data layout.  A
-   change that alters the search on purpose updates the constants. *)
+   change that alters the search on purpose updates the constants.  The
+   run's [sat_queries] (the faults the random-pattern phase left for SAT)
+   pins the fault simulator's verdicts alongside. *)
 let implement_effort nl =
   let c0, d0, p0 = Solver.totals () in
-  ignore (Design.implement ~jobs:1 nl : Design.t);
+  let d = Design.implement ~jobs:1 nl in
   let c1, d1, p1 = Solver.totals () in
-  (c1 - c0, d1 - d0, p1 - p0)
+  ((c1 - c0, d1 - d0, p1 - p0), d.Design.classification.Atpg.counts.Atpg.sat_queries)
 
 let example_netlist file =
   let path =
@@ -712,19 +714,22 @@ let example_netlist file =
   in
   Netlist_io.read_file ~library:lib path
 
-let check_effort name (c, d, p) nl =
-  let c', d', p' = implement_effort nl in
+let check_effort name ~queries (c, d, p) nl =
+  let (c', d', p'), q' = implement_effort nl in
   Alcotest.(check int) (name ^ ": conflicts") c c';
   Alcotest.(check int) (name ^ ": decisions") d d';
-  Alcotest.(check int) (name ^ ": propagations") p p'
+  Alcotest.(check int) (name ^ ": propagations") p p';
+  Alcotest.(check int) (name ^ ": sat_queries") queries q'
 
 let test_pinned_effort_aes () =
-  check_effort "aes_core@0.5" (16_446, 51_541, 577_389)
+  check_effort "aes_core@0.5" ~queries:329 (16_446, 51_541, 577_389)
     (Dfm_circuits.Circuits.build ~scale:0.5 "aes_core")
 
 let test_pinned_effort_examples () =
-  check_effort "sparc_ffu_s025" (400, 2_293, 6_893) (example_netlist "sparc_ffu_s025.nl");
-  check_effort "sparc_spu_s025" (472, 2_797, 9_868) (example_netlist "sparc_spu_s025.nl")
+  check_effort "sparc_ffu_s025" ~queries:46 (400, 2_293, 6_893)
+    (example_netlist "sparc_ffu_s025.nl");
+  check_effort "sparc_spu_s025" ~queries:119 (472, 2_797, 9_868)
+    (example_netlist "sparc_spu_s025.nl")
 
 let suite =
   [

@@ -68,10 +68,11 @@ let prop_logic_sim_matches_reference =
         let inputs = List.mapi (fun i (label, _) -> (label, pattern.(i))) (Ls.inputs ls) in
         let expect = reference_eval nl inputs in
         Array.iteri
-          (fun nid w ->
+          (fun nid e ->
+            let w = Ls.value values nid in
             let bit = Int64.logand (Int64.shift_right_logical w b) 1L = 1L in
-            if bit <> expect.(nid) then ok := false)
-          values
+            if bit <> e then ok := false)
+          expect
       done;
       !ok)
 
@@ -142,21 +143,12 @@ let prop_fault_sim_stuck_matches_reference =
       !ok)
 
 let test_activation_word () =
-  (* AND2: activation on minterm 3 is the AND of the input words. *)
-  let b = B.create ~name:"act" lib in
-  let x = B.add_pi b "x" in
-  let y = B.add_pi b "y" in
-  let g = B.add_gate b ~cell:"AND2X2" [| x; y |] in
-  B.mark_po b "o" g;
-  let nl = B.finish b in
-  let fs = Fs.prepare nl in
-  let ls = Fs.sim fs in
+  (* Over two inputs, the activation on minterm 3 is the AND of the input
+     words; on minterms 1 and 2 their XOR. *)
   let words = [| 0b1100L; 0b1010L |] in
-  let good = Ls.run ls words in
-  let act = Fs.activation_word fs ~good ~gate:0 [ 3 ] in
-  Alcotest.(check int64) "minterm 3" 0b1000L act;
-  let act01 = Fs.activation_word fs ~good ~gate:0 [ 1; 2 ] in
-  Alcotest.(check int64) "minterms 1,2" 0b0110L act01
+  let act ms = Dfm_logic.Wordprog.(eval (of_minterms ~arity:2 ms)) words in
+  Alcotest.(check int64) "minterm 3" 0b1000L (act [ 3 ]);
+  Alcotest.(check int64) "minterms 1,2" 0b0110L (act [ 1; 2 ])
 
 let test_transition_init_word () =
   let b = B.create ~name:"tf" lib in
@@ -212,7 +204,7 @@ let test_dff_internal_fault_detection () =
       let f = { F.fault_id = idx; kind = F.Internal (0, idx); origin } in
       let dw = Fs.detect_word fs ~good f in
       (* activation over D=x: [0] -> patterns with x=0; [1] -> x=1; both -> all *)
-      let d_word = good.(x) in
+      let d_word = Ls.value good x in
       let expect =
         List.fold_left
           (fun acc m -> Int64.logor acc (if m = 1 then d_word else Int64.lognot d_word))
@@ -220,6 +212,82 @@ let test_dff_internal_fault_detection () =
       in
       Alcotest.(check int64) (Printf.sprintf "dff entry %d" idx) expect dw)
     u.Dfm_cellmodel.Udfm.entries
+
+(* ------------------------------------------------------------------ *)
+(* Pinned kernel digest                                                *)
+(* ------------------------------------------------------------------ *)
+
+let example_netlist file =
+  let path =
+    List.find Sys.file_exists
+      [ Filename.concat "../examples/netlists" file; Filename.concat "examples/netlists" file ]
+  in
+  Dfm_netlist.Netlist_io.read_file ~library:lib path
+
+(* Every fault kind the simulator handles: stuck-at and transition on every
+   net, stuck-at on every gate pin (flip-flop pins included), every UDFM
+   entry of every gate, and a few bridges between arbitrary nets. *)
+let every_kind_faults nl =
+  let origin = { F.category = Dfm_cellmodel.Defect.Via; guideline_index = 0 } in
+  let kinds = ref [] in
+  let add k = kinds := k :: !kinds in
+  Array.iter
+    (fun (nn : N.net) ->
+      let n = nn.N.net_id in
+      add (F.Stuck (F.On_net n, F.Sa0));
+      add (F.Stuck (F.On_net n, F.Sa1));
+      add (F.Transition (F.On_net n, F.Slow_to_rise));
+      add (F.Transition (F.On_net n, F.Slow_to_fall)))
+    nl.N.nets;
+  Array.iteri
+    (fun gid (g : N.gate) ->
+      Array.iteri
+        (fun pin _ ->
+          add (F.Stuck (F.On_pin (gid, pin), F.Sa0));
+          add (F.Stuck (F.On_pin (gid, pin), F.Sa1)))
+        g.N.fanins;
+      List.iteri
+        (fun idx _ -> add (F.Internal (gid, idx)))
+        (Dfm_cellmodel.Udfm.for_cell g.N.cell.Cell.name).Dfm_cellmodel.Udfm.entries)
+    nl.N.gates;
+  let rng = Rng.create 41 in
+  for _ = 1 to 24 do
+    let a = Rng.int rng (N.num_nets nl) and b = Rng.int rng (N.num_nets nl) in
+    if a <> b then (add (F.Bridge (a, b, F.Wired_and)); add (F.Bridge (a, b, F.Wired_or)))
+  done;
+  List.rev !kinds |> List.mapi (fun fault_id kind -> { F.fault_id; kind; origin })
+
+(* [detect_word], [init_word] and [syndrome] of every fault over 16 random
+   blocks, folded into one hash.  The constants were recorded before the
+   simulation kernel was rewritten; any change to what the kernel computes
+   moves them. *)
+let kernel_digest nl =
+  let fs = Fs.prepare nl in
+  let ls = Fs.sim fs in
+  let faults = every_kind_faults nl in
+  let rng = Rng.create 2019 in
+  let module H = Dfm_util.Hash64 in
+  let h = ref (H.of_int (List.length faults)) in
+  for _ = 1 to 16 do
+    let good = Ls.run ls (Ls.random_words ls rng) in
+    List.iter
+      (fun f ->
+        h := H.mix !h (Fs.detect_word fs ~good f);
+        h := H.mix !h (Fs.init_word fs ~good f);
+        List.iter
+          (fun (n, w) -> h := H.mix (H.mix !h (H.of_int n)) w)
+          (Fs.syndrome fs ~good f))
+      faults
+  done;
+  (List.length faults, H.to_hex !h)
+
+let test_kernel_digest () =
+  List.iter
+    (fun (file, faults, digest) ->
+      let n, d = kernel_digest (example_netlist file) in
+      Alcotest.(check int) (file ^ ": faults") faults n;
+      Alcotest.(check string) (file ^ ": digest") digest d)
+    [ ("sparc_ffu_s025.nl", 4060, "7c69fb79cec99ffa"); ("sparc_spu_s025.nl", 4676, "c17cec49a70872af") ]
 
 let prop_pattern_word_roundtrip =
   QCheck.Test.make ~name:"pattern -> words -> pattern roundtrip" ~count:100
@@ -238,5 +306,6 @@ let suite =
     Alcotest.test_case "transition init word" `Quick test_transition_init_word;
     Alcotest.test_case "bridge fault sim" `Quick test_bridge_fault_sim;
     Alcotest.test_case "dff internal fault" `Quick test_dff_internal_fault_detection;
+    Alcotest.test_case "kernel digest: example netlists" `Quick test_kernel_digest;
     QCheck_alcotest.to_alcotest prop_pattern_word_roundtrip;
   ]
