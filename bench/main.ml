@@ -2,37 +2,21 @@
    evaluation section and registers one Bechamel micro-benchmark per
    experiment.
 
-   Sections (select with REPRO_SECTIONS=table1,table2,fig2,ablation,micro):
+   Sections (select with REPRO_SECTIONS=table1,table2,...; default all):
      table1   — Table I, clustering of undetectable DFM faults
      table2   — Table II, the full two-phase resynthesis on all 12 blocks
      fig2     — Fig. 2, the per-step cluster-breaking trajectory
      ablation — Section IV restricted-library experiment
      choices  — ablations of this reproduction's own design choices
-     scaling  — multicore fault classification at 1/2/4/8 domains
-     cache    — resynthesis with/without the incremental verdict cache
-     lint     — structural findings + static-untestability pre-SAT filter
+     sat      — oneshot vs incremental SAT core on the same fault set
      certify  — certificate-checking overhead (proof bytes, check p50/p99)
      kernel   — ns and minor words per fault-simulation detect_word call
      micro    — Bechamel timings of the per-experiment kernels
 
    REPRO_SCALE scales the generated blocks (default 1.0);
-   REPRO_CIRCUITS restricts table2 to a comma-separated subset;
-   REPRO_SCALING_JSON writes the scaling section's JSON record to a file;
-   REPRO_SAT_JSON writes the oneshot-vs-incremental SAT comparison
-   (conflicts and wall time per mode) as JSON to a file;
-   REPRO_LINT_JSON writes the lint section's JSON record to a file;
-   REPRO_SERVE_JSON writes the serve section's JSON record (daemon
-   jobs/sec plus request and queue-wait latency at 1 vs 3 tenants);
-   REPRO_CERT_JSON writes the certify section's JSON record (checks,
-   proof bytes, check-latency percentiles, certified-run slowdown);
-   REPRO_OBS_JSON writes the final observability metrics snapshot (every
-   counter, gauge and histogram of the run) as JSON to a file.
-
-   --quick [--out PATH] ignores REPRO_SECTIONS and instead runs the
-   engine sections (scaling, cache, lint, sat, serve, certify) plus a
-   telemetry-overhead section at a small fixed scale, merging every
-   section record into ONE JSON file (default BENCH_BASELINE.json; the
-   committed copy at the repo root is the reference baseline). *)
+   REPRO_CIRCUITS restricts table2, fig2, sat and certify to a
+   comma-separated subset.  The repository's timing benchmark is
+   perfbench/ (see perfbench/README.md). *)
 
 module Design = Dfm_core.Design
 module Resynth = Dfm_core.Resynth
@@ -42,30 +26,11 @@ module Circuits = Dfm_circuits.Circuits
 let sections =
   match Sys.getenv_opt "REPRO_SECTIONS" with
   | None ->
-      [ "table1"; "table2"; "fig2"; "ablation"; "choices"; "scaling"; "cache"; "lint";
-        "serve"; "certify"; "kernel"; "micro" ]
+      [ "table1"; "table2"; "fig2"; "ablation"; "choices"; "sat"; "certify"; "kernel";
+        "micro" ]
   | Some s -> String.split_on_char ',' s |> List.map String.trim
 
 let wants s = List.mem s sections
-
-(* --quick: pin the scale and circuit subset BEFORE [circuits_subset] and
-   the lazily-built design caches read them, so the committed baseline is
-   always produced from the same small fixed workload. *)
-let quick = Array.exists (( = ) "--quick") Sys.argv
-
-let quick_out =
-  let rec find i =
-    if i >= Array.length Sys.argv - 1 then "BENCH_BASELINE.json"
-    else if Sys.argv.(i) = "--out" then Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  find 1
-
-let () =
-  if quick then begin
-    Unix.putenv "REPRO_SCALE" "0.2";
-    Unix.putenv "REPRO_CIRCUITS" "wb_conmax,tv80"
-  end
 
 let circuits_subset =
   match Sys.getenv_opt "REPRO_CIRCUITS" with
@@ -334,7 +299,7 @@ let run_choices () =
 "
 
 (* ------------------------------------------------------------------ *)
-(* Oneshot vs incremental SAT core, shared by scaling and cache         *)
+(* Oneshot vs incremental SAT core                                      *)
 (* ------------------------------------------------------------------ *)
 
 type sat_mode_row = {
@@ -351,46 +316,37 @@ type sat_mode_row = {
   sm_identical : bool;
 }
 
-let sat_mode_memo : (string, sat_mode_row) Hashtbl.t = Hashtbl.create 4
-
 (* Classify the full fault list once per mode at jobs=1 and delta the
    process-wide solver totals around each run.  The random-simulation
    prefilter inside [classify] is mode-independent, so the wall-clock
    difference between the two rows is pure SAT work. *)
 let sat_mode_row name =
-  match Hashtbl.find_opt sat_mode_memo name with
-  | Some r -> r
-  | None ->
-      let d = design_of name in
-      let nl = d.Design.netlist in
-      let faults = d.Design.fault_list.Dfm_guidelines.Translate.faults in
-      let measure mode =
-        let c0, d0, p0 = Dfm_sat.Solver.totals () in
-        let t0 = Dfm_atpg.Atpg.sat_seconds () in
-        let cls = Dfm_atpg.Atpg.classify ~jobs:1 ~sat_mode:mode nl faults in
-        let t = Dfm_atpg.Atpg.sat_seconds () -. t0 in
-        let c1, d1, p1 = Dfm_sat.Solver.totals () in
-        (cls, t, c1 - c0, d1 - d0, p1 - p0)
-      in
-      let one, t_one, k_one, d_one, p_one = measure Dfm_atpg.Atpg.Oneshot in
-      let inc, t_inc, k_inc, d_inc, p_inc = measure Dfm_atpg.Atpg.Incremental in
-      let row =
-        {
-          sm_name = name;
-          sm_queries = one.Dfm_atpg.Atpg.counts.Dfm_atpg.Atpg.sat_queries;
-          sm_t_one = t_one;
-          sm_t_inc = t_inc;
-          sm_k_one = k_one;
-          sm_k_inc = k_inc;
-          sm_d_one = d_one;
-          sm_d_inc = d_inc;
-          sm_p_one = p_one;
-          sm_p_inc = p_inc;
-          sm_identical = one.Dfm_atpg.Atpg.status = inc.Dfm_atpg.Atpg.status;
-        }
-      in
-      Hashtbl.add sat_mode_memo name row;
-      row
+  let d = design_of name in
+  let nl = d.Design.netlist in
+  let faults = d.Design.fault_list.Dfm_guidelines.Translate.faults in
+  let measure mode =
+    let c0, d0, p0 = Dfm_sat.Solver.totals () in
+    let t0 = Dfm_atpg.Atpg.sat_seconds () in
+    let cls = Dfm_atpg.Atpg.classify ~jobs:1 ~sat_mode:mode nl faults in
+    let t = Dfm_atpg.Atpg.sat_seconds () -. t0 in
+    let c1, d1, p1 = Dfm_sat.Solver.totals () in
+    (cls, t, c1 - c0, d1 - d0, p1 - p0)
+  in
+  let one, t_one, k_one, d_one, p_one = measure Dfm_atpg.Atpg.Oneshot in
+  let inc, t_inc, k_inc, d_inc, p_inc = measure Dfm_atpg.Atpg.Incremental in
+  {
+    sm_name = name;
+    sm_queries = one.Dfm_atpg.Atpg.counts.Dfm_atpg.Atpg.sat_queries;
+    sm_t_one = t_one;
+    sm_t_inc = t_inc;
+    sm_k_one = k_one;
+    sm_k_inc = k_inc;
+    sm_d_one = d_one;
+    sm_d_inc = d_inc;
+    sm_p_one = p_one;
+    sm_p_inc = p_inc;
+    sm_identical = one.Dfm_atpg.Atpg.status = inc.Dfm_atpg.Atpg.status;
+  }
 
 (* The redundancy-heavy pair the acceptance targets; fall back to the
    subset's head so REPRO_CIRCUITS keeps working. *)
@@ -399,8 +355,8 @@ let sat_mode_picks () =
   | _ :: _ as l -> l
   | [] -> [ List.hd circuits_subset ]
 
-let report_sat_modes () =
-  Printf.printf "SAT core: oneshot vs incremental on the same fault set (jobs=1)\n";
+let run_sat () =
+  header "SAT core: oneshot vs incremental on the same fault set (jobs=1)";
   List.iter
     (fun name ->
       let r = sat_mode_row name in
@@ -417,276 +373,13 @@ let report_sat_modes () =
         "" r.sm_d_one r.sm_d_inc r.sm_p_one r.sm_p_inc)
     (sat_mode_picks ())
 
-let sat_modes_json () =
-  Printf.sprintf "{\"section\":\"sat\",\"results\":[%s]}"
-    (String.concat ","
-       (List.map
-          (fun name ->
-            let r = sat_mode_row name in
-            Printf.sprintf
-              "{\"circuit\":\"%s\",\"sat_queries\":%d,\
-               \"oneshot\":{\"seconds\":%.6f,\"conflicts\":%d},\
-               \"incremental\":{\"seconds\":%.6f,\"conflicts\":%d},\
-               \"conflicts_ratio\":%.3f,\"time_ratio\":%.3f,\"identical\":%b}"
-              name r.sm_queries r.sm_t_one r.sm_k_one r.sm_t_inc r.sm_k_inc
-              (float_of_int r.sm_k_one /. Float.max 1.0 (float_of_int r.sm_k_inc))
-              (r.sm_t_one /. Float.max 1e-9 r.sm_t_inc)
-              r.sm_identical)
-          (sat_mode_picks ())))
-
 (* ------------------------------------------------------------------ *)
-(* Scaling: the multicore fault-classification engine                   *)
+(* Certify: overhead of end-to-end certificate checking                 *)
 (* ------------------------------------------------------------------ *)
 
-let run_scaling () =
-  header "Scaling: sharded fault classification at 1/2/4/8 domains (largest block)";
-  (* Largest block of the selected subset — the campaign the resynthesis
-     loop repays most for speeding up. *)
-  let name =
-    List.fold_left
-      (fun best n ->
-        if Dfm_netlist.Netlist.num_gates (netlist_of n)
-           > Dfm_netlist.Netlist.num_gates (netlist_of best)
-        then n
-        else best)
-      (List.hd circuits_subset) circuits_subset
-  in
-  let d = design_of name in
-  let nl = d.Design.netlist in
-  let faults = d.Design.fault_list.Dfm_guidelines.Translate.faults in
-  Printf.printf "circuit %s: %d gates, %d faults, %d core(s) available\n" name
-    (Dfm_netlist.Netlist.num_gates nl)
-    (Array.length faults)
-    (Domain.recommended_domain_count ());
-  let time_classify jobs =
-    let t0 = Unix.gettimeofday () in
-    let cls = Dfm_atpg.Atpg.classify ~jobs nl faults in
-    (Unix.gettimeofday () -. t0, cls)
-  in
-  let t1, reference = time_classify 1 in
-  let rows =
-    List.map
-      (fun jobs ->
-        let t, cls = if jobs = 1 then (t1, reference) else time_classify jobs in
-        let identical = cls.Dfm_atpg.Atpg.status = reference.Dfm_atpg.Atpg.status in
-        Printf.printf "  jobs=%d  %8.3f s   speedup %5.2fx   bit-identical %b\n" jobs t
-          (t1 /. Float.max 1e-9 t) identical;
-        (jobs, t, identical))
-      [ 1; 2; 4; 8 ]
-  in
-  let json =
-    Printf.sprintf
-      "{\"section\":\"scaling\",\"circuit\":\"%s\",\"gates\":%d,\"faults\":%d,\
-       \"cores\":%d,\"results\":[%s]}"
-      name
-      (Dfm_netlist.Netlist.num_gates nl)
-      (Array.length faults)
-      (Domain.recommended_domain_count ())
-      (String.concat ","
-         (List.map
-            (fun (jobs, t, identical) ->
-              Printf.sprintf
-                "{\"jobs\":%d,\"seconds\":%.6f,\"speedup\":%.3f,\"identical\":%b}" jobs t
-                (t1 /. Float.max 1e-9 t) identical)
-            rows))
-  in
-  Printf.printf "scaling-json: %s\n" json;
-  (match Sys.getenv_opt "REPRO_SCALING_JSON" with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (json ^ "\n");
-      close_out oc;
-      Printf.printf "wrote %s\n" path);
-  print_newline ();
-  report_sat_modes ();
-  json
-
-(* ------------------------------------------------------------------ *)
-(* Cache: the incremental verdict cache across the resynthesis loop     *)
-(* ------------------------------------------------------------------ *)
-
-let run_cache () =
-  header "Cache: full resynthesis with and without the incremental verdict cache";
-  (* The two largest blocks of the selected subset: the deeper the q sweep
-     and the bigger the fault list, the more repeated cones the cache can
-     serve.  Both runs are fresh (no [resynth_of] memo) so the wall-clock
-     comparison is honest. *)
-  let picks =
-    List.sort
-      (fun a b ->
-        compare
-          (Dfm_netlist.Netlist.num_gates (netlist_of b))
-          (Dfm_netlist.Netlist.num_gates (netlist_of a)))
-      circuits_subset
-    |> List.filteri (fun i _ -> i < 2)
-  in
-  let trace_shape (r : Resynth.result) =
-    List.map
-      (fun (e : Resynth.event) ->
-        (e.Resynth.ev_q, e.Resynth.ev_phase, e.Resynth.ev_action, e.Resynth.ev_u,
-         e.Resynth.ev_smax))
-      r.Resynth.trace
-  in
-  let rows =
-    List.map
-      (fun name ->
-        let d = design_of name in
-        let timed f =
-          let t0 = Unix.gettimeofday () in
-          let r = f () in
-          (Unix.gettimeofday () -. t0, r)
-        in
-        let t_plain, plain = timed (fun () -> Resynth.run d) in
-        let cache = Dfm_incr.Cache.create () in
-        let t_cached, cached = timed (fun () -> Resynth.run ~cache d) in
-        (* the invariant, at full scale: the cache must not steer the loop *)
-        let identical =
-          trace_shape plain = trace_shape cached
-          && Design.metrics plain.Resynth.final = Design.metrics cached.Resynth.final
-        in
-        let saved = plain.Resynth.sat_queries - cached.Resynth.sat_queries in
-        let e = Report.effort cached in
-        Printf.printf
-          "  %-11s SAT queries %6d -> %5d (%5.1fx)   hit rate %5.1f%%   %7.1fs -> %6.1fs (%4.2fx)   identical %b\n"
-          name plain.Resynth.sat_queries cached.Resynth.sat_queries
-          (float_of_int plain.Resynth.sat_queries
-          /. Float.max 1.0 (float_of_int cached.Resynth.sat_queries))
-          (100.0 *. e.Report.ef_hit_rate) t_plain t_cached
-          (t_plain /. Float.max 1e-9 t_cached)
-          identical;
-        (name, plain.Resynth.sat_queries, cached.Resynth.sat_queries, saved, e,
-         t_plain /. Float.max 1e-9 t_cached, identical))
-      picks
-  in
-  let json =
-    Printf.sprintf "{\"section\":\"cache\",\"results\":[%s]}"
-      (String.concat ","
-         (List.map
-            (fun (name, q0, q1, saved, e, speedup, identical) ->
-              Printf.sprintf
-                "{\"circuit\":\"%s\",\"sat_queries_uncached\":%d,\"sat_queries_cached\":%d,\
-                 \"sat_queries_saved\":%d,\"hit_rate\":%.4f,\"conflicts\":%d,\
-                 \"decisions\":%d,\"propagations\":%d,\"speedup\":%.3f,\
-                 \"identical\":%b}"
-                name q0 q1 saved e.Report.ef_hit_rate e.Report.ef_conflicts
-                e.Report.ef_decisions e.Report.ef_propagations speedup identical)
-            rows))
-  in
-  Printf.printf "cache-json: %s\n" json;
-  (match Sys.getenv_opt "REPRO_CACHE_JSON" with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (json ^ "\n");
-      close_out oc;
-      Printf.printf "wrote %s\n" path);
-  print_newline ();
-  report_sat_modes ();
-  json
-
-(* ------------------------------------------------------------------ *)
-(* Lint: structural findings and the static-untestability pre-SAT filter *)
-(* ------------------------------------------------------------------ *)
-
-let run_lint () =
-  header "Lint: structural findings and faults proven Undetectable before SAT";
-  (* The redundancy-heavy blocks repay the filter most: their one-hot
-     select/grant networks make many UDFM activation minterms unreachable,
-     which the small-support dataflow analysis proves without a solver.
-     Fall back to whatever the subset offers so REPRO_CIRCUITS still works. *)
-  let preferred = [ "wb_conmax"; "tv80"; "sparc_spu" ] in
-  let picks =
-    match List.filter (fun n -> List.mem n circuits_subset) preferred with
-    | _ :: _ :: _ as l -> l
-    | _ -> List.filteri (fun i _ -> i < 3) circuits_subset
-  in
-  let module Lint = Dfm_lint.Lint in
-  let module Dataflow = Dfm_lint.Dataflow in
-  let rows =
-    List.map
-      (fun name ->
-        let d = design_of name in
-        let nl = d.Design.netlist in
-        let faults = d.Design.fault_list.Dfm_guidelines.Translate.faults in
-        let report = Lint.check nl in
-        let findings = List.length report.Lint.findings in
-        let df = Dataflow.analyze nl in
-        let prove = Dataflow.prove_undetectable df in
-        let filtered =
-          Array.fold_left (fun a f -> if prove f then a + 1 else a) 0 faults
-        in
-        let plain = Dfm_atpg.Atpg.classify nl faults in
-        let screened = Dfm_atpg.Atpg.classify ~static_filter:prove nl faults in
-        let identical = plain.Dfm_atpg.Atpg.status = screened.Dfm_atpg.Atpg.status in
-        let q0 = plain.Dfm_atpg.Atpg.counts.Dfm_atpg.Atpg.sat_queries in
-        let q1 = screened.Dfm_atpg.Atpg.counts.Dfm_atpg.Atpg.sat_queries in
-        Printf.printf
-          "  %-11s findings %3d   filtered %4d / %5d faults   SAT queries %6d -> %6d (saved %d)   bit-identical %b\n"
-          name findings filtered (Array.length faults) q0 q1 (q0 - q1) identical;
-        (name, findings, filtered, Array.length faults, q0, q1, identical))
-      picks
-  in
-  Printf.printf
-    "shape: the filter proves >0 faults on every redundancy-heavy block with fewer SAT queries: %b\n"
-    (List.for_all (fun (_, _, f, _, q0, q1, _) -> f > 0 && q1 < q0) rows);
-  let json =
-    Printf.sprintf "{\"section\":\"lint\",\"results\":[%s]}"
-      (String.concat ","
-         (List.map
-            (fun (name, findings, filtered, total, q0, q1, identical) ->
-              Printf.sprintf
-                "{\"circuit\":\"%s\",\"lint_findings\":%d,\"faults\":%d,\
-                 \"statically_filtered\":%d,\"sat_queries_unfiltered\":%d,\
-                 \"sat_queries_filtered\":%d,\"sat_queries_saved\":%d,\
-                 \"identical\":%b}"
-                name findings total filtered q0 q1 (q0 - q1) identical)
-            rows))
-  in
-  Printf.printf "lint-json: %s\n" json;
-  (match Sys.getenv_opt "REPRO_LINT_JSON" with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (json ^ "\n");
-      close_out oc;
-      Printf.printf "wrote %s\n" path);
-  json
-
-(* ------------------------------------------------------------------ *)
-(* Serve: campaign-service throughput and queue latency                 *)
-(* ------------------------------------------------------------------ *)
-
-(* The daemon runs in-process (its network loop in one thread, bench
-   clients in others), which keeps the measurement loopback-only AND lets
-   the harness read the daemon's own queue-wait histogram straight from
-   the shared metrics registry instead of scraping Prometheus text. *)
-
-module Serve_daemon = Dfm_serve.Daemon
-module Serve_client = Dfm_serve.Client
-module Serve_proto = Dfm_serve.Protocol
-module Netlist_io = Dfm_netlist.Netlist_io
-module Parallel = Dfm_util.Parallel
-
-(* Nearest-rank percentile over a sorted array. *)
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(max 0 (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1)))
-
-let queue_wait_buckets () =
-  Dfm_obs.Metrics.snapshot ()
-  |> List.find_map (fun m ->
-         if m.Dfm_obs.Metrics.name = "dfm_serve_queue_wait_ms" then
-           match m.Dfm_obs.Metrics.value with
-           | Dfm_obs.Metrics.Histogram { buckets; _ } -> Some buckets
-           | _ -> None
-         else None)
-  |> Option.value ~default:[||]
-
-(* p-th percentile of the queue wait from the cumulative log2 bucket
-   counts accumulated between two snapshots (upper bound of the first
-   bucket holding the rank; resolution is a factor of two). *)
+(* p-th percentile from the cumulative log2 bucket counts accumulated
+   between two histogram snapshots (upper bound of the first bucket holding
+   the rank; resolution is a factor of two). *)
 let bucket_percentile before after p =
   let delta =
     Array.mapi
@@ -701,147 +394,6 @@ let bucket_percentile before after p =
     let rank = int_of_float (ceil (p *. float_of_int total)) in
     let rec find i = if snd delta.(i) >= rank then fst delta.(i) else find (i + 1) in
     find 0
-
-let serve_submit sock ~client netlist_text =
-  match Serve_client.connect sock with
-  | Error e -> failwith ("serve bench: " ^ e)
-  | Ok c ->
-      Fun.protect
-        ~finally:(fun () -> Serve_client.close c)
-        (fun () ->
-          match
-            Serve_client.submit_and_wait c
-              Serve_proto.
-                {
-                  client;
-                  kind = Analyze;
-                  name = "bench";
-                  netlist = netlist_text;
-                  limits = { Serve_proto.no_limits with jobs = Some 2 };
-                  static_filter = false;
-                  sat_mode = None;
-                  q_max = None;
-                  p1 = None;
-                }
-          with
-          | Ok r when r.Serve_proto.r_outcome = "done" -> ()
-          | Ok r -> failwith ("serve bench: job outcome " ^ r.Serve_proto.r_outcome)
-          | Error e -> failwith ("serve bench: " ^ e))
-
-let serve_phase sock ~clients ~jobs_per_client netlist_text =
-  let lat = Array.make (clients * jobs_per_client) 0.0 in
-  let qw0 = queue_wait_buckets () in
-  let t0 = Unix.gettimeofday () in
-  let threads =
-    List.init clients (fun ci ->
-        Thread.create
-          (fun () ->
-            for j = 0 to jobs_per_client - 1 do
-              let s = Unix.gettimeofday () in
-              serve_submit sock ~client:(Printf.sprintf "tenant%d" ci) netlist_text;
-              lat.((ci * jobs_per_client) + j) <- (Unix.gettimeofday () -. s) *. 1000.0
-            done)
-          ())
-  in
-  List.iter Thread.join threads;
-  let wall = Unix.gettimeofday () -. t0 in
-  let qw1 = queue_wait_buckets () in
-  Array.sort compare lat;
-  let jobs = clients * jobs_per_client in
-  ( float_of_int jobs /. wall,
-    percentile lat 0.50,
-    percentile lat 0.99,
-    bucket_percentile qw0 qw1 0.50,
-    bucket_percentile qw0 qw1 0.99 )
-
-let run_serve () =
-  header "Serve: campaign-service throughput and queue latency, 1 vs 3 tenants";
-  let tmp = Filename.temp_file "dfm_serve_bench" "" in
-  Sys.remove tmp;
-  Sys.mkdir tmp 0o755;
-  let sock =
-    (* sun_path is ~107 bytes; the system temp dir is short enough *)
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dfm_bench_%d.sock" (Unix.getpid ()))
-  in
-  let saved_jobs = Parallel.default_jobs () in
-  let ready_m = Mutex.create () and ready_c = Condition.create () in
-  let ready = ref false in
-  let daemon =
-    Thread.create
-      (fun () ->
-        ignore
-          (Serve_daemon.run
-             ~on_ready:(fun () ->
-               Mutex.lock ready_m;
-               ready := true;
-               Condition.signal ready_c;
-               Mutex.unlock ready_m)
-             {
-               Serve_daemon.socket_path = sock;
-               state_dir = Filename.concat tmp "state";
-               jobs = 2;
-               certify = false;
-             }))
-      ()
-  in
-  Mutex.lock ready_m;
-  while not !ready do
-    Condition.wait ready_c ready_m
-  done;
-  Mutex.unlock ready_m;
-  let netlist_text = Netlist_io.to_string (Circuits.build ~scale:0.15 "sparc_ffu") in
-  (* one cold job populates the shared verdict store; the measured phases
-     then exercise scheduling and protocol machinery on a warm cache, so
-     1-vs-3-tenant differences are queueing, not SAT variance *)
-  serve_submit sock ~client:"warmup" netlist_text;
-  let rows =
-    List.map
-      (fun clients ->
-        let jobs_per_client = 12 / clients in
-        let jps, p50, p99, q50, q99 =
-          serve_phase sock ~clients ~jobs_per_client netlist_text
-        in
-        Printf.printf
-          "  %d tenant(s)  %5.1f jobs/s   request p50 %6.1f ms  p99 %6.1f ms   queue wait p50 %5.0f ms  p99 %5.0f ms\n"
-          clients jps p50 p99 q50 q99;
-        (clients, clients * jobs_per_client, jps, p50, p99, q50, q99))
-      [ 1; 3 ]
-  in
-  (match Serve_client.connect sock with
-  | Ok c ->
-      (match Serve_client.request c Serve_proto.Drain with
-      | Ok _ | Error _ -> ());
-      Serve_client.close c
-  | Error e -> Printf.printf "  drain failed: %s\n" e);
-  Thread.join daemon;
-  Parallel.set_default_jobs saved_jobs;
-  let json =
-    Printf.sprintf "{\"section\":\"serve\",\"results\":[%s]}"
-      (String.concat ","
-         (List.map
-            (fun (clients, jobs, jps, p50, p99, q50, q99) ->
-              Printf.sprintf
-                "{\"clients\":%d,\"jobs\":%d,\"jobs_per_s\":%.2f,\
-                 \"latency_p50_ms\":%.2f,\"latency_p99_ms\":%.2f,\
-                 \"queue_p50_ms\":%.1f,\"queue_p99_ms\":%.1f}"
-                clients jobs jps p50 p99 q50 q99)
-            rows))
-  in
-  Printf.printf "serve-json: %s\n" json;
-  (match Sys.getenv_opt "REPRO_SERVE_JSON" with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (json ^ "\n");
-      close_out oc;
-      Printf.printf "wrote %s\n" path);
-  json
-
-(* ------------------------------------------------------------------ *)
-(* Certify: overhead of end-to-end certificate checking                 *)
-(* ------------------------------------------------------------------ *)
 
 let cert_check_buckets () =
   match Dfm_obs.Metrics.find_value "dfm_cert_check_ns" with
@@ -890,165 +442,12 @@ let run_certify () =
           "  %-11s %5d checks (%d failed)   proof %7d B   check p50 %7.1f us  p99 %7.1f us   %6.2fs -> %6.2fs (%.2fx)   bit-identical %b\n"
           name checks failed proof_bytes (p50 /. 1e3) (p99 /. 1e3) t_plain t_cert slowdown
           identical;
-        (name, Array.length faults, checks, failed, proof_bytes, p50, p99, t_plain, t_cert,
-         slowdown, identical))
+        (checks, failed, identical))
       picks
   in
   Printf.printf
     "shape: every verdict checked, zero failures, verdicts bit-identical: %b\n"
-    (List.for_all
-       (fun (_, _, checks, failed, _, _, _, _, _, _, identical) ->
-         checks > 0 && failed = 0 && identical)
-       rows);
-  let json =
-    Printf.sprintf "{\"section\":\"certify\",\"results\":[%s]}"
-      (String.concat ","
-         (List.map
-            (fun (name, faults, checks, failed, proof_bytes, p50, p99, tp, tc, slowdown,
-                  identical) ->
-              Printf.sprintf
-                "{\"circuit\":\"%s\",\"faults\":%d,\"checks\":%d,\"failed\":%d,\
-                 \"proof_bytes\":%d,\"check_p50_ns\":%.0f,\"check_p99_ns\":%.0f,\
-                 \"seconds_plain\":%.6f,\"seconds_certified\":%.6f,\
-                 \"slowdown\":%.3f,\"identical\":%b}"
-                name faults checks failed proof_bytes p50 p99 tp tc slowdown identical)
-            rows))
-  in
-  Printf.printf "certify-json: %s\n" json;
-  (match Sys.getenv_opt "REPRO_CERT_JSON" with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (json ^ "\n");
-      close_out oc;
-      Printf.printf "wrote %s\n" path);
-  json
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry: live-streaming overhead on the campaign service           *)
-(* ------------------------------------------------------------------ *)
-
-(* The same job batch against the same in-process daemon, without and then
-   with a live telemetry subscriber attached (span batches plus 200 ms
-   metrics snapshots).  Telemetry frames are droppable by design, so the
-   submitting clients should not feel the stream: the target is <2%
-   wall-clock overhead. *)
-let run_telemetry () =
-  header "Telemetry: streaming overhead, subscriber attached vs not";
-  let tmp = Filename.temp_file "dfm_tel_bench" "" in
-  Sys.remove tmp;
-  Sys.mkdir tmp 0o755;
-  let sock =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dfm_benchtel_%d.sock" (Unix.getpid ()))
-  in
-  let saved_jobs = Parallel.default_jobs () in
-  let ready_m = Mutex.create () and ready_c = Condition.create () in
-  let ready = ref false in
-  let daemon =
-    Thread.create
-      (fun () ->
-        ignore
-          (Serve_daemon.run
-             ~on_ready:(fun () ->
-               Mutex.lock ready_m;
-               ready := true;
-               Condition.signal ready_c;
-               Mutex.unlock ready_m)
-             {
-               Serve_daemon.socket_path = sock;
-               state_dir = Filename.concat tmp "state";
-               jobs = 2;
-               certify = false;
-             }))
-      ()
-  in
-  Mutex.lock ready_m;
-  while not !ready do
-    Condition.wait ready_c ready_m
-  done;
-  Mutex.unlock ready_m;
-  let netlist_text = Netlist_io.to_string (Circuits.build ~scale:0.15 "sparc_ffu") in
-  serve_submit sock ~client:"warmup" netlist_text;
-  let n_jobs = 8 in
-  let batch client =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n_jobs do
-      serve_submit sock ~client netlist_text
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  let t_plain = batch "plain" in
-  let frames = Atomic.make 0 in
-  let sub =
-    match Serve_client.connect sock with
-    | Error e -> failwith ("telemetry bench: " ^ e)
-    | Ok c -> c
-  in
-  (match
-     Serve_client.subscribe_telemetry sub
-       {
-         Serve_proto.t_spans = true;
-         t_metrics = true;
-         t_families = [ "dfm_" ];
-         t_interval_ms = Some 200;
-       }
-   with
-  | Ok () -> ()
-  | Error e -> failwith ("telemetry bench: subscribe: " ^ e));
-  let reader =
-    Thread.create
-      (fun () ->
-        let rec loop () =
-          match Serve_client.next_telemetry sub with
-          | Ok _ ->
-              Atomic.incr frames;
-              loop ()
-          | Error _ -> ()  (* the stream dies with the daemon's drain *)
-        in
-        loop ())
-      ()
-  in
-  let t_stream = batch "stream" in
-  (match Serve_client.connect sock with
-  | Ok c ->
-      (match Serve_client.request c Serve_proto.Drain with Ok _ | Error _ -> ());
-      Serve_client.close c
-  | Error e -> Printf.printf "  drain failed: %s\n" e);
-  Thread.join daemon;
-  Thread.join reader;
-  Serve_client.close sub;
-  Parallel.set_default_jobs saved_jobs;
-  let dropped =
-    match Dfm_obs.Metrics.find_value "dfm_serve_telemetry_dropped_total" with
-    | Some (Dfm_obs.Metrics.Counter n) -> n
-    | _ -> 0
-  in
-  let overhead = 100.0 *. ((t_stream /. Float.max 1e-9 t_plain) -. 1.0) in
-  Printf.printf
-    "  %d jobs   plain %6.2fs   streaming %6.2fs   overhead %+5.1f%% (target <2%%)   frames %d   dropped %d\n"
-    n_jobs t_plain t_stream overhead (Atomic.get frames) dropped;
-  let json =
-    Printf.sprintf
-      "{\"section\":\"telemetry\",\"jobs\":%d,\"seconds_plain\":%.6f,\
-       \"seconds_streaming\":%.6f,\"overhead_pct\":%.2f,\"target_pct\":2.0,\
-       \"frames\":%d,\"dropped\":%d}"
-      n_jobs t_plain t_stream overhead (Atomic.get frames) dropped
-  in
-  Printf.printf "telemetry-json: %s\n" json;
-  (match Sys.getenv_opt "REPRO_TELEMETRY_JSON" with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (json ^ "\n");
-      close_out oc;
-      Printf.printf "wrote %s\n" path);
-  json
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one kernel per experiment                 *)
-(* ------------------------------------------------------------------ *)
+    (List.for_all (fun (checks, failed, identical) -> checks > 0 && failed = 0 && identical) rows)
 
 (* ------------------------------------------------------------------ *)
 (* Fault-simulation kernel                                              *)
@@ -1091,6 +490,10 @@ let run_kernel () =
         (Dfm_netlist.Netlist.num_gates nl) (Array.length faults) (per (!secs *. 1e9))
         (per !words) !sink)
     [ "aes_core"; "des_perf"; "sparc_spu"; "tv80" ]
+
+(* ------------------------------------------------------------------ *)
+(* Bechamel micro-benchmarks: one kernel per experiment                 *)
+(* ------------------------------------------------------------------ *)
 
 let run_micro () =
   header "Bechamel micro-benchmarks (one kernel per experiment)";
@@ -1151,75 +554,16 @@ let run_micro () =
         res)
     tests
 
-(* ------------------------------------------------------------------ *)
-
-(* One pass over the engine sections at the pinned quick scale, merged
-   into a single baseline record.  Section order matters: scaling and
-   cache seed the sat-mode memo that [sat_modes_json] then reads. *)
-let run_quick () =
-  let scaling = run_scaling () in
-  let cache = run_cache () in
-  let lint = run_lint () in
-  let sat = sat_modes_json () in
-  let serve = run_serve () in
-  let certify = run_certify () in
-  let telemetry = run_telemetry () in
-  let merged =
-    Printf.sprintf
-      "{\"suite\":\"dfm-bench-quick\",\"scale\":%.2f,\"circuits\":[%s],\
-       \"sections\":{\"scaling\":%s,\"cache\":%s,\"lint\":%s,\"sat\":%s,\
-       \"serve\":%s,\"certify\":%s,\"telemetry\":%s}}"
-      (Circuits.default_scale ())
-      (String.concat "," (List.map (fun n -> "\"" ^ n ^ "\"") circuits_subset))
-      scaling cache lint sat serve certify telemetry
-  in
-  let oc = open_out quick_out in
-  output_string oc (merged ^ "\n");
-  close_out oc;
-  print_newline ();
-  Printf.printf "wrote %s\n" quick_out
-
 let () =
-  Printf.printf "DFM resynthesis benchmark harness (scale %.2f%s)\n"
-    (Circuits.default_scale ())
-    (if quick then ", --quick" else "");
-  if quick then run_quick ()
-  else begin
-    if wants "table1" then run_table1 ();
-    if wants "table2" then run_table2 ();
-    if wants "fig2" then run_fig2 ();
-    if wants "ablation" then run_ablation ();
-    if wants "choices" then run_choices ();
-    if wants "scaling" then ignore (run_scaling () : string);
-    if wants "cache" then ignore (run_cache () : string);
-    if wants "lint" then ignore (run_lint () : string);
-    if wants "serve" then ignore (run_serve () : string);
-    if wants "certify" then ignore (run_certify () : string);
-    if wants "kernel" then run_kernel ();
-    if wants "micro" then run_micro ()
-  end;
-  (* The oneshot-vs-incremental comparison piggybacks on the scaling and
-     cache sections; REPRO_SAT_JSON snapshots it (computing it first if
-     neither section ran). *)
-  (match Sys.getenv_opt "REPRO_SAT_JSON" with
-  | None -> ()
-  | Some path ->
-      let json = sat_modes_json () in
-      Printf.printf "sat-json: %s\n" json;
-      let oc = open_out path in
-      output_string oc (json ^ "\n");
-      close_out oc;
-      Printf.printf "wrote %s\n" path);
-  (* The process-wide metrics registry has been counting all along (SAT
-     effort, cache traffic, pool activity, ...): snapshot it on request so
-     a harness run doubles as an observability record. *)
-  (match Sys.getenv_opt "REPRO_OBS_JSON" with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc
-        (Dfm_obs.Export.metrics_json_string (Dfm_obs.Metrics.snapshot ()) ^ "\n");
-      close_out oc;
-      Printf.printf "wrote %s\n" path);
+  Printf.printf "DFM resynthesis benchmark harness (scale %.2f)\n" (Circuits.default_scale ());
+  if wants "table1" then run_table1 ();
+  if wants "table2" then run_table2 ();
+  if wants "fig2" then run_fig2 ();
+  if wants "ablation" then run_ablation ();
+  if wants "choices" then run_choices ();
+  if wants "sat" then run_sat ();
+  if wants "certify" then run_certify ();
+  if wants "kernel" then run_kernel ();
+  if wants "micro" then run_micro ();
   print_newline ();
   print_endline "done."

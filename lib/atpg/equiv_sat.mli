@@ -1,7 +1,7 @@
 (** SAT-based combinational equivalence checking of two netlists.
 
-    Scales to the full benchmark blocks where the BDD checker
-    ({!Dfm_netlist.Equiv}) may blow up: a miter is built with the
+    Scales to the full benchmark blocks where the BDD checker the tests
+    cross-check it against may blow up: a miter is built with the
     controllable points shared by label and a difference required at some
     observable point; UNSAT proves equivalence.  This is the check the
     resynthesis flow and the benches use to confirm that rewriting never

@@ -289,32 +289,6 @@ let remap_opt st nl ~region ~library =
          (Dfm_synth.Convert.remap_region ~goal:`Area ~sweep:st.sweep nl ~gates:region ~library))
   with Dfm_synth.Mapper.Unmappable _ -> None
 
-(* Structural hygiene gate over candidate replacements: a remap that
-   introduces new Tier-A lint findings (per-rule count increase, L001-L009)
-   relative to the current design is discarded before any internal-fault
-   check or implementation effort is spent on it. *)
-let tier_a_config =
-  {
-    Dfm_lint.Lint.default_config with
-    Dfm_lint.Lint.rules =
-      Some [ "L001"; "L002"; "L003"; "L004"; "L005"; "L006"; "L007"; "L008"; "L009" ];
-  }
-
-let m_lint_rejects =
-  Dfm_obs.Metrics.counter
-    ~help:"Resynthesis candidates rejected for introducing new lint findings"
-    "dfm_resynth_lint_rejections_total"
-
-let lint_regressed st nl =
-  let check n = Dfm_lint.Lint.check ~config:tier_a_config n in
-  match
-    Dfm_lint.Lint.regressions ~before:(check st.current.Design.netlist) ~after:(check nl)
-  with
-  | [] -> false
-  | _ :: _ ->
-      Dfm_obs.Metrics.incr m_lint_rejects;
-      true
-
 (* One evaluated candidate: remap, cheap internal check, full implement.
    [threshold] is the internal-undetectable count to beat before physical
    design is worth running. *)
@@ -327,7 +301,6 @@ let evaluate st ~threshold ~region ~library =
   st.interrupt ();
   match remap_opt st st.current.Design.netlist ~region ~library with
   | None -> None
-  | Some nl when lint_regressed st nl -> None
   | Some nl ->
       let u_in' = internal_u_of_netlist st nl in
       if u_in' >= threshold then Some Worse

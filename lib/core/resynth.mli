@@ -21,12 +21,6 @@
     [√n], then returns the last group one gate at a time, accepting the first
     design that satisfies both the constraints and the acceptance criteria.
 
-    Every remapped candidate additionally passes a structural hygiene gate:
-    {!Dfm_lint.Lint.check} (Tier-A rules L001-L009) runs on the candidate and
-    on the current design, and the candidate is discarded if any per-rule
-    finding count increased ({!Dfm_lint.Lint.regressions}).  Rejections are
-    counted on the [dfm_resynth_lint_rejections_total] metric.
-
     The driver sweeps [q] from 0 up to [q_max] (default 5), each round
     applied on top of the previous solution, and keeps the best accepted
     design. *)

@@ -351,14 +351,6 @@ let check ?(config = default_config) nl =
 let errors r = List.filter (fun f -> f.severity = Error) r.findings
 let warnings r = List.filter (fun f -> f.severity = Warning) r.findings
 
-let rule_counts r =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun f -> Hashtbl.replace tbl f.rule (1 + Option.value ~default:0 (Hashtbl.find_opt tbl f.rule)))
-    r.findings;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 (* ------------------------------------------------------------------ *)
 (* Reporters                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -434,10 +426,3 @@ let suppress bl r =
     List.partition (fun f -> not (StringSet.mem (baseline_entry f) bl)) r.findings
   in
   ({ r with findings = kept }, dropped)
-
-let regressions ~before ~after =
-  let b = rule_counts before in
-  rule_counts after
-  |> List.filter_map (fun (rule, na) ->
-         let nb = Option.value ~default:0 (List.assoc_opt rule b) in
-         if na > nb then Some (rule, nb, na) else None)

@@ -66,9 +66,6 @@ val check : ?config:config -> Dfm_netlist.Netlist.t -> report
 val errors : report -> finding list
 val warnings : report -> finding list
 
-val rule_counts : report -> (string * int) list
-(** Findings per rule id, sorted by id; rules without findings are absent. *)
-
 val severity_name : severity -> string
 
 (** {1 Reporters} *)
@@ -105,11 +102,3 @@ val baseline_of_report : report -> string
 val suppress : baseline -> report -> report * finding list
 (** [(kept, suppressed)]: partitions the report's findings by baseline
     membership; [kept] is the report with only unsuppressed findings. *)
-
-(** {1 Candidate gating (used by the resynthesis loop)} *)
-
-val regressions :
-  before:report -> after:report -> (string * int * int) list
-(** Rules whose finding count strictly increased from [before] to [after],
-    as [(rule, count_before, count_after)] — the "introduces new Tier-A
-    violations" test {!Dfm_core.Resynth} rejects candidates with. *)

@@ -208,64 +208,7 @@ let prometheus_string (metrics : Metrics.metric list) =
 
 let write_prometheus path metrics = write_atomic path (prometheus_string metrics)
 
-(* --- Bench JSON snapshot ------------------------------------------------- *)
-
-let metrics_json_string (metrics : Metrics.metric list) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"metrics\":[";
-  List.iteri
-    (fun i (m : Metrics.metric) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "{\"name\":\"%s\"" (json_escape m.name));
-      if m.labels <> [] then begin
-        Buffer.add_string buf ",\"labels\":{";
-        List.iteri
-          (fun j (k, v) ->
-            if j > 0 then Buffer.add_char buf ',';
-            Buffer.add_string buf
-              (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-          m.labels;
-        Buffer.add_char buf '}'
-      end;
-      (match m.value with
-      | Metrics.Counter v -> Buffer.add_string buf (Printf.sprintf ",\"type\":\"counter\",\"value\":%d" v)
-      | Metrics.Gauge v -> Buffer.add_string buf (Printf.sprintf ",\"type\":\"gauge\",\"value\":%d" v)
-      | Metrics.Histogram { sum; count; _ } ->
-          Buffer.add_string buf
-            (Printf.sprintf ",\"type\":\"histogram\",\"count\":%d,\"sum\":%d" count sum));
-      Buffer.add_char buf '}')
-    metrics;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
-
-(* --- Live snapshots (serve daemon, mid-run exporters) -------------------- *)
-
-(* [Span.drain] consumes the recording buffers, so a naive mid-run export
-   would steal spans from the end-of-run one.  The retained list makes
-   snapshotting idempotent: every drain lands here first, and every
-   snapshot exports the whole accumulated history. *)
-let retained_spans : Span.event list ref = ref []
-
-let retained_mutex = Mutex.create ()
-
-let trace_events_now () =
-  Mutex.protect retained_mutex @@ fun () ->
-  let fresh = Span.drain () in
-  retained_spans := !retained_spans @ fresh;
-  !retained_spans
-
-(* The streaming drain: fresh spans only, still appended to the retained
-   history so an interleaved [snapshot_now] keeps its full-history
-   idempotence — a span is returned by exactly one [take_stream] call and
-   by every subsequent snapshot. *)
-let take_stream () =
-  Mutex.protect retained_mutex @@ fun () ->
-  let fresh = Span.drain () in
-  retained_spans := !retained_spans @ fresh;
-  fresh
-
-let reset_retained () =
-  Mutex.protect retained_mutex @@ fun () -> retained_spans := []
+(* --- Live exposition (serve daemon) ------------------------------------- *)
 
 let filter_families families (metrics : Metrics.metric list) =
   match families with
@@ -277,11 +220,3 @@ let filter_families families (metrics : Metrics.metric list) =
         metrics
 
 let prometheus_now () = prometheus_string (Metrics.snapshot ())
-
-let snapshot_now ?trace ?metrics () =
-  (match trace with
-  | None -> ()
-  | Some path -> write_atomic path (chrome_trace_string (trace_events_now ())));
-  match metrics with
-  | None -> ()
-  | Some path -> write_atomic path (prometheus_now ())

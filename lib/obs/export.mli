@@ -22,10 +22,6 @@ val prometheus_string : Metrics.metric list -> string
 
 val write_prometheus : string -> Metrics.metric list -> unit
 
-val metrics_json_string : Metrics.metric list -> string
-(** One JSON object [{"metrics":[...]}]; histograms summarized as
-    [count]/[sum].  Used by [bench] to embed a snapshot in its output. *)
-
 val json_escape_into : Buffer.t -> string -> unit
 (** Append a string escaped for inclusion inside JSON double quotes: the
     one JSON string escaper of the repository. *)
@@ -62,32 +58,5 @@ val filter_families :
 (** Keep metrics whose name starts with any given prefix ([[]] keeps
     all). *)
 
-(** {1 Live snapshots}
-
-    Mid-run exports for long-lived processes (the serve daemon serves
-    Prometheus text on request and can drop a trace while jobs are still
-    running).  Unlike the end-of-run writers above, these are idempotent:
-    {!Span.drain} consumes the span buffers, so [snapshot_now] retains
-    everything drained so far and each call exports the full history —
-    calling it twice in a row writes the same trace twice, it never loses
-    spans to an earlier snapshot. *)
-
-val trace_events_now : unit -> Span.event list
-(** Drain the span buffers into the retained history and return the whole
-    history.  Thread-safe. *)
-
-val take_stream : unit -> Span.event list
-(** Drain the span buffers into the retained history and return only the
-    freshly drained spans: each span is returned by exactly one
-    [take_stream] call, while remaining part of every later
-    {!trace_events_now}/{!snapshot_now} history. *)
-
 val prometheus_now : unit -> string
 (** The current metrics registry as Prometheus text exposition. *)
-
-val reset_retained : unit -> unit
-(** Discard the retained span history — test isolation. *)
-
-val snapshot_now : ?trace:string -> ?metrics:string -> unit -> unit
-(** Write the current trace and/or metrics snapshot atomically to the
-    given paths.  Safe to call at any time, any number of times. *)

@@ -711,7 +711,7 @@ let pump_telemetry d =
   in
   if span_subs <> [] && t >= d.next_span_pump then begin
     d.next_span_pump <- t +. span_pump_interval;
-    match Dfm_obs.Export.take_stream () with
+    match Dfm_obs.Span.drain () with
     | [] -> ()
     | fresh ->
         let data = Dfm_obs.Export.complete_events_ndjson fresh in

@@ -1,3 +1,5 @@
+module Truthtable = Dfm_logic.Truthtable
+
 type t = int
 (* Node ids: 0 = terminal false, 1 = terminal true, >= 2 internal. *)
 

@@ -36,5 +36,5 @@ val size : man -> t -> int
 val sat_one : man -> t -> (int * bool) list option
 (** A satisfying partial assignment (variable, value) if one exists. *)
 
-val of_truthtable : man -> Truthtable.t -> t
+val of_truthtable : man -> Dfm_logic.Truthtable.t -> t
 (** Build the BDD of a truth table over variables [0 .. arity-1]. *)

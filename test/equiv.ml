@@ -1,5 +1,6 @@
 module Tt = Dfm_logic.Truthtable
-module Bdd = Dfm_logic.Bdd
+module Netlist = Dfm_netlist.Netlist
+module Cell = Dfm_netlist.Cell
 
 type verdict =
   | Equivalent
@@ -77,39 +78,3 @@ let check t1 t2 =
     in
     compare_outputs (Netlist.observe_nets t1)
   end
-
-let output_function t =
-  let ins = Netlist.input_nets t in
-  let n = List.length ins in
-  if n > 6 then invalid_arg "Equiv.output_function: more than 6 inputs";
-  List.map
-    (fun (label, onet) ->
-      let tt =
-        Tt.create n (fun assignment ->
-            (* Evaluate the netlist on one input assignment. *)
-            let values = Array.make (Netlist.num_nets t) None in
-            List.iteri
-              (fun i (_, nid) -> values.(nid) <- Some assignment.(i))
-              ins;
-            Array.iter
-              (fun (nn : Netlist.net) ->
-                match nn.Netlist.driver with
-                | Netlist.Const v -> values.(nn.Netlist.net_id) <- Some v
-                | Netlist.Pi _ | Netlist.Gate_out _ -> ())
-              t.Netlist.nets;
-            let order = Netlist.topo_order t in
-            Array.iter
-              (fun gid ->
-                let g = Netlist.gate t gid in
-                let a =
-                  Array.map
-                    (fun fn ->
-                      match values.(fn) with Some v -> v | None -> assert false)
-                    g.Netlist.fanins
-                in
-                values.(g.Netlist.fanout) <- Some (Tt.eval g.Netlist.cell.Cell.func a))
-              order;
-            match values.(onet) with Some v -> v | None -> assert false)
-      in
-      (label, tt))
-    (Netlist.observe_nets t)

@@ -5,9 +5,6 @@ module Tt = Dfm_logic.Truthtable
 
 type verdict = Test of bool array | Redundant | Aborted
 
-let m_backtracks =
-  Dfm_obs.Metrics.counter ~help:"PODEM search backtracks" "dfm_podem_backtracks_total"
-
 (* Three-valued logic: 0, 1, X. *)
 type v3 = V0 | V1 | VX
 
@@ -259,28 +256,4 @@ let check ?(max_backtracks = 10_000) ls (fault : F.t) =
           search ()
     in
     search ()
-  with Done v ->
-    (* Flushed once per check, never per backtrack, to keep the search hot
-       path free of atomic traffic. *)
-    Dfm_obs.Metrics.incr ~by:!backtracks m_backtracks;
-    v
-
-let m_sat_fallbacks =
-  Dfm_obs.Metrics.counter ~help:"PODEM aborts escalated to a SAT query"
-    "dfm_podem_sat_fallbacks_total"
-
-let check_with_sat ?max_backtracks ?max_conflicts ?session ls (fault : F.t) =
-  match check ?max_backtracks ls fault with
-  | (Test _ | Redundant) as v -> v
-  | Aborted -> (
-      Dfm_obs.Metrics.incr m_sat_fallbacks;
-      let verdict =
-        match session with
-        | Some sess -> Encode.check_incr ?max_conflicts sess fault
-        | None -> Encode.check ?max_conflicts ls fault
-      in
-      match verdict with
-      | Encode.Tests (t :: _) -> Test t.Encode.values
-      | Encode.Tests [] -> Aborted
-      | Encode.Undetectable -> Redundant
-      | Encode.Unknown -> Aborted)
+  with Done v -> v

@@ -1,7 +1,7 @@
 (** PODEM: path-oriented decision making, the classic structural ATPG.
 
     An independent second engine for single stuck-at faults, used to
-    cross-check the SAT-based {!Encode} (the two must agree on
+    cross-check the SAT-based [Dfm_atpg.Encode] (the two must agree on
     detectable/undetectable for every fault; the property tests enforce it).
     The implementation is a textbook PODEM over a (good, faulty) pair of
     three-valued simulations: objectives are backtraced through X-paths to a
@@ -22,17 +22,3 @@ val check :
 (** Only [Stuck] faults are supported (PODEM's classic domain).
     @raise Invalid_argument for other fault kinds.
     Default backtrack limit: 10_000. *)
-
-val check_with_sat :
-  ?max_backtracks:int ->
-  ?max_conflicts:int ->
-  ?session:Encode.session ->
-  Dfm_sim.Logic_sim.t ->
-  Dfm_faults.Fault.t ->
-  verdict
-(** {!check}, escalating an [Aborted] structural search to a SAT query:
-    with [session] the query joins that shared incremental session
-    ({!Encode.check_incr}) and benefits from its retained clauses, without
-    it a one-shot {!Encode.check} runs.  A SAT [Undetectable] maps to
-    [Redundant]; an over-budget SAT query stays [Aborted].  Fallbacks are
-    counted in [dfm_podem_sat_fallbacks_total]. *)

@@ -270,13 +270,13 @@ let prop_podem_agrees_with_sat =
                 | Encode.Undetectable -> false
                 | Encode.Unknown -> not !ok (* force failure *)
               in
-              match Dfm_atpg.Podem.check ls f with
-              | Dfm_atpg.Podem.Test pattern ->
+              match Podem.check ls f with
+              | Podem.Test pattern ->
                   if not sat_detectable then ok := false;
                   let good = Ls.run ls (Ls.words_of_pattern pattern) in
                   if Fs.detect_word fs ~good f = 0L then ok := false
-              | Dfm_atpg.Podem.Redundant -> if sat_detectable then ok := false
-              | Dfm_atpg.Podem.Aborted -> ())
+              | Podem.Redundant -> if sat_detectable then ok := false
+              | Podem.Aborted -> ())
             [ F.Sa0; F.Sa1 ])
         nl.N.nets;
       !ok)
@@ -286,38 +286,9 @@ let test_podem_rejects_other_kinds () =
   let ls = Ls.prepare nl in
   let f = { F.fault_id = 0; kind = F.Bridge (0, 1, F.Wired_and); origin } in
   try
-    ignore (Dfm_atpg.Podem.check ls f);
+    ignore (Podem.check ls f);
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
-
-let test_static_compaction () =
-  let nl = random_netlist 11 5 14 in
-  let faults = ref [] in
-  let id = ref 0 in
-  Array.iter
-    (fun (nn : N.net) ->
-      List.iter
-        (fun pol ->
-          faults := { F.fault_id = !id; kind = F.Stuck (F.On_net nn.N.net_id, pol); origin } :: !faults;
-          incr id)
-        [ F.Sa0; F.Sa1 ];
-      faults :=
-        { F.fault_id = !id; kind = F.Transition (F.On_net nn.N.net_id, F.Slow_to_rise); origin }
-        :: !faults;
-      incr id)
-    nl.N.nets;
-  let faults = Array.of_list (List.rev !faults) in
-  let g = Atpg.generate nl faults in
-  (* pad the generated set with redundant copies, then compact *)
-  let padded = g.Atpg.tests @ g.Atpg.tests @ g.Atpg.tests in
-  let before = Dfm_atpg.Compact.detects nl ~faults ~tests:padded in
-  let kept = Dfm_atpg.Compact.reverse_order nl ~faults ~tests:padded in
-  let after = Dfm_atpg.Compact.detects nl ~faults ~tests:kept in
-  Alcotest.(check int) "coverage preserved" before after;
-  Alcotest.(check bool) "strictly smaller than padded" true
-    (List.length kept < List.length padded);
-  Alcotest.(check bool) "no larger than original" true
-    (List.length kept <= List.length g.Atpg.tests)
 
 let suite =
   [
@@ -330,5 +301,4 @@ let suite =
     Alcotest.test_case "dff pin fault" `Quick test_dff_pin_fault;
     QCheck_alcotest.to_alcotest prop_podem_agrees_with_sat;
     Alcotest.test_case "podem rejects non-stuck" `Quick test_podem_rejects_other_kinds;
-    Alcotest.test_case "static compaction" `Quick test_static_compaction;
   ]

@@ -209,19 +209,6 @@ let test_baseline_roundtrip () =
   Alcotest.(check int) "empty baseline keeps all" (List.length r.Lint.findings)
     (List.length kept2.Lint.findings)
 
-let test_regressions () =
-  let before = Lint.check (B.finish (let b = B.create ~name:"x" lib in
-                                     let a = B.add_pi b "a" in
-                                     B.mark_po b "y" (B.add_gate b ~cell:"INVX1" [| a |]);
-                                     b)) in
-  let after = Lint.check (loop_netlist ()) in
-  Alcotest.(check bool) "clean -> broken regresses" true
-    (Lint.regressions ~before ~after <> []);
-  Alcotest.(check bool) "broken -> clean does not" true
-    (Lint.regressions ~before:after ~after:before = []);
-  Alcotest.(check bool) "identical does not" true
-    (Lint.regressions ~before:after ~after = [])
-
 (* ------------------------------------------------------------------ *)
 (* Tier B dataflow facts                                               *)
 (* ------------------------------------------------------------------ *)
@@ -443,7 +430,6 @@ let suite =
     Alcotest.test_case "rule restriction" `Quick test_rule_restriction;
     Alcotest.test_case "json reporter" `Quick test_json;
     Alcotest.test_case "baseline roundtrip" `Quick test_baseline_roundtrip;
-    Alcotest.test_case "regressions" `Quick test_regressions;
     Alcotest.test_case "dataflow constants" `Quick test_dataflow_constants;
     Alcotest.test_case "dataflow observability" `Quick test_dataflow_observability;
     Alcotest.test_case "one-hot internal faults" `Quick test_dataflow_onehot_internal;

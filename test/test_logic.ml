@@ -1,7 +1,6 @@
 (* Tests for dfm_logic: truth tables and BDDs. *)
 
 module Tt = Dfm_logic.Truthtable
-module Bdd = Dfm_logic.Bdd
 
 let arb_tt =
   QCheck.make

@@ -6,7 +6,6 @@ module B = N.Builder
 module Cell = Dfm_netlist.Cell
 module Library = Dfm_netlist.Library
 module Io = Dfm_netlist.Netlist_io
-module Equiv = Dfm_netlist.Equiv
 
 let lib = Dfm_cellmodel.Osu018.library
 

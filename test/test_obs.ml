@@ -22,7 +22,6 @@ let with_clean_obs f =
       Log.set_level Log.Warn;
       Span.set_enabled false;
       Span.reset ();
-      Export.reset_retained ();
       Metrics.set_timing_enabled false;
       Metrics.set_attribution [];
       Recorder.set_enabled false;
@@ -317,60 +316,6 @@ let prop_transparency =
         [ 1; 4 ];
       true)
 
-(* Live snapshots must be idempotent: [Span.drain] consumes the buffers,
-   so [trace_events_now] retains drained history and every call exports
-   the full trace so far.  Calling [snapshot_now] twice in a row writes
-   identical artifacts; later spans extend the history without losing the
-   earlier events. *)
-let test_snapshot_now_idempotent () =
-  with_clean_obs @@ fun () ->
-  Span.set_enabled true;
-  Span.reset ();
-  Span.with_ "snap.outer" (fun () -> Span.with_ "snap.inner" Fun.id);
-  let e1 = Export.trace_events_now () in
-  let e2 = Export.trace_events_now () in
-  Alcotest.(check int) "second call repeats the history" (List.length e1)
-    (List.length e2);
-  Alcotest.(check bool) "history is non-empty" true (e1 <> []);
-  let dir = Filename.temp_file "dfm_snap" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let trace_a = Filename.concat dir "a.json"
-  and trace_b = Filename.concat dir "b.json"
-  and prom_a = Filename.concat dir "a.prom"
-  and prom_b = Filename.concat dir "b.prom" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun f -> try Sys.remove f with Sys_error _ -> ())
-        [ trace_a; trace_b; prom_a; prom_b ];
-      try Sys.rmdir dir with Sys_error _ -> ())
-    (fun () ->
-      let slurp f =
-        let ic = open_in_bin f in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      Export.snapshot_now ~trace:trace_a ~metrics:prom_a ();
-      Export.snapshot_now ~trace:trace_b ~metrics:prom_b ();
-      Alcotest.(check string) "back-to-back traces identical" (slurp trace_a)
-        (slurp trace_b);
-      Alcotest.(check string) "back-to-back metrics identical" (slurp prom_a)
-        (slurp prom_b);
-      (* a later span extends the exported history instead of replacing it *)
-      Span.with_ "snap.later" Fun.id;
-      let e3 = Export.trace_events_now () in
-      Alcotest.(check bool) "history grows" true (List.length e3 > List.length e2);
-      Export.snapshot_now ~trace:trace_a ();
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-        go 0
-      in
-      Alcotest.(check bool) "new snapshot still contains the early span" true
-        (contains (slurp trace_a) "snap.outer"))
-
 (* ------------------------------------------------------------------ *)
 (* Labels and ambient attribution                                       *)
 (* ------------------------------------------------------------------ *)
@@ -508,14 +453,16 @@ let prop_prom_label_escape =
 (* Streaming: concurrent domains, lossless fresh-only drain             *)
 (* ------------------------------------------------------------------ *)
 
+(* The serve daemon streams spans to telemetry subscribers by calling
+   [Span.drain] concurrently with the recording domains: every span must
+   be returned by exactly one drain. *)
 let prop_stream_concurrent =
-  QCheck.Test.make ~name:"take_stream under concurrent domains: no loss, no duplicates"
+  QCheck.Test.make ~name:"Span.drain under concurrent domains"
     ~count:4
     QCheck.(int_range 2 4)
     (fun doms ->
       with_clean_obs @@ fun () ->
       Span.reset ();
-      Export.reset_retained ();
       Span.set_enabled true;
       let per = 50 in
       let workers =
@@ -529,10 +476,10 @@ let prop_stream_concurrent =
       let fresh = ref [] in
       let deadline = Unix.gettimeofday () +. 20. in
       while List.length !fresh < doms * per && Unix.gettimeofday () < deadline do
-        fresh := Export.take_stream () @ !fresh
+        fresh := Span.drain () @ !fresh
       done;
       List.iter Domain.join workers;
-      fresh := Export.take_stream () @ !fresh;
+      fresh := Span.drain () @ !fresh;
       let names =
         List.sort compare (List.map (fun (e : Span.event) -> e.Span.name) !fresh)
       in
@@ -543,17 +490,34 @@ let prop_stream_concurrent =
         | a :: (b :: _ as rest) -> if a = b then Some a else dup rest
         | _ -> None
       in
-      (match dup names with
+      match dup names with
       | Some n -> QCheck.Test.fail_reportf "duplicated event %s" n
-      | None -> ());
-      (* retained history is append-only: the full-history view repeats
-         every drained event, and snapshotting twice is stable *)
-      let h1 = Export.trace_events_now () in
-      let h2 = Export.trace_events_now () in
-      if List.length h1 <> doms * per then
-        QCheck.Test.fail_reportf "retained history holds %d of %d" (List.length h1)
-          (doms * per);
-      List.length h1 = List.length h2)
+      | None -> true)
+
+(* A long-lived stream must not keep what it has handed out: 200k spans
+   drained in batches of 1k, the daemon's telemetry pattern, leave the live
+   heap where it was.  A drain that retained every span would hold about
+   12 words per span, 2.5M words here. *)
+let test_stream_drain_keeps_nothing () =
+  with_clean_obs @@ fun () ->
+  Span.reset ();
+  Span.set_enabled true;
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  let drained = ref 0 in
+  for _ = 1 to 200 do
+    for _ = 1 to 1000 do
+      Span.with_ "stream.leak" Fun.id
+    done;
+    drained := !drained + List.length (Span.drain ())
+  done;
+  let grown = live () - before in
+  Alcotest.(check int) "every span drained" 200_000 !drained;
+  if grown >= 100_000 then
+    Alcotest.failf "live heap grew by %d words over 200k streamed spans" grown
 
 (* ------------------------------------------------------------------ *)
 (* Progress modes                                                       *)
@@ -656,7 +620,6 @@ let suite =
     Alcotest.test_case "chrome trace B/E shape" `Quick test_chrome_trace_shape;
     Alcotest.test_case "prometheus exposition is duplicate-free" `Quick
       test_prometheus_exposition;
-    Alcotest.test_case "live snapshots are idempotent" `Quick test_snapshot_now_idempotent;
     Alcotest.test_case "label validation and canonical series" `Quick
       test_metrics_label_validation;
     Alcotest.test_case "attributed counters follow the ambient context" `Quick
@@ -667,5 +630,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_json_escape;
     QCheck_alcotest.to_alcotest prop_prom_label_escape;
     QCheck_alcotest.to_alcotest prop_stream_concurrent;
+    Alcotest.test_case "streaming 200k spans keeps no history" `Quick
+      test_stream_drain_keeps_nothing;
     QCheck_alcotest.to_alcotest prop_transparency;
   ]

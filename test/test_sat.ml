@@ -213,31 +213,6 @@ let test_accessors () =
   Alcotest.(check int) "clauses" 1 (Solver.num_clauses s);
   Alcotest.(check int) "vars grown by clause" 2 (Solver.num_vars s)
 
-let test_dimacs_roundtrip () =
-  let clauses = [ [ 1; -2 ]; [ 2; 3 ]; [ -1; -3 ] ] in
-  let text = Dfm_sat.Dimacs.to_string ~nvars:3 clauses in
-  let nvars, parsed = Dfm_sat.Dimacs.parse text in
-  Alcotest.(check int) "vars" 3 nvars;
-  Alcotest.(check (list (list int))) "clauses" clauses parsed;
-  let s = Solver.create () in
-  Dfm_sat.Dimacs.load s text;
-  Alcotest.(check bool) "solvable" true (Solver.solve s = Solver.Sat);
-  let sol = Dfm_sat.Dimacs.solution_to_string s Solver.Sat in
-  Alcotest.(check bool) "solution block" true
-    (String.length sol > 2 && String.sub sol 0 2 = "s ")
-
-let test_dimacs_errors () =
-  let check_fails text =
-    try
-      ignore (Dfm_sat.Dimacs.parse text);
-      Alcotest.fail "expected Parse_error"
-    with Dfm_sat.Dimacs.Parse_error _ -> ()
-  in
-  check_fails "1 2 0\n";                 (* clause before header *)
-  check_fails "p cnf 2 1\n5 0\n";       (* literal out of range *)
-  check_fails "p cnf 2 9\n1 0\n";       (* clause count mismatch *)
-  check_fails "p cnf x y\n"              (* bad header *)
-
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_solver_vs_brute;
@@ -254,6 +229,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_tseitin_truthtable;
     Alcotest.test_case "solver deterministic" `Quick test_solver_deterministic;
     Alcotest.test_case "accessors" `Quick test_accessors;
-    Alcotest.test_case "dimacs roundtrip" `Quick test_dimacs_roundtrip;
-    Alcotest.test_case "dimacs errors" `Quick test_dimacs_errors;
   ]

@@ -8,7 +8,6 @@ module N = Dfm_netlist.Netlist
 module B = N.Builder
 module Cell = Dfm_netlist.Cell
 module Library = Dfm_netlist.Library
-module Equiv = Dfm_netlist.Equiv
 module Rng = Dfm_util.Rng
 
 let lib = Dfm_cellmodel.Osu018.library
@@ -197,40 +196,6 @@ let test_remap_full_preserves_flops () =
   | Equiv.Equivalent -> ()
   | _ -> Alcotest.fail "sequential remap not equivalent"
 
-let prop_balance_preserves_and_flattens =
-  QCheck.Test.make ~name:"balance preserves function, never deepens" ~count:25
-    QCheck.(pair (int_range 1 100000) (int_range 4 14))
-    (fun (seed, ngates) ->
-      let nl = random_netlist seed 4 ngates in
-      let aig, outputs = Convert.to_aig nl in
-      let balanced, outputs' = Dfm_synth.Rewrite.balance aig ~outputs in
-      let same_function =
-        List.for_all2
-          (fun (n1, l1) (n2, l2) ->
-            assert (n1 = n2);
-            List.for_all
-              (fun m ->
-                let env name =
-                  let idx = int_of_string (String.sub name 1 (String.length name - 1)) in
-                  (m lsr idx) land 1 = 1
-                in
-                Aig.eval aig env l1 = Aig.eval balanced env l2)
-              (List.init 16 (fun i -> i)))
-          outputs outputs'
-      in
-      same_function
-      && Dfm_synth.Rewrite.depth balanced outputs' <= Dfm_synth.Rewrite.depth aig outputs)
-
-let test_balance_flattens_chain () =
-  (* A long AND chain must come back with logarithmic depth. *)
-  let aig = Aig.create () in
-  let xs = List.init 16 (fun i -> Aig.input aig (Printf.sprintf "x%d" i)) in
-  let chain = List.fold_left (Aig.and_ aig) Aig.lit_true xs in
-  let outputs = [ ("o", chain) ] in
-  Alcotest.(check int) "chain depth 15" 15 (Dfm_synth.Rewrite.depth aig outputs);
-  let balanced, outputs' = Dfm_synth.Rewrite.balance aig ~outputs in
-  Alcotest.(check bool) "log depth" true (Dfm_synth.Rewrite.depth balanced outputs' <= 5)
-
 let suite =
   [
     Alcotest.test_case "aig simplifications" `Quick test_aig_simplifications;
@@ -245,6 +210,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sweep_preserves_function;
     Alcotest.test_case "remap region keeps rest" `Quick test_remap_region_keeps_rest;
     Alcotest.test_case "remap full preserves flops" `Quick test_remap_full_preserves_flops;
-    QCheck_alcotest.to_alcotest prop_balance_preserves_and_flattens;
-    Alcotest.test_case "balance flattens chain" `Quick test_balance_flattens_chain;
   ]

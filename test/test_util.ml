@@ -1,9 +1,7 @@
-(* Tests for dfm_util: RNG determinism, union-find, heap, stats. *)
+(* Tests for dfm_util: RNG determinism, union-find. *)
 
 module Rng = Dfm_util.Rng
 module UF = Dfm_util.Union_find
-module Heap = Dfm_util.Heap
-module Stats = Dfm_util.Stats
 
 let test_rng_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
@@ -89,39 +87,6 @@ let prop_uf_vs_naive =
       done;
       !ok)
 
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap pops in priority order" ~count:200
-    QCheck.(small_list (float_range (-1000.) 1000.))
-    (fun xs ->
-      let h = Heap.create () in
-      List.iteri (fun i x -> Heap.push h x i) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
-      in
-      let popped = drain [] in
-      popped = List.sort compare xs)
-
-let test_heap_peek () =
-  let h = Heap.create () in
-  Alcotest.(check bool) "empty" true (Heap.peek h = None);
-  Heap.push h 2.0 "b";
-  Heap.push h 1.0 "a";
-  (match Heap.peek h with
-  | Some (p, v) ->
-      Alcotest.(check (float 0.0)) "min prio" 1.0 p;
-      Alcotest.(check string) "min value" "a" v
-  | None -> Alcotest.fail "expected peek");
-  Alcotest.(check int) "length" 2 (Heap.length h)
-
-let test_stats () =
-  Alcotest.(check (float 1e-9)) "mean" 2.0 (Stats.mean [ 1.0; 2.0; 3.0 ]);
-  Alcotest.(check (float 1e-9)) "mean empty" 0.0 (Stats.mean []);
-  Alcotest.(check (float 1e-9)) "percent" 50.0 (Stats.percent 1 2);
-  Alcotest.(check (float 1e-9)) "percent div0" 0.0 (Stats.percent 1 0);
-  Alcotest.(check (float 1e-9)) "clamp" 1.0 (Stats.clamp ~min:0.0 ~max:1.0 3.0);
-  Alcotest.(check string) "fmt" "93.62%" (Stats.fmt_pct 93.62);
-  Alcotest.(check string) "fmt ratio" "103.27%" (Stats.fmt_ratio_pct 1.0327)
-
 let test_rng_float_range () =
   let r = Rng.create 21 in
   for _ = 1 to 1000 do
@@ -156,9 +121,6 @@ let suite =
     Alcotest.test_case "union-find basic" `Quick test_uf_basic;
     Alcotest.test_case "union-find classes" `Quick test_uf_classes_listing;
     QCheck_alcotest.to_alcotest prop_uf_vs_naive;
-    QCheck_alcotest.to_alcotest prop_heap_sorts;
-    Alcotest.test_case "heap peek" `Quick test_heap_peek;
-    Alcotest.test_case "stats" `Quick test_stats;
     Alcotest.test_case "rng float range" `Quick test_rng_float_range;
     Alcotest.test_case "rng chance extremes" `Quick test_rng_chance_extremes;
     Alcotest.test_case "shuffle permutation" `Quick test_shuffle_is_permutation;
