@@ -505,13 +505,14 @@ let run_micro () =
   let ls = Dfm_sim.Logic_sim.prepare nl in
   let rng = Dfm_util.Rng.create 1 in
   let lib = nl.Dfm_netlist.Netlist.library in
-  let restricted =
-    Dfm_netlist.Library.restrict lib
-      ~excluded:
-        (Dfm_core.Resynth.cells_by_internal_faults lib
-        |> List.filteri (fun i _ -> i < 7)
-        |> List.map (fun (c : Dfm_netlist.Cell.t) -> c.Dfm_netlist.Cell.name))
+  let excluded =
+    Dfm_core.Resynth.cells_by_internal_faults lib
+    |> List.filteri (fun i _ -> i < 7)
+    |> List.map (fun (c : Dfm_netlist.Cell.t) -> c.Dfm_netlist.Cell.name)
   in
+  let restricted = Dfm_netlist.Library.restrict lib ~excluded in
+  (* A campaign derives its restricted tables from one full table. *)
+  let derived = Dfm_synth.Mapper.restrict (Dfm_synth.Mapper.build_table lib) ~excluded in
   let region =
     d.Design.cluster.Dfm_core.Cluster.gmax
     |> List.filter (fun g ->
@@ -527,8 +528,7 @@ let run_micro () =
       Test.make ~name:"table2/synthesize-region"
         (Staged.stage (fun () ->
              ignore
-               (Dfm_synth.Convert.remap_region ~goal:`Area nl ~gates:region
-                  ~library:restricted)));
+               (Dfm_synth.Convert.remap_region ~goal:`Area nl ~gates:region ~table:derived)));
       (* Fig. 2 kernel: a 64-pattern simulation block (the unit of the
          random-pattern classification behind every trajectory point). *)
       Test.make ~name:"fig2/simulate-64-patterns"

@@ -107,19 +107,6 @@ let barrel_shift ctx word ~sel =
 
 let full_table = lazy (Dfm_synth.Mapper.build_table lib)
 
-(* Shannon-build a truth table as an AIG expression. *)
-let rec tt_to_lit aig tt lits =
-  let arity = Tt.arity tt in
-  let rec first_dep k =
-    if k >= arity then None else if Tt.depends_on tt k then Some k else first_dep (k + 1)
-  in
-  match first_dep 0 with
-  | None -> if Tt.eval_index tt 0 then Dfm_synth.Aig.lit_true else Dfm_synth.Aig.lit_false
-  | Some k ->
-      let f0 = tt_to_lit aig (Tt.cofactor tt k false) lits in
-      let f1 = tt_to_lit aig (Tt.cofactor tt k true) lits in
-      Dfm_synth.Aig.mux aig ~sel:lits.(k) f0 f1
-
 (* Inline a mapped combinational netlist into the open builder, connecting
    its PIs to the given nets; returns the nets of its POs. *)
 let inline ctx (sub : N.t) input_nets =
@@ -149,11 +136,9 @@ let sbox ctx ins n_out =
   let outputs =
     List.init n_out (fun o ->
         let tt = Tt.of_bits ~arity:k (Rng.bits64 ctx.rng) in
-        (Printf.sprintf "y%d" o, tt_to_lit aig tt lits))
+        (Printf.sprintf "y%d" o, Dfm_synth.Convert.shannon_lit aig tt lits))
   in
-  let mapped =
-    Dfm_synth.Mapper.map (Lazy.force full_table) ~library:lib ~name:"sbox" aig ~outputs
-  in
+  let mapped = Dfm_synth.Mapper.map (Lazy.force full_table) ~name:"sbox" aig ~outputs in
   inline ctx mapped used
 
 (* ------------------------------------------------------------------ *)

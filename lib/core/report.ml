@@ -260,7 +260,7 @@ let ablation ~name nl =
     |> List.map (fun (c : Cell.t) -> c.Cell.name)
   in
   let restricted = Library.restrict lib ~excluded:removed in
-  let nl' = Dfm_synth.Convert.remap_full nl ~library:restricted in
+  let nl' = Dfm_synth.Convert.remap_full nl ~table:(Dfm_synth.Mapper.build_table restricted) in
   try
     let d1 = Design.implement ~floorplan:d0.Design.floorplan nl' in
     let m1 = Design.metrics d1 in

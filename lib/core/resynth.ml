@@ -7,6 +7,7 @@ module Udfm = Dfm_cellmodel.Udfm
 module IntSet = Set.Make (Int)
 module Span = Dfm_obs.Span
 module Progress = Dfm_obs.Progress
+module Mapper = Dfm_synth.Mapper
 
 type event = {
   ev_q : int;
@@ -84,6 +85,7 @@ type state = {
   certify : bool;
   ckpt : Checkpoint.t option;
   floorplan : Dfm_layout.Floorplan.t;
+  table : Mapper.table;  (* match table of the campaign's whole library *)
   orig_delay : float;
   orig_power : float;
   seed : int;
@@ -282,12 +284,12 @@ let grow_region nl region ~levels =
 let canonical nl =
   Dfm_netlist.Netlist_io.read ~library:nl.N.library (Dfm_netlist.Netlist_io.to_string nl)
 
-let remap_opt st nl ~region ~library =
+let remap_opt st nl ~region ~table =
   try
     Some
       (canonical
-         (Dfm_synth.Convert.remap_region ~goal:`Area ~sweep:st.sweep nl ~gates:region ~library))
-  with Dfm_synth.Mapper.Unmappable _ -> None
+         (Dfm_synth.Convert.remap_region ~goal:`Area ~sweep:st.sweep nl ~gates:region ~table))
+  with Mapper.Unmappable _ -> None
 
 (* One evaluated candidate: remap, cheap internal check, full implement.
    [threshold] is the internal-undetectable count to beat before physical
@@ -297,12 +299,12 @@ type candidate_outcome =
   | No_fit           (* floorplan (die area) violated *)
   | Implemented of int * Design.t  (* the candidate's internal count *)
 
-let evaluate st ~threshold ~region ~library =
+let evaluate st ~threshold ~region ~table =
   st.interrupt ();
-  match remap_opt st st.current.Design.netlist ~region ~library with
+  match Span.with_ "remap" (fun () -> remap_opt st st.current.Design.netlist ~region ~table) with
   | None -> None
   | Some nl ->
-      let u_in' = internal_u_of_netlist st nl in
+      let u_in' = Span.with_ "internal_check" (fun () -> internal_u_of_netlist st nl) in
       if u_in' >= threshold then Some Worse
       else begin
         match implement_opt st nl with
@@ -314,7 +316,7 @@ let evaluate st ~threshold ~region ~library =
 (* Backtracking procedure (Section III-C)                               *)
 (* ------------------------------------------------------------------ *)
 
-let backtrack st ~q ~phase ~p2 ~region ~library ~prefix_names ~cell_name =
+let backtrack st ~q ~phase ~p2 ~region ~table ~prefix_names ~cell_name =
   let nl = st.current.Design.netlist in
   let g_i =
     List.filter (fun g -> List.mem (N.gate nl g).N.cell.Cell.name prefix_names) region
@@ -333,7 +335,7 @@ let backtrack st ~q ~phase ~p2 ~region ~library ~prefix_names ~cell_name =
       if region' = [] then None
       else
         Option.map (fun o -> (o, region'))
-          (evaluate st ~threshold:(u_internal st.current) ~region:region' ~library)
+          (evaluate st ~threshold:(u_internal st.current) ~region:region' ~table)
     in
     (try
        while !frozen < n && !result = None do
@@ -381,8 +383,7 @@ let backtrack st ~q ~phase ~p2 ~region ~library ~prefix_names ~cell_name =
 
 let try_cells st ~q ~phase ~p2 ~region =
   let nl = st.current.Design.netlist in
-  let lib = nl.N.library in
-  let ordered = cells_by_internal_faults lib in
+  let ordered = cells_by_internal_faults (Mapper.library st.table) in
   (* Only candidates that set a new best internal-undetectable count get the
      expensive physical design + full ATPG; later prefixes that are merely
      "not worse" are skipped.  This mirrors the paper's rule of calling
@@ -397,48 +398,50 @@ let try_cells st ~q ~phase ~p2 ~region =
   let result = ref None in
   let rising = ref 0 in
   let prefix = ref [] in
+  (* The allowed cells' match table, derived from the previous prefix's
+     table one excluded cell at a time. *)
+  let allowed = ref st.table in
   (try
      List.iter
        (fun (cell : Cell.t) ->
          prefix := cell.Cell.name :: !prefix;
+         allowed := Mapper.restrict !allowed ~excluded:[ cell.Cell.name ];
          (* Eligibility (1)+(2): a gate of this type, with undetectable
             internal faults, is in C_sub − G_zero (the region contains only
             such gates). *)
          if List.mem cell.Cell.name used_in_region then begin
            Span.with_ "candidate" ~attrs:[ ("cell", cell.Cell.name) ] @@ fun () ->
-           let allowed = Library.restrict lib ~excluded:!prefix in
-           match evaluate st ~threshold:!best_u_in ~region ~library:allowed with
-           | None -> ()  (* eligibility (3) fails: cells not sufficient *)
-           | Some Worse -> ()
-           | Some No_fit -> (
-               match
-                 backtrack st ~q ~phase ~p2 ~region ~library:allowed
-                   ~prefix_names:!prefix ~cell_name:cell.Cell.name
-               with
-               | Some d ->
-                   result := Some d;
-                   raise Exit
-               | None -> ())
+           let table = !allowed in
+           let outcome o = Span.note "outcome" o in
+           let backtrack_or ~failed =
+             match
+               backtrack st ~q ~phase ~p2 ~region ~table ~prefix_names:!prefix
+                 ~cell_name:cell.Cell.name
+             with
+             | Some d ->
+                 outcome "backtrack-accept";
+                 result := Some d;
+                 raise Exit
+             | None -> outcome failed
+           in
+           match evaluate st ~threshold:!best_u_in ~region ~table with
+           | None -> outcome "unmappable"  (* eligibility (3) fails: cells not sufficient *)
+           | Some Worse -> outcome "worse"
+           | Some No_fit -> backtrack_or ~failed:"no_fit"
            | Some (Implemented (u_in', d)) ->
                best_u_in := min !best_u_in u_in';
                let ok_a = accepts ~phase ~p2 st d in
                let ok_c = constraints_ok st ~q d in
                if ok_a && ok_c then begin
+                 outcome "accept";
                  record st ~q ~phase ~cell:(Some cell.Cell.name) ~action:"accept" d;
                  result := Some d;
                  raise Exit
                end
-               else if ok_a (* acceptance met, constraints violated *) then begin
-                 match
-                   backtrack st ~q ~phase ~p2 ~region ~library:allowed
-                     ~prefix_names:!prefix ~cell_name:cell.Cell.name
-                 with
-                 | Some d' ->
-                     result := Some d';
-                     raise Exit
-                 | None -> ()
-               end
+               else if ok_a (* acceptance met, constraints violated *) then
+                 backtrack_or ~failed:"over_budget"
                else begin
+                 outcome "reject";
                  record st ~q ~phase ~cell:(Some cell.Cell.name) ~action:"reject" d;
                  (* Section III-B early exit: as ever more cells are
                     excluded the undetectable count eventually trends up;
@@ -619,6 +622,7 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
       certify;
       ckpt;
       floorplan = initial.Design.floorplan;
+      table = Mapper.build_table initial.Design.netlist.N.library;
       orig_delay = initial.Design.timing.Dfm_timing.Sta.critical_path_delay;
       orig_power = initial.Design.power.Dfm_timing.Power.total;
       seed;

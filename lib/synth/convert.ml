@@ -86,28 +86,31 @@ let sop_lit aig tt (lits : Aig.lit array) =
   in
   Aig.or_list aig (List.map cube_lit (sop_cover tt))
 
-(* Pick the most compact construction: Shannon, SOP, or complemented SOP.
-   Each variant is sized in a throwaway AIG first so losers leave no
-   residue in the real graph. *)
-let tt_to_lit aig tt (lits : Aig.lit array) =
-  let size_of build =
+type cover = Shannon | Sop | Sop_complement
+
+let build_cover cover aig tt (lits : Aig.lit array) =
+  match cover with
+  | Shannon -> shannon_lit aig tt lits
+  | Sop -> sop_lit aig tt lits
+  | Sop_complement -> Aig.not_ (sop_lit aig (Tt.lnot tt) lits)
+
+(* The most compact construction of [tt]: Shannon, SOP, or complemented
+   SOP, ties going to the earlier one.  Each variant is sized in a
+   throwaway AIG so losers leave no residue in the real graph; the size
+   depends on [tt] alone. *)
+let best_cover tt =
+  let size_of cover =
     let probe = Aig.create () in
-    let probe_lits = Array.mapi (fun i _ -> Aig.input probe (string_of_int i)) lits in
-    ignore (build probe tt probe_lits);
+    let lits = Array.init (Tt.arity tt) (fun i -> Aig.input probe (string_of_int i)) in
+    ignore (build_cover cover probe tt lits);
     Aig.num_nodes probe
   in
-  let variants =
-    [
-      (size_of shannon_lit, fun () -> shannon_lit aig tt lits);
-      (size_of sop_lit, fun () -> sop_lit aig tt lits);
-      ( size_of (fun a t l -> Aig.not_ (sop_lit a (Tt.lnot t) l)),
-        fun () -> Aig.not_ (sop_lit aig (Tt.lnot tt) lits) );
-    ]
-  in
-  let _, best = List.fold_left (fun (bs, bf) (s, f) -> if s < bs then (s, f) else (bs, bf))
-      (max_int, fun () -> Aig.lit_false) variants
-  in
-  best ()
+  fst
+    (List.fold_left
+       (fun (best, bs) cover ->
+         let s = size_of cover in
+         if s < bs then (cover, s) else (best, bs))
+       (Shannon, max_int) [ Shannon; Sop; Sop_complement ])
 
 let to_aig nl =
   if N.seq_gates nl <> [] then invalid_arg "Convert.to_aig: sequential netlist";
@@ -120,26 +123,36 @@ let to_aig nl =
       | N.Const v -> lit_of_net.(nn.N.net_id) <- (if v then Aig.lit_true else Aig.lit_false)
       | N.Pi _ | N.Gate_out _ -> ())
     nl.N.nets;
+  (* One cover choice per cell, not per gate. *)
+  let covers = Hashtbl.create 32 in
   Array.iter
     (fun gid ->
       let g = N.gate nl gid in
+      let cell = g.N.cell in
+      let cover =
+        match Hashtbl.find_opt covers cell.Cell.name with
+        | Some c -> c
+        | None ->
+            let c = best_cover cell.Cell.func in
+            Hashtbl.add covers cell.Cell.name c;
+            c
+      in
       let lits = Array.map (fun fn -> lit_of_net.(fn)) g.N.fanins in
-      lit_of_net.(g.N.fanout) <- tt_to_lit aig g.N.cell.Cell.func lits)
+      lit_of_net.(g.N.fanout) <- build_cover cover aig cell.Cell.func lits)
     (N.topo_order nl);
   let outputs = Array.to_list (Array.map (fun (p, nid) -> (p, lit_of_net.(nid))) nl.N.pos) in
   (aig, outputs)
 
-let remap ?goal ?(sweep = true) ?table nl ~library =
-  let table = match table with Some t -> t | None -> Mapper.build_table library in
+let remap ?goal ?(sweep = true) nl ~table =
   let aig, outputs = to_aig nl in
   let aig, outputs = if sweep then Sweep.sweep aig ~outputs else (aig, outputs) in
-  Mapper.map ?goal table ~library ~name:nl.N.name aig ~outputs
+  Mapper.map ?goal table ~name:nl.N.name aig ~outputs
 
-let remap_region ?goal ?sweep ?table nl ~gates ~library =
+let remap_region ?goal ?sweep nl ~gates ~table =
   let sub, boundary = N.extract nl ~gates in
-  let mapped = remap ?goal ?sweep ?table sub ~library in
+  let mapped = remap ?goal ?sweep sub ~table in
   N.replace nl ~gates ~sub:mapped boundary
 
-let remap_full ?goal ?sweep ?table nl ~library =
+let remap_full ?goal ?sweep nl ~table =
   let gates = List.map (fun (g : N.gate) -> g.N.gate_id) (N.comb_gates nl) in
-  remap_region ?goal ?sweep ?table nl ~gates ~library
+  remap_region ?goal ?sweep nl ~gates ~table

@@ -22,6 +22,7 @@ let num_negated_leaves m =
   |> List.sort_uniq compare |> List.length
 
 type table = {
+  library : Library.t;                       (* the cells the matches draw on *)
   tbl : (int * int, match_ list) Hashtbl.t;  (* (n_leaves, tt bits) -> candidates *)
   inverter : match_ option;                  (* best cover of f(x) = not x *)
 }
@@ -53,7 +54,23 @@ let induced_tt (cell : Cell.t) assign s =
 
 let tt_key tt = (Tt.arity tt, Int64.to_int (Tt.bits tt))
 
-let build_table lib =
+(* Cheapest direct, phase-free cover of NOT, used to realize complemented
+   outputs and negated match inputs (it must itself need no inverters);
+   ties go to the first entry of the match list. *)
+let cheapest_inverter tbl =
+  let not_tt = Tt.lnot (Tt.var 1 0) in
+  match Hashtbl.find_opt tbl (tt_key not_tt) with
+  | None -> None
+  | Some ms -> (
+      match List.filter (fun m -> (not m.m_inverted) && num_negated_leaves m = 0) ms with
+      | [] -> None
+      | direct ->
+          Some
+            (List.fold_left
+               (fun best m -> if m.m_cell.Cell.area < best.m_cell.Cell.area then m else best)
+               (List.hd direct) direct))
+
+let build_table library =
   let tbl = Hashtbl.create 1024 in
   let add key m =
     let old = try Hashtbl.find tbl key with Not_found -> [] in
@@ -75,28 +92,25 @@ let build_table lib =
               end)
             (assignments a s)
         done)
-    (Library.combinational lib);
-  (* Cheapest direct, phase-free cover of NOT, used to realize complemented
-     outputs and negated match inputs (it must itself need no inverters). *)
-  let not_tt = Tt.lnot (Tt.var 1 0) in
-  let inverter =
-    match Hashtbl.find_opt tbl (tt_key not_tt) with
-    | None -> None
-    | Some ms -> (
-        match
-          List.filter
-            (fun m -> (not m.m_inverted) && num_negated_leaves m = 0)
-            ms
-        with
-        | [] -> None
-        | direct ->
-            Some
-              (List.fold_left
-                 (fun best m ->
-                   if m.m_cell.Cell.area < best.m_cell.Cell.area then m else best)
-                 (List.hd direct) direct))
-  in
-  { tbl; inverter }
+    (Library.combinational library);
+  { library; tbl; inverter = cheapest_inverter tbl }
+
+let library t = t.library
+
+(* A match list of the restricted library is the full list without the
+   excluded cells' entries, in the same order: [build_table] adds every
+   cell's matches in library order, and [Library.restrict] keeps that
+   order.  Untouched lists are shared with [t]; the inverter is chosen
+   again from the filtered NOT list, exactly as [build_table] would. *)
+let restrict t ~excluded =
+  let kept m = not (List.mem m.m_cell.Cell.name excluded) in
+  let tbl = Hashtbl.copy t.tbl in
+  Hashtbl.filter_map_inplace
+    (fun _ ms ->
+      if List.for_all kept ms then Some ms
+      else match List.filter kept ms with [] -> None | ms -> Some ms)
+    tbl;
+  { library = Library.restrict t.library ~excluded; tbl; inverter = cheapest_inverter tbl }
 
 let can_express_basics t =
   let have tt = Hashtbl.mem t.tbl (tt_key tt) in
@@ -210,7 +224,7 @@ let match_cost table m =
           cell_delay m.m_cell +. cell_delay inv.m_cell )
     | None -> (infinity, infinity)
 
-let map ?(goal = `Delay) table ~library ~name aig ~outputs =
+let map ?(goal = `Delay) table ~name aig ~outputs =
   let n = Aig.num_nodes aig in
   let cuts : cut list array = Array.make n [] in
   let arrival = Array.make n 0.0 in
@@ -289,7 +303,7 @@ let map ?(goal = `Delay) table ~library ~name aig ~outputs =
                  (Printf.sprintf "node %d of %s has no cover in the allowed cells" v name)))
   done;
   (* Extract the cover needed by the outputs. *)
-  let b = N.Builder.create ~name library in
+  let b = N.Builder.create ~name table.library in
   let net_of_node = Array.make n (-1) in
   List.iter
     (fun (input_name, l) ->

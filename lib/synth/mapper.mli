@@ -16,9 +16,21 @@
 exception Unmappable of string
 
 type table
-(** Precomputed cut-function → cell match table for one library subset. *)
+(** Precomputed cut-function → cell match table for one library subset,
+    together with that subset. *)
 
 val build_table : Dfm_netlist.Library.t -> table
+
+val library : table -> Dfm_netlist.Library.t
+(** The cells the table's matches draw on; mapped netlists carry it. *)
+
+val restrict : table -> excluded:string list -> table
+(** [restrict t ~excluded] maps exactly like
+    [build_table (Library.restrict (library t) ~excluded)]: same match
+    lists in the same order, same inverter.  It is derived by dropping the
+    excluded cells' matches, which costs a table copy instead of a full
+    re-enumeration — the resynthesis loop derives each restricted table
+    from the previous one, one excluded cell at a time. *)
 
 val can_express_basics : table -> bool
 (** Whether inversion and 2-input AND (in every polarity) are coverable —
@@ -27,15 +39,15 @@ val can_express_basics : table -> bool
 val map :
   ?goal:[ `Delay | `Area ] ->
   table ->
-  library:Dfm_netlist.Library.t ->
   name:string ->
   Aig.t ->
   outputs:(string * Aig.lit) list ->
   Dfm_netlist.Netlist.t
-(** Map the AIG; the result has one PI per AIG input (same names) and one PO
-    per entry of [outputs].  [goal] selects the covering objective: [`Delay]
-    (default) minimizes arrival first, [`Area] minimizes area flow first —
-    the latter is what the resynthesis loop uses, since its delay/power
-    budget is a constraint checked downstream rather than an objective.
+(** Map the AIG onto [library table]; the result has one PI per AIG input
+    (same names) and one PO per entry of [outputs].  [goal] selects the
+    covering objective: [`Delay] (default) minimizes arrival first,
+    [`Area] minimizes area flow first — the latter is what the
+    resynthesis loop uses, since its delay/power budget is a constraint
+    checked downstream rather than an objective.
     @raise Unmappable when some node cannot be covered with the allowed
     cells. *)

@@ -17,6 +17,7 @@ module Cache = Dfm_incr.Cache
 module Failpoint = Dfm_util.Failpoint
 
 let lib = Dfm_cellmodel.Osu018.library
+let table = lazy (Dfm_synth.Mapper.build_table lib)
 let origin = { F.category = Dfm_cellmodel.Defect.Via; guideline_index = 0 }
 
 (* ------------------------------------------------------------------ *)
@@ -327,7 +328,7 @@ let all_stuck nl =
 let test_resweep_matches_full_sweep () =
   let nl = chains_netlist () in
   let region = [ gate_of_cell nl "NOR2X1"; gate_of_cell nl "XOR2X1" ] in
-  let nl2 = Dfm_synth.Convert.remap_region nl ~gates:region ~library:lib in
+  let nl2 = Dfm_synth.Convert.remap_region nl ~gates:region ~table:(Lazy.force table) in
   let sw0 = Signature.sweep nl in
   let incr_sw, st = Invalidate.resweep ~previous:sw0 nl2 in
   let full_sw = Signature.sweep nl2 in
@@ -431,7 +432,7 @@ let test_classify_cache_across_replace () =
   let _warmup = Atpg.classify ~cache nl (all_faults nl) in
   let hits_before = (Cache.stats cache).Store.hits in
   let region = [ gate_of_cell nl "NOR2X1"; gate_of_cell nl "XOR2X1" ] in
-  let nl2 = Dfm_synth.Convert.remap_region nl ~gates:region ~library:lib in
+  let nl2 = Dfm_synth.Convert.remap_region nl ~gates:region ~table:(Lazy.force table) in
   let faults2 = all_faults nl2 in
   let plain2 = Atpg.classify nl2 faults2 in
   let warm2 = Atpg.classify ~cache nl2 faults2 in

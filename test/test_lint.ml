@@ -22,6 +22,7 @@ module Atpg = Dfm_atpg.Atpg
 module Rng = Dfm_util.Rng
 
 let lib = Dfm_cellmodel.Osu018.library
+let table = lazy (Dfm_synth.Mapper.build_table lib)
 let origin = { F.category = Dfm_cellmodel.Defect.Via; guideline_index = 0 }
 
 let rule_ids r = List.map (fun f -> f.Lint.rule) r.Lint.findings |> List.sort_uniq compare
@@ -382,7 +383,7 @@ let prop_filter_after_replacement =
       let nl' =
         try
           Dfm_synth.Convert.remap_region ~goal:`Area ~sweep:true nl ~gates:region
-            ~library:lib
+            ~table:(Lazy.force table)
         with Dfm_synth.Mapper.Unmappable _ -> nl
       in
       let faults = fault_list rng nl' in

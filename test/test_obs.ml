@@ -271,6 +271,41 @@ let check_same_result label (a : Resynth.result) (b : Resynth.result) =
   ok "decisions" (a.Resynth.decisions = b.Resynth.decisions);
   ok "propagations" (a.Resynth.propagations = b.Resynth.propagations)
 
+(* Why each candidate was accepted or rejected, read from the spans alone:
+   every candidate span carries one outcome, the accepting outcomes add up
+   to the campaign's accepted steps, and the remap and internal-check spans
+   of [Resynth.evaluate] nest inside a candidate span. *)
+let candidate_outcomes =
+  [ "accept"; "backtrack-accept"; "reject"; "worse"; "no_fit"; "over_budget"; "unmappable" ]
+
+let check_candidate_spans label (r : Resynth.result) spans =
+  let named n = List.filter (fun (e : Span.event) -> e.Span.name = n) spans in
+  let candidates = named "candidate" in
+  let outcomes =
+    List.map
+      (fun (c : Span.event) ->
+        match List.assoc_opt "outcome" c.Span.attrs with
+        | Some o when List.mem o candidate_outcomes -> o
+        | Some o -> Alcotest.failf "%s: unknown candidate outcome %S" label o
+        | None -> Alcotest.failf "%s: candidate span without an outcome" label)
+      candidates
+  in
+  let accepting =
+    List.length (List.filter (fun o -> o = "accept" || o = "backtrack-accept") outcomes)
+  in
+  if accepting <> r.Resynth.accepted then
+    Alcotest.failf "%s: %d accepting outcomes for %d accepted steps" label accepting
+      r.Resynth.accepted;
+  let inside (e : Span.event) (c : Span.event) =
+    c.Span.tid = e.Span.tid && c.Span.begin_seq < e.Span.begin_seq
+    && e.Span.end_seq < c.Span.end_seq
+  in
+  List.iter
+    (fun (e : Span.event) ->
+      if not (List.exists (inside e) candidates) then
+        Alcotest.failf "%s: %s span outside every candidate span" label e.Span.name)
+    (named "remap" @ named "internal_check")
+
 let prop_transparency =
   QCheck.Test.make ~name:"campaign bit-identical with observability on/off (jobs 1 and 4)"
     ~count:2
@@ -306,6 +341,7 @@ let prop_transparency =
           Recorder.set_enabled false;
           let spans = Span.drain () in
           check_same_result (Printf.sprintf "jobs=%d" jobs) off on;
+          check_candidate_spans (Printf.sprintf "jobs=%d" jobs) on spans;
           (* the instrumented run must actually have observed something,
              otherwise this property is vacuous.  (Log records only appear
              on accepted steps, so [sunk] may legitimately stay 0 on a

@@ -23,6 +23,7 @@ module Solver = Dfm_sat.Solver
 module Tseitin = Dfm_sat.Tseitin
 
 let lib = Dfm_cellmodel.Osu018.library
+let table = lazy (Dfm_synth.Mapper.build_table lib)
 let origin = { F.category = Dfm_cellmodel.Defect.Via; guideline_index = 0 }
 
 let random_netlist seed npis ngates =
@@ -406,7 +407,7 @@ let prop_cache_never_changes_verdicts =
             let gates =
               List.sort_uniq compare (List.init (1 + Rng.int rng 2) (fun _ -> Rng.int rng n))
             in
-            match Dfm_synth.Convert.remap_region nl ~gates ~library:lib with
+            match Dfm_synth.Convert.remap_region nl ~gates ~table:(Lazy.force table) with
             | nl' -> grow (nl' :: acc) nl' (k - 1)
             | exception Dfm_synth.Mapper.Unmappable _ -> grow acc nl (k - 1)
         in
@@ -492,7 +493,7 @@ let prop_resweep_equals_full_sweep =
         List.sort_uniq compare
           (List.init (1 + Rng.int rng 2) (fun _ -> Rng.int rng (Array.length nl.N.gates)))
       in
-      match Dfm_synth.Convert.remap_region nl ~gates ~library:lib with
+      match Dfm_synth.Convert.remap_region nl ~gates ~table:(Lazy.force table) with
       | exception Dfm_synth.Mapper.Unmappable _ -> true
       | nl2 ->
           let module Sg = Dfm_incr.Signature in

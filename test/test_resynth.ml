@@ -77,6 +77,40 @@ let test_trace_q_monotone () =
   in
   Alcotest.(check bool) "q nondecreasing in trace" true (sorted qs)
 
+(* The campaign's output, pinned: values recorded from this sparc_spu@0.4
+   campaign (the byte-diff rules elsewhere compare two runs of one build;
+   this compares against a recorded run).  A change to mapping, candidate
+   order or search that alters any step shows up here. *)
+let test_pinned_campaign () =
+  let _, _, r = Lazy.force result in
+  Alcotest.(check string) "final netlist hash" "839b01d4abe17514"
+    (Printf.sprintf "%Lx"
+       (Dfm_util.Hash64.of_string
+          (Dfm_netlist.Netlist_io.to_string r.Resynth.final.Design.netlist)));
+  Alcotest.(check (list int))
+    "accepted, implement calls, SAT queries, conflicts, decisions, propagations"
+    [ 3; 12; 1_223; 11_253; 49_824; 221_093 ]
+    [
+      r.Resynth.accepted;
+      r.Resynth.implement_calls;
+      r.Resynth.sat_queries;
+      r.Resynth.conflicts;
+      r.Resynth.decisions;
+      r.Resynth.propagations;
+    ];
+  Alcotest.(check (list string)) "trace"
+    [
+      "q=0 phase 2 XOR2X1 backtrack-accept U=40";
+      "q=0 phase 2 XOR2X1 backtrack-accept U=33";
+      "q=0 phase 2 XOR2X1 backtrack-accept U=14";
+    ]
+    (List.map
+       (fun (e : Resynth.event) ->
+         Printf.sprintf "q=%d phase %d %s %s U=%d" e.Resynth.ev_q e.Resynth.ev_phase
+           (Option.value ~default:"-" e.Resynth.ev_cell)
+           e.Resynth.ev_action e.Resynth.ev_u)
+       r.Resynth.trace)
+
 let test_equiv_sat_detects_differences () =
   (* sanity: the checker is not a rubber stamp *)
   let lib = Dfm_cellmodel.Osu018.library in
@@ -184,6 +218,7 @@ let suite =
     Alcotest.test_case "function preserved" `Slow test_function_preserved;
     Alcotest.test_case "trace monotone on accepts" `Slow test_trace_monotone_on_accepts;
     Alcotest.test_case "trace q monotone" `Slow test_trace_q_monotone;
+    Alcotest.test_case "pinned campaign: sparc_spu@0.4" `Slow test_pinned_campaign;
     Alcotest.test_case "equiv_sat detects differences" `Quick test_equiv_sat_detects_differences;
     Alcotest.test_case "design metrics consistent" `Slow test_design_metrics_consistent;
     Alcotest.test_case "dppm model" `Slow test_dppm_model;

@@ -42,6 +42,7 @@ module Resynth = Dfm_core.Resynth
 module Netlist_io = Dfm_netlist.Netlist_io
 
 let lib = Dfm_cellmodel.Osu018.library
+let table = lazy (Dfm_synth.Mapper.build_table lib)
 let origin = { F.category = Dfm_cellmodel.Defect.Via; guideline_index = 0 }
 
 (* ------------------------------------------------------------------ *)
@@ -407,7 +408,9 @@ let prop_modes_agree_after_replace =
         List.filteri (fun i _ -> i < 1 + Rng.int rng 3) (List.map (fun g -> g.N.gate_id) comb)
       in
       let nl' =
-        try Dfm_synth.Convert.remap_region ~goal:`Area ~sweep:true nl ~gates:region ~library:lib
+        try
+          Dfm_synth.Convert.remap_region ~goal:`Area ~sweep:true nl ~gates:region
+            ~table:(Lazy.force table)
         with Dfm_synth.Mapper.Unmappable _ -> nl
       in
       let faults = all_faults nl' in
@@ -707,13 +710,6 @@ let implement_effort nl =
   let c1, d1, p1 = Solver.totals () in
   ((c1 - c0, d1 - d0, p1 - p0), d.Design.classification.Atpg.counts.Atpg.sat_queries)
 
-let example_netlist file =
-  let path =
-    List.find Sys.file_exists
-      [ Filename.concat "../examples/netlists" file; Filename.concat "examples/netlists" file ]
-  in
-  Netlist_io.read_file ~library:lib path
-
 let check_effort name ~queries (c, d, p) nl =
   let (c', d', p'), q' = implement_effort nl in
   Alcotest.(check int) (name ^ ": conflicts") c c';
@@ -727,9 +723,9 @@ let test_pinned_effort_aes () =
 
 let test_pinned_effort_examples () =
   check_effort "sparc_ffu_s025" ~queries:46 (400, 2_293, 6_893)
-    (example_netlist "sparc_ffu_s025.nl");
+    (Examples.netlist "sparc_ffu_s025.nl");
   check_effort "sparc_spu_s025" ~queries:119 (472, 2_797, 9_868)
-    (example_netlist "sparc_spu_s025.nl")
+    (Examples.netlist "sparc_spu_s025.nl")
 
 let suite =
   [

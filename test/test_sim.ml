@@ -217,13 +217,6 @@ let test_dff_internal_fault_detection () =
 (* Pinned kernel digest                                                *)
 (* ------------------------------------------------------------------ *)
 
-let example_netlist file =
-  let path =
-    List.find Sys.file_exists
-      [ Filename.concat "../examples/netlists" file; Filename.concat "examples/netlists" file ]
-  in
-  Dfm_netlist.Netlist_io.read_file ~library:lib path
-
 (* Every fault kind the simulator handles: stuck-at and transition on every
    net, stuck-at on every gate pin (flip-flop pins included), every UDFM
    entry of every gate, and a few bridges between arbitrary nets. *)
@@ -284,7 +277,7 @@ let kernel_digest nl =
 let test_kernel_digest () =
   List.iter
     (fun (file, faults, digest) ->
-      let n, d = kernel_digest (example_netlist file) in
+      let n, d = kernel_digest (Examples.netlist file) in
       Alcotest.(check int) (file ^ ": faults") faults n;
       Alcotest.(check string) (file ^ ": digest") digest d)
     [ ("sparc_ffu_s025.nl", 4060, "7c69fb79cec99ffa"); ("sparc_spu_s025.nl", 4676, "c17cec49a70872af") ]

@@ -11,6 +11,7 @@ module Library = Dfm_netlist.Library
 module Rng = Dfm_util.Rng
 
 let lib = Dfm_cellmodel.Osu018.library
+let table = lazy (Mapper.build_table lib)
 
 let test_aig_simplifications () =
   let aig = Aig.create () in
@@ -63,7 +64,7 @@ let prop_remap_equivalent_full_lib =
     QCheck.(pair (int_range 1 100000) (int_range 3 14))
     (fun (seed, ngates) ->
       let nl = random_netlist seed (2 + (seed mod 4)) ngates in
-      let m = Convert.remap nl ~library:lib in
+      let m = Convert.remap nl ~table:(Lazy.force table) in
       Equiv.check nl m = Equiv.Equivalent)
 
 let prop_remap_equivalent_restricted =
@@ -73,7 +74,7 @@ let prop_remap_equivalent_restricted =
     (fun (seed, ngates) ->
       let nl = random_netlist seed 4 ngates in
       let restricted = Library.restrict lib ~excluded:restricted_names in
-      let m = Convert.remap nl ~library:restricted in
+      let m = Convert.remap nl ~table:(Mapper.build_table restricted) in
       Equiv.check nl m = Equiv.Equivalent
       && Array.for_all
            (fun (g : N.gate) -> not (List.mem g.N.cell.Cell.name restricted_names))
@@ -84,7 +85,7 @@ let prop_remap_area_goal_equivalent =
     QCheck.(int_range 1 100000)
     (fun seed ->
       let nl = random_netlist seed 4 10 in
-      let m = Convert.remap ~goal:`Area nl ~library:lib in
+      let m = Convert.remap ~goal:`Area nl ~table:(Lazy.force table) in
       Equiv.check nl m = Equiv.Equivalent)
 
 let test_unmappable_without_inverter () =
@@ -98,18 +99,66 @@ let test_unmappable_without_inverter () =
   B.mark_po b "o" y;
   let nl = B.finish b in
   try
-    ignore (Convert.remap nl ~library:non_inverting);
+    ignore (Convert.remap nl ~table:(Mapper.build_table non_inverting));
     Alcotest.fail "expected Unmappable"
   with Mapper.Unmappable _ -> ()
 
 let test_can_express_basics () =
-  Alcotest.(check bool) "full lib" true (Mapper.can_express_basics (Mapper.build_table lib));
+  Alcotest.(check bool) "full lib" true (Mapper.can_express_basics (Lazy.force table));
   let only_nand = Library.filter lib (fun c -> c.Cell.name = "NAND2X1") in
   Alcotest.(check bool) "nand2 alone" true
     (Mapper.can_express_basics (Mapper.build_table only_nand));
   let only_buf = Library.filter lib (fun c -> c.Cell.name = "BUFX2") in
   Alcotest.(check bool) "buffer alone" false
     (Mapper.can_express_basics (Mapper.build_table only_buf))
+
+(* A table derived by [Mapper.restrict] maps exactly like one built from
+   the restricted library.  Walk every prefix of the resynthesis exclusion
+   order, deriving one excluded cell at a time as a campaign does, and remap
+   regions of both committed example blocks with the derived and the built
+   table: the netlists must match byte for byte, or both be unmappable.
+   The one-input gates form a region of their own: it stays mappable while
+   any inverter is left, so it shows which inverter each table picks. *)
+let test_derived_table_matches_built () =
+  let regions =
+    List.concat_map
+      (fun file ->
+        let nl = Examples.netlist file in
+        let comb = N.comb_gates nl in
+        let ids = List.map (fun (g : N.gate) -> g.N.gate_id) in
+        let n = List.length comb in
+        [
+          (file, nl, ids (List.filteri (fun i _ -> i < 40) comb));
+          (file, nl, ids (List.filteri (fun i _ -> i >= n - 40) comb));
+          (file, nl, ids (List.filter (fun (g : N.gate) -> Cell.arity g.N.cell = 1) comb));
+        ])
+      [ "sparc_ffu_s025.nl"; "sparc_spu_s025.nl" ]
+  in
+  let remap table (_, nl, gates) =
+    match Convert.remap_region ~goal:`Area nl ~gates ~table with
+    | m -> Dfm_netlist.Netlist_io.to_string m
+    | exception Mapper.Unmappable _ -> "unmappable"
+  in
+  ignore
+    (List.fold_left
+       (fun (derived, prefix) (cell : Cell.t) ->
+         let prefix = cell.Cell.name :: prefix in
+         let derived = Mapper.restrict derived ~excluded:[ cell.Cell.name ] in
+         let built = Mapper.build_table (Library.restrict lib ~excluded:prefix) in
+         let label =
+           Printf.sprintf "%d cells excluded (last %s)" (List.length prefix) cell.Cell.name
+         in
+         Alcotest.(check bool)
+           (label ^ ": can_express_basics")
+           (Mapper.can_express_basics built) (Mapper.can_express_basics derived);
+         List.iter
+           (fun ((file, _, _) as r) ->
+             if remap built r <> remap derived r then
+               Alcotest.failf "%s: %s maps differently with the derived table" label file)
+           regions;
+         (derived, prefix))
+       (Lazy.force table, [])
+       (Dfm_core.Resynth.cells_by_internal_faults lib))
 
 (* Sweeping removes provably constant logic. *)
 let test_sweep_finds_constants () =
@@ -173,7 +222,7 @@ let prop_sweep_preserves_function =
 let test_remap_region_keeps_rest () =
   let nl = random_netlist 5 4 10 in
   let region = [ (List.hd (N.comb_gates nl)).N.gate_id ] in
-  let m = Convert.remap_region nl ~gates:region ~library:lib in
+  let m = Convert.remap_region nl ~gates:region ~table:(Lazy.force table) in
   (match Equiv.check nl m with
   | Equiv.Equivalent -> ()
   | _ -> Alcotest.fail "not equivalent");
@@ -190,7 +239,9 @@ let test_remap_full_preserves_flops () =
   B.add_gate_driving b ~cell:"DFFPOSX1" [| d |] q;
   B.mark_po b "o" q;
   let nl = B.finish b in
-  let m = Convert.remap_full nl ~library:(Library.restrict lib ~excluded:[ "XOR2X1" ]) in
+  let m =
+    Convert.remap_full nl ~table:(Mapper.restrict (Lazy.force table) ~excluded:[ "XOR2X1" ])
+  in
   Alcotest.(check int) "flop preserved" 1 (List.length (N.seq_gates m));
   match Equiv.check nl m with
   | Equiv.Equivalent -> ()
@@ -205,6 +256,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_remap_area_goal_equivalent;
     Alcotest.test_case "unmappable without inverter" `Quick test_unmappable_without_inverter;
     Alcotest.test_case "can_express_basics" `Quick test_can_express_basics;
+    Alcotest.test_case "derived table maps like a built one" `Quick
+      test_derived_table_matches_built;
     Alcotest.test_case "sweep finds constants" `Quick test_sweep_finds_constants;
     Alcotest.test_case "sweep merges equivalents" `Quick test_sweep_merges_equivalent_nodes;
     QCheck_alcotest.to_alcotest prop_sweep_preserves_function;
