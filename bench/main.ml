@@ -8,13 +8,12 @@
      fig2     — Fig. 2, the per-step cluster-breaking trajectory
      ablation — Section IV restricted-library experiment
      choices  — ablations of this reproduction's own design choices
-     sat      — oneshot vs incremental SAT core on the same fault set
      certify  — certificate-checking overhead (proof bytes, check p50/p99)
      kernel   — ns and minor words per fault-simulation detect_word call
      micro    — Bechamel timings of the per-experiment kernels
 
    REPRO_SCALE scales the generated blocks (default 1.0);
-   REPRO_CIRCUITS restricts table2, fig2, sat and certify to a
+   REPRO_CIRCUITS restricts table2, fig2 and certify to a
    comma-separated subset.  The repository's timing benchmark is
    perfbench/ (see perfbench/README.md). *)
 
@@ -26,8 +25,7 @@ module Circuits = Dfm_circuits.Circuits
 let sections =
   match Sys.getenv_opt "REPRO_SECTIONS" with
   | None ->
-      [ "table1"; "table2"; "fig2"; "ablation"; "choices"; "sat"; "certify"; "kernel";
-        "micro" ]
+      [ "table1"; "table2"; "fig2"; "ablation"; "choices"; "certify"; "kernel"; "micro" ]
   | Some s -> String.split_on_char ',' s |> List.map String.trim
 
 let wants s = List.mem s sections
@@ -299,81 +297,6 @@ let run_choices () =
 "
 
 (* ------------------------------------------------------------------ *)
-(* Oneshot vs incremental SAT core                                      *)
-(* ------------------------------------------------------------------ *)
-
-type sat_mode_row = {
-  sm_name : string;
-  sm_queries : int;
-  sm_t_one : float;  (* classify wall seconds, oneshot *)
-  sm_t_inc : float;  (* classify wall seconds, incremental *)
-  sm_k_one : int;    (* solver conflicts, oneshot *)
-  sm_k_inc : int;    (* solver conflicts, incremental *)
-  sm_d_one : int;    (* solver decisions, oneshot *)
-  sm_d_inc : int;    (* solver decisions, incremental *)
-  sm_p_one : int;    (* propagations, oneshot *)
-  sm_p_inc : int;    (* propagations, incremental *)
-  sm_identical : bool;
-}
-
-(* Classify the full fault list once per mode at jobs=1 and delta the
-   process-wide solver totals around each run.  The random-simulation
-   prefilter inside [classify] is mode-independent, so the wall-clock
-   difference between the two rows is pure SAT work. *)
-let sat_mode_row name =
-  let d = design_of name in
-  let nl = d.Design.netlist in
-  let faults = d.Design.fault_list.Dfm_guidelines.Translate.faults in
-  let measure mode =
-    let c0, d0, p0 = Dfm_sat.Solver.totals () in
-    let t0 = Dfm_atpg.Atpg.sat_seconds () in
-    let cls = Dfm_atpg.Atpg.classify ~jobs:1 ~sat_mode:mode nl faults in
-    let t = Dfm_atpg.Atpg.sat_seconds () -. t0 in
-    let c1, d1, p1 = Dfm_sat.Solver.totals () in
-    (cls, t, c1 - c0, d1 - d0, p1 - p0)
-  in
-  let one, t_one, k_one, d_one, p_one = measure Dfm_atpg.Atpg.Oneshot in
-  let inc, t_inc, k_inc, d_inc, p_inc = measure Dfm_atpg.Atpg.Incremental in
-  {
-    sm_name = name;
-    sm_queries = one.Dfm_atpg.Atpg.counts.Dfm_atpg.Atpg.sat_queries;
-    sm_t_one = t_one;
-    sm_t_inc = t_inc;
-    sm_k_one = k_one;
-    sm_k_inc = k_inc;
-    sm_d_one = d_one;
-    sm_d_inc = d_inc;
-    sm_p_one = p_one;
-    sm_p_inc = p_inc;
-    sm_identical = one.Dfm_atpg.Atpg.status = inc.Dfm_atpg.Atpg.status;
-  }
-
-(* The redundancy-heavy pair the acceptance targets; fall back to the
-   subset's head so REPRO_CIRCUITS keeps working. *)
-let sat_mode_picks () =
-  match List.filter (fun n -> List.mem n circuits_subset) [ "wb_conmax"; "tv80" ] with
-  | _ :: _ as l -> l
-  | [] -> [ List.hd circuits_subset ]
-
-let run_sat () =
-  header "SAT core: oneshot vs incremental on the same fault set (jobs=1)";
-  List.iter
-    (fun name ->
-      let r = sat_mode_row name in
-      let per t = 1e3 *. t /. float_of_int (max 1 r.sm_queries) in
-      Printf.printf
-        "  %-11s %5d queries   conflicts %7d -> %6d (%5.1fx)   per-fault SAT time %7.3f -> %7.3f ms (%4.1fx)   bit-identical %b\n"
-        name r.sm_queries r.sm_k_one r.sm_k_inc
-        (float_of_int r.sm_k_one /. Float.max 1.0 (float_of_int r.sm_k_inc))
-        (per r.sm_t_one) (per r.sm_t_inc)
-        (r.sm_t_one /. Float.max 1e-9 r.sm_t_inc)
-        r.sm_identical;
-      Printf.printf
-        "  %-11s %19s decisions %7d -> %7d          propagations %9d -> %9d\n" ""
-        "" r.sm_d_one r.sm_d_inc r.sm_p_one r.sm_p_inc)
-    (sat_mode_picks ())
-
-(* ------------------------------------------------------------------ *)
 (* Certify: overhead of end-to-end certificate checking                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -561,7 +484,6 @@ let () =
   if wants "fig2" then run_fig2 ();
   if wants "ablation" then run_ablation ();
   if wants "choices" then run_choices ();
-  if wants "sat" then run_sat ();
   if wants "certify" then run_certify ();
   if wants "kernel" then run_kernel ();
   if wants "micro" then run_micro ();

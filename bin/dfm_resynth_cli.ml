@@ -143,11 +143,6 @@ let max_conflicts_arg =
   in
   Arg.(value & opt (some int) None & info [ "max-conflicts" ] ~docv:"N" ~doc)
 
-(* A bounded budget on the CLI always comes with the escalation ladder: the
-   flag exists to make runs faster, not to quietly change verdicts. *)
-let escalation_of max_conflicts =
-  Option.map (fun _ -> Dfm_atpg.Atpg.default_escalation) max_conflicts
-
 let certify_arg =
   let doc =
     "Verify every emitted verdict against an independent certificate: Detected faults by \
@@ -178,22 +173,6 @@ let report_certify certify =
 let certify_failed msg =
   Fmt.epr "dfm_resynth: certification failed: %s@." msg;
   exit 4
-
-let sat_mode_arg =
-  let doc =
-    "SAT engine for the ATPG queries: $(b,incremental) (the default) keeps one persistent \
-     solver per fault shard — the good-circuit CNF is encoded once, each fault adds only \
-     activation-guarded cone clauses, learnt clauses carry across queries; $(b,oneshot) \
-     builds a throwaway solver per query (the pre-incremental behaviour).  Verdicts are \
-     identical in both modes."
-  in
-  let modes =
-    Arg.enum [ ("incremental", Dfm_atpg.Atpg.Incremental); ("oneshot", Dfm_atpg.Atpg.Oneshot) ]
-  in
-  Arg.(
-    value
-    & opt modes (Dfm_atpg.Atpg.default_sat_mode ())
-    & info [ "sat-mode" ] ~docv:"MODE" ~doc)
 
 let cache_dir_arg =
   let doc =
@@ -372,7 +351,7 @@ let report_file_arg =
   Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
 
 let analyze_cmd =
-  let run name scale jobs cache_dir expect_hits max_conflicts static_filter sat_mode certify
+  let run name scale jobs cache_dir expect_hits max_conflicts static_filter certify
       failpoints report_file trace metrics log_level progress =
     apply_jobs jobs;
     apply_failpoints failpoints;
@@ -384,8 +363,7 @@ let analyze_cmd =
     let cache = make_cache cache_dir in
     let d =
       try
-        Design.implement ?cache ?max_conflicts ?escalation:(escalation_of max_conflicts)
-          ~static_filter ~sat_mode ~certify nl
+        Design.implement ?cache ?max_conflicts ~static_filter ~certify nl
       with Dfm_sat.Cert.Check_failed msg -> certify_failed msg
     in
     if static_filter then
@@ -417,7 +395,7 @@ let analyze_cmd =
   Cmd.v (Cmd.info "analyze" ~doc:"Implement a block and report its fault clustering.")
     Term.(
       const run $ circuit_arg $ scale_arg $ jobs_arg $ cache_dir_arg $ expect_hits_arg
-      $ max_conflicts_arg $ static_filter_arg $ sat_mode_arg $ certify_arg $ failpoint_arg
+      $ max_conflicts_arg $ static_filter_arg $ certify_arg $ failpoint_arg
       $ report_file_arg $ trace_arg $ metrics_arg $ log_level_arg $ progress_arg)
 
 (* ---- lint ---- *)
@@ -519,8 +497,8 @@ let resynth_cmd =
            ~doc:"Write the resynthesized netlist (text format) to \\$(docv).")
   in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print accepted steps.") in
-  let run name scale jobs cache_dir expect_hits q_max p1 out verbose max_conflicts sat_mode
-      certify failpoints checkpoint_dir resume trace metrics log_level progress =
+  let run name scale jobs cache_dir expect_hits q_max p1 out verbose max_conflicts certify
+      failpoints checkpoint_dir resume trace metrics log_level progress =
     apply_jobs jobs;
     apply_failpoints failpoints;
     let certify = certify_enabled certify in
@@ -529,20 +507,19 @@ let resynth_cmd =
     let nl = build ?scale name in
     Fmt.pr "implementing %s (%d jobs) ...@." name (Dfm_util.Parallel.default_jobs ());
     let cache = make_cache cache_dir in
-    let escalation = escalation_of max_conflicts in
     let r =
       (* The whole campaign — baseline implement included — sits under one
          handler: with --checkpoint-dir, any injected or I/O death becomes
          a one-line "campaign aborted" + exit 2, never a backtrace. *)
       try
-        let d0 = Design.implement ?cache ?max_conflicts ?escalation ~sat_mode ~certify nl in
+        let d0 = Design.implement ?cache ?max_conflicts ~certify nl in
         Fmt.pr "original:      %a@." Design.pp_metrics (Design.metrics d0);
         (* -v keeps its historical behaviour through the deprecated [?log]
            shim; without it campaign messages flow through Dfm_obs.Log and
            appear at --log-level info. *)
         let log = if verbose then Some (fun s -> Fmt.pr "  %s@." s) else None in
-        Resynth.run ~p1_percent:p1 ~q_max ?cache ?max_conflicts ?escalation ~sat_mode
-          ~certify ?checkpoint ?log d0
+        Resynth.run ~p1_percent:p1 ~q_max ?cache ?max_conflicts ~certify ?checkpoint
+          ?log d0
       with
       | Dfm_sat.Cert.Check_failed msg -> certify_failed msg
       | Dfm_core.Checkpoint.Error msg ->
@@ -586,7 +563,7 @@ let resynth_cmd =
        ~doc:"Run the two-phase resynthesis procedure of the paper on a block.")
     Term.(
       const run $ circuit_arg $ scale_arg $ jobs_arg $ cache_dir_arg $ expect_hits_arg $ q_max
-      $ p1 $ out $ verbose $ max_conflicts_arg $ sat_mode_arg $ certify_arg $ failpoint_arg
+      $ p1 $ out $ verbose $ max_conflicts_arg $ certify_arg $ failpoint_arg
       $ checkpoint_dir_arg $ resume_arg $ trace_arg $ metrics_arg $ log_level_arg
       $ progress_arg)
 
@@ -772,12 +749,6 @@ let submit_cmd =
   let p1 =
     Arg.(value & opt (some float) None & info [ "p1" ] ~docv:"P" ~doc:"Resynth: phase-1 cluster-size target, percent of |F|.")
   in
-  let sat_mode_name =
-    Arg.(
-      value
-      & opt (some (Arg.enum [ ("incremental", "incremental"); ("oneshot", "oneshot") ])) None
-      & info [ "sat-mode" ] ~docv:"MODE" ~doc:"SAT engine for the job (daemon default otherwise).")
-  in
   let out =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
            ~doc:"Resynth: write the returned final netlist to \\$(docv).")
@@ -785,8 +756,8 @@ let submit_cmd =
   let events =
     Arg.(value & flag & info [ "events" ] ~doc:"Print streamed job events (log, progress) on stderr.")
   in
-  let run name scale socket client kind jobs max_conflicts max_seconds static_filter
-      sat_mode q_max p1 report_file out events =
+  let run name scale socket client kind jobs max_conflicts max_seconds static_filter q_max
+      p1 report_file out events =
     Option.iter
       (fun j ->
         if j < 1 then begin
@@ -805,7 +776,7 @@ let submit_cmd =
         netlist = Dfm_netlist.Netlist_io.to_string nl;
         limits = { Serve_proto.jobs; max_conflicts; max_seconds };
         static_filter;
-        sat_mode;
+        sat_mode = None;
         q_max;
         p1;
       }
@@ -847,7 +818,7 @@ let submit_cmd =
           byte-identical to the equivalent one-shot run.")
     Term.(
       const run $ circuit_arg $ scale_arg $ socket_arg $ client_name_arg $ kind $ jobs_arg
-      $ max_conflicts_arg $ max_seconds $ static_filter_arg $ sat_mode_name $ q_max $ p1
+      $ max_conflicts_arg $ max_seconds $ static_filter_arg $ q_max $ p1
       $ report_file_arg $ out $ events)
 
 let await_cmd =

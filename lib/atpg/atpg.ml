@@ -42,18 +42,6 @@ let m_sat_ns =
 
 type status = Detected | Undetectable | Aborted
 
-type sat_mode = Oneshot | Incremental
-
-(* Incremental is the default engine; REPRO_SAT_MODE=oneshot restores the
-   throwaway-solver-per-query behaviour fleet-wide (e.g. to bisect a
-   suspected solver-state bug without touching call sites). *)
-let default_sat_mode () =
-  match Sys.getenv_opt "REPRO_SAT_MODE" with
-  | Some "oneshot" -> Oneshot
-  | Some "incremental" | None -> Incremental
-  | Some other ->
-      invalid_arg (Printf.sprintf "REPRO_SAT_MODE: unknown mode %S" other)
-
 type counts = {
   total : int;
   detected : int;
@@ -161,36 +149,25 @@ let sim_range s fs ~words ~good ~lo ~hi =
 
 (* Process-wide wall time spent in the SAT phase (session setup, per-fault
    encoding and solving — everything except the random-simulation
-   prefilter), accumulated in nanoseconds across all domains.  Deltas of
-   this around a classify give the mode-comparable "per-fault SAT time"
-   the bench reports; the prefilter is mode-independent and would only
-   dilute the comparison. *)
+   prefilter), accumulated in nanoseconds across all domains. *)
 let sat_nanos_total = Atomic.make 0
 
 let sat_seconds () = 1e-9 *. float_of_int (Atomic.get sat_nanos_total)
 
-(* One SAT query per unresolved fault of [lo, hi); returns the query count.
-   In [Oneshot] mode every query builds a throwaway solver, so queries are
-   fully independent.  In [Incremental] mode the whole range shares one
-   session: the good-circuit CNF is encoded once and each fault adds only
-   activation-guarded faulty-cone clauses, with learnt clauses carried from
-   query to query.  Either way a range writes only its own [lo, hi) slots,
-   so shards stay restartable — a supervised retry simply starts a fresh
+(* One SAT query per unresolved fault of [lo, hi).  The whole range shares
+   one session: the good-circuit CNF is encoded once and each fault adds
+   only activation-guarded faulty-cone clauses, with learnt clauses carried
+   from query to query.  A range writes only its own [lo, hi) slots, so
+   shards stay restartable — a supervised retry simply starts a fresh
    session for the still-unresolved suffix. *)
-let sat_range ?max_conflicts ~sat_mode s ~lo ~hi =
+let sat_range ?max_conflicts s ~lo ~hi =
   let t0 = Dfm_obs.Clock.now_ns () in
   let queries = ref 0 in
-  let check =
-    match sat_mode with
-    | Oneshot -> fun f -> Encode.check ~certify:s.certify ?max_conflicts s.ls f
-    | Incremental ->
-        let sess = lazy (Encode.make_session ~certify:s.certify s.ls) in
-        fun f -> Encode.check_incr ?max_conflicts (Lazy.force sess) f
-  in
+  let sess = lazy (Encode.make_session ~certify:s.certify s.ls) in
   for fid = lo to hi - 1 do
     if s.st.(fid) = 0 then begin
       incr queries;
-      match check s.faults.(fid) with
+      match Encode.check_incr ?max_conflicts (Lazy.force sess) s.faults.(fid) with
       | Encode.Tests pats ->
           (* Certified mode: the SAT models become the fault's witness,
              re-verified by resimulation once the campaign quiesces. *)
@@ -204,8 +181,7 @@ let sat_range ?max_conflicts ~sat_mode s ~lo ~hi =
   let elapsed = Int64.to_int (Int64.sub (Dfm_obs.Clock.now_ns ()) t0) in
   ignore (Atomic.fetch_and_add sat_nanos_total elapsed);
   Metrics.incr_attr ~by:!queries m_sat_queries;
-  Metrics.incr_attr ~by:elapsed m_sat_ns;
-  !queries
+  Metrics.incr_attr ~by:elapsed m_sat_ns
 
 (* Certified mode: re-verify one Detected fault's witness patterns by
    independent good/faulty resimulation through the coordinator's scratch
@@ -269,12 +245,14 @@ let finish_counts s =
    bit-identical to the sequential ([jobs = 1]) run for any job count. *)
 let shard_bounds ~jobs nf = Parallel.chunk_bounds ~chunk:((nf + jobs - 1) / jobs) nf
 
-let classify ?(seed = 1) ?max_conflicts ?(random_blocks = 16) ?jobs ?cache ?static_filter
-    ?sat_mode ?(certify = false) nl faults =
+(* 64-pattern blocks of random simulation before the SAT phase. *)
+let random_blocks = 16
+
+let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?static_filter ?(certify = false) nl
+    faults =
   Span.with_ "atpg.classify"
     ~attrs:[ ("faults", string_of_int (Array.length faults)) ]
   @@ fun () ->
-  let sat_mode = match sat_mode with Some m -> m | None -> default_sat_mode () in
   let nf = Array.length faults in
   Metrics.incr ~by:nf m_classified;
   let jobs =
@@ -383,7 +361,7 @@ let classify ?(seed = 1) ?max_conflicts ?(random_blocks = 16) ?jobs ?cache ?stat
        (which re-queries only the still-unresolved suffix) cannot skew the
        effort accounting away from the sequential reference. *)
     s.sat_queries <- unresolved_count s;
-    ignore (sat_range ?max_conflicts ~sat_mode s ~lo:0 ~hi:nf : int)
+    sat_range ?max_conflicts s ~lo:0 ~hi:nf
   end
   else begin
     (* The UDFM lazy caches must not be forced for the first time inside a
@@ -418,7 +396,7 @@ let classify ?(seed = 1) ?max_conflicts ?(random_blocks = 16) ?jobs ?cache ?stat
               Span.with_ "classify.shard"
                 ~attrs:
                   [ ("phase", "sat"); ("lo", string_of_int lo); ("hi", string_of_int hi) ]
-                (fun () -> ignore (sat_range ?max_conflicts ~sat_mode s ~lo ~hi : int)))
+                (fun () -> sat_range ?max_conflicts s ~lo ~hi))
             bounds)
         : Parallel.supervision)
   end;
@@ -450,9 +428,10 @@ let classify ?(seed = 1) ?max_conflicts ?(random_blocks = 16) ?jobs ?cache ?stat
 (* Abort-budget escalation                                              *)
 (* ------------------------------------------------------------------ *)
 
-type escalation_policy = { factor : int; max_total_conflicts : int }
-
-let default_escalation = { factor = 4; max_total_conflicts = 1_000_000 }
+(* The ladder's budget multiplier per rung, and the cap on the sum of the
+   budgets it grants. *)
+let ladder_factor = 4
+let ladder_cap = 1_000_000
 
 type escalation_stats = {
   rungs : int;
@@ -463,125 +442,113 @@ type escalation_stats = {
   aborted_per_rung : int list;
 }
 
-let no_escalation =
-  { rungs = 0; retried = 0; resolved = 0; residual = 0; effort = 0; aborted_per_rung = [] }
-
 (* Retry the Aborted faults of [cls] on a geometric conflict-budget ladder
-   b_k = max_conflicts * factor^k, charging each query's granted budget
-   against [max_total_conflicts].  The solver's conclusions are
-   budget-monotone — a verdict reached within c conflicts is reached within
-   any budget >= c — so in [Oneshot] mode the ladder's outcome per fault
-   equals a single run at the last budget that fault was tried with; cheap
-   rungs just resolve the easy aborts before the expensive budgets are
-   spent.  In [Incremental] mode one session persists across the whole
+   b_k = max_conflicts * ladder_factor^k, charging each query's granted
+   budget against [ladder_cap]; cheap rungs resolve the easy aborts before
+   the expensive budgets are spent.  One session persists across the whole
    ladder: a retried fault re-solves its still-live activation groups under
    the larger budget without re-encoding, and learnt clauses from earlier
-   rungs carry over — so a rung can only be cheaper than the equivalent
-   cold run, and a fault may resolve on an earlier rung than it would cold
-   (verdicts themselves are budget- and history-independent).  Runs
-   entirely in the coordinating domain: abort sets are small and the cache
-   (if any) must only ever be touched from here. *)
-let escalate ?(policy = default_escalation) ?cache ?sat_mode ?(certify = false) ~max_conflicts
-    nl faults (cls : classification) =
-  if cls.counts.aborted = 0 then (cls, no_escalation)
-  else begin
-    Span.with_ "atpg.escalate"
-      ~attrs:[ ("aborted", string_of_int cls.counts.aborted) ]
-    @@ fun () ->
-    let sat_mode = match sat_mode with Some m -> m | None -> default_sat_mode () in
-    let factor = max 2 policy.factor in
-    let nf = Array.length faults in
-    let pending = ref [] in
-    for fid = nf - 1 downto 0 do
-      if cls.status.(fid) = Aborted then pending := fid :: !pending
-    done;
-    let s = make_state ~certify nl faults in
-    Array.iteri
-      (fun fid v ->
-        s.st.(fid) <- (match v with Detected -> 1 | Undetectable -> 2 | Aborted -> 3))
-      cls.status;
-    s.sat_queries <- cls.counts.sat_queries;
-    (* Escalated verdicts are published under the *original* budget's
-       signatures: the verdict is semantic (budget-independent), and that is
-       the key the next same-budget campaign will look up. *)
-    let sigs =
-      match cache with
-      | None -> [||]
-      | Some c -> Dfm_incr.Cache.signatures c ~max_conflicts nl faults
-    in
-    let publish fid v =
-      match cache with
-      | None -> ()
-      | Some c -> Dfm_incr.Cache.record ~certified:certify c sigs.(fid) v
-    in
-    (* One persistent session for the whole ladder: Unknown verdicts leave
-       their activation groups pending, so the next rung re-solves them
-       without re-encoding a single clause. *)
-    let check =
-      match sat_mode with
-      | Oneshot -> fun ~max_conflicts f -> Encode.check ~certify ~max_conflicts s.ls f
-      | Incremental ->
-          let sess = Encode.make_session ~certify s.ls in
-          fun ~max_conflicts f -> Encode.check_incr ~max_conflicts sess f
-    in
-    let budget = ref max_conflicts in
-    let effort = ref 0 and retried = ref 0 and rungs = ref 0 and resolved = ref 0 in
-    let per_rung = ref [] in
-    let exhausted = ref false in
-    while (not !exhausted) && !pending <> [] do
-      let b = if !budget > max_int / factor then max_int else !budget * factor in
-      budget := b;
-      if !effort + b > policy.max_total_conflicts then exhausted := true
-      else begin
-        incr rungs;
-        let still = ref [] in
-        List.iter
-          (fun fid ->
-            if !effort + b > policy.max_total_conflicts then begin
-              exhausted := true;
-              still := fid :: !still
-            end
-            else begin
-              incr retried;
-              effort := !effort + b;
-              s.sat_queries <- s.sat_queries + 1;
-              match check ~max_conflicts:b faults.(fid) with
-              | Encode.Tests pats ->
-                  (* Certified mode: verify the witness right away — the
-                     ladder runs in the coordinating domain, so [s.fs] and
-                     [s.ls] are ours to use. *)
-                  if certify then begin
-                    s.witness.(fid) <-
-                      List.map (fun (t : Encode.test) -> t.Encode.values) pats;
-                    verify_detected s fid
-                  end;
-                  s.st.(fid) <- 1;
-                  incr resolved;
-                  publish fid Dfm_incr.Store.Detected
-              | Encode.Undetectable ->
-                  s.st.(fid) <- 2;
-                  incr resolved;
-                  publish fid Dfm_incr.Store.Undetectable
-              | Encode.Unknown -> still := fid :: !still
-            end)
-          !pending;
-        pending := List.rev !still;
-        per_rung := List.length !pending :: !per_rung
-      end
-    done;
-    Metrics.incr ~by:!rungs m_esc_rungs;
-    Metrics.incr ~by:!retried m_esc_retried;
-    Metrics.incr ~by:!resolved m_esc_resolved;
-    ( finish_counts s,
-      {
-        rungs = !rungs;
-        retried = !retried;
-        resolved = !resolved;
-        residual = List.length !pending;
-        effort = !effort;
-        aborted_per_rung = List.rev !per_rung;
-      } )
-  end
+   rungs carry over, so a fault may resolve on an earlier rung than it
+   would on a cold solver (verdicts themselves are budget- and
+   history-independent).  Runs entirely in the coordinating domain: abort
+   sets are small and the cache (if any) must only ever be touched from
+   here. *)
+let escalate ?cache ?(certify = false) ?max_conflicts nl faults (cls : classification) =
+  match max_conflicts with
+  | None -> (cls, None)
+  | Some _ when cls.counts.aborted = 0 -> (cls, None)
+  | Some max_conflicts ->
+      Span.with_ "atpg.escalate"
+        ~attrs:[ ("aborted", string_of_int cls.counts.aborted) ]
+      @@ fun () ->
+      let nf = Array.length faults in
+      let pending = ref [] in
+      for fid = nf - 1 downto 0 do
+        if cls.status.(fid) = Aborted then pending := fid :: !pending
+      done;
+      let s = make_state ~certify nl faults in
+      Array.iteri
+        (fun fid v ->
+          s.st.(fid) <- (match v with Detected -> 1 | Undetectable -> 2 | Aborted -> 3))
+        cls.status;
+      s.sat_queries <- cls.counts.sat_queries;
+      (* Escalated verdicts are published under the *original* budget's
+         signatures: the verdict is semantic (budget-independent), and that is
+         the key the next same-budget campaign will look up. *)
+      let sigs =
+        match cache with
+        | None -> [||]
+        | Some c -> Dfm_incr.Cache.signatures c ~max_conflicts nl faults
+      in
+      let publish fid v =
+        match cache with
+        | None -> ()
+        | Some c -> Dfm_incr.Cache.record ~certified:certify c sigs.(fid) v
+      in
+      (* One persistent session for the whole ladder: Unknown verdicts leave
+         their activation groups pending, so the next rung re-solves them
+         without re-encoding a single clause. *)
+      let sess = Encode.make_session ~certify s.ls in
+      let budget = ref max_conflicts in
+      let effort = ref 0 and retried = ref 0 and rungs = ref 0 and resolved = ref 0 in
+      let per_rung = ref [] in
+      let exhausted = ref false in
+      while (not !exhausted) && !pending <> [] do
+        let b =
+          if !budget > max_int / ladder_factor then max_int else !budget * ladder_factor
+        in
+        budget := b;
+        if !effort + b > ladder_cap then exhausted := true
+        else begin
+          incr rungs;
+          let still = ref [] in
+          List.iter
+            (fun fid ->
+              if !effort + b > ladder_cap then begin
+                exhausted := true;
+                still := fid :: !still
+              end
+              else begin
+                incr retried;
+                effort := !effort + b;
+                s.sat_queries <- s.sat_queries + 1;
+                match Encode.check_incr ~max_conflicts:b sess faults.(fid) with
+                | Encode.Tests pats ->
+                    (* Certified mode: verify the witness right away — the
+                       ladder runs in the coordinating domain, so [s.fs] and
+                       [s.ls] are ours to use. *)
+                    if certify then begin
+                      s.witness.(fid) <-
+                        List.map (fun (t : Encode.test) -> t.Encode.values) pats;
+                      verify_detected s fid
+                    end;
+                    s.st.(fid) <- 1;
+                    incr resolved;
+                    publish fid Dfm_incr.Store.Detected
+                | Encode.Undetectable ->
+                    s.st.(fid) <- 2;
+                    incr resolved;
+                    publish fid Dfm_incr.Store.Undetectable
+                | Encode.Unknown -> still := fid :: !still
+              end)
+            !pending;
+          pending := List.rev !still;
+          per_rung := List.length !pending :: !per_rung
+        end
+      done;
+      Metrics.incr ~by:!rungs m_esc_rungs;
+      Metrics.incr ~by:!retried m_esc_retried;
+      Metrics.incr ~by:!resolved m_esc_resolved;
+      ( finish_counts s,
+        Some
+          {
+            rungs = !rungs;
+            retried = !retried;
+            resolved = !resolved;
+            residual = List.length !pending;
+            effort = !effort;
+            aborted_per_rung = List.rev !per_rung;
+          } )
 
 (* ------------------------------------------------------------------ *)
 (* Test generation with fault dropping and greedy per-word compaction  *)
@@ -589,21 +556,14 @@ let escalate ?(policy = default_escalation) ?cache ?sat_mode ?(certify = false) 
 
 let bit b w = Int64.logand (Int64.shift_right_logical w b) 1L = 1L
 
-let generate ?(seed = 1) ?max_conflicts ?sat_mode ?(certify = false) nl faults =
+let generate ?(seed = 1) ?max_conflicts ?(certify = false) nl faults =
   let s = make_state nl faults in
-  let sat_mode = match sat_mode with Some m -> m | None -> default_sat_mode () in
   (* Generation is sequential (coordinator only), so a single session can
      serve every fault's query.  In certified mode the session checks UNSAT
      proofs and SAT models; detected faults are additionally witness-checked
      by the per-word resimulation below (the existing cross-check), which in
      certified mode escalates a miss from a counter to a hard failure. *)
-  let sat_check =
-    match sat_mode with
-    | Oneshot -> fun f -> Encode.check ~certify ?max_conflicts s.ls f
-    | Incremental ->
-        let sess = lazy (Encode.make_session ~certify s.ls) in
-        fun f -> Encode.check_incr ?max_conflicts (Lazy.force sess) f
-  in
+  let sess = lazy (Encode.make_session ~certify s.ls) in
   let rng = Rng.create (seed + 177) in
   let nf = Array.length faults in
   let tests = ref [] in
@@ -687,7 +647,7 @@ let generate ?(seed = 1) ?max_conflicts ?sat_mode ?(certify = false) nl faults =
   for fid = 0 to nf - 1 do
     if s.st.(fid) = 0 then begin
       s.sat_queries <- s.sat_queries + 1;
-      match sat_check faults.(fid) with
+      match Encode.check_incr ?max_conflicts (Lazy.force sess) faults.(fid) with
       | Encode.Undetectable -> resolve s fid 2
       | Encode.Unknown -> resolve s fid 3
       | Encode.Tests pats ->

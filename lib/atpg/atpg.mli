@@ -16,32 +16,20 @@
 
     Transition faults account for both components (frame-1 initialization and
     frame-2 detection, possibly covered by different tests — the enhanced
-    scan pairing documented in [Fault]). *)
+    scan pairing documented in [Fault]).
+
+    SAT queries run in {!Encode} sessions: all unresolved faults of a shard
+    share one persistent solver ({!Dfm_sat.Incremental}), the good-circuit
+    CNF is encoded once, each fault contributes only activation-guarded
+    faulty-cone clauses, and learnt clauses carry from query to query.
+    Semantic verdicts (Detected / Undetectable) do not depend on what a
+    session held before a query.  Under a {e bounded} [max_conflicts]
+    budget the [Aborted] frontier can: retained learnt clauses let a query
+    resolve within a budget that a cold solver would exhaust, and that head
+    start depends on which faults preceded it in its shard.  At the default
+    unbounded budget no Aborted verdicts exist. *)
 
 type status = Detected | Undetectable | Aborted
-
-(** How SAT queries are issued.
-
-    - [Oneshot]: every query builds a throwaway solver — the
-      pre-incremental behaviour; queries are fully independent.
-    - [Incremental] (the default): all unresolved faults of a shard share
-      one persistent solver session ({!Dfm_sat.Incremental}): the
-      good-circuit CNF is encoded once, each fault contributes only
-      activation-guarded faulty-cone clauses, and learnt clauses carry from
-      query to query.
-
-    Semantic verdicts (Detected / Undetectable) are identical in both
-    modes, for any [jobs] value.  Under a {e bounded} [max_conflicts]
-    budget only the [Aborted] frontier can differ: retained learnt clauses
-    let incremental sessions resolve within a budget that a cold solver
-    would exhaust, and that head start depends on which faults preceded a
-    query in its shard.  At the default unbounded budget no Aborted
-    verdicts exist and the two modes are bit-identical. *)
-type sat_mode = Oneshot | Incremental
-
-val default_sat_mode : unit -> sat_mode
-(** [Incremental], unless the [REPRO_SAT_MODE] environment variable says
-    [oneshot].  @raise Invalid_argument on an unknown value. *)
 
 type counts = {
   total : int;
@@ -72,22 +60,19 @@ val sat_seconds : unit -> float
     (session setup, per-fault encoding and solving), accumulated across
     every campaign in every domain — the random-simulation prefilter is
     excluded.  Like {!Dfm_sat.Solver.totals}, meant to be delta'd around a
-    fixed query set; used by the bench to report per-fault SAT time per
-    {!sat_mode}. *)
+    fixed query set. *)
 
 val classify :
   ?seed:int ->
   ?max_conflicts:int ->
-  ?random_blocks:int ->
   ?jobs:int ->
   ?cache:Dfm_incr.Cache.t ->
   ?static_filter:(Dfm_faults.Fault.t -> bool) ->
-  ?sat_mode:sat_mode ->
   ?certify:bool ->
   Dfm_netlist.Netlist.t ->
   Dfm_faults.Fault.t array ->
   classification
-(** [random_blocks] 64-pattern blocks precede the SAT phase (default 16).
+(** Sixteen 64-pattern blocks of random simulation precede the SAT phase.
 
     [certify] (default [false]) makes every emitted verdict carry an
     independently checked certificate: Detected verdicts keep their
@@ -111,11 +96,10 @@ val classify :
     job counts, each worker owns its own simulator scratch and solver
     state, and semantic per-fault verdicts do not depend on each other — so
     the classification is bit-identical to the sequential result for every
-    [jobs] value.  [jobs = 1] never spawns a domain.  (With the default
-    [Incremental] SAT mode {e and} a bounded [max_conflicts], the identity
-    covers the semantic verdicts; the [Aborted] frontier can shift with the
-    shard layout — see {!sat_mode}.  At the default unbounded budget, or in
-    [Oneshot] mode, the identity is exact bit-for-bit.)
+    [jobs] value.  [jobs = 1] never spawns a domain.  (Under a bounded
+    [max_conflicts] the identity covers the semantic verdicts; the
+    [Aborted] frontier can shift with the shard layout — see above.  At the
+    default unbounded budget the identity is exact bit-for-bit.)
 
     [cache] consults a content-addressed verdict store before {e both} the
     random-simulation prefilter and the SAT phase, and publishes the
@@ -141,16 +125,6 @@ val classify :
     filter runs in the coordinating domain before any sharding, and its
     verdicts are published to [cache] like freshly derived ones. *)
 
-type escalation_policy = {
-  factor : int;  (** budget multiplier per rung, clamped to >= 2 *)
-  max_total_conflicts : int;
-      (** total-effort cap: the sum of granted budgets across all escalation
-          queries never exceeds this *)
-}
-
-val default_escalation : escalation_policy
-(** [{ factor = 4; max_total_conflicts = 1_000_000 }] *)
-
 type escalation_stats = {
   rungs : int;       (** ladder rungs that ran at least one query *)
   retried : int;     (** escalation SAT queries issued *)
@@ -162,36 +136,31 @@ type escalation_stats = {
 }
 
 val escalate :
-  ?policy:escalation_policy ->
   ?cache:Dfm_incr.Cache.t ->
-  ?sat_mode:sat_mode ->
   ?certify:bool ->
-  max_conflicts:int ->
+  ?max_conflicts:int ->
   Dfm_netlist.Netlist.t ->
   Dfm_faults.Fault.t array ->
   classification ->
-  classification * escalation_stats
-(** Retry the [Aborted] faults of a bounded-budget classification on a
-    geometric conflict-budget ladder [max_conflicts * factor^k], stopping
-    when every abort is resolved or the total-effort cap is reached.
-    Because solver conclusions are budget-monotone, in [Oneshot] mode the
-    result is bit-identical (statuses and counts other than [sat_queries])
-    to a single {!classify} run at the ladder's final budget — the ladder
-    only spends the large budgets on the faults that still need them.  In
-    the default [Incremental] mode one solver session persists across the
-    whole ladder: retried faults re-solve their still-live activation
-    groups without re-encoding, learnt clauses accumulate from rung to
-    rung, and a fault can therefore resolve on an {e earlier} rung than a
-    cold run would need — semantic verdicts are unchanged, only the effort
-    frontier improves.  Resolved verdicts are published to [cache] under
-    the original [max_conflicts] signatures; residual aborts stay
-    [Aborted] in the returned classification.  Runs in the calling
-    domain. *)
+  classification * escalation_stats option
+(** Retry the [Aborted] faults of a classification made under
+    [max_conflicts] on a geometric conflict-budget ladder
+    [max_conflicts * 4^k], stopping when every abort is resolved or the
+    next query would take the sum of granted budgets past 1,000,000
+    conflicts.  One solver session persists across the whole ladder:
+    retried faults re-solve their still-live activation groups without
+    re-encoding, learnt clauses accumulate from rung to rung, and a fault
+    can therefore resolve on an {e earlier} rung than a cold solver would
+    need — semantic verdicts are unchanged, only the effort frontier
+    improves.  Resolved verdicts are published to [cache] under the
+    original [max_conflicts] signatures; residual aborts stay [Aborted] in
+    the returned classification, whose [sat_queries] include the ladder's
+    retries.  Returns [(cls, None)] when [max_conflicts] is absent (nothing
+    can abort) or [cls] has no aborts.  Runs in the calling domain. *)
 
 val generate :
   ?seed:int ->
   ?max_conflicts:int ->
-  ?sat_mode:sat_mode ->
   ?certify:bool ->
   Dfm_netlist.Netlist.t ->
   Dfm_faults.Fault.t array ->

@@ -523,7 +523,3 @@ let check_incr ?max_conflicts sess (f : F.t) =
   | F.Bridge (n1, n2, k) -> finish (run_part ?max_conflicts sess f 0 (encode_bridge n1 n2 k))
   | F.Internal (g, entry_idx) ->
       finish (run_part ?max_conflicts sess f 0 (encode_internal g entry_idx))
-
-(* One-shot compatibility entry point: a throwaway session per fault. *)
-let check ?certify ?max_conflicts ls (f : F.t) =
-  check_incr ?max_conflicts (make_session ?certify ls) f

@@ -31,12 +31,11 @@
     [check_incr] of the same fault re-solves it under a larger budget
     without re-encoding anything.
 
-    [check] is the one-shot form: a throwaway session per fault, so each
-    call is independent (the pre-incremental behaviour).  Verdicts are
-    identical either way; in a shared session only the [cared] sets may be
-    wider (see below) and, under a finite conflict budget, the point at
-    which [Unknown] is returned may differ because retained learnt clauses
-    shorten the search.
+    Verdicts do not depend on what a session held before a query: a fresh
+    session per fault gives the same ones.  Only the [cared] sets may be
+    wider in a shared session (see below) and, under a finite conflict
+    budget, the point at which [Unknown] is returned may differ because
+    retained learnt clauses shorten the search.
 
     Sessions are single-domain objects: create one per worker. *)
 
@@ -76,14 +75,6 @@ val check_incr :
     previous verdict was [Unknown] re-solves its still-live activation
     groups without re-encoding; re-checking a resolved fault re-derives the
     same verdict. *)
-
-val check :
-  ?certify:bool ->
-  ?max_conflicts:int ->
-  Dfm_sim.Logic_sim.t ->
-  Dfm_faults.Fault.t ->
-  verdict
-(** One-shot: equivalent to [check_incr] on a fresh single-use session. *)
 
 (** {2 Introspection (tests, metrics)} *)
 

@@ -34,15 +34,13 @@ type metrics = {
 
 let undetectable t fid = t.classification.Atpg.status.(fid) = Atpg.Undetectable
 
-let implement ?(seed = 3) ?floorplan ?utilization ?previous ?jobs ?cache ?max_conflicts
-    ?escalation ?(static_filter = false) ?sat_mode ?certify netlist =
+let implement ?(seed = 3) ?floorplan ?previous ?jobs ?cache ?max_conflicts
+    ?(static_filter = false) ?certify netlist =
   Dfm_obs.Span.with_ "implement"
     ~attrs:[ ("gates", string_of_int (N.num_gates netlist)) ]
   @@ fun () ->
   let floorplan =
-    match floorplan with
-    | Some fp -> fp
-    | None -> Dfm_layout.Floorplan.create ?utilization netlist
+    match floorplan with Some fp -> fp | None -> Dfm_layout.Floorplan.create netlist
   in
   let prev_placement = Option.map (fun d -> d.placement) previous in
   let placement = Dfm_layout.Place.place ~seed ?previous:prev_placement netlist floorplan in
@@ -56,24 +54,18 @@ let implement ?(seed = 3) ?floorplan ?utilization ?previous ?jobs ?cache ?max_co
       Some (Dfm_lint.Dataflow.prove_undetectable df)
     else None
   in
+  let faults = fault_list.Dfm_guidelines.Translate.faults in
   let classification =
-    Atpg.classify ~seed ?jobs ?cache ?max_conflicts ?static_filter:static ?sat_mode ?certify
-      netlist fault_list.Dfm_guidelines.Translate.faults
+    Atpg.classify ~seed ?jobs ?cache ?max_conflicts ?static_filter:static ?certify netlist
+      faults
   in
   (* With a bounded budget, aborts are escalated before clustering so the
      cluster view is built from the most-resolved classification we have. *)
   let classification, escalation =
-    match (max_conflicts, escalation) with
-    | Some mc, Some policy when classification.Atpg.counts.Atpg.aborted > 0 ->
-        let cls, stats =
-          Atpg.escalate ~policy ?cache ?sat_mode ?certify ~max_conflicts:mc netlist
-            fault_list.Dfm_guidelines.Translate.faults classification
-        in
-        (cls, Some stats)
-    | _ -> (classification, None)
+    Atpg.escalate ?cache ?certify ?max_conflicts netlist faults classification
   in
   let cluster =
-    Cluster.compute netlist fault_list.Dfm_guidelines.Translate.faults
+    Cluster.compute netlist faults
       ~undetectable:(fun fid -> classification.Atpg.status.(fid) = Atpg.Undetectable)
   in
   {

@@ -17,7 +17,7 @@ type t = {
   cluster : Cluster.t;
   escalation : Dfm_atpg.Atpg.escalation_stats option;
       (** abort-budget escalation spent on this classification, when a
-          bounded [max_conflicts] plus an escalation policy were in force *)
+          bounded [max_conflicts] left aborts to retry *)
 }
 
 type metrics = {
@@ -41,24 +41,22 @@ type metrics = {
 val implement :
   ?seed:int ->
   ?floorplan:Dfm_layout.Floorplan.t ->
-  ?utilization:float ->
   ?previous:t ->
   ?jobs:int ->
   ?cache:Dfm_incr.Cache.t ->
   ?max_conflicts:int ->
-  ?escalation:Dfm_atpg.Atpg.escalation_policy ->
   ?static_filter:bool ->
-  ?sat_mode:Dfm_atpg.Atpg.sat_mode ->
   ?certify:bool ->
   Dfm_netlist.Netlist.t ->
   t
 (** Run the whole pipeline.  [max_conflicts] bounds each classification SAT
-    query; when [escalation] is also given, faults that budget aborts are
-    retried on the geometric ladder of {!Dfm_atpg.Atpg.escalate} before the
-    cluster view is computed, and the spent effort is reported in the
-    [escalation] field.  When [floorplan] is given the design must fit
-    it (raises {!Dfm_layout.Place.Does_not_fit} otherwise) — that is how the
-    fixed-die constraint of the paper is enforced.  [previous] enables
+    query; faults that budget aborts are retried on the geometric ladder of
+    {!Dfm_atpg.Atpg.escalate} before the cluster view is computed, and the
+    spent effort is reported in the [escalation] field.  When [floorplan]
+    is given the design must fit it (raises
+    {!Dfm_layout.Place.Does_not_fit} otherwise) — that is how the
+    fixed-die constraint of the paper is enforced; otherwise the floorplan
+    is created at its default utilization.  [previous] enables
     incremental (ECO) placement relative to an earlier design point.
     [jobs] shards the ATPG classification over that many worker domains
     (see {!Dfm_atpg.Atpg.classify}); the result is bit-identical for every
@@ -69,10 +67,6 @@ val implement :
     netlist and hands its sound undetectability proof to the
     classification, skipping random simulation and SAT for statically
     proven faults — again without changing any verdict.
-    [sat_mode] selects the SAT query engine (default
-    {!Dfm_atpg.Atpg.default_sat_mode}: incremental sessions with learnt
-    clauses shared across the faults of a shard; see
-    {!Dfm_atpg.Atpg.sat_mode}).
     [certify] makes the classification (and any escalation) verify every
     emitted verdict against an independent certificate — witness
     resimulation for Detected, replayed UNSAT proofs for Undetectable; see

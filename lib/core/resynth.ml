@@ -80,8 +80,6 @@ type state = {
   mutable esc_residual : int;
   cache : Dfm_incr.Cache.t option;
   max_conflicts : int option;
-  escalation : Atpg.escalation_policy option;
-  sat_mode : Atpg.sat_mode;
   certify : bool;
   ckpt : Checkpoint.t option;
   floorplan : Dfm_layout.Floorplan.t;
@@ -180,33 +178,29 @@ let record st ~q ~phase ~cell ~action (d : Design.t) =
   | Some ck when action = "reject" -> Checkpoint.append_event ck (ckpt_of_event ev)
   | Some _ | None -> ()
 
+let note_escalation st = function
+  | None -> ()
+  | Some (es : Atpg.escalation_stats) ->
+      st.esc_retried <- st.esc_retried + es.Atpg.retried;
+      st.esc_resolved <- st.esc_resolved + es.Atpg.resolved;
+      st.esc_residual <- st.esc_residual + es.Atpg.residual
+
 (* Undetectable internal fault count of a bare netlist (no layout): internal
    faults do not depend on placement/routing, so this gates PDesign() as in
-   Section III-B. *)
-let note_escalation st (es : Atpg.escalation_stats) =
-  st.esc_retried <- st.esc_retried + es.Atpg.retried;
-  st.esc_resolved <- st.esc_resolved + es.Atpg.resolved;
-  st.esc_residual <- st.esc_residual + es.Atpg.residual;
-  st.sat_queries <- st.sat_queries + es.Atpg.retried
-
+   Section III-B.  The escalated classification's [sat_queries] already
+   include the ladder's retries. *)
 let internal_u_of_netlist st nl =
   let faults = Dfm_guidelines.Translate.internal_only nl in
   let cls =
     Atpg.classify ~seed:st.seed ?max_conflicts:st.max_conflicts ?cache:st.cache
-      ~sat_mode:st.sat_mode ~certify:st.certify nl faults
+      ~certify:st.certify nl faults
+  in
+  let cls, es =
+    Atpg.escalate ?cache:st.cache ~certify:st.certify ?max_conflicts:st.max_conflicts nl
+      faults cls
   in
   st.sat_queries <- st.sat_queries + cls.Atpg.counts.Atpg.sat_queries;
-  let cls =
-    match (st.max_conflicts, st.escalation) with
-    | Some mc, Some policy when cls.Atpg.counts.Atpg.aborted > 0 ->
-        let cls', es =
-          Atpg.escalate ~policy ?cache:st.cache ~sat_mode:st.sat_mode ~certify:st.certify
-            ~max_conflicts:mc nl faults cls
-        in
-        note_escalation st es;
-        cls'
-    | _ -> cls
-  in
+  note_escalation st es;
   cls.Atpg.counts.Atpg.undetectable
 
 let implement_opt st nl =
@@ -214,16 +208,10 @@ let implement_opt st nl =
   try
     let d =
       Design.implement ~seed:st.seed ~floorplan:st.floorplan ~previous:st.current
-        ?cache:st.cache ?max_conflicts:st.max_conflicts ?escalation:st.escalation
-        ~sat_mode:st.sat_mode ~certify:st.certify nl
+        ?cache:st.cache ?max_conflicts:st.max_conflicts ~certify:st.certify nl
     in
     st.sat_queries <- st.sat_queries + d.Design.classification.Atpg.counts.Atpg.sat_queries;
-    Option.iter
-      (fun (es : Atpg.escalation_stats) ->
-        st.esc_retried <- st.esc_retried + es.Atpg.retried;
-        st.esc_resolved <- st.esc_resolved + es.Atpg.resolved;
-        st.esc_residual <- st.esc_residual + es.Atpg.residual)
-      d.Design.escalation;
+    note_escalation st d.Design.escalation;
     Some d
   with Dfm_layout.Place.Does_not_fit _ -> None
 
@@ -554,9 +542,7 @@ let checkpoint_header ~p1_percent ~q_max ~seed ~sweep ~context_levels ~max_confl
     (match max_conflicts with None -> "-" | Some c -> string_of_int c)
 
 let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_levels = 2)
-    ?cache ?max_conflicts ?escalation ?sat_mode ?(certify = false) ?checkpoint ?log
-    ?interrupt initial =
-  let sat_mode = match sat_mode with Some m -> m | None -> Atpg.default_sat_mode () in
+    ?cache ?max_conflicts ?(certify = false) ?checkpoint ?log ?interrupt initial =
   (* [?log] is the deprecated pre-logger callback: when given it still
      receives every campaign message verbatim; otherwise messages become
      [Dfm_obs.Log.info] records (dropped until a sink is installed). *)
@@ -588,11 +574,11 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
      iteration is compared against. *)
   let tb0 = Unix.gettimeofday () in
   let bdesign =
-    Design.implement ~seed ~floorplan:initial.Design.floorplan ~sat_mode ~certify
+    Design.implement ~seed ~floorplan:initial.Design.floorplan ~certify
       initial.Design.netlist
   in
   ignore
-    (Atpg.generate ~seed ~sat_mode ~certify bdesign.Design.netlist
+    (Atpg.generate ~seed ~certify bdesign.Design.netlist
        bdesign.Design.fault_list.Dfm_guidelines.Translate.faults);
   let baseline_s = Unix.gettimeofday () -. tb0 in
   let st =
@@ -617,8 +603,6 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
       esc_residual = 0;
       cache;
       max_conflicts;
-      escalation;
-      sat_mode;
       certify;
       ckpt;
       floorplan = initial.Design.floorplan;
@@ -651,7 +635,7 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
           in
           let d =
             Design.implement ~seed ~floorplan:st.floorplan ~previous:st.current ?cache
-              ?max_conflicts ?escalation ~sat_mode ~certify nl
+              ?max_conflicts ~certify nl
           in
           (* Resumed accepts are re-certified like fresh ones: the journal
              records a claim, not a proof. *)

@@ -95,8 +95,6 @@ val run :
   ?context_levels:int ->
   ?cache:Dfm_incr.Cache.t ->
   ?max_conflicts:int ->
-  ?escalation:Dfm_atpg.Atpg.escalation_policy ->
-  ?sat_mode:Dfm_atpg.Atpg.sat_mode ->
   ?certify:bool ->
   ?checkpoint:checkpoint_spec ->
   ?log:(string -> unit) ->
@@ -124,14 +122,10 @@ val run :
     their re-derivation without changing any result ({!Dfm_incr.Cache}).
     The baseline timing run stays uncached, it is the comparison unit.
 
-    [max_conflicts] bounds every classification SAT query; with
-    [escalation] also set, aborted faults are retried on the geometric
-    budget ladder of {!Dfm_atpg.Atpg.escalate} and any residue is reported
-    in [aborted_residual].
-
-    [sat_mode] (default {!Dfm_atpg.Atpg.default_sat_mode}, i.e.
-    incremental) selects the SAT engine for every classification the
-    campaign performs — see {!Dfm_atpg.Atpg.sat_mode}.
+    [max_conflicts] bounds every classification SAT query; aborted faults
+    are retried on the geometric budget ladder of
+    {!Dfm_atpg.Atpg.escalate} and any residue is reported in
+    [aborted_residual].
 
     [certify] (default false) verifies every verdict the campaign relies on
     against an independent certificate: each classification runs certified

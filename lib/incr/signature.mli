@@ -30,7 +30,7 @@
       of (cone index, support) pairs.
 
     [of_fault] mixes the per-model ingredients — the same ones
-    [Encode.check] consumes, e.g. activation minterm {e contents} rather
+    [Encode.check_incr] consumes, e.g. activation minterm {e contents} rather
     than UDFM entry indices — with {!params}.
 
     What is deliberately {e not} in the hash: gate/net ids and internal net

@@ -286,12 +286,6 @@ let complete_job d (j : job) (p : P.result_payload) ~service =
 
 (* ---- the executor thread ----------------------------------------------- *)
 
-let sat_mode_of_string = function
-  | Some "incremental" -> Ok (Some Dfm_atpg.Atpg.Incremental)
-  | Some "oneshot" -> Ok (Some Dfm_atpg.Atpg.Oneshot)
-  | Some other -> Error (Printf.sprintf "unknown sat mode %S" other)
-  | None -> Ok None
-
 (* Runs without [mu]: everything here is engine work on state only this
    thread touches.  The verdict-cache stats deltas around the run are the
    per-client attribution. *)
@@ -305,17 +299,10 @@ let execute d (j : job) =
   let cap = match sub.P.limits.P.jobs with Some n -> n | None -> d.cfg.jobs in
   Dfm_util.Parallel.set_default_jobs cap;
   let max_conflicts = sub.P.limits.P.max_conflicts in
-  let escalation = Option.map (fun _ -> Dfm_atpg.Atpg.default_escalation) max_conflicts in
   let deadline = Option.map (fun s -> j.started +. s) sub.P.limits.P.max_seconds in
   let interrupt () =
     if j.cancel then raise Cancelled_job;
     match deadline with Some t when now () > t -> raise Timed_out_job | _ -> ()
-  in
-  let sat_mode =
-    match sat_mode_of_string sub.P.sat_mode with
-    | Ok (Some m) -> m
-    | Ok None -> Dfm_atpg.Atpg.default_sat_mode ()
-    | Error e -> failwith e
   in
   let nl =
     Dfm_netlist.Netlist_io.read ~library:Dfm_cellmodel.Osu018.library sub.P.netlist
@@ -325,8 +312,8 @@ let execute d (j : job) =
   | P.Analyze ->
       let static_filter = sub.P.static_filter in
       let dsg =
-        Design.implement ~cache ~jobs:cap ?max_conflicts ?escalation ~static_filter
-          ~sat_mode ~certify:d.cfg.certify nl
+        Design.implement ~cache ~jobs:cap ?max_conflicts ~static_filter
+          ~certify:d.cfg.certify nl
       in
       {
         P.r_job = j.id;
@@ -357,13 +344,12 @@ let execute d (j : job) =
       let q_max = match sub.P.q_max with Some q -> q | None -> 5 in
       let p1_percent = match sub.P.p1 with Some p -> p | None -> 1.0 in
       let d0 =
-        Design.implement ~cache ?max_conflicts ?escalation ~sat_mode
-          ~certify:d.cfg.certify nl
+        Design.implement ~cache ?max_conflicts ~certify:d.cfg.certify nl
       in
       interrupt ();
       let r =
-        Resynth.run ~p1_percent ~q_max ~cache ?max_conflicts ?escalation ~sat_mode
-          ~certify:d.cfg.certify ~checkpoint ~interrupt d0
+        Resynth.run ~p1_percent ~q_max ~cache ?max_conflicts ~certify:d.cfg.certify
+          ~checkpoint ~interrupt d0
       in
       {
         P.r_job = j.id;
@@ -487,11 +473,14 @@ let fresh_id d =
 let handle_submit d conn (sub : P.submit) =
   if d.draining then post d conn (P.Error_msg "daemon is draining; not accepting jobs")
   else
-    match sat_mode_of_string sub.P.sat_mode with
-    | Error e -> post d conn (P.Error_msg e)
-    | Ok _ when (match sub.P.limits.P.jobs with Some n -> n < 1 | None -> false) ->
+    (* The incremental engine is the only one; the field stays on the wire
+       for clients that still send it. *)
+    match sub.P.sat_mode with
+    | Some m when m <> "incremental" ->
+        post d conn (P.Error_msg (Printf.sprintf "unknown sat mode %S" m))
+    | _ when (match sub.P.limits.P.jobs with Some n -> n < 1 | None -> false) ->
         post d conn (P.Error_msg "jobs limit must be at least 1")
-    | Ok _ ->
+    | _ ->
         let j = pending_job ~id:(fresh_id d) ~resume:false ~watchers:[ conn ] sub in
         register_job d j;
         ledger_submit d j;

@@ -40,7 +40,9 @@ type submit = {
   netlist : string;      (** netlist text ({!Dfm_netlist.Netlist_io} format) *)
   limits : limits;
   static_filter : bool;
-  sat_mode : string option;  (** "incremental" | "oneshot" | None = default *)
+  sat_mode : string option;
+      (** [None] or ["incremental"], the only SAT engine; the daemon refuses
+          any other value *)
   q_max : int option;        (** resynth only *)
   p1 : float option;         (** resynth only *)
 }

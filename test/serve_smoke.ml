@@ -1,5 +1,5 @@
 (* Loopback smoke for the serve daemon, driving the real CLI executable
-   as a subprocess.  Four end-to-end guarantees from the campaign-service
+   as a subprocess.  End-to-end guarantees from the campaign-service
    acceptance list:
 
    1. Determinism: a daemon-run analyze job is byte-identical to the
@@ -22,6 +22,8 @@
       lose at most the torn record — every job completed afterwards
       survives the next restart, keeps its report, and job ids are never
       reused.
+   7. Protocol: a submission naming any SAT engine but the incremental
+      one is refused with a one-line error and registers no job.
 
    Usage: serve_smoke CLI_EXE NETLIST_FILE *)
 
@@ -97,7 +99,7 @@ let stop_daemon ~sock ~pid =
   | Error _ -> ());
   ignore (wait_exit pid)
 
-let submit_analyze ?(jobs = 1) ~client ~name ~netlist sock =
+let submit_analyze ?(jobs = 1) ?sat_mode ~client ~name ~netlist sock =
   match Client.connect sock with
   | Error e -> Error e
   | Ok c ->
@@ -113,7 +115,7 @@ let submit_analyze ?(jobs = 1) ~client ~name ~netlist sock =
                 netlist;
                 limits = { Protocol.no_limits with jobs = Some jobs };
                 static_filter = false;
-                sat_mode = None;
+                sat_mode;
                 q_max = None;
                 p1 = None;
               })
@@ -284,6 +286,26 @@ let () =
       else
         fail "tenant %s missing attributed series: %s" tenant (String.concat " " missing))
     [ "alpha"; "bravo" ];
+
+  (* ---- 7. a retired SAT engine is refused at submission ------------ *)
+  (match
+     submit_analyze ~sat_mode:"oneshot" ~client:"delta" ~name:netlist_file
+       ~netlist:netlist_text sock1
+   with
+  | Error "unknown sat mode \"oneshot\"" -> pass "sat_mode \"oneshot\" refused at submission"
+  | Error e -> fail "sat_mode \"oneshot\": unexpected error %s" e
+  | Ok r -> fail "sat_mode \"oneshot\" accepted (outcome %s)" r.Protocol.r_outcome);
+  (match Client.connect sock1 with
+  | Error e -> fail "status connect: %s" e
+  | Ok c ->
+      (match Client.request c (Protocol.Status None) with
+      | Ok (Protocol.Status_report { jobs; _ }) ->
+          if List.exists (fun jv -> jv.Protocol.jv_client = "delta") jobs then
+            fail "refused submission registered a job"
+          else pass "refused submission registered no job"
+      | Ok _ -> fail "unexpected status response"
+      | Error e -> fail "status: %s" e);
+      Client.close c);
   stop_daemon ~sock:sock1 ~pid:pid1;
 
   (* ---- 5. EMFILE chaos + daemon-wide certify ----------------------- *)

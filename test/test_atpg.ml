@@ -215,7 +215,7 @@ let test_encode_bridge_needs_disagreement () =
   let nl = B.finish b in
   let ls = Ls.prepare nl in
   let f = { F.fault_id = 0; kind = F.Bridge (b1, b2, F.Wired_and); origin } in
-  (match Encode.check ls f with
+  (match Cold.check ls f with
   | Encode.Undetectable -> ()
   | _ -> Alcotest.fail "equal-signal bridge must be undetectable");
   (* but bridging x with not x is detectable *)
@@ -228,7 +228,7 @@ let test_encode_bridge_needs_disagreement () =
   let nl = B.finish b in
   let ls = Ls.prepare nl in
   let f = { F.fault_id = 0; kind = F.Bridge (inv, buf, F.Wired_or); origin } in
-  match Encode.check ls f with
+  match Cold.check ls f with
   | Encode.Tests _ -> ()
   | _ -> Alcotest.fail "complement bridge must be detectable"
 
@@ -242,7 +242,7 @@ let test_dff_pin_fault () =
   let nl = B.finish b in
   let ls = Ls.prepare nl in
   let f = { F.fault_id = 0; kind = F.Stuck (F.On_pin (0, 0), F.Sa0); origin } in
-  match Encode.check ls f with
+  match Cold.check ls f with
   | Encode.Tests [ t ] ->
       (* the test must set x = 1 *)
       Alcotest.(check bool) "x = 1" true t.Encode.values.(0)
@@ -265,7 +265,7 @@ let prop_podem_agrees_with_sat =
             (fun pol ->
               let f = { F.fault_id = 0; kind = F.Stuck (F.On_net nn.N.net_id, pol); origin } in
               let sat_detectable =
-                match Encode.check ls f with
+                match Cold.check ls f with
                 | Encode.Tests _ -> true
                 | Encode.Undetectable -> false
                 | Encode.Unknown -> not !ok (* force failure *)

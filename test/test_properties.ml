@@ -434,51 +434,41 @@ let prop_cache_never_changes_verdicts =
 
 (* The abort-budget escalation ladder must be a pure effort policy: when
    it resolves every abort, the result is bit-identical (modulo
-   [sat_queries]) to one classification run straight at the ladder's final
-   budget, and each rung can only shrink the aborted set.  This is the
-   budget-monotonicity argument of [Atpg.escalate] made executable.
-   Pinned to Oneshot: the identity is a statement about cold solvers — in
-   incremental mode retained learnt clauses can legitimately resolve a
-   fault on an earlier (cheaper) rung than the straight run's budget, so
-   only the semantic verdicts (not the Aborted frontier) would match. *)
-let prop_escalation_matches_final_budget =
-  QCheck.Test.make ~name:"abort escalation equals one classify at the final budget" ~count:10
+   [sat_queries]) to one classification run at the unbounded budget, and
+   each rung can only shrink the aborted set.  Verdicts are budget- and
+   history-independent, so a ladder that leaves no abort behind must land
+   exactly where an unbounded run does. *)
+let prop_escalation_matches_unbounded =
+  QCheck.Test.make ~name:"abort escalation equals one classify at the unbounded budget"
+    ~count:10
     QCheck.(pair (int_range 1 10000) (int_range 6 14))
     (fun (seed, ngates) ->
       let nl = random_netlist seed 5 ngates in
       let rng = Rng.create (seed lxor 0xabcd) in
       let faults = Array.of_list (faults_of_netlist nl rng) in
-      let mc = 1 in
-      let policy = { Atpg.factor = 4; max_total_conflicts = 1_000_000 } in
-      let cls = Atpg.classify ~max_conflicts:mc ~sat_mode:Atpg.Oneshot nl faults in
-      let esc, stats =
-        Atpg.escalate ~policy ~sat_mode:Atpg.Oneshot ~max_conflicts:mc nl faults cls
-      in
-      let monotone =
-        let rec ok prev = function
-          | [] -> true
-          | x :: tl -> x <= prev && ok x tl
-        in
-        ok cls.Atpg.counts.Atpg.aborted stats.Atpg.aborted_per_rung
-      in
-      if not monotone then
-        QCheck.Test.fail_reportf "aborted_per_rung not monotone: start %d, rungs [%s]"
-          cls.Atpg.counts.Atpg.aborted
-          (String.concat "; " (List.map string_of_int stats.Atpg.aborted_per_rung));
-      if esc.Atpg.counts.Atpg.aborted <> stats.Atpg.residual then
-        QCheck.Test.fail_reportf "residual %d but escalated classification reports %d aborts"
-          stats.Atpg.residual esc.Atpg.counts.Atpg.aborted;
-      stats.Atpg.residual > 0
-      ||
-      let rec final b k = if k = 0 then b else final (b * policy.Atpg.factor) (k - 1) in
-      let straight =
-        Atpg.classify ~max_conflicts:(final mc stats.Atpg.rungs) ~sat_mode:Atpg.Oneshot nl
-          faults
-      in
-      same_classification esc straight
-      || QCheck.Test.fail_reportf
-           "ladder (%d rungs, %d retried) differs from classify at final budget %d"
-           stats.Atpg.rungs stats.Atpg.retried (final mc stats.Atpg.rungs))
+      let cls = Atpg.classify ~max_conflicts:1 nl faults in
+      match Atpg.escalate ~max_conflicts:1 nl faults cls with
+      | _, None -> cls.Atpg.counts.Atpg.aborted = 0
+      | esc, Some stats ->
+          let monotone =
+            let rec ok prev = function
+              | [] -> true
+              | x :: tl -> x <= prev && ok x tl
+            in
+            ok cls.Atpg.counts.Atpg.aborted stats.Atpg.aborted_per_rung
+          in
+          if not monotone then
+            QCheck.Test.fail_reportf "aborted_per_rung not monotone: start %d, rungs [%s]"
+              cls.Atpg.counts.Atpg.aborted
+              (String.concat "; " (List.map string_of_int stats.Atpg.aborted_per_rung));
+          if esc.Atpg.counts.Atpg.aborted <> stats.Atpg.residual then
+            QCheck.Test.fail_reportf "residual %d but escalated classification reports %d aborts"
+              stats.Atpg.residual esc.Atpg.counts.Atpg.aborted;
+          stats.Atpg.residual > 0
+          || same_classification esc (Atpg.classify nl faults)
+          || QCheck.Test.fail_reportf
+               "ladder (%d rungs, %d retried) differs from the unbounded classify"
+               stats.Atpg.rungs stats.Atpg.retried)
 
 (* The incremental resweep must be observationally identical to a full
    sweep: same support hash for every net, same signature for every fault,
@@ -518,6 +508,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_tseitin_vs_truth_table;
     QCheck_alcotest.to_alcotest prop_tseitin_gates;
     QCheck_alcotest.to_alcotest prop_cache_never_changes_verdicts;
-    QCheck_alcotest.to_alcotest prop_escalation_matches_final_budget;
+    QCheck_alcotest.to_alcotest prop_escalation_matches_unbounded;
     QCheck_alcotest.to_alcotest prop_resweep_equals_full_sweep;
   ]

@@ -15,10 +15,11 @@
      driven until its clause arena is compacted, and keeps answering
      correctly afterwards.
 
-   - ATPG level: [Atpg.classify] / [generate] / [escalate] in Incremental
-     mode must produce the same verdicts as Oneshot mode, at jobs 1 and 4,
-     including after a region rewrite — and every incremental test pattern
-     must be confirmed by the independent fault simulator.
+   - ATPG level: [Atpg.classify] / [generate] / [escalate] must produce
+     the verdicts of a cold per-fault reference ([Cold]: a fresh session
+     per fault, every fault SAT-checked), at jobs 1 and 4, including after
+     a region rewrite — and every test pattern must be confirmed by the
+     independent fault simulator.
 
    - Campaign level: the [sat.solve] failpoint kills a checkpointed
      campaign mid-incremental-session; the resume must be bit-identical to
@@ -320,7 +321,7 @@ let test_pool_fifo () =
   Alcotest.(check int) "misses" 2 st.Incr.pool_misses
 
 (* ------------------------------------------------------------------ *)
-(* ATPG level: mode differential                                       *)
+(* ATPG level: against the cold per-fault reference                    *)
 (* ------------------------------------------------------------------ *)
 
 let random_netlist seed npis ngates =
@@ -368,34 +369,28 @@ let all_faults nl =
     nl.N.gates;
   Array.of_list (List.rev !faults)
 
-let counts_sans_sat_queries (c : Atpg.counts) =
-  ( c.Atpg.total,
-    c.Atpg.detected,
-    c.Atpg.undetectable,
-    c.Atpg.aborted,
-    c.Atpg.undetectable_internal,
-    c.Atpg.undetectable_external )
-
 let same_classification name (a : Atpg.classification) (b : Atpg.classification) =
   Alcotest.(check bool) (name ^ ": statuses identical") true (a.Atpg.status = b.Atpg.status);
   Alcotest.(check bool) (name ^ ": counts identical") true (a.Atpg.counts = b.Atpg.counts)
+
+(* [classify] at jobs 1 and 4 reaches the cold per-fault verdicts, and the
+   two job counts agree on statuses and counts. *)
+let classify_matches_cold nl faults =
+  let inc1 = Atpg.classify ~jobs:1 nl faults in
+  let inc4 = Atpg.classify ~jobs:4 nl faults in
+  Cold.statuses nl faults = inc1.Atpg.status
+  && inc1.Atpg.status = inc4.Atpg.status
+  && inc1.Atpg.counts = inc4.Atpg.counts
 
 let prop_modes_agree =
   QCheck.Test.make ~name:"incremental = oneshot verdicts at jobs 1 and 4" ~count:6
     QCheck.(pair (int_range 1 100000) (int_range 6 18))
     (fun (seed, ngates) ->
       let nl = random_netlist seed 4 ngates in
-      let faults = all_faults nl in
-      let one = Atpg.classify ~jobs:1 ~sat_mode:Atpg.Oneshot nl faults in
-      let inc1 = Atpg.classify ~jobs:1 ~sat_mode:Atpg.Incremental nl faults in
-      let inc4 = Atpg.classify ~jobs:4 ~sat_mode:Atpg.Incremental nl faults in
-      one.Atpg.status = inc1.Atpg.status
-      && one.Atpg.counts = inc1.Atpg.counts
-      && inc1.Atpg.status = inc4.Atpg.status
-      && inc1.Atpg.counts = inc4.Atpg.counts)
+      classify_matches_cold nl (all_faults nl))
 
-(* The resynthesis loop's central move is a region rewrite; the mode
-   identity must survive it. *)
+(* The resynthesis loop's central move is a region rewrite; the identity
+   with the cold reference must survive it. *)
 let prop_modes_agree_after_replace =
   QCheck.Test.make ~name:"mode identity survives a region rewrite" ~count:4
     QCheck.(pair (int_range 1 100000) (int_range 10 20))
@@ -413,33 +408,18 @@ let prop_modes_agree_after_replace =
             ~table:(Lazy.force table)
         with Dfm_synth.Mapper.Unmappable _ -> nl
       in
-      let faults = all_faults nl' in
-      let one = Atpg.classify ~jobs:1 ~sat_mode:Atpg.Oneshot nl' faults in
-      let inc1 = Atpg.classify ~jobs:1 ~sat_mode:Atpg.Incremental nl' faults in
-      let inc4 = Atpg.classify ~jobs:4 ~sat_mode:Atpg.Incremental nl' faults in
-      one.Atpg.status = inc1.Atpg.status
-      && one.Atpg.counts = inc1.Atpg.counts
-      && inc1.Atpg.status = inc4.Atpg.status
-      && inc1.Atpg.counts = inc4.Atpg.counts)
+      classify_matches_cold nl' (all_faults nl'))
 
-(* [generate] in both modes: same verdicts, zero simulator disagreements,
-   and the incremental test set replayed through the independent fault
-   simulator must cover every fault classified Detected.  (The patterns
-   themselves may differ between modes — only their validity is promised.) *)
-let test_generate_modes () =
+(* [generate]: the cold verdicts, zero simulator disagreements, and the
+   test set replayed through the independent fault simulator must cover
+   every fault classified Detected. *)
+let test_generate_cold () =
   let nl = random_netlist 42 5 12 in
   let faults = all_faults nl in
-  let g_one = Atpg.generate ~sat_mode:Atpg.Oneshot nl faults in
-  let g_inc = Atpg.generate ~sat_mode:Atpg.Incremental nl faults in
-  (* patterns (and hence fault-dropping order, hence [sat_queries]) may
-     differ between modes; the verdicts may not *)
-  Alcotest.(check bool) "generate: statuses identical" true
-    (g_one.Atpg.classification.Atpg.status = g_inc.Atpg.classification.Atpg.status);
-  Alcotest.(check bool) "generate: counts identical modulo sat_queries" true
-    (counts_sans_sat_queries g_one.Atpg.classification.Atpg.counts
-    = counts_sans_sat_queries g_inc.Atpg.classification.Atpg.counts);
-  Alcotest.(check int) "oneshot cross-check clean" 0 g_one.Atpg.cross_check_failures;
-  Alcotest.(check int) "incremental cross-check clean" 0 g_inc.Atpg.cross_check_failures;
+  let g = Atpg.generate nl faults in
+  Alcotest.(check bool) "generate: cold statuses" true
+    (Cold.statuses nl faults = g.Atpg.classification.Atpg.status);
+  Alcotest.(check int) "cross-check clean" 0 g.Atpg.cross_check_failures;
   let ls = Ls.prepare nl in
   let fs = Fs.prepare nl in
   let detected = Array.make (Array.length faults) false in
@@ -457,44 +437,39 @@ let test_generate_modes () =
               if stuck_seen.(fid) && init_seen.(fid) then detected.(fid) <- true
           | _ -> if Fs.detect_word fs ~good f <> 0L then detected.(fid) <- true)
         faults)
-    g_inc.Atpg.tests;
+    g.Atpg.tests;
   Array.iteri
     (fun fid st ->
       if st = Atpg.Detected then
         Alcotest.(check bool)
-          (Printf.sprintf "fault %d covered by incremental tests" fid)
+          (Printf.sprintf "fault %d covered by generated tests" fid)
           true detected.(fid))
-    g_inc.Atpg.classification.Atpg.status
+    g.Atpg.classification.Atpg.status
 
-(* Escalation ladders in both modes: semantic verdicts of faults resolved
-   by both agree, and the per-rung abort counts stay monotone. *)
-let prop_escalate_modes_agree =
-  QCheck.Test.make ~name:"escalation verdicts mode-independent" ~count:4
+(* The escalation ladder: every fault it resolves gets its cold verdict,
+   and the per-rung abort counts stay monotone. *)
+let prop_escalate_cold =
+  QCheck.Test.make ~name:"escalation verdicts = cold per-fault verdicts" ~count:4
     QCheck.(pair (int_range 1 100000) (int_range 18 28))
     (fun (seed, ngates) ->
       let nl = random_netlist seed 4 ngates in
       let faults = all_faults nl in
-      let run mode =
-        let cls = Atpg.classify ~jobs:1 ~max_conflicts:1 ~sat_mode:mode nl faults in
-        Atpg.escalate ~sat_mode:mode ~max_conflicts:1 nl faults cls
-      in
-      let cls_one, st_one = run Atpg.Oneshot in
-      let cls_inc, st_inc = run Atpg.Incremental in
+      let cls = Atpg.classify ~jobs:1 ~max_conflicts:1 nl faults in
+      let esc, stats = Atpg.escalate ~max_conflicts:1 nl faults cls in
       let monotone = function
         | [] -> true
         | l -> List.for_all2 ( >= ) l (List.tl l @ [ 0 ])
       in
-      if not (monotone st_one.Atpg.aborted_per_rung && monotone st_inc.Atpg.aborted_per_rung)
-      then QCheck.Test.fail_report "aborted_per_rung not monotone";
+      (match stats with
+      | Some st when not (monotone st.Atpg.aborted_per_rung) ->
+          QCheck.Test.fail_report "aborted_per_rung not monotone"
+      | Some _ | None -> ());
+      let cold = Cold.statuses nl faults in
       Array.iteri
         (fun i a ->
-          let b = cls_inc.Atpg.status.(i) in
-          match (a, b) with
-          | Atpg.Aborted, _ | _, Atpg.Aborted -> ()
-          | a, b ->
-              if a <> b then
-                QCheck.Test.fail_reportf "fault %d: oneshot and incremental disagree" i)
-        cls_one.Atpg.status;
+          if a <> Atpg.Aborted && a <> cold.(i) then
+            QCheck.Test.fail_reportf "fault %d: escalation and the cold reference disagree" i)
+        esc.Atpg.status;
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -515,11 +490,10 @@ let test_encode_session_invariants () =
     (fun f ->
       let v_inc = Encode.check_incr sess f in
       Solver.check_invariants (Encode.session_solver sess);
-      let v_one = Encode.check ls f in
       Alcotest.(check bool)
         (Printf.sprintf "fault %d verdict kind" f.F.fault_id)
         true
-        (verdict_kind v_inc = verdict_kind v_one);
+        (verdict_kind v_inc = verdict_kind (Cold.check ls f));
       match v_inc with
       | Encode.Tests ts ->
           (* every pattern from the shared session must actually work *)
@@ -552,7 +526,7 @@ let test_encode_session_invariants () =
     (st.Incr.retired + Encode.live_cones sess)
 
 (* A budget-exhausted query stays pending and a later re-check of the same
-   fault resolves it in place — without disturbing the mode identity. *)
+   fault resolves it in place, to its cold verdict. *)
 let test_encode_budget_re_solve () =
   let nl = random_netlist 9 4 26 in
   let ls = Ls.prepare nl in
@@ -567,15 +541,15 @@ let test_encode_budget_re_solve () =
     faults;
   Alcotest.(check bool) "pending parts iff unknown verdicts" true
     ((Encode.pending_parts sess > 0) = (!unknowns <> []));
-  (* the same session resolves them at full budget, matching one-shot *)
+  (* the same session resolves them at full budget, matching the cold run *)
   List.iter
     (fun f ->
       let v = Encode.check_incr sess f in
       Solver.check_invariants (Encode.session_solver sess);
       Alcotest.(check bool)
-        (Printf.sprintf "fault %d re-solve matches one-shot" f.F.fault_id)
+        (Printf.sprintf "fault %d re-solve matches the cold run" f.F.fault_id)
         true
-        (verdict_kind v = verdict_kind (Encode.check ls f)))
+        (verdict_kind v = verdict_kind (Cold.check ls f)))
     !unknowns;
   Alcotest.(check int) "re-solve drained the pending set" 0 (Encode.pending_parts sess)
 
@@ -600,7 +574,7 @@ let test_static_filter_never_encoded () =
   let m_act = Metrics.counter "dfm_sat_incr_activations_total" in
   let m_filtered = Metrics.counter "dfm_atpg_static_filtered_total" in
   let a0 = Metrics.counter_value m_act in
-  let plain = Atpg.classify ~jobs:1 ~sat_mode:Atpg.Incremental nl faults in
+  let plain = Atpg.classify ~jobs:1 nl faults in
   let plain_acts = Metrics.counter_value m_act - a0 in
   (* a sound filter by construction: exactly the SAT-proven undetectables *)
   let filter f = plain.Atpg.status.(f.F.fault_id) = Atpg.Undetectable in
@@ -609,7 +583,7 @@ let test_static_filter_never_encoded () =
   let a1 = Metrics.counter_value m_act in
   let f1 = Metrics.counter_value m_filtered in
   let filtered =
-    Atpg.classify ~jobs:1 ~static_filter:filter ~sat_mode:Atpg.Incremental nl faults
+    Atpg.classify ~jobs:1 ~static_filter:filter nl faults
   in
   let filtered_acts = Metrics.counter_value m_act - a1 in
   Alcotest.(check int) "filtered-faults metric is exact" (f1 + n_filtered)
@@ -626,7 +600,7 @@ let test_static_filter_never_encoded () =
   Alcotest.(check bool) "filtered faults never encoded" true
     (plain_acts - filtered_acts >= n_filtered);
   let filtered4 =
-    Atpg.classify ~jobs:4 ~static_filter:filter ~sat_mode:Atpg.Incremental nl faults
+    Atpg.classify ~jobs:4 ~static_filter:filter nl faults
   in
   same_classification "filtered jobs=4" filtered filtered4
 
@@ -639,14 +613,14 @@ let test_sat_solve_failpoint () =
   Fun.protect ~finally:Failpoint.clear @@ fun () ->
   let nl = random_netlist 7 4 10 in
   let faults = all_faults nl in
-  let r_ref = Atpg.classify ~jobs:1 ~sat_mode:Atpg.Incremental nl faults in
+  let r_ref = Atpg.classify ~jobs:1 nl faults in
   Failpoint.enable ~after:3 "sat.solve" Failpoint.Raise;
-  (match Atpg.classify ~jobs:1 ~sat_mode:Atpg.Incremental nl faults with
+  (match Atpg.classify ~jobs:1 nl faults with
   | _ -> Alcotest.fail "armed sat.solve site never fired"
   | exception Failpoint.Injected _ -> ());
   Alcotest.(check bool) "site counted hits" true (Failpoint.hit_count "sat.solve" > 3);
   Failpoint.clear ();
-  let r = Atpg.classify ~jobs:1 ~sat_mode:Atpg.Incremental nl faults in
+  let r = Atpg.classify ~jobs:1 nl faults in
   same_classification "after the injected crash" r_ref r
 
 (* Kill a checkpointed campaign via the sat.solve site — mid-flight of a
@@ -739,8 +713,8 @@ let suite =
     Alcotest.test_case "pool FIFO" `Quick test_pool_fifo;
     QCheck_alcotest.to_alcotest prop_modes_agree;
     QCheck_alcotest.to_alcotest prop_modes_agree_after_replace;
-    Alcotest.test_case "generate in both modes" `Quick test_generate_modes;
-    QCheck_alcotest.to_alcotest prop_escalate_modes_agree;
+    Alcotest.test_case "generate = cold per-fault verdicts" `Quick test_generate_cold;
+    QCheck_alcotest.to_alcotest prop_escalate_cold;
     Alcotest.test_case "encode session invariants" `Quick test_encode_session_invariants;
     Alcotest.test_case "budget re-solve in one session" `Quick test_encode_budget_re_solve;
     Alcotest.test_case "static filter never encoded" `Quick test_static_filter_never_encoded;
