@@ -1,5 +1,6 @@
 module N = Dfm_netlist.Netlist
 module Atpg = Dfm_atpg.Atpg
+module Span = Dfm_obs.Span
 
 type t = {
   netlist : N.t;
@@ -36,20 +37,26 @@ let undetectable t fid = t.classification.Atpg.status.(fid) = Atpg.Undetectable
 
 let implement ?(seed = 3) ?floorplan ?previous ?jobs ?cache ?max_conflicts
     ?(static_filter = false) ?certify netlist =
-  Dfm_obs.Span.with_ "implement"
+  Span.with_ "implement"
     ~attrs:[ ("gates", string_of_int (N.num_gates netlist)) ]
   @@ fun () ->
-  let floorplan =
-    match floorplan with Some fp -> fp | None -> Dfm_layout.Floorplan.create netlist
+  (* One span per layer, named like the benchmark's per-layer metrics;
+     [Atpg] opens atpg.classify and atpg.escalate itself. *)
+  let floorplan, placement =
+    Span.with_ "layout.place" @@ fun () ->
+    let floorplan =
+      match floorplan with Some fp -> fp | None -> Dfm_layout.Floorplan.create netlist
+    in
+    let prev_placement = Option.map (fun d -> d.placement) previous in
+    (floorplan, Dfm_layout.Place.place ~seed ?previous:prev_placement netlist floorplan)
   in
-  let prev_placement = Option.map (fun d -> d.placement) previous in
-  let placement = Dfm_layout.Place.place ~seed ?previous:prev_placement netlist floorplan in
-  let routing = Dfm_layout.Route.route ~seed placement in
-  let timing = Dfm_timing.Sta.analyze routing in
-  let power = Dfm_timing.Power.analyze ~seed routing in
-  let fault_list = Dfm_guidelines.Translate.build routing in
+  let routing = Span.with_ "layout.route" (fun () -> Dfm_layout.Route.route ~seed placement) in
+  let timing = Span.with_ "timing.sta" (fun () -> Dfm_timing.Sta.analyze routing) in
+  let power = Span.with_ "timing.power" (fun () -> Dfm_timing.Power.analyze ~seed routing) in
+  let fault_list = Span.with_ "dfm.translate" (fun () -> Dfm_guidelines.Translate.build routing) in
   let static =
     if static_filter then
+      Span.with_ "lint.static_filter" @@ fun () ->
       let df = Dfm_lint.Dataflow.analyze netlist in
       Some (Dfm_lint.Dataflow.prove_undetectable df)
     else None
@@ -65,6 +72,7 @@ let implement ?(seed = 3) ?floorplan ?previous ?jobs ?cache ?max_conflicts
     Atpg.escalate ?cache ?certify ?max_conflicts netlist faults classification
   in
   let cluster =
+    Span.with_ "core.cluster" @@ fun () ->
     Cluster.compute netlist faults
       ~undetectable:(fun fid -> classification.Atpg.status.(fid) = Atpg.Undetectable)
   in

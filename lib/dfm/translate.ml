@@ -223,14 +223,15 @@ let build (rt : Dfm_layout.Route.t) =
     !bridge_candidates;
   (* ---------------- external: density guidelines ---------------- *)
   let dens = Dfm_layout.Density.analyze rt in
-  Array.iter
-    (fun (w : Dfm_layout.Density.window) ->
+  let window_nets = Dfm_layout.Density.window_nets dens rt in
+  Array.iteri
+    (fun wi (w : Dfm_layout.Density.window) ->
       List.iter
         (fun (layer, d) ->
           let low = d < Dfm_layout.Density.low_threshold in
           let high = d > Dfm_layout.Density.high_threshold in
           if low || high then begin
-            let nets = Dfm_layout.Route.nets_in_window rt w.Dfm_layout.Density.win in
+            let nets = window_nets.(wi) in
             if nets <> [] then begin
               let index = Guideline.density_index ~layer ~low ~density:d in
               let g = Guideline.find Defect.Density index in

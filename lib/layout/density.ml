@@ -3,7 +3,7 @@ type window = {
   density : (Geom.layer * float) list;
 }
 
-type t = { windows : window array; window_size : float }
+type t = { windows : window array; window_size : float; nx : int; ny : int }
 
 let low_threshold = 0.02
 let high_threshold = 0.25
@@ -57,4 +57,30 @@ let analyze ?(window_size = 12.0) (rt : Route.t) =
       windows := { win; density } :: !windows
     done
   done;
-  { windows = Array.of_list !windows; window_size = ws }
+  { windows = Array.of_list !windows; window_size = ws; nx; ny }
+
+(* One pass over the segments: each segment's bounding box goes into the
+   grid windows it overlaps.  The candidate range is widened by one window
+   on each side against rounding, and the exact [Geom.overlap] test with
+   the window's own rectangle decides. *)
+let window_nets d (rt : Route.t) =
+  let die = rt.Route.place.Place.fp.Floorplan.die in
+  let wx = Geom.rect_width die /. float_of_int d.nx
+  and wy = Geom.rect_height die /. float_of_int d.ny in
+  let index v size = int_of_float (Float.floor (v /. size)) in
+  let bins = Array.make (d.nx * d.ny) [] in
+  Array.iter
+    (fun (s : Geom.segment) ->
+      let b = Route.seg_bbox s in
+      let net = s.Geom.seg_net in
+      for ix = max 0 (index b.Geom.lx wx - 1) to min (d.nx - 1) (index b.Geom.hx wx + 1) do
+        for iy = max 0 (index b.Geom.ly wy - 1) to min (d.ny - 1) (index b.Geom.hy wy + 1) do
+          let i = (ix * d.ny) + iy in
+          if Geom.overlap b d.windows.(i).win then
+            match bins.(i) with
+            | n :: _ when n = net -> ()
+            | l -> bins.(i) <- net :: l
+        done
+      done)
+    rt.Route.segments;
+  Array.map (List.sort_uniq compare) bins

@@ -11,10 +11,21 @@ type window = {
   density : (Geom.layer * float) list;  (** metal area / window area *)
 }
 
-type t = { windows : window array; window_size : float }
+type t = {
+  windows : window array;  (** window [(ix, iy)] at index [ix * ny + iy] *)
+  window_size : float;
+  nx : int;  (** grid columns *)
+  ny : int;  (** grid rows *)
+}
 
 val analyze : ?window_size:float -> Route.t -> t
 (** Default window size 12 um, clamped so there are at least 2x2 windows. *)
+
+val window_nets : t -> Route.t -> int list array
+(** For each window of [t] (same index), the nets with routed geometry
+    overlapping it ([Geom.overlap] with {!Route.seg_bbox}), ascending and
+    without duplicates.  One pass over the segments of the routing [t] was
+    analyzed from. *)
 
 val low_threshold : float
 val high_threshold : float

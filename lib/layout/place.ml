@@ -4,6 +4,21 @@ module Rng = Dfm_util.Rng
 
 exception Does_not_fit of string
 
+(* The pins of every net, fixed once per netlist and floorplan: gate pins
+   move with the placement, pads do not, so a net's pads are kept as their
+   bounding box. *)
+type pins = {
+  half_width : float array;  (* gate id -> half its cell width *)
+  row_y : float array;  (* row -> y of the cell centres in it *)
+  net_gates : int array array;  (* net id -> driver gate, then sink gates *)
+  net_pads : int array array;  (* net id -> its PO pads, ascending *)
+  n_fixed : int array;  (* net id -> driving PI pad (0 or 1) plus PO pads *)
+  fixed_lx : float array;  (* net id -> bounding box of those fixed pins *)
+  fixed_hx : float array;
+  fixed_ly : float array;
+  fixed_hy : float array;
+}
+
 type t = {
   fp : Floorplan.t;
   nl : N.t;
@@ -11,16 +26,10 @@ type t = {
   x_of : float array;
   pin_of_pi : Geom.point array;
   pin_of_po : Geom.point array;
+  pins : pins;
 }
 
 let gate_width (nl : N.t) gid = nl.N.gates.(gid).N.cell.Cell.width
-
-let gate_center t gid =
-  let g = t.nl.N.gates.(gid) in
-  {
-    Geom.x = t.x_of.(gid) +. (g.N.cell.Cell.width /. 2.0);
-    Geom.y = (float_of_int t.row_of.(gid) +. 0.5) *. t.fp.Floorplan.row_height;
-  }
 
 let edge_pins die n east =
   let h = Geom.rect_height die in
@@ -29,6 +38,72 @@ let edge_pins die n east =
         Geom.x = (if east then die.Geom.hx else die.Geom.lx);
         Geom.y = die.Geom.ly +. (h *. (float_of_int i +. 1.0) /. (float_of_int n +. 1.0));
       })
+
+let make_pins (nl : N.t) (fp : Floorplan.t) pin_of_pi pin_of_po =
+  let nnets = N.num_nets nl in
+  let pads = Array.make nnets [] in
+  for k = Array.length nl.N.pos - 1 downto 0 do
+    let nid = snd nl.N.pos.(k) in
+    pads.(nid) <- k :: pads.(nid)
+  done;
+  let net_pads = Array.map Array.of_list pads in
+  let net_gates = Array.make nnets [||] in
+  let n_fixed = Array.make nnets 0 in
+  let fixed_lx = Array.make nnets infinity and fixed_hx = Array.make nnets neg_infinity in
+  let fixed_ly = Array.make nnets infinity and fixed_hy = Array.make nnets neg_infinity in
+  let add_fixed nid (p : Geom.point) =
+    n_fixed.(nid) <- n_fixed.(nid) + 1;
+    fixed_lx.(nid) <- Float.min fixed_lx.(nid) p.Geom.x;
+    fixed_hx.(nid) <- Float.max fixed_hx.(nid) p.Geom.x;
+    fixed_ly.(nid) <- Float.min fixed_ly.(nid) p.Geom.y;
+    fixed_hy.(nid) <- Float.max fixed_hy.(nid) p.Geom.y
+  in
+  Array.iter
+    (fun (nn : N.net) ->
+      let nid = nn.N.net_id in
+      let sinks = List.map fst nn.N.sinks in
+      net_gates.(nid) <-
+        Array.of_list
+          (match nn.N.driver with
+          | N.Gate_out g -> g :: sinks
+          | N.Pi k ->
+              add_fixed nid pin_of_pi.(k);
+              sinks
+          | N.Const _ -> sinks);
+      Array.iter (fun k -> add_fixed nid pin_of_po.(k)) net_pads.(nid))
+    nl.N.nets;
+  {
+    half_width = Array.map (fun (g : N.gate) -> g.N.cell.Cell.width /. 2.0) nl.N.gates;
+    row_y =
+      Array.init fp.Floorplan.rows (fun r ->
+          (float_of_int r +. 0.5) *. fp.Floorplan.row_height);
+    net_gates;
+    net_pads;
+    n_fixed;
+    fixed_lx;
+    fixed_hx;
+    fixed_ly;
+    fixed_hy;
+  }
+
+let create nl fp =
+  let ngates = N.num_gates nl in
+  let pin_of_pi = edge_pins fp.Floorplan.die (Array.length nl.N.pis) false in
+  let pin_of_po = edge_pins fp.Floorplan.die (Array.length nl.N.pos) true in
+  {
+    fp;
+    nl;
+    row_of = Array.make ngates 0;
+    x_of = Array.make ngates 0.0;
+    pin_of_pi;
+    pin_of_po;
+    pins = make_pins nl fp pin_of_pi pin_of_po;
+  }
+
+let gate_center t gid =
+  { Geom.x = t.x_of.(gid) +. t.pins.half_width.(gid); y = t.pins.row_y.(t.row_of.(gid)) }
+
+let net_pads t nid = t.pins.net_pads.(nid)
 
 let net_pins t nid =
   let nn = t.nl.N.nets.(nid) in
@@ -39,21 +114,30 @@ let net_pins t nid =
     | N.Const _ -> []
   in
   let sinks = List.map (fun (g, _) -> gate_center t g) nn.N.sinks in
-  let pads =
-    Array.to_list t.pin_of_po
-    |> List.filteri (fun k _ -> snd t.nl.N.pos.(k) = nid)
-  in
+  let pads = Array.to_list (Array.map (fun k -> t.pin_of_po.(k)) (net_pads t nid)) in
   driver @ sinks @ pads
 
-let hpwl_of_pins = function
-  | [] | [ _ ] -> 0.0
-  | pins ->
-      let xs = List.map (fun (p : Geom.point) -> p.Geom.x) pins in
-      let ys = List.map (fun (p : Geom.point) -> p.Geom.y) pins in
-      let mn = List.fold_left Float.min infinity and mx = List.fold_left Float.max neg_infinity in
-      mx xs -. mn xs +. (mx ys -. mn ys)
-
-let net_hpwl t nid = hpwl_of_pins (net_pins t nid)
+(* Half-perimeter wirelength of one net: (max x - min x) + (max y - min y)
+   over its gate pins, at their [gate_center], and its fixed pads.  Min and
+   max are exact, so the order of the pins is free; nets with fewer than
+   two pins cost 0. *)
+let net_hpwl t nid =
+  let p = t.pins in
+  let gates = p.net_gates.(nid) in
+  if Array.length gates + p.n_fixed.(nid) < 2 then 0.0
+  else begin
+    let lx = ref p.fixed_lx.(nid) and hx = ref p.fixed_hx.(nid) in
+    let ly = ref p.fixed_ly.(nid) and hy = ref p.fixed_hy.(nid) in
+    for i = 0 to Array.length gates - 1 do
+      let g = gates.(i) in
+      let x = t.x_of.(g) +. p.half_width.(g) and y = p.row_y.(t.row_of.(g)) in
+      if x < !lx then lx := x;
+      if x > !hx then hx := x;
+      if y < !ly then ly := y;
+      if y > !hy then hy := y
+    done;
+    !hx -. !lx +. (!hy -. !ly)
+  end
 
 let total_hpwl t =
   let acc = ref 0.0 in
@@ -62,33 +146,27 @@ let total_hpwl t =
 
 (* Re-pack one row: cells keep their order, x = running sum plus an even
    share of the slack so the row spreads across the floorplan. *)
-let repack t (rows : int list array) r =
+let repack t (rows : int array array) r =
   let members = rows.(r) in
-  let used = List.fold_left (fun acc g -> acc +. gate_width t.nl g) 0.0 members in
-  let n = List.length members in
-  let slack = Float.max 0.0 (t.fp.Floorplan.row_capacity -. used) in
+  let n = Array.length members in
+  let used = ref 0.0 in
+  for i = 0 to n - 1 do
+    used := !used +. gate_width t.nl members.(i)
+  done;
+  let slack = Float.max 0.0 (t.fp.Floorplan.row_capacity -. !used) in
   let gap = if n = 0 then 0.0 else slack /. float_of_int (n + 1) in
   let x = ref gap in
-  List.iter
-    (fun g ->
-      t.x_of.(g) <- !x;
-      x := !x +. gate_width t.nl g +. gap)
-    members
+  for i = 0 to n - 1 do
+    let g = members.(i) in
+    t.x_of.(g) <- !x;
+    x := !x +. gate_width t.nl g +. gap
+  done
 
 (* ECO placement: keep named gates where they were, slot new gates into the
    emptiest rows, re-pack. *)
 let place_incremental (prev : t) nl fp =
   let ngates = N.num_gates nl in
-  let t =
-    {
-      fp;
-      nl;
-      row_of = Array.make ngates 0;
-      x_of = Array.make ngates 0.0;
-      pin_of_pi = edge_pins fp.Floorplan.die (Array.length nl.N.pis) false;
-      pin_of_po = edge_pins fp.Floorplan.die (Array.length nl.N.pos) true;
-    }
-  in
+  let t = create nl fp in
   let prev_pos = Hashtbl.create 256 in
   Array.iter
     (fun (g : N.gate) ->
@@ -157,13 +235,42 @@ let place_incremental (prev : t) nl fp =
     (List.sort compare !newcomers);
   let ordered_rows =
     Array.map
-      (fun members -> List.sort compare members |> List.map snd)
+      (fun members -> Array.of_list (List.map snd (List.sort compare members)))
       rows
   in
   for r = 0 to fp.Floorplan.rows - 1 do
     repack t ordered_rows r
   done;
   t
+
+(* Ascending union of two ascending duplicate-free net sets into [buf];
+   returns its length. *)
+let merge_nets (a : int array) (b : int array) (buf : int array) =
+  let na = Array.length a and nb = Array.length b in
+  let i = ref 0 and j = ref 0 and k = ref 0 in
+  while !i < na || !j < nb do
+    let v =
+      if !j >= nb || (!i < na && a.(!i) < b.(!j)) then begin
+        let v = a.(!i) in
+        incr i;
+        v
+      end
+      else if !i >= na || b.(!j) < a.(!i) then begin
+        let v = b.(!j) in
+        incr j;
+        v
+      end
+      else begin
+        let v = a.(!i) in
+        incr i;
+        incr j;
+        v
+      end
+    in
+    buf.(!k) <- v;
+    incr k
+  done;
+  !k
 
 let place ?(seed = 11) ?sa_moves ?previous nl fp =
   let ngates = N.num_gates nl in
@@ -180,20 +287,11 @@ let place ?(seed = 11) ?sa_moves ?previous nl fp =
       place_incremental prev nl fp
   | None ->
       let rng = Rng.create seed in
-      let t =
-        {
-          fp;
-          nl;
-          row_of = Array.make ngates 0;
-          x_of = Array.make ngates 0.0;
-          pin_of_pi = edge_pins fp.Floorplan.die (Array.length nl.N.pis) false;
-          pin_of_po = edge_pins fp.Floorplan.die (Array.length nl.N.pos) true;
-        }
-      in
+      let t = create nl fp in
       (* Initial placement: snake-fill rows in topological order so connected
          logic starts out close together.  Leave 8% headroom per row for the
          annealer to move cells across rows. *)
-      let rows = Array.make fp.Floorplan.rows [] in
+      let fill = Array.make fp.Floorplan.rows [] in
       let used = Array.make fp.Floorplan.rows 0.0 in
       let order =
         Array.to_list (N.topo_order nl)
@@ -228,20 +326,36 @@ let place ?(seed = 11) ?sa_moves ?previous nl fp =
           end;
           if used.(!r) +. w > fp.Floorplan.row_capacity then
             raise (Does_not_fit "row overflow during initial placement");
-          rows.(!r) <- gid :: rows.(!r);
+          fill.(!r) <- gid :: fill.(!r);
           used.(!r) <- used.(!r) +. w;
           t.row_of.(gid) <- !r)
         order;
-      Array.iteri (fun i members -> rows.(i) <- List.rev members) rows;
+      (* A swap exchanges two cells, so row lengths never change: rows are
+         arrays and [slot] is each gate's index in its row. *)
+      let rows = Array.map (fun members -> Array.of_list (List.rev members)) fill in
+      let slot = Array.make ngates 0 in
+      Array.iter (Array.iteri (fun i g -> slot.(g) <- i)) rows;
       for i = 0 to fp.Floorplan.rows - 1 do
         repack t rows i
       done;
-      (* Simulated annealing on HPWL with pairwise swaps. *)
-      let nets_of_gate gid =
-        let g = nl.N.gates.(gid) in
-        List.sort_uniq compare (g.N.fanout :: Array.to_list g.N.fanins)
+      (* Simulated annealing on HPWL with pairwise swaps.  A move's cost is
+         summed over the union of the two gates' nets in ascending net id
+         order; that order fixes the float sums, and so every accept. *)
+      let gate_nets =
+        Array.map
+          (fun (g : N.gate) ->
+            Array.of_list (List.sort_uniq compare (g.N.fanout :: Array.to_list g.N.fanins)))
+          nl.N.gates
       in
-      let cost_of nets = List.fold_left (fun acc n -> acc +. net_hpwl t n) 0.0 nets in
+      let widest = Array.fold_left (fun m ns -> max m (Array.length ns)) 0 gate_nets in
+      let nets = Array.make (2 * widest) 0 in
+      let cost n =
+        let acc = ref 0.0 in
+        for i = 0 to n - 1 do
+          acc := !acc +. net_hpwl t nets.(i)
+        done;
+        !acc
+      in
       let moves = match sa_moves with Some m -> m | None -> 24 * ngates in
       if ngates >= 2 then begin
         let temperature = ref (0.15 *. Geom.rect_width fp.Floorplan.die) in
@@ -257,14 +371,18 @@ let place ?(seed = 11) ?sa_moves ?previous nl fp =
                  && used.(r2) -. w2 +. w1 <= fp.Floorplan.row_capacity
             in
             if fits then begin
-              let nets = List.sort_uniq compare (nets_of_gate g1 @ nets_of_gate g2) in
-              let before = cost_of nets in
-              (* swap *)
+              let n = merge_nets gate_nets.(g1) gate_nets.(g2) nets in
+              let before = cost n in
+              (* Applied twice, the swap restores the rows.  [used] is
+                 stepped forward and back, never recomputed: a fresh sum can
+                 differ in the last bit and change a later [fits]. *)
               let swap () =
                 let i1 = t.row_of.(g1) and i2 = t.row_of.(g2) in
-                let exchange = List.map (fun g -> if g = g1 then g2 else if g = g2 then g1 else g) in
-                rows.(i1) <- exchange rows.(i1);
-                if i2 <> i1 then rows.(i2) <- exchange rows.(i2);
+                let s1 = slot.(g1) and s2 = slot.(g2) in
+                rows.(i1).(s1) <- g2;
+                rows.(i2).(s2) <- g1;
+                slot.(g1) <- s2;
+                slot.(g2) <- s1;
                 t.row_of.(g1) <- i2;
                 t.row_of.(g2) <- i1;
                 used.(i1) <- used.(i1) -. w1 +. w2;
@@ -273,7 +391,7 @@ let place ?(seed = 11) ?sa_moves ?previous nl fp =
                 if i2 <> i1 then repack t rows i2
               in
               swap ();
-              let after = cost_of nets in
+              let after = cost n in
               let delta = after -. before in
               let accept = delta <= 0.0 || Rng.float rng 1.0 < exp (-.delta /. !temperature) in
               if not accept then swap ()

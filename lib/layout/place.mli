@@ -8,6 +8,10 @@
 
 exception Does_not_fit of string
 
+type pins
+(** The pins of every net of a placed netlist: its driver and sink gates
+    and its fixed pads.  Built once per placement. *)
+
 type t = {
   fp : Floorplan.t;
   nl : Dfm_netlist.Netlist.t;
@@ -15,6 +19,7 @@ type t = {
   x_of : float array;     (** gate id -> left edge *)
   pin_of_pi : Geom.point array;  (** PI pad locations (west edge) *)
   pin_of_po : Geom.point array;  (** PO pad locations (east edge) *)
+  pins : pins;
 }
 
 val place :
@@ -29,6 +34,9 @@ val place :
     as little as possible. *)
 
 val gate_center : t -> int -> Geom.point
+
+val net_pads : t -> int -> int array
+(** The PO pads of a net, as ascending indices into [pin_of_po]. *)
 
 val net_pins : t -> int -> Geom.point list
 (** All pin locations of a net (driver output, sink inputs, pads). *)

@@ -64,9 +64,9 @@ let route ?(seed = 23) (pl : Place.t) =
                 in
                 (Place.gate_center pl g, Some (g, pin), key))
               nn.N.sinks
-            @ (Array.to_list pl.Place.pin_of_po
-              |> List.filteri (fun k _ -> snd nl.N.pos.(k) = nid)
-              |> List.mapi (fun k p -> (p, None, Printf.sprintf "%s>pad%d" net_name k)))
+            @ List.mapi
+                (fun k po -> (pl.Place.pin_of_po.(po), None, Printf.sprintf "%s>pad%d" net_name k))
+                (Array.to_list (Place.net_pads pl nid))
           in
           if sinks <> [] then begin
             let fanout = List.length sinks in
@@ -110,8 +110,3 @@ let seg_bbox (s : Geom.segment) =
   and ly = Float.min s.Geom.seg_a.Geom.y s.Geom.seg_b.Geom.y
   and hy = Float.max s.Geom.seg_a.Geom.y s.Geom.seg_b.Geom.y in
   { Geom.lx; ly = ly -. (s.Geom.seg_width /. 2.0); hx; hy = hy +. (s.Geom.seg_width /. 2.0) }
-
-let nets_in_window t w =
-  Array.to_list t.segments
-  |> List.filter_map (fun s -> if Geom.overlap (seg_bbox s) w then Some s.Geom.seg_net else None)
-  |> List.sort_uniq compare

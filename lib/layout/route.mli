@@ -18,6 +18,7 @@ val route : ?seed:int -> Place.t -> t
 
 val total_wirelength : t -> float
 
-val nets_in_window : t -> Geom.rect -> int list
-(** Nets with routed geometry intersecting a window (used by density
-    guidelines to attribute violations to nets). *)
+val seg_bbox : Geom.segment -> Geom.rect
+(** The rectangle a segment is taken to cover: its x extent, and its y
+    extent widened by half the wire width on each side.  Density windows
+    attribute their nets by overlap with it. *)

@@ -61,7 +61,7 @@ type conn = {
 
 type job = {
   id : string;
-  sub : P.submit;
+  mutable sub : P.submit;  (* netlist text emptied once the job is settled *)
   resume : bool;  (* restart re-attach: continue from the job's journal *)
   submitted : float;
   mutable state : P.job_state;
@@ -263,12 +263,16 @@ let finish_drain_if_idle d =
     wake d
   end
 
-(* A finished job's state follows from its result, live or replayed. *)
+(* A finished job's state follows from its result, live or replayed.  Only
+   [execute] reads the netlist text, so a settled job lets it go: the job
+   table outlives every job, and would otherwise hold each submitted
+   netlist for the daemon's life. *)
 let settle (j : job) (p : P.result_payload) =
   j.state <-
     (match p.P.r_outcome with "done" -> P.Done | "cancelled" -> P.Cancelled | _ -> P.Failed);
   j.detail <- (if p.P.r_outcome = "done" then "" else p.P.r_outcome);
-  j.result <- Some p
+  j.result <- Some p;
+  j.sub <- { j.sub with P.netlist = "" }
 
 let complete_job d (j : job) (p : P.result_payload) ~service =
   settle j p;
@@ -377,8 +381,11 @@ let exec_one d (j : job) =
   Metrics.observe m_queue_wait (int_of_float ((t0 -. j.submitted) *. 1000.));
   let stats0 = Dfm_incr.Cache.stats d.cache in
   (* Ambient attribution: the executor is single-lane, so every engine
-     counter bumped between here and the clear belongs to this tenant/job. *)
-  Metrics.set_attribution [ ("tenant", j.sub.P.client); ("job", j.id) ];
+     counter bumped between here and the clear belongs to this tenant.  Not
+     to the job: a job label would register a fresh set of series per job
+     that is never freed.  Per-job numbers are in the result payload and on
+     the serve.job span. *)
+  Metrics.set_attribution [ ("tenant", j.sub.P.client) ];
   let payload =
     match execute d j with
     | p -> p

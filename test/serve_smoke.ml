@@ -232,7 +232,7 @@ let () =
       Client.close c);
 
   (* The live Prometheus exposition must attribute engine work per tenant:
-     every family below gets a {job=...,tenant=...} series for each tenant
+     every family below gets a {tenant=...} series for each tenant
      that did work, alongside the unlabeled base series. *)
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
@@ -268,7 +268,7 @@ let () =
   in
   (* a family has tenant attribution when some sample line of that family
      carries the tenant label (labels render canonically sorted, so the
-     series reads fam{job="...",tenant="..."}) *)
+     series reads fam{tenant="..."}) *)
   let has_attributed prom fam tenant =
     List.exists
       (fun line ->

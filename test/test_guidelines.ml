@@ -7,6 +7,7 @@ module G = Dfm_guidelines.Guideline
 module T = Dfm_guidelines.Translate
 module Defect = Dfm_cellmodel.Defect
 module Geom = Dfm_layout.Geom
+module Hash64 = Dfm_util.Hash64
 
 let design = lazy (
   let nl = Dfm_circuits.Circuits.build ~scale:0.5 "tv80" in
@@ -136,6 +137,60 @@ let test_internal_only_matches_prefix () =
     (fun i f -> Alcotest.(check bool) "same kind" true (F.same_kind f.F.kind fl.T.faults.(i).F.kind))
     only
 
+(* The fault list and violations of [Translate.build], digested: every
+   fault's description (id, kind, origin) and every violation's guideline,
+   location, nets and fault ids, pinned at the blocks the placement
+   digests cover. *)
+let translate_digest ~scale name =
+  let nl, _, rt = Test_layout.layout ~scale name in
+  let fl = T.build rt in
+  let h = ref (Hash64.of_int fl.T.n_internal) in
+  let mix v = h := Hash64.mix !h v in
+  Array.iter (fun f -> mix (Hash64.of_string (F.describe nl f))) fl.T.faults;
+  List.iter
+    (fun (v : T.violation) ->
+      mix (Hash64.of_string v.T.guideline.G.id);
+      mix (Int64.bits_of_float v.T.at.Geom.x);
+      mix (Int64.bits_of_float v.T.at.Geom.y);
+      mix (Hash64.of_int_list v.T.nets);
+      mix (Hash64.of_int_list v.T.fault_ids))
+    fl.T.violations;
+  Hash64.to_hex !h
+
+(* Pinned from the translation that scanned every segment once per flagged
+   density window, which the one-pass window nets replaced. *)
+let translate_pins_quick =
+  [
+    ("tv80", 0.25, "6a6cd2a0a4deb28e");
+    ("systemcaes", 0.25, "e7313f777c2ad940");
+    ("aes_core", 0.25, "e0565c9063b7cfcf");
+    ("wb_conmax", 0.25, "603ba5ea55355c00");
+    ("des_perf", 0.25, "63966e478af69efe");
+    ("sparc_spu", 0.25, "be6f952329e34453");
+    ("sparc_ffu", 0.25, "f8092f6e2938e14d");
+    ("sparc_exu", 0.25, "250a7e85a1fc5ae6");
+    ("sparc_ifu", 0.25, "fe31e368e001a24f");
+    ("sparc_tlu", 0.25, "e41cd1f7ac2535f5");
+    ("sparc_lsu", 0.25, "e195c9e17c44e37c");
+    ("sparc_fpu", 0.25, "f57d03f0fe8641b6");
+  ]
+
+let translate_pins_full =
+  [
+    ("aes_core", 1.0, "dc647fd4b873b139");
+    ("sparc_fpu", 1.0, "dbe855ee14444e30");
+    ("sparc_ifu", 1.0, "88ba80627572cfee");
+    ("des_perf", 1.0, "350fcdba7a38bc3e");
+    ("sparc_exu", 1.0, "131deb0eb1132d43");
+    ("systemcaes", 1.0, "56d19531ba620c77");
+  ]
+
+let test_translate_digests_quick () =
+  Test_layout.check_digests "translate" translate_digest translate_pins_quick
+
+let test_translate_digests_full () =
+  Test_layout.check_digests "translate" translate_digest translate_pins_full
+
 let suite =
   [
     Alcotest.test_case "catalog" `Quick test_catalog;
@@ -147,4 +202,7 @@ let suite =
     Alcotest.test_case "all categories present" `Quick test_all_three_categories_present;
     Alcotest.test_case "bridges not feedback" `Quick test_bridges_not_feedback;
     Alcotest.test_case "internal_only prefix" `Quick test_internal_only_matches_prefix;
+    Alcotest.test_case "translate digests, 12 blocks @0.25" `Quick test_translate_digests_quick;
+    Alcotest.test_case "translate digests, analyze blocks @1.0" `Slow
+      test_translate_digests_full;
   ]

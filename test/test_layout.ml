@@ -7,6 +7,7 @@ module Floorplan = Dfm_layout.Floorplan
 module Place = Dfm_layout.Place
 module Route = Dfm_layout.Route
 module Density = Dfm_layout.Density
+module Hash64 = Dfm_util.Hash64
 
 let circuit = lazy (Dfm_circuits.Circuits.build ~scale:0.5 "sparc_spu")
 
@@ -185,6 +186,97 @@ let test_drc_clean_and_detects () =
        (fun (v : Dfm_layout.Drc.violation) -> v.Dfm_layout.Drc.rule = "R2-off-die")
        rb2.Dfm_layout.Drc.violations)
 
+(* ---- byte-identity guards ------------------------------------------- *)
+
+(* The blocks of the two analyze-* benchmark workloads, pinned at full
+   scale by the Slow guards; the Quick guards cover all twelve at 0.25. *)
+let analyze_blocks = [ "aes_core"; "sparc_fpu"; "sparc_ifu"; "des_perf"; "sparc_exu"; "systemcaes" ]
+
+(* Placement and routing exactly as [Design.implement] runs them. *)
+let layout ~scale name =
+  let nl = Dfm_circuits.Circuits.build ~scale name in
+  let pl = Place.place ~seed:3 nl (Floorplan.create nl) in
+  (nl, pl, Route.route ~seed:3 pl)
+
+let check_digests label digest pins =
+  List.iter
+    (fun (name, scale, want) ->
+      Alcotest.(check string) (Printf.sprintf "%s %s@%g" label name scale) want
+        (digest ~scale name))
+    pins
+
+(* [row_of] plus the bits of [x_of]: any change to the annealer's move
+   sequence, to the order in which a move's net costs are summed or to the
+   row re-pack's running sum moves some cell and changes the digest. *)
+let placement_digest ~scale name =
+  let _, pl, _ = layout ~scale name in
+  let h = ref (Hash64.of_int (Array.length pl.Place.row_of)) in
+  Array.iteri
+    (fun g r ->
+      h := Hash64.mix (Hash64.mix !h (Int64.of_int r)) (Int64.bits_of_float pl.Place.x_of.(g)))
+    pl.Place.row_of;
+  Hash64.to_hex !h
+
+(* Pinned from the list-based annealer that the array-based one replaced,
+   and never to be re-pinned to let a change through: the placement feeds
+   every later layer, so a moved cell is a changed report. *)
+let placement_pins_quick =
+  [
+    ("tv80", 0.25, "7be4e3c92ef84a36");
+    ("systemcaes", 0.25, "a17fcb78b93e98ae");
+    ("aes_core", 0.25, "8a0b8e32725a0fed");
+    ("wb_conmax", 0.25, "0efdfe3aae47a8e7");
+    ("des_perf", 0.25, "a4b9e63f93940b55");
+    ("sparc_spu", 0.25, "88c62e116af07fc6");
+    ("sparc_ffu", 0.25, "a58e4c31c45e52f0");
+    ("sparc_exu", 0.25, "050439bf0fb28c18");
+    ("sparc_ifu", 0.25, "c206cc27ab20cc2c");
+    ("sparc_tlu", 0.25, "e63366cc5e539b31");
+    ("sparc_lsu", 0.25, "735f263b7b57e41d");
+    ("sparc_fpu", 0.25, "73a932e079cb8a72");
+  ]
+
+let placement_pins_full =
+  [
+    ("aes_core", 1.0, "b108e5310da51df8");
+    ("sparc_fpu", 1.0, "f44a9dae643062f9");
+    ("sparc_ifu", 1.0, "fe8c4519e51aaa17");
+    ("des_perf", 1.0, "c71ef73320114252");
+    ("sparc_exu", 1.0, "fc5dab6c8f618cff");
+    ("systemcaes", 1.0, "143af4fc2892a597");
+  ]
+
+let test_placement_digests_quick () =
+  check_digests "placement" placement_digest placement_pins_quick
+
+let test_placement_digests_full () =
+  check_digests "placement" placement_digest placement_pins_full
+
+(* The scan [Density.window_nets] replaced, kept here as its oracle: every
+   segment of the routing tested against one window. *)
+let nets_in_window (rt : Route.t) w =
+  Array.to_list rt.Route.segments
+  |> List.filter_map (fun s ->
+         if Geom.overlap (Route.seg_bbox s) w then Some s.Geom.seg_net else None)
+  |> List.sort_uniq compare
+
+let test_window_nets_match_scan () =
+  List.iter
+    (fun name ->
+      let _, _, rt = layout ~scale:0.25 name in
+      let d = Density.analyze rt in
+      let got = Density.window_nets d rt in
+      Alcotest.(check int) (name ^ ": one list per window") (Array.length d.Density.windows)
+        (Array.length got);
+      Array.iteri
+        (fun i (w : Density.window) ->
+          let want = nets_in_window rt w.Density.win in
+          if got.(i) <> want then
+            Alcotest.failf "%s window %d: %d nets, the scan finds %d" name i
+              (List.length got.(i)) (List.length want))
+        d.Density.windows)
+    Dfm_circuits.Circuits.names
+
 let suite =
   [
     Alcotest.test_case "floorplan sizing" `Quick test_floorplan_sizing;
@@ -198,4 +290,8 @@ let suite =
     Alcotest.test_case "does not fit" `Quick test_place_does_not_fit;
     Alcotest.test_case "scan chain" `Quick test_scan_chain;
     Alcotest.test_case "drc clean + detects" `Quick test_drc_clean_and_detects;
+    Alcotest.test_case "window nets match the per-window scan" `Quick test_window_nets_match_scan;
+    Alcotest.test_case "placement digests, 12 blocks @0.25" `Quick test_placement_digests_quick;
+    Alcotest.test_case "placement digests, analyze blocks @1.0" `Slow
+      test_placement_digests_full;
   ]

@@ -278,6 +278,10 @@ let check_same_result label (a : Resynth.result) (b : Resynth.result) =
 let candidate_outcomes =
   [ "accept"; "backtrack-accept"; "reject"; "worse"; "no_fit"; "over_budget"; "unmappable" ]
 
+let inside (e : Span.event) (c : Span.event) =
+  c.Span.tid = e.Span.tid && c.Span.begin_seq < e.Span.begin_seq
+  && e.Span.end_seq < c.Span.end_seq
+
 let check_candidate_spans label (r : Resynth.result) spans =
   let named n = List.filter (fun (e : Span.event) -> e.Span.name = n) spans in
   let candidates = named "candidate" in
@@ -296,15 +300,42 @@ let check_candidate_spans label (r : Resynth.result) spans =
   if accepting <> r.Resynth.accepted then
     Alcotest.failf "%s: %d accepting outcomes for %d accepted steps" label accepting
       r.Resynth.accepted;
-  let inside (e : Span.event) (c : Span.event) =
-    c.Span.tid = e.Span.tid && c.Span.begin_seq < e.Span.begin_seq
-    && e.Span.end_seq < c.Span.end_seq
-  in
   List.iter
     (fun (e : Span.event) ->
       if not (List.exists (inside e) candidates) then
         Alcotest.failf "%s: %s span outside every candidate span" label e.Span.name)
     (named "remap" @ named "internal_check")
+
+(* [Design.implement] opens one span per layer: the spans only it opens
+   never appear outside an implement span, and every implement span holds
+   each layer that always runs exactly once.  [Atpg] opens atpg.classify
+   itself, inside implement and out; lint.static_filter runs only when
+   the filter is on. *)
+let implement_only =
+  [ "layout.place"; "layout.route"; "timing.sta"; "timing.power"; "dfm.translate";
+    "lint.static_filter"; "core.cluster" ]
+
+let implement_layers =
+  "atpg.classify" :: List.filter (fun l -> l <> "lint.static_filter") implement_only
+
+let check_implement_spans label spans =
+  let named n = List.filter (fun (e : Span.event) -> e.Span.name = n) spans in
+  let implements = named "implement" in
+  if implements = [] then Alcotest.failf "%s: no implement span" label;
+  List.iter
+    (fun (e : Span.event) ->
+      if not (List.exists (inside e) implements) then
+        Alcotest.failf "%s: %s span outside every implement span" label e.Span.name)
+    (List.concat_map named implement_only);
+  List.iter
+    (fun impl ->
+      List.iter
+        (fun layer ->
+          match List.filter (fun e -> inside e impl) (named layer) with
+          | [ _ ] -> ()
+          | l -> Alcotest.failf "%s: an implement span holds %d %s spans" label (List.length l) layer)
+        implement_layers)
+    implements
 
 let prop_transparency =
   QCheck.Test.make ~name:"campaign bit-identical with observability on/off (jobs 1 and 4)"
@@ -342,6 +373,7 @@ let prop_transparency =
           let spans = Span.drain () in
           check_same_result (Printf.sprintf "jobs=%d" jobs) off on;
           check_candidate_spans (Printf.sprintf "jobs=%d" jobs) on spans;
+          check_implement_spans (Printf.sprintf "jobs=%d" jobs) spans;
           (* the instrumented run must actually have observed something,
              otherwise this property is vacuous.  (Log records only appear
              on accepted steps, so [sunk] may legitimately stay 0 on a

@@ -2,9 +2,10 @@
    length-framed checksummed frame protocol (including the fuzz suite that
    backs the fail-closed guarantee), the typed request/response codec, the
    fair-share scheduler, and the [serve.conn] failpoint through a real
-   socketpair.  The daemon end-to-end paths (determinism, multi-tenant
-   cache sharing, kill -9 resilience) live in [serve_smoke.ml], which
-   drives the CLI executable. *)
+   socketpair; and what an in-process daemon keeps per finished job.  The
+   daemon end-to-end paths (determinism, multi-tenant cache sharing,
+   kill -9 resilience) live in [serve_smoke.ml], which drives the CLI
+   executable. *)
 
 module Wire = Dfm_serve.Wire
 module Frame = Dfm_serve.Frame
@@ -564,6 +565,124 @@ let test_conn_delay_then_delivers () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* What a long-lived daemon keeps per finished job                      *)
+(* ------------------------------------------------------------------ *)
+
+module Daemon = Dfm_serve.Daemon
+module Client = Dfm_serve.Client
+module Metrics = Dfm_obs.Metrics
+
+let rec remove_tree p =
+  match Sys.is_directory p with
+  | true ->
+      Array.iter (fun c -> remove_tree (Filename.concat p c)) (Sys.readdir p);
+      Sys.rmdir p
+  | false -> Sys.remove p
+  | exception Sys_error _ -> ()
+
+(* A daemon in a thread of this process on a fresh state dir; [f] gets a
+   connected client.  The daemon is drained and joined before returning. *)
+let with_daemon f =
+  let dir = Filename.temp_dir "dfm_serve_test" "" in
+  let sock = Filename.concat dir "d.sock" in
+  let state = Atomic.make `Starting in
+  let cfg =
+    { Daemon.socket_path = sock; state_dir = Filename.concat dir "state"; jobs = 1;
+      certify = false }
+  in
+  let saved_jobs = Dfm_util.Parallel.default_jobs () in
+  let th =
+    Thread.create
+      (fun () ->
+        match Daemon.run ~on_ready:(fun () -> Atomic.set state `Ready) cfg with
+        | _ -> ()
+        | exception e -> Atomic.set state (`Failed (Printexc.to_string e)))
+      ()
+  in
+  while Atomic.get state = `Starting do
+    Thread.delay 0.01
+  done;
+  (match Atomic.get state with
+  | `Failed e -> Alcotest.failf "daemon did not start: %s" e
+  | _ -> ());
+  let conn =
+    match Client.connect sock with Ok c -> c | Error e -> Alcotest.failf "connect: %s" e
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Client.request conn Protocol.Drain : (Protocol.response, string) result);
+      Client.close conn;
+      Thread.join th;
+      Dfm_util.Parallel.set_default_jobs saved_jobs;
+      remove_tree dir)
+    (fun () -> f conn)
+
+(* A lint job: it runs in milliseconds, yet the daemon keeps what it keeps
+   for any job. *)
+let run_job conn ~client text =
+  let sub =
+    {
+      Protocol.client;
+      kind = Protocol.Lint;
+      name = "aes_core";
+      netlist = text;
+      limits = Protocol.no_limits;
+      static_filter = false;
+      sat_mode = None;
+      q_max = None;
+      p1 = None;
+    }
+  in
+  match Client.submit_and_wait conn sub with
+  | Ok p when p.Protocol.r_outcome = "done" -> ()
+  | Ok p -> Alcotest.failf "job %s: %s" p.Protocol.r_outcome p.Protocol.r_report
+  | Error e -> Alcotest.failf "submit: %s" e
+
+let netlist_text =
+  lazy
+    (Dfm_netlist.Netlist_io.to_string (Dfm_circuits.Circuits.build ~scale:0.25 "aes_core"))
+
+(* Attribution is per tenant: once each tenant has run a job, more jobs
+   register no more metric series. *)
+let test_series_per_tenant () =
+  let text = Lazy.force netlist_text in
+  with_daemon @@ fun conn ->
+  run_job conn ~client:"alpha" text;
+  run_job conn ~client:"beta" text;
+  let first = List.length (Metrics.snapshot ()) in
+  for _ = 2 to 10 do
+    run_job conn ~client:"alpha" text;
+    run_job conn ~client:"beta" text
+  done;
+  Alcotest.(check int) "series after 10 jobs per tenant" first
+    (List.length (Metrics.snapshot ()))
+
+(* A finished job lets its netlist text go.  The daemon still keeps each
+   job's record and result, about 300 words for these jobs; the netlist
+   text alone is about 2,700.  The first jobs also fill the flight
+   recorder's fixed rings, so the growth is measured after 60 of them. *)
+let test_finished_jobs_release_netlists () =
+  let text = Lazy.force netlist_text in
+  with_daemon @@ fun conn ->
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let run n =
+    for i = 1 to n do
+      run_job conn ~client:(if i mod 2 = 0 then "alpha" else "beta") text
+    done
+  in
+  run 60;
+  let before = live () in
+  let jobs = 40 in
+  run jobs;
+  let per_job = (live () - before) / jobs in
+  if per_job >= 1000 then
+    Alcotest.failf "live heap grew by %d words per finished job (netlist text: %d words)"
+      per_job (String.length text / 8)
+
 let suite =
   [
     Alcotest.test_case "wire: roundtrip" `Quick test_wire_roundtrip;
@@ -593,4 +712,8 @@ let suite =
     Alcotest.test_case "conn: torn write failpoint" `Quick test_conn_torn_write_failpoint;
     Alcotest.test_case "conn: torn read reports cut" `Quick test_conn_torn_read_reports_cut;
     Alcotest.test_case "conn: delay delivers intact" `Quick test_conn_delay_then_delivers;
+    Alcotest.test_case "daemon: metric series per tenant, not per job" `Quick
+      test_series_per_tenant;
+    Alcotest.test_case "daemon: finished jobs release their netlists" `Quick
+      test_finished_jobs_release_netlists;
   ]
