@@ -259,11 +259,6 @@ let report_cache ~expect_hits cache =
         (st.Dfm_incr.Store.hits + st.Dfm_incr.Store.misses)
         (100.0 *. Dfm_incr.Cache.hit_rate c)
         st.Dfm_incr.Store.stores st.Dfm_incr.Store.disk_loaded;
-      (match Dfm_incr.Cache.resweep_stats c with
-      | None -> ()
-      | Some r ->
-          Fmt.pr "cache: incremental resweeps reused %d/%d support hashes@."
-            r.Dfm_incr.Invalidate.support_reused r.Dfm_incr.Invalidate.nets_total);
       Dfm_incr.Cache.close c;
       if expect_hits && st.Dfm_incr.Store.hits = 0 then begin
         Fmt.epr "expected cache hits, saw none@.";
@@ -496,8 +491,7 @@ let resynth_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
            ~doc:"Write the resynthesized netlist (text format) to \\$(docv).")
   in
-  let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print accepted steps.") in
-  let run name scale jobs cache_dir expect_hits q_max p1 out verbose max_conflicts certify
+  let run name scale jobs cache_dir expect_hits q_max p1 out max_conflicts certify
       failpoints checkpoint_dir resume trace metrics log_level progress =
     apply_jobs jobs;
     apply_failpoints failpoints;
@@ -508,18 +502,13 @@ let resynth_cmd =
     Fmt.pr "implementing %s (%d jobs) ...@." name (Dfm_util.Parallel.default_jobs ());
     let cache = make_cache cache_dir in
     let r =
-      (* The whole campaign — baseline implement included — sits under one
+      (* The whole campaign — initial implement included — sits under one
          handler: with --checkpoint-dir, any injected or I/O death becomes
          a one-line "campaign aborted" + exit 2, never a backtrace. *)
       try
         let d0 = Design.implement ?cache ?max_conflicts ~certify nl in
         Fmt.pr "original:      %a@." Design.pp_metrics (Design.metrics d0);
-        (* -v keeps its historical behaviour through the deprecated [?log]
-           shim; without it campaign messages flow through Dfm_obs.Log and
-           appear at --log-level info. *)
-        let log = if verbose then Some (fun s -> Fmt.pr "  %s@." s) else None in
-        Resynth.run ~p1_percent:p1 ~q_max ?cache ?max_conflicts ~certify ?checkpoint
-          ?log d0
+        Resynth.run ~p1_percent:p1 ~q_max ?cache ?max_conflicts ~certify ?checkpoint d0
       with
       | Dfm_sat.Cert.Check_failed msg -> certify_failed msg
       | Dfm_core.Checkpoint.Error msg ->
@@ -536,7 +525,7 @@ let resynth_cmd =
           exit 2
     in
     Fmt.pr "resynthesized: %a@." Design.pp_metrics (Design.metrics r.Resynth.final);
-    Fmt.pr "effort: %a@." Report.pp_effort (Report.effort r);
+    Fmt.pr "effort: %a@." Report.pp_effort r;
     report_cache ~expect_hits cache;
     let orig, resyn = Report.table2_rows ~name r in
     Fmt.pr "@[<v>Table-II rows:@,%a@,%a@,%a@]@." Report.pp_table2_header ()
@@ -563,7 +552,7 @@ let resynth_cmd =
        ~doc:"Run the two-phase resynthesis procedure of the paper on a block.")
     Term.(
       const run $ circuit_arg $ scale_arg $ jobs_arg $ cache_dir_arg $ expect_hits_arg $ q_max
-      $ p1 $ out $ verbose $ max_conflicts_arg $ certify_arg $ failpoint_arg
+      $ p1 $ out $ max_conflicts_arg $ certify_arg $ failpoint_arg
       $ checkpoint_dir_arg $ resume_arg $ trace_arg $ metrics_arg $ log_level_arg
       $ progress_arg)
 

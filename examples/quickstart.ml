@@ -54,7 +54,9 @@ let () =
   (* The paper's procedure: break the clusters without growing delay/power
      beyond q%% or the die beyond the original floorplan. *)
   Format.printf "@.running two-phase resynthesis (q swept 0..5) ...@.";
-  let r = Resynth.run ~log:(fun s -> Format.printf "  %s@." s) d0 in
+  Dfm_obs.Log.set_level Dfm_obs.Log.Info;
+  Dfm_obs.Log.set_sink (Some (fun r -> Format.printf "  %s@." r.Dfm_obs.Log.message));
+  let r = Resynth.run d0 in
   Format.printf "@.resynthesized design:@.  %a@.@." Design.pp_metrics
     (Design.metrics r.Resynth.final);
 

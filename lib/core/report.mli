@@ -39,7 +39,11 @@ type table2_row = {
 val table2_rows : name:string -> Resynth.result -> table2_row * table2_row
 (** Builds the original-design row and the resynthesized row, including the
     compacted test-set sizes (runs {!Dfm_atpg.Atpg.generate} on both
-    designs). *)
+    designs).  The resynthesized row's [rtime] is the campaign's runtime in
+    units of one synthesis + physical design + test generation iteration:
+    this function times that unit as one uncached {!Design.implement} of the
+    original netlist on its floorplan plus the original design's test
+    generation, and reports [(unit + elapsed_s) / unit]. *)
 
 val average_rows : table2_row list -> table2_row
 (** The paper's [average] row (over original or over resynthesized rows). *)
@@ -47,31 +51,12 @@ val average_rows : table2_row list -> table2_row
 val pp_table2_header : Format.formatter -> unit -> unit
 val pp_table2_row : Format.formatter -> table2_row -> unit
 
-type effort = {
-  ef_implement_calls : int;
-  ef_sat_queries : int;    (** across the whole procedure, baseline excluded *)
-  ef_cache_hits : int;
-  ef_hit_rate : float;     (** hits / (hits + SAT queries), 0.0 uncached *)
-  ef_conflicts : int;      (** solver effort of the run's queries… *)
-  ef_decisions : int;      (** …(see {!Resynth.result}: deterministic, *)
-  ef_propagations : int;   (** jobs- and observability-independent) *)
-  ef_resumed_steps : int;       (** accepted steps replayed from a checkpoint *)
-  ef_pool_retries : int;        (** supervised worker-pool retries *)
-  ef_pool_fallbacks : int;      (** pool tasks re-run in the coordinator *)
-  ef_escalation_retries : int;  (** abort-budget escalation SAT queries *)
-  ef_aborted_residual : int;    (** aborts surviving escalation — never dropped *)
-  ef_certified_checks : int;    (** certificate checks of a [--certify] run *)
-  ef_certified_failures : int;  (** failed checks (0 on any completed run) *)
-}
-
-val effort : Resynth.result -> effort
-(** What the run cost in solver work, what the verdict cache saved, and
-    what the resilience machinery (checkpoint resume, pool supervision,
-    abort escalation) had to absorb. *)
-
-val pp_effort : Format.formatter -> effort -> unit
-(** One line; the resilience and certification counters are appended only
-    when nonzero, so an uncertified healthy run keeps its exact shape. *)
+val pp_effort : Format.formatter -> Resynth.result -> unit
+(** One line: what the run cost in solver work and what the verdict cache
+    saved.  What the resilience machinery (checkpoint resume, pool
+    supervision, abort escalation) had to absorb, and the certification
+    counters, are appended only when nonzero, so an uncertified healthy run
+    keeps its exact shape. *)
 
 type fig2_point = {
   step : int;

@@ -34,7 +34,6 @@ type result = {
   decisions : int;
   propagations : int;
   elapsed_s : float;
-  baseline_s : float;
   resumed_steps : int;
   pool_retries : int;
   pool_fallbacks : int;
@@ -64,7 +63,7 @@ type state = {
   mutable hits0 : int;          (* cache counter at run (post-replay) start *)
   mutable hits_restored : int;  (* run-attributed hits restored from the journal *)
   (* Solver-effort attribution, same shape as the cache-hit attribution:
-     the process-wide [Solver.totals] are snapshot after baseline + replay
+     the process-wide [Solver.totals] are snapshot after the replay
      ([eff0]) and the journaled run-attributed totals of the resumed run are
      restored separately, so a resumed campaign reports the same effort the
      uninterrupted run would. *)
@@ -89,7 +88,6 @@ type state = {
   seed : int;
   sweep : bool;
   context_levels : int;
-  log : string -> unit;
   interrupt : unit -> unit;
 }
 
@@ -521,7 +519,7 @@ let run_phase st ~q ~phase ~p1 ~p2 =
                     run_propagations = rp;
                     p2;
                   });
-            st.log
+            Dfm_obs.Log.info
               (Printf.sprintf "q=%d phase %d: accepted, U=%d (internal %d), Smax=%d" q phase
                  (u_total d') (u_internal d') (smax d'));
             continue_ := true
@@ -542,17 +540,13 @@ let checkpoint_header ~p1_percent ~q_max ~seed ~sweep ~context_levels ~max_confl
     (match max_conflicts with None -> "-" | Some c -> string_of_int c)
 
 let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_levels = 2)
-    ?cache ?max_conflicts ?(certify = false) ?checkpoint ?log ?interrupt initial =
-  (* [?log] is the deprecated pre-logger callback: when given it still
-     receives every campaign message verbatim; otherwise messages become
-     [Dfm_obs.Log.info] records (dropped until a sink is installed). *)
-  let log = match log with Some f -> f | None -> fun m -> Dfm_obs.Log.info m in
+    ?cache ?max_conflicts ?(certify = false) ?checkpoint ?interrupt initial =
   let interrupt = match interrupt with Some f -> f | None -> fun () -> () in
   Span.with_ "campaign" ~attrs:[ ("q_max", string_of_int q_max) ] @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let pool_retried0, pool_fellback0 = Dfm_util.Parallel.supervision_totals () in
   (* Certification counters are process-wide; attribute to this run only the
-     checks performed during this call (baseline, replay and campaign). *)
+     checks performed during this call (replay and campaign). *)
   let cert0 = Dfm_sat.Cert.totals () in
   (* Attach the journal (if any) first: a header mismatch or an unwritable
      path must fail before any expensive work starts. *)
@@ -567,20 +561,6 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
         let t, entries = Checkpoint.attach ~resume ~header path in
         (Some t, entries)
   in
-  (* Baseline: one synthesis + physical design + *test generation* iteration
-     (the unit of the paper's Rtime column — their baseline includes
-     generating the DFM test set, so ours runs Atpg.generate too).  The
-     baseline deliberately stays uncached: it is the time unit every cached
-     iteration is compared against. *)
-  let tb0 = Unix.gettimeofday () in
-  let bdesign =
-    Design.implement ~seed ~floorplan:initial.Design.floorplan ~certify
-      initial.Design.netlist
-  in
-  ignore
-    (Atpg.generate ~seed ~certify bdesign.Design.netlist
-       bdesign.Design.fault_list.Dfm_guidelines.Translate.faults);
-  let baseline_s = Unix.gettimeofday () -. tb0 in
   let st =
     {
       current = initial;
@@ -612,7 +592,6 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
       seed;
       sweep;
       context_levels;
-      log;
       interrupt;
     }
   in
@@ -655,7 +634,7 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
           resume_p2 := a.Checkpoint.p2)
     replay;
   if st.resumed_steps > 0 then
-    log
+    Dfm_obs.Log.info
       (Printf.sprintf "resume: replayed %d accepted step(s), continuing at q=%d phase %d"
          st.resumed_steps !resume_q !resume_phase);
   (* A warm cache may arrive with prior traffic (including the replay's);
@@ -663,8 +642,8 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
   let hits0 = cache_hits_so_far st in
   st.hits0 <- hits0;
   st.hits_seen <- hits0;
-  (* Likewise for solver effort: everything the baseline and the replay
-     spent stays off this run's books. *)
+  (* Likewise for solver effort: everything the replay spent stays off
+     this run's books. *)
   let conf0, dec0, prop0 = Dfm_sat.Solver.totals () in
   st.conf0 <- conf0;
   st.dec0 <- dec0;
@@ -701,7 +680,6 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
     decisions = run_decisions;
     propagations = run_propagations;
     elapsed_s = Unix.gettimeofday () -. t0;
-    baseline_s;
     resumed_steps = st.resumed_steps;
     pool_retries = pool_retried1 - pool_retried0;
     pool_fallbacks = pool_fellback1 - pool_fellback0;

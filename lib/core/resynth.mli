@@ -48,19 +48,20 @@ type result = {
   implement_calls : int;   (** full synthesis+PD+ATPG iterations performed *)
   sat_queries : int;
       (** SAT queries spent across all classifications of the procedure
-          (implement calls and internal-only checks; the baseline run is
-          excluded) — the quantity the verdict cache saves *)
+          (implement calls and internal-only checks) — the quantity the
+          verdict cache saves *)
   cache_hits : int;        (** verdict-cache hits of this run (0 uncached) *)
   conflicts : int;
   decisions : int;
   propagations : int;
-      (** solver effort of this run's SAT queries (baseline excluded),
-          attributed like [cache_hits]: deltas of the process-wide
+      (** solver effort of this run's SAT queries, attributed like
+          [cache_hits]: deltas of the process-wide
           {!Dfm_sat.Solver.totals}, restored across a checkpoint resume.
           Counting is unconditional, so the numbers are independent of any
           observability setting and of [--jobs] *)
   elapsed_s : float;
-  baseline_s : float;      (** duration of one implement call (Rtime unit) *)
+      (** wall-clock duration of the call; {!Report.table2_rows} turns it
+          into Rtime *)
   resumed_steps : int;     (** accepted steps replayed from a checkpoint journal *)
   pool_retries : int;      (** supervised worker-pool task retries during the run *)
   pool_fallbacks : int;    (** pool tasks re-run sequentially in the coordinator *)
@@ -97,10 +98,6 @@ val run :
   ?max_conflicts:int ->
   ?certify:bool ->
   ?checkpoint:checkpoint_spec ->
-  ?log:(string -> unit) ->
-  (* [?log] is deprecated: campaign messages now flow through
-     {!Dfm_obs.Log} (as [Info] records) unless this shim is given, in which
-     case it receives every message verbatim as before. *)
   ?interrupt:(unit -> unit) ->
   (* [?interrupt] is polled at every design-point boundary (each phase-loop
      iteration and each candidate evaluation).  Raising from it aborts the
@@ -120,7 +117,9 @@ val run :
     internal-only pre-checks).  Each iteration edits a local region, so
     most fault cones — and therefore verdicts — carry over; the cache skips
     their re-derivation without changing any result ({!Dfm_incr.Cache}).
-    The baseline timing run stays uncached, it is the comparison unit.
+
+    Each accepted step (and a checkpoint resume) is logged as a
+    {!Dfm_obs.Log} [Info] record.
 
     [max_conflicts] bounds every classification SAT query; aborted faults
     are retried on the geometric budget ladder of

@@ -1,9 +1,5 @@
 
-type t = {
-  store : Store.t;
-  mutable last_sweep : Signature.sweep option;
-  mutable resweeps : Invalidate.stats option;  (* cumulative *)
-}
+type t = { store : Store.t; mutable last_sweep : Signature.sweep option }
 
 let cache_file = "verdicts.bin"
 
@@ -15,27 +11,12 @@ let create ?capacity ?dir ?log () =
         Filename.concat dir cache_file)
       dir
   in
-  { store = Store.create ?capacity ?path ?log (); last_sweep = None; resweeps = None }
+  { store = Store.create ?capacity ?path ?log (); last_sweep = None }
 
 let sweep_for t nl =
   match t.last_sweep with
   | Some sw when Signature.netlist sw == nl -> sw
-  | Some prev ->
-      let sw, st = Invalidate.resweep ~previous:prev nl in
-      let acc =
-        match t.resweeps with
-        | None -> st
-        | Some a ->
-            {
-              Invalidate.nets_total = a.Invalidate.nets_total + st.Invalidate.nets_total;
-              support_reused = a.Invalidate.support_reused + st.Invalidate.support_reused;
-              support_recomputed = a.Invalidate.support_recomputed + st.Invalidate.support_recomputed;
-            }
-      in
-      t.resweeps <- Some acc;
-      t.last_sweep <- Some sw;
-      sw
-  | None ->
+  | _ ->
       let sw = Signature.sweep nl in
       t.last_sweep <- Some sw;
       sw
@@ -54,7 +35,5 @@ let record ?certified t sg v = Store.add ?certified t.store sg v
 let stats t = Store.stats t.store
 
 let hit_rate t = Store.hit_rate t.store
-
-let resweep_stats t = t.resweeps
 
 let close t = Store.close t.store

@@ -1,6 +1,5 @@
 (** The incremental-analysis façade the engine threads through a campaign:
-    one signature sweep per netlist (incrementally re-swept between
-    resynthesis steps, see [Invalidate]) in front of one verdict {!Store}.
+    one signature sweep per netlist in front of one verdict {!Store}.
 
     Correctness invariant (enforced by the property tests, relied on by
     [Atpg.classify]): for any netlist and any warm or cold cache state,
@@ -23,9 +22,8 @@ val create : ?capacity:int -> ?dir:string -> ?log:(string -> unit) -> unit -> t
 val signatures :
   t -> ?max_conflicts:int -> Dfm_netlist.Netlist.t -> Dfm_faults.Fault.t array -> int64 array
 (** Cone signatures of the whole fault list.  The per-netlist sweep is
-    memoized: the same netlist (physical equality) reuses it outright, and a
-    different netlist is diffed against the previous sweep so only the
-    edited region's support hashes are recomputed. *)
+    memoized: the same netlist (physical equality) reuses it outright; a
+    different netlist gets a full {!Signature.sweep}. *)
 
 val find : t -> int64 -> Store.verdict option
 
@@ -38,8 +36,5 @@ val record : ?certified:bool -> t -> int64 -> Store.verdict -> unit
 val stats : t -> Store.stats
 
 val hit_rate : t -> float
-
-val resweep_stats : t -> Invalidate.stats option
-(** Cumulative incremental-sweep stats; [None] before any resweep. *)
 
 val close : t -> unit

@@ -50,8 +50,6 @@ type sweep = {
 
 let netlist sw = sw.nl
 
-let support_hash sw n = sw.support.(n)
-
 let is_seq_gate nl g = (N.gate nl g).N.cell.Cell.is_seq
 
 (* Forward pass.  Free sources (PIs, flip-flop Q nets) are labeled by net
@@ -59,18 +57,9 @@ let is_seq_gate nl g = (N.gate nl g).N.cell.Cell.is_seq
    gets an id-order occurrence index, which restores injectivity within one
    netlist (soundness) at the price of order-dependence for the duplicates
    (a cache-miss risk only). *)
-let compute_sweep ~support_hint nl =
+let sweep nl =
   let nn = N.num_nets nl in
   let support = Array.make nn 0L in
-  let reused = ref 0 in
-  let adopt n =
-    match support_hint n with
-    | Some h ->
-        support.(n) <- h;
-        incr reused;
-        true
-    | None -> false
-  in
   let name_occ = Hashtbl.create 64 in
   let source_label name =
     let occ = try Hashtbl.find name_occ name with Not_found -> 0 in
@@ -80,36 +69,25 @@ let compute_sweep ~support_hint nl =
   for n = 0 to nn - 1 do
     let net = N.net nl n in
     match net.N.driver with
-    | N.Pi _ ->
-        let l = source_label net.N.net_name in
-        if not (adopt n) then support.(n) <- l
-    | N.Const b -> if not (adopt n) then support.(n) <- (if b then tag_const1 else tag_const0)
+    | N.Pi _ -> support.(n) <- source_label net.N.net_name
+    | N.Const b -> support.(n) <- (if b then tag_const1 else tag_const0)
     | N.Gate_out g ->
-        if is_seq_gate nl g then begin
-          let l = source_label net.N.net_name in
-          if not (adopt n) then support.(n) <- l
-        end
+        if is_seq_gate nl g then support.(n) <- source_label net.N.net_name
   done;
   let order = N.topo_order nl in
   Array.iter
     (fun gid ->
       let g = N.gate nl gid in
-      let out = g.N.fanout in
-      if not (adopt out) then
-        support.(out) <-
-          H.combine
-            (H.mix tag_gate (tt_hash g.N.cell))
-            (Array.to_list (Array.map (fun fn -> support.(fn)) g.N.fanins)))
+      support.(g.N.fanout) <-
+        H.combine
+          (H.mix tag_gate (tt_hash g.N.cell))
+          (Array.to_list (Array.map (fun fn -> support.(fn)) g.N.fanins)))
     order;
   let topo_pos = Array.make (N.num_gates nl) max_int in
   Array.iteri (fun i gid -> topo_pos.(gid) <- i) order;
   let obs = Array.make nn false in
   List.iter (fun (_, n) -> obs.(n) <- true) (N.observe_nets nl);
-  ({ nl; support; obs; topo_pos; cone_memo = Hashtbl.create 256 }, !reused)
-
-let sweep nl = fst (compute_sweep ~support_hint:(fun _ -> None) nl)
-
-let sweep_reusing nl ~support_hint = compute_sweep ~support_hint nl
+  { nl; support; obs; topo_pos; cone_memo = Hashtbl.create 256 }
 
 (* Canonical hash of the fault's combinational fanout region, mirroring
    [Encode.build_cone_and_observe]: cone nets are numbered in cone-topo

@@ -69,19 +69,7 @@ type sweep
 
 val sweep : Dfm_netlist.Netlist.t -> sweep
 
-val sweep_reusing :
-  Dfm_netlist.Netlist.t -> support_hint:(int -> int64 option) -> sweep * int
-(** [sweep_reusing nl ~support_hint] computes a sweep but, for every net id
-    where the hint returns [Some h], adopts [h] as the support hash instead
-    of recomputing.  The caller (see [Invalidate]) must only offer hints
-    equal to what the full sweep would compute; this function is the
-    mechanism, the invalidation layer is the policy.  Also returns how many
-    hashes were adopted from hints. *)
-
 val netlist : sweep -> Dfm_netlist.Netlist.t
-
-val support_hash : sweep -> int -> int64
-(** Per-net forward (fanin-cone term) hash. *)
 
 val of_fault : sweep -> params:params -> Dfm_faults.Fault.t -> int64
 (** The fault's cone signature.  Cost: fanin arity + activation size, plus

@@ -1,6 +1,5 @@
 (* Session layer over the persistent solver: activation-literal management
-   for many enable/disable-able clause groups sharing one instance, plus a
-   small keyed pool of sessions.
+   for many enable/disable-able clause groups sharing one instance.
 
    One session = one solver living across many queries.  A query gets an
    activation literal [a]; its clauses are added guarded as [¬a ∨ C] and
@@ -106,58 +105,4 @@ let stats t =
     retired = t.n_retired;
     solves = t.n_solves;
     clauses_reused = t.reused;
-  }
-
-(* ---- keyed session pool -------------------------------------------- *)
-
-(* Sessions keyed by an [int64] content hash (the same key shape as the
-   [lib/incr] cone signatures), each carrying a caller payload ['a] — the
-   encoder state that maps problem structure to solver variables.  FIFO
-   eviction bounds memory; an evicted session is simply dropped (its solver
-   is garbage-collected), never reused. *)
-
-type 'a pool = {
-  tbl : (int64, session * 'a) Hashtbl.t;
-  max_sessions : int;
-  mutable fifo : int64 list;  (* oldest last *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-}
-
-type pool_stats = { live : int; pool_hits : int; pool_misses : int; evictions : int }
-
-let create_pool ?(max_sessions = 8) () =
-  if max_sessions < 1 then invalid_arg "Incremental.create_pool";
-  { tbl = Hashtbl.create 16; max_sessions; fifo = []; hits = 0; misses = 0; evictions = 0 }
-
-let find_session p ~key =
-  match Hashtbl.find_opt p.tbl key with
-  | Some _ as r ->
-      p.hits <- p.hits + 1;
-      r
-  | None ->
-      p.misses <- p.misses + 1;
-      None
-
-let add_session p ~key sess payload =
-  if not (Hashtbl.mem p.tbl key) then begin
-    if Hashtbl.length p.tbl >= p.max_sessions then begin
-      match List.rev p.fifo with
-      | oldest :: _ ->
-          Hashtbl.remove p.tbl oldest;
-          p.fifo <- List.filter (fun k -> k <> oldest) p.fifo;
-          p.evictions <- p.evictions + 1
-      | [] -> ()
-    end;
-    p.fifo <- key :: p.fifo
-  end;
-  Hashtbl.replace p.tbl key (sess, payload)
-
-let pool_stats p =
-  {
-    live = Hashtbl.length p.tbl;
-    pool_hits = p.hits;
-    pool_misses = p.misses;
-    evictions = p.evictions;
   }

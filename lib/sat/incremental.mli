@@ -1,5 +1,5 @@
 (** Incremental SAT sessions: activation-literal bookkeeping over one
-    persistent {!Solver} instance, plus a keyed session pool.
+    persistent {!Solver} instance.
 
     A session hosts many queries against one growing CNF.  Shared
     ("permanent") clauses are added once; each query allocates an
@@ -61,33 +61,3 @@ val retire : session -> act:int -> locals:int list -> unit
     the query's verdict is final. *)
 
 val stats : session -> stats
-
-(** {1 Keyed session pool}
-
-    Sessions addressed by [int64] content keys — the same key shape as the
-    {!Dfm_incr.Signature} cone hashes, so callers can reuse one solver per
-    cone/region across repeated analyses.  Each entry carries a caller
-    payload ['a] (typically the encoder state binding problem structure to
-    solver variables); the pool is FIFO-bounded and evicted sessions are
-    dropped, never resurrected.  Like sessions, a pool belongs to one
-    domain. *)
-
-type 'a pool
-
-type pool_stats = {
-  live : int;
-  pool_hits : int;
-  pool_misses : int;
-  evictions : int;
-}
-
-val create_pool : ?max_sessions:int -> unit -> 'a pool
-(** Default capacity: 8 sessions.  @raise Invalid_argument on [< 1]. *)
-
-val find_session : 'a pool -> key:int64 -> (session * 'a) option
-
-val add_session : 'a pool -> key:int64 -> session -> 'a -> unit
-(** Insert (or replace) the session under [key], evicting the oldest entry
-    when the pool is full. *)
-
-val pool_stats : 'a pool -> pool_stats

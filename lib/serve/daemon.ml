@@ -964,6 +964,7 @@ let run ?(on_ready = fun () -> ()) cfg =
       if j.result = None then ignore (Scheduler.submit d.sched ~client:j.sub.P.client j.id : int))
     replayed.rp_jobs;
   Metrics.set m_queue_depth (Scheduler.pending d.sched);
+  let default_jobs0 = Dfm_util.Parallel.default_jobs () in
   Dfm_util.Parallel.set_pool_floor d.cfg.jobs;
   Dfm_util.Parallel.set_default_jobs d.cfg.jobs;
   install_obs_router d;
@@ -991,6 +992,7 @@ let run ?(on_ready = fun () -> ()) cfg =
   Option.iter Journal.close d.ledger;
   Dfm_incr.Cache.close d.cache;
   Dfm_util.Parallel.set_pool_floor 0;
+  Dfm_util.Parallel.set_default_jobs default_jobs0;
   (match old_usr2 with
   | Some b -> ( try Sys.set_signal Sys.sigusr2 b with Invalid_argument _ | Sys_error _ -> ())
   | None -> ());

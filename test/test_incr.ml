@@ -1,8 +1,7 @@
 (* Tests for dfm_incr: the verdict store (counters, FIFO eviction, disk
    round-trip and corruption recovery), cone signatures (determinism,
-   id-independence, locality, parameter sensitivity), the incremental
-   resweep, and the end-to-end invariant that a cache never changes a
-   classification. *)
+   id-independence, locality, parameter sensitivity), and the end-to-end
+   invariant that a cache never changes a classification. *)
 
 module N = Dfm_netlist.Netlist
 module B = N.Builder
@@ -12,7 +11,6 @@ module Atpg = Dfm_atpg.Atpg
 module Rng = Dfm_util.Rng
 module Store = Dfm_incr.Store
 module Signature = Dfm_incr.Signature
-module Invalidate = Dfm_incr.Invalidate
 module Cache = Dfm_incr.Cache
 module Failpoint = Dfm_util.Failpoint
 
@@ -295,63 +293,6 @@ let test_signature_determinism_and_params () =
     (Signature.of_fault sw1 ~params f <> Signature.of_fault sw1 ~params:bounded f)
 
 (* ------------------------------------------------------------------ *)
-(* Incremental resweep                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Two independent chains; resynthesizing the second must reuse the first
-   chain's support hashes and reproduce a full sweep exactly. *)
-let chains_netlist () =
-  let b = B.create ~name:"chains" lib in
-  let a = B.add_pi b "a" and bb = B.add_pi b "b" in
-  let c = B.add_pi b "c" and d = B.add_pi b "d" in
-  let x1 = B.add_gate b ~cell:"NAND2X1" [| a; bb |] in
-  let x2 = B.add_gate b ~cell:"INVX1" [| x1 |] in
-  let y1 = B.add_gate b ~cell:"NOR2X1" [| c; d |] in
-  let y2 = B.add_gate b ~cell:"XOR2X1" [| y1; c |] in
-  B.mark_po b "o1" x2;
-  B.mark_po b "o2" y2;
-  B.finish b
-
-let all_stuck nl =
-  let faults = ref [] in
-  let id = ref 0 in
-  Array.iter
-    (fun (nn : N.net) ->
-      List.iter
-        (fun pol ->
-          faults := { F.fault_id = !id; kind = F.Stuck (F.On_net nn.N.net_id, pol); origin } :: !faults;
-          incr id)
-        [ F.Sa0; F.Sa1 ])
-    nl.N.nets;
-  Array.of_list (List.rev !faults)
-
-let test_resweep_matches_full_sweep () =
-  let nl = chains_netlist () in
-  let region = [ gate_of_cell nl "NOR2X1"; gate_of_cell nl "XOR2X1" ] in
-  let nl2 = Dfm_synth.Convert.remap_region nl ~gates:region ~table:(Lazy.force table) in
-  let sw0 = Signature.sweep nl in
-  let incr_sw, st = Invalidate.resweep ~previous:sw0 nl2 in
-  let full_sw = Signature.sweep nl2 in
-  Alcotest.(check int) "accounts every net" (N.num_nets nl2)
-    (st.Invalidate.support_reused + st.Invalidate.support_recomputed);
-  Alcotest.(check bool) "untouched chain was reused" true (st.Invalidate.support_reused >= 4);
-  Array.iter
-    (fun (nn : N.net) ->
-      Alcotest.(check int64)
-        (Printf.sprintf "support of net %d (%s)" nn.N.net_id nn.N.net_name)
-        (Signature.support_hash full_sw nn.N.net_id)
-        (Signature.support_hash incr_sw nn.N.net_id))
-    nl2.N.nets;
-  let params = Signature.default_params () in
-  Array.iter
-    (fun f ->
-      Alcotest.(check int64)
-        (Printf.sprintf "fault %d signature" f.F.fault_id)
-        (Signature.of_fault full_sw ~params f)
-        (Signature.of_fault incr_sw ~params f))
-    (all_stuck nl2)
-
-(* ------------------------------------------------------------------ *)
 (* Classification with a cache                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -426,6 +367,20 @@ let test_classify_cache_identity () =
   Alcotest.(check int) "warm run needs no SAT" 0 warm.Atpg.counts.Atpg.sat_queries;
   Alcotest.(check bool) "cache saw hits" true ((Cache.stats cache).Store.hits > 0)
 
+(* Two independent chains: replacing gates of the second leaves the
+   first chain's fault cones, and so their verdicts, untouched. *)
+let chains_netlist () =
+  let b = B.create ~name:"chains" lib in
+  let a = B.add_pi b "a" and bb = B.add_pi b "b" in
+  let c = B.add_pi b "c" and d = B.add_pi b "d" in
+  let x1 = B.add_gate b ~cell:"NAND2X1" [| a; bb |] in
+  let x2 = B.add_gate b ~cell:"INVX1" [| x1 |] in
+  let y1 = B.add_gate b ~cell:"NOR2X1" [| c; d |] in
+  let y2 = B.add_gate b ~cell:"XOR2X1" [| y1; c |] in
+  B.mark_po b "o1" x2;
+  B.mark_po b "o2" y2;
+  B.finish b
+
 let test_classify_cache_across_replace () =
   let nl = chains_netlist () in
   let cache = Cache.create () in
@@ -438,12 +393,7 @@ let test_classify_cache_across_replace () =
   let warm2 = Atpg.classify ~cache nl2 faults2 in
   same_classification "after replace" plain2 warm2;
   Alcotest.(check bool) "untouched-chain verdicts were served from cache" true
-    ((Cache.stats cache).Store.hits > hits_before);
-  match Cache.resweep_stats cache with
-  | Some st ->
-      Alcotest.(check bool) "resweep reused support hashes" true
-        (st.Invalidate.support_reused > 0)
-  | None -> Alcotest.fail "replace must have gone through the incremental resweep"
+    ((Cache.stats cache).Store.hits > hits_before)
 
 let suite =
   [
@@ -454,7 +404,6 @@ let suite =
     Alcotest.test_case "partial write recovered on reopen" `Quick test_disk_partial_write_recovery;
     Alcotest.test_case "signature id-independence and locality" `Quick test_signature_id_independence;
     Alcotest.test_case "signature determinism and params" `Quick test_signature_determinism_and_params;
-    Alcotest.test_case "resweep matches full sweep" `Quick test_resweep_matches_full_sweep;
     Alcotest.test_case "classify cache identity" `Quick test_classify_cache_identity;
     Alcotest.test_case "cache survives gate replacement" `Quick test_classify_cache_across_replace;
   ]

@@ -306,11 +306,12 @@ let check_candidate_spans label (r : Resynth.result) spans =
         Alcotest.failf "%s: %s span outside every candidate span" label e.Span.name)
     (named "remap" @ named "internal_check")
 
-(* [Design.implement] opens one span per layer: the spans only it opens
-   never appear outside an implement span, and every implement span holds
-   each layer that always runs exactly once.  [Atpg] opens atpg.classify
-   itself, inside implement and out; lint.static_filter runs only when
-   the filter is on. *)
+(* [Design.implement] opens one span per layer: a campaign opens exactly
+   one implement span per counted implement call, the spans only implement
+   opens never appear outside an implement span, and every implement span
+   holds each layer that always runs exactly once.  [Atpg] opens
+   atpg.classify itself, inside implement and out; lint.static_filter runs
+   only when the filter is on. *)
 let implement_only =
   [ "layout.place"; "layout.route"; "timing.sta"; "timing.power"; "dfm.translate";
     "lint.static_filter"; "core.cluster" ]
@@ -318,10 +319,12 @@ let implement_only =
 let implement_layers =
   "atpg.classify" :: List.filter (fun l -> l <> "lint.static_filter") implement_only
 
-let check_implement_spans label spans =
+let check_implement_spans label (r : Resynth.result) spans =
   let named n = List.filter (fun (e : Span.event) -> e.Span.name = n) spans in
   let implements = named "implement" in
-  if implements = [] then Alcotest.failf "%s: no implement span" label;
+  if List.length implements <> r.Resynth.implement_calls then
+    Alcotest.failf "%s: %d implement spans for %d implement calls" label
+      (List.length implements) r.Resynth.implement_calls;
   List.iter
     (fun (e : Span.event) ->
       if not (List.exists (inside e) implements) then
@@ -373,7 +376,7 @@ let prop_transparency =
           let spans = Span.drain () in
           check_same_result (Printf.sprintf "jobs=%d" jobs) off on;
           check_candidate_spans (Printf.sprintf "jobs=%d" jobs) on spans;
-          check_implement_spans (Printf.sprintf "jobs=%d" jobs) spans;
+          check_implement_spans (Printf.sprintf "jobs=%d" jobs) on spans;
           (* the instrumented run must actually have observed something,
              otherwise this property is vacuous.  (Log records only appear
              on accepted steps, so [sunk] may legitimately stay 0 on a

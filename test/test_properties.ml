@@ -470,35 +470,6 @@ let prop_escalation_matches_unbounded =
                "ladder (%d rungs, %d retried) differs from the unbounded classify"
                stats.Atpg.rungs stats.Atpg.retried)
 
-(* The incremental resweep must be observationally identical to a full
-   sweep: same support hash for every net, same signature for every fault,
-   on a random netlist after a random gate replacement. *)
-let prop_resweep_equals_full_sweep =
-  QCheck.Test.make ~name:"incremental resweep equals a full sweep" ~count:20
-    QCheck.(pair (int_range 1 10000) (int_range 3 10))
-    (fun (seed, ngates) ->
-      let nl = random_netlist seed 4 ngates in
-      let rng = Rng.create (seed lxor 0x1e5) in
-      let gates =
-        List.sort_uniq compare
-          (List.init (1 + Rng.int rng 2) (fun _ -> Rng.int rng (Array.length nl.N.gates)))
-      in
-      match Dfm_synth.Convert.remap_region nl ~gates ~table:(Lazy.force table) with
-      | exception Dfm_synth.Mapper.Unmappable _ -> true
-      | nl2 ->
-          let module Sg = Dfm_incr.Signature in
-          let incr_sw, _ = Dfm_incr.Invalidate.resweep ~previous:(Sg.sweep nl) nl2 in
-          let full_sw = Sg.sweep nl2 in
-          let params = Sg.default_params () in
-          Array.for_all
-            (fun (nn : N.net) ->
-              Sg.support_hash incr_sw nn.N.net_id = Sg.support_hash full_sw nn.N.net_id)
-            nl2.N.nets
-          && List.for_all
-               (fun (f : F.t) ->
-                 Sg.of_fault incr_sw ~params f = Sg.of_fault full_sw ~params f)
-               (faults_of_netlist nl2 (Rng.create (seed lxor 0x7777))))
-
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_detect_word_vs_brute;
@@ -509,5 +480,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_tseitin_gates;
     QCheck_alcotest.to_alcotest prop_cache_never_changes_verdicts;
     QCheck_alcotest.to_alcotest prop_escalation_matches_unbounded;
-    QCheck_alcotest.to_alcotest prop_resweep_equals_full_sweep;
   ]

@@ -298,28 +298,6 @@ let test_session_metrics () =
   Alcotest.(check int) "solve counted" (s0 + 1) (Metrics.counter_value m_solves);
   Alcotest.(check int) "retirement counted" (r0 + 1) (Metrics.counter_value m_retired)
 
-let test_pool_fifo () =
-  (match Incr.create_pool ~max_sessions:0 () with
-  | _ -> Alcotest.fail "capacity 0 must be refused"
-  | exception Invalid_argument _ -> ());
-  let p : string Incr.pool = Incr.create_pool ~max_sessions:2 () in
-  Alcotest.(check bool) "miss on empty pool" true (Incr.find_session p ~key:1L = None);
-  Incr.add_session p ~key:1L (Incr.create ()) "one";
-  Incr.add_session p ~key:2L (Incr.create ()) "two";
-  (match Incr.find_session p ~key:1L with
-  | Some (_, "one") -> ()
-  | _ -> Alcotest.fail "payload of key 1 lost");
-  (* FIFO: inserting a third evicts the oldest insertion (key 1) *)
-  Incr.add_session p ~key:3L (Incr.create ()) "three";
-  Alcotest.(check bool) "oldest evicted" true (Incr.find_session p ~key:1L = None);
-  Alcotest.(check bool) "younger survives" true (Incr.find_session p ~key:2L <> None);
-  Alcotest.(check bool) "newest present" true (Incr.find_session p ~key:3L <> None);
-  let st = Incr.pool_stats p in
-  Alcotest.(check int) "live" 2 st.Incr.live;
-  Alcotest.(check int) "evictions" 1 st.Incr.evictions;
-  Alcotest.(check int) "hits" 3 st.Incr.pool_hits;
-  Alcotest.(check int) "misses" 2 st.Incr.pool_misses
-
 (* ------------------------------------------------------------------ *)
 (* ATPG level: against the cold per-fault reference                    *)
 (* ------------------------------------------------------------------ *)
@@ -710,7 +688,6 @@ let suite =
     Alcotest.test_case "retire semantics" `Quick test_retire_semantics;
     Alcotest.test_case "arena collection mid-session" `Quick test_arena_collection;
     Alcotest.test_case "session metrics" `Quick test_session_metrics;
-    Alcotest.test_case "pool FIFO" `Quick test_pool_fifo;
     QCheck_alcotest.to_alcotest prop_modes_agree;
     QCheck_alcotest.to_alcotest prop_modes_agree_after_replace;
     Alcotest.test_case "generate = cold per-fault verdicts" `Quick test_generate_cold;

@@ -583,15 +583,14 @@ let rec remove_tree p =
 
 (* A daemon in a thread of this process on a fresh state dir; [f] gets a
    connected client.  The daemon is drained and joined before returning. *)
-let with_daemon f =
+let with_daemon ?(jobs = 1) f =
   let dir = Filename.temp_dir "dfm_serve_test" "" in
   let sock = Filename.concat dir "d.sock" in
   let state = Atomic.make `Starting in
   let cfg =
-    { Daemon.socket_path = sock; state_dir = Filename.concat dir "state"; jobs = 1;
+    { Daemon.socket_path = sock; state_dir = Filename.concat dir "state"; jobs;
       certify = false }
   in
-  let saved_jobs = Dfm_util.Parallel.default_jobs () in
   let th =
     Thread.create
       (fun () ->
@@ -614,7 +613,6 @@ let with_daemon f =
       ignore (Client.request conn Protocol.Drain : (Protocol.response, string) result);
       Client.close conn;
       Thread.join th;
-      Dfm_util.Parallel.set_default_jobs saved_jobs;
       remove_tree dir)
     (fun () -> f conn)
 
@@ -683,6 +681,16 @@ let test_finished_jobs_release_netlists () =
     Alcotest.failf "live heap grew by %d words per finished job (netlist text: %d words)"
       per_job (String.length text / 8)
 
+(* The daemon sets the process default worker cap to its own [jobs], and
+   each job to its cap; once [run] returns, the caller's default is back. *)
+let test_run_restores_default_jobs () =
+  let saved = Dfm_util.Parallel.default_jobs () in
+  Fun.protect ~finally:(fun () -> Dfm_util.Parallel.set_default_jobs saved) @@ fun () ->
+  Dfm_util.Parallel.set_default_jobs 2;
+  with_daemon ~jobs:3 (fun conn -> run_job conn ~client:"alpha" (Lazy.force netlist_text));
+  Alcotest.(check int) "default jobs after the daemon returned" 2
+    (Dfm_util.Parallel.default_jobs ())
+
 let suite =
   [
     Alcotest.test_case "wire: roundtrip" `Quick test_wire_roundtrip;
@@ -716,4 +724,6 @@ let suite =
       test_series_per_tenant;
     Alcotest.test_case "daemon: finished jobs release their netlists" `Quick
       test_finished_jobs_release_netlists;
+    Alcotest.test_case "daemon: run restores the default worker cap" `Quick
+      test_run_restores_default_jobs;
   ]
