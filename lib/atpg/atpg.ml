@@ -557,6 +557,8 @@ let escalate ?cache ?(certify = false) ?max_conflicts nl faults (cls : classific
 let bit b w = Int64.logand (Int64.shift_right_logical w b) 1L = 1L
 
 let generate ?(seed = 1) ?max_conflicts ?(certify = false) nl faults =
+  Span.with_ "atpg.generate" ~attrs:[ ("faults", string_of_int (Array.length faults)) ]
+  @@ fun () ->
   let s = make_state nl faults in
   (* Generation is sequential (coordinator only), so a single session can
      serve every fault's query.  In certified mode the session checks UNSAT

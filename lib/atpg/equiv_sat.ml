@@ -41,7 +41,8 @@ let check ?(certify = false) ?counted t1 t2 =
   let out1 = labels (N.observe_nets t1) and out2 = labels (N.observe_nets t2) in
   if in1 <> in2 then Interface_mismatch "inputs"
   else if out1 <> out2 then Interface_mismatch "outputs"
-  else begin
+  else
+    Dfm_obs.Span.with_ "equiv.check" @@ fun () ->
     let sess = Incr.create ?counted () in
     let solver = Incr.solver sess in
     let cert =
@@ -93,4 +94,3 @@ let check ?(certify = false) ?counted t1 t2 =
           | Solver.Unknown -> Different (label ^ " (unknown)"))
     in
     go out1
-  end

@@ -18,7 +18,9 @@ let m_gate_evals =
    fanin.(fanin_start.(g+1) - 1)], likewise the combinational sinks of a
    net), plus the per-fault scratch.  A net's faulty word in [faulty] and a
    gate's queued flag are valid only while their stamp equals [epoch], so
-   starting a fault is one increment and nothing is ever reset. *)
+   starting a fault is one increment and nothing is ever reset.  The
+   per-net observability words in [obs] are stamped the same way, with one
+   epoch per fault-free store. *)
 type t = {
   ls : Logic_sim.t;
   fanin_start : int array;
@@ -47,6 +49,14 @@ type t = {
   detect : Words.t;        (* one word: difference seen at observable points *)
   points : int array;      (* observable nets written by the current fault *)
   mutable npoints : int;
+  diff : Words.t;          (* one word: the difference [site] computes *)
+  (* [obs.{n}] is the detection word of flipping net [n] under the store
+     [memo], valid while [obs_stamp.(n) = obs_epoch].  Holding [memo] keeps
+     its identity from being reused by another store. *)
+  mutable memo : Words.t;
+  obs : Words.t;
+  obs_stamp : int array;
+  mutable obs_epoch : int;
   mutable faults_simulated : int;
   mutable gate_evals : int;
 }
@@ -128,6 +138,11 @@ let prepare nl =
     detect = Words.create 1;
     points = Array.make nn 0;
     npoints = 0;
+    diff = Words.create 1;
+    memo = Words.create 0;
+    obs = Words.create nn;
+    obs_stamp = Array.make nn 0;
+    obs_epoch = 0;
     faults_simulated = 0;
     gate_evals = 0;
   }
@@ -147,9 +162,9 @@ let publish_counts t =
 (* Words never cross a call: this compiler has no flambda and dune's dev
    profile builds with [-opaque], so an [int64] returned by a function that
    is not inlined is boxed.  Helpers that produce a word are
-   [@inline always] or leave it in [faulty], [regs] or [detect].  Net and
-   pin indices taken from the fault are bounds-checked; the tables' own
-   indices are not. *)
+   [@inline always] or leave it in a store: [faulty], [regs], [detect],
+   [diff] or [obs].  Net and pin indices taken from the fault are
+   bounds-checked; the tables' own indices are not. *)
 
 (* Net [n]'s word under the current fault. *)
 let[@inline always] current t (good : Words.t) n =
@@ -242,80 +257,132 @@ let transition_stuck = function
   | F.Slow_to_rise -> F.Sa0  (* frame 2: the site fails to rise *)
   | F.Slow_to_fall -> F.Sa1
 
-(* The stuck-at component shared by stuck and transition faults. *)
-let inject_stuck t good loc pol =
-  match loc with
-  | F.On_net n ->
-      seed t good n (forced_word pol);
-      propagate t good
-  | F.On_pin (g, pin) ->
-      let w = forced_word pol in
-      let d = pin_net t g pin in
-      if t.is_seq.(g) then begin
-        (* The flop captures the forced value; the scan-out difference is
-           good-vs-forced on the D net, and no other sink sees it. *)
-        A.unsafe_set t.faulty d w;
-        mark t good d
-      end
-      else begin
-        (* Re-evaluate the host gate with the pin forced, then propagate
-           from its output. *)
-        load_good t good g;
-        A.unsafe_set t.regs pin w;
-        let p = t.prog.(g) in
-        W.exec p t.regs;
-        seed t good t.gate_out.(g) (A.unsafe_get t.regs p.W.out);
-        propagate t good
-      end
-
-(* Simulate fault [f] on the block whose fault-free words are [good]: on
-   return [detect] holds the detection word and [points] the observable
-   nets the fault wrote. *)
-let inject t (good : Words.t) (f : F.t) =
-  if A.dim good <> Array.length t.net_stamp then
-    invalid_arg "Fault_sim: value store of another netlist";
+(* Start a fault: only the queue bounds and the accumulators are reset. *)
+let start t =
   t.epoch <- t.epoch + 1;
   t.npoints <- 0;
   t.lo <- max_int;
   t.hi <- -1;
-  A.unsafe_set t.detect 0 0L;
-  t.faults_simulated <- t.faults_simulated + 1;
-  match f.F.kind with
-  | F.Stuck (loc, pol) -> inject_stuck t good loc pol
-  | F.Transition (loc, tr) -> inject_stuck t good loc (transition_stuck tr)
-  | F.Bridge (n1, n2, k) ->
-      let a = A.get good n1 and b = A.get good n2 in
-      let r = match k with F.Wired_and -> Int64.logand a b | F.Wired_or -> Int64.logor a b in
-      if r <> a || r <> b then begin
-        seed t good n1 r;
-        seed t good n2 r;
-        propagate t good
+  A.unsafe_set t.detect 0 0L
+
+let check_store t (good : Words.t) =
+  if A.dim good <> Array.length t.net_stamp then
+    invalid_arg "Fault_sim: value store of another netlist"
+
+(* The stuck-at component shared by stuck and transition faults: see
+   [site]. *)
+let stuck_site t good loc pol =
+  match loc with
+  | F.On_net n ->
+      A.unsafe_set t.diff 0 (Int64.logxor (forced_word pol) (A.get good n));
+      n
+  | F.On_pin (g, pin) ->
+      let d = pin_net t g pin in
+      if t.is_seq.(g) then begin
+        A.unsafe_set t.diff 0 (Int64.logxor (forced_word pol) (A.unsafe_get good d));
+        -1
       end
+      else begin
+        (* The host gate re-evaluated with the pin forced. *)
+        load_good t good g;
+        A.unsafe_set t.regs pin (forced_word pol);
+        let p = t.prog.(g) in
+        W.exec p t.regs;
+        let o = t.gate_out.(g) in
+        A.unsafe_set t.diff 0 (Int64.logxor (A.unsafe_get t.regs p.W.out) (A.unsafe_get good o));
+        o
+      end
+
+(* Where fault [f] acts, for every kind but a bridge: [site] leaves in
+   [diff] the word of patterns on which one net takes the wrong value.  If
+   that net feeds combinational logic it returns the net: a stuck-at or
+   transition fault on a net, or a pin or internal fault of a combinational
+   gate (the net is the gate's output).  For a fault hosted by a flop, which
+   the flop captures wrongly, and for a bridge, it returns -1. *)
+let site t good (f : F.t) =
+  match f.F.kind with
+  | F.Stuck (loc, pol) -> stuck_site t good loc pol
+  | F.Transition (loc, tr) -> stuck_site t good loc (transition_stuck tr)
+  | F.Bridge _ -> -1
   | F.Internal (g, entry) ->
       load_good t good g;
       let p = t.acts.(g).(entry) in
       W.exec p t.regs;
-      let act = A.unsafe_get t.regs p.W.out in
-      if act <> 0L then begin
-        if t.is_seq.(g) then begin
-          (* Flop-internal defect: the corrupted captured value is observed
-             directly on the scan path whenever the defect is activated. *)
-          let d = t.fanin.(t.fanin_start.(g)) in
-          A.unsafe_set t.faulty d (Int64.logxor (A.unsafe_get good d) act);
-          mark t good d
-        end
-        else begin
-          let o = t.gate_out.(g) in
-          seed t good o (Int64.logxor (A.unsafe_get good o) act);
+      A.unsafe_set t.diff 0 (A.unsafe_get t.regs p.W.out);
+      if t.is_seq.(g) then -1 else t.gate_out.(g)
+
+(* A flop captures [diff] on net [d]: the difference is observed directly on
+   the scan path, and no other sink sees it. *)
+let capture t good d =
+  if A.unsafe_get t.diff 0 <> 0L then begin
+    A.unsafe_set t.faulty d (Int64.logxor (A.unsafe_get good d) (A.unsafe_get t.diff 0));
+    mark t good d
+  end
+
+(* Simulate fault [f] on the block whose fault-free words are [good], with
+   its own propagation: on return [detect] holds the detection word and
+   [points] the observable nets the fault wrote. *)
+let inject t (good : Words.t) (f : F.t) =
+  start t;
+  let n = site t good f in
+  if n >= 0 then begin
+    seed t good n (Int64.logxor (A.unsafe_get good n) (A.unsafe_get t.diff 0));
+    propagate t good
+  end
+  else
+    match f.F.kind with
+    | F.Bridge (n1, n2, k) ->
+        let a = A.get good n1 and b = A.get good n2 in
+        let r = match k with F.Wired_and -> Int64.logand a b | F.Wired_or -> Int64.logor a b in
+        if r <> a || r <> b then begin
+          seed t good n1 r;
+          seed t good n2 r;
           propagate t good
         end
-      end
+    | F.Stuck (F.On_pin (g, pin), _) | F.Transition (F.On_pin (g, pin), _) ->
+        (* The flop captures the forced value on the pin's net. *)
+        capture t good (pin_net t g pin)
+    | F.Internal (g, _) ->
+        (* Flop-internal defect: the captured value is corrupted whenever
+           the defect is activated. *)
+        capture t good t.fanin.(t.fanin_start.(g))
+    | F.Stuck (F.On_net _, _) | F.Transition (F.On_net _, _) -> assert false
+
+(* [obs.{n}]: the patterns on which flipping net [n] reaches an observable
+   point under [good], propagated once per net and store.  For a fault with
+   site [n], [diff land obs.{n}] is its detection word: the word programs
+   are bitwise, so each of the 64 patterns is simulated on its own, and on
+   each pattern of [diff] the faulty circuit is the one with [n] flipped. *)
+let observability t (good : Words.t) n =
+  if good != t.memo then begin
+    t.memo <- good;
+    t.obs_epoch <- t.obs_epoch + 1
+  end;
+  if t.obs_stamp.(n) <> t.obs_epoch then begin
+    start t;
+    seed t good n (Int64.lognot (A.unsafe_get good n));
+    propagate t good;
+    A.unsafe_set t.obs n (A.unsafe_get t.detect 0);
+    t.obs_stamp.(n) <- t.obs_epoch
+  end
 
 let detect_word t ~good f =
-  inject t good f;
-  A.unsafe_get t.detect 0
+  check_store t good;
+  t.faults_simulated <- t.faults_simulated + 1;
+  let n = site t good f in
+  if n < 0 then begin
+    inject t good f;
+    A.unsafe_get t.detect 0
+  end
+  else if A.unsafe_get t.diff 0 = 0L then 0L
+  else begin
+    observability t good n;
+    Int64.logand (A.unsafe_get t.diff 0) (A.unsafe_get t.obs n)
+  end
 
 let syndrome t ~good f =
+  check_store t good;
+  t.faults_simulated <- t.faults_simulated + 1;
   inject t good f;
   let points = ref [] in
   for i = t.npoints - 1 downto 0 do

@@ -8,6 +8,15 @@
     compiled cell programs, internal (UDFM) faults activated by their
     compiled activation programs; a call allocates nothing but its result.
 
+    Most faults differ from the good circuit on one net only: the output of
+    the combinational gate hosting an internal or pin fault, or the net of a
+    stuck-at or transition fault.  For those, {!detect_word} propagates the
+    net rather than the fault: the net's observability (the patterns on which
+    flipping it reaches an observable point) is computed once per net and
+    fault-free store and ANDed with the fault's local difference word.
+    Bridges, faults hosted by flops and {!syndrome} propagate each fault on
+    its own.
+
     Transition faults need cross-pattern bookkeeping (an independent frame
     establishing the initial value — the enhanced-scan assumption documented
     in [Fault]); {!init_word} exposes the frame-1 condition so a campaign
@@ -25,7 +34,12 @@ val sim : t -> Logic_sim.t
 val detect_word : t -> good:Logic_sim.values -> Dfm_faults.Fault.t -> int64
 (** Patterns (bits) on which the fault effect reaches an observable point.
     For a transition fault this is the frame-2 (stuck-at) component only.
-    @raise Invalid_argument if [good] is not a store of this netlist. *)
+    The result is exact, and equal to the union of the {!syndrome} words:
+    the per-net observability it reuses is keyed on the physical identity of
+    [good] (every {!Logic_sim.run} returns a fresh store), so a store may be
+    revisited in any order.
+    @raise Invalid_argument if [good] is not a store of this netlist, or
+    the fault names a net, gate or pin the netlist does not have. *)
 
 val init_word : t -> good:Logic_sim.values -> Dfm_faults.Fault.t -> int64
 (** For a transition fault: patterns establishing the initial value at the

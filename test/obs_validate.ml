@@ -9,6 +9,8 @@
    - the deepest nesting across all tids must reach MIN_DEPTH (default 5)
      span levels — the campaign hierarchy campaign > q-step > phase >
      candidate > implement > classify is visible, not flattened;
+   - no "sat.solve" span opens at depth 0: every SAT solve belongs to a
+     layer span (classification, generation, equivalence check, ...);
    - the Prometheus exposition must have no duplicate metric/label series,
      at most one # TYPE per family, and must contain the SAT, cache, pool
      and checkpoint metric families.
@@ -215,6 +217,9 @@ let validate_trace path min_depth =
       let st = stack_of tid in
       match ph with
       | "B" ->
+          if name = "sat.solve" && !st = [] then
+            die "%s: event %d: \"sat.solve\" opens at depth 0 on tid %d (no parent span)"
+              path i tid;
           st := name :: !st;
           max_depth := max !max_depth (List.length !st)
       | "E" -> (
