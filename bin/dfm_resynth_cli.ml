@@ -30,6 +30,21 @@ let jobs_arg =
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
+(* Every file written on request (reports, netlists, the lint baseline)
+   goes through here, so a failed write is a one-line error and exit 2 like
+   every other environment error. *)
+let write_file path text =
+  try Out_channel.with_open_text path (fun oc -> output_string oc text)
+  with Sys_error e ->
+    let prefix = path ^ ": " in
+    let reason =
+      if String.starts_with ~prefix e then
+        String.sub e (String.length prefix) (String.length e - String.length prefix)
+      else e
+    in
+    Fmt.epr "dfm_resynth: cannot write %s: %s@." path reason;
+    exit 2
+
 let apply_jobs jobs =
   Option.iter
     (fun j ->
@@ -328,14 +343,6 @@ let cells_cmd =
 
 (* ---- analyze ---- *)
 
-let static_filter_arg =
-  let doc =
-    "Run the sound dataflow analysis of the lint engine before ATPG and skip random \
-     simulation and SAT for faults it proves Undetectable.  Verdicts are bit-identical \
-     with or without the filter; only the number of SAT queries changes."
-  in
-  Arg.(value & flag & info [ "static-filter" ] ~doc)
-
 let report_file_arg =
   let doc =
     "Also write the deterministic report (netlist summary, metrics, Table-I row, cluster \
@@ -346,8 +353,8 @@ let report_file_arg =
   Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
 
 let analyze_cmd =
-  let run name scale jobs cache_dir expect_hits max_conflicts static_filter certify
-      failpoints report_file trace metrics log_level progress =
+  let run name scale jobs cache_dir expect_hits max_conflicts certify failpoints
+      report_file trace metrics log_level progress =
     apply_jobs jobs;
     apply_failpoints failpoints;
     let certify = certify_enabled certify in
@@ -358,13 +365,9 @@ let analyze_cmd =
     let cache = make_cache cache_dir in
     let d =
       try
-        Design.implement ?cache ?max_conflicts ~static_filter ~certify nl
+        Design.implement ?cache ?max_conflicts ~certify nl
       with Dfm_sat.Cert.Check_failed msg -> certify_failed msg
     in
-    if static_filter then
-      Fmt.pr "static filter: %d fault(s) proven Undetectable before SAT@."
-        (Dfm_obs.Metrics.counter_value
-           (Dfm_obs.Metrics.counter "dfm_atpg_static_filtered_total"));
     (match d.Design.escalation with
     | Some es ->
         Fmt.pr "escalation: %d retries over %d rungs resolved %d abort(s), %d residual@."
@@ -373,16 +376,7 @@ let analyze_cmd =
     | None -> ());
     let report = Report.analyze_report ~name d in
     print_string report;
-    (match report_file with
-    | None -> ()
-    | Some path -> (
-        try
-          let oc = open_out path in
-          output_string oc report;
-          close_out oc
-        with Sys_error e ->
-          Fmt.epr "dfm_resynth: cannot write report %s: %s@." path e;
-          exit 2));
+    Option.iter (fun path -> write_file path report) report_file;
     report_cache ~expect_hits cache;
     report_certify certify;
     finish_obs obs
@@ -390,8 +384,8 @@ let analyze_cmd =
   Cmd.v (Cmd.info "analyze" ~doc:"Implement a block and report its fault clustering.")
     Term.(
       const run $ circuit_arg $ scale_arg $ jobs_arg $ cache_dir_arg $ expect_hits_arg
-      $ max_conflicts_arg $ static_filter_arg $ certify_arg $ failpoint_arg
-      $ report_file_arg $ trace_arg $ metrics_arg $ log_level_arg $ progress_arg)
+      $ max_conflicts_arg $ certify_arg $ failpoint_arg $ report_file_arg $ trace_arg
+      $ metrics_arg $ log_level_arg $ progress_arg)
 
 (* ---- lint ---- *)
 
@@ -437,9 +431,7 @@ let lint_cmd =
           Fmt.epr "dfm_resynth: --write-baseline requires --baseline@.";
           exit 2
       | Some path ->
-          let oc = open_out path in
-          output_string oc (Lint.baseline_of_report report);
-          close_out oc;
+          write_file path (Lint.baseline_of_report report);
           Fmt.pr "wrote %d baseline entr%s to %s@."
             (List.length report.Lint.findings)
             (if List.length report.Lint.findings = 1 then "y" else "ies")
@@ -541,9 +533,7 @@ let resynth_cmd =
     (match out with
     | None -> ()
     | Some path ->
-        let oc = open_out path in
-        output_string oc (Dfm_netlist.Netlist_io.to_string r.Resynth.final.Design.netlist);
-        close_out oc;
+        write_file path (Dfm_netlist.Netlist_io.to_string r.Resynth.final.Design.netlist);
         Fmt.pr "wrote %s@." path);
     finish_obs obs
   in
@@ -609,9 +599,7 @@ let verilog_cmd =
     match out with
     | None -> print_string text
     | Some path ->
-        let oc = open_out path in
-        output_string oc text;
-        close_out oc;
+        write_file path text;
         Fmt.pr "wrote %s@." path
   in
   Cmd.v (Cmd.info "verilog" ~doc:"Write a generated block as structural Verilog.")
@@ -627,12 +615,7 @@ let dump_cmd =
   let run name scale out =
     let nl = build ?scale name in
     let text = Dfm_netlist.Netlist_io.to_string nl in
-    match out with
-    | None -> print_string text
-    | Some path ->
-        let oc = open_out path in
-        output_string oc text;
-        close_out oc
+    match out with None -> print_string text | Some path -> write_file path text
   in
   Cmd.v (Cmd.info "dump" ~doc:"Write a generated block in the text netlist format.")
     Term.(const run $ circuit_arg $ scale_arg $ out)
@@ -745,8 +728,8 @@ let submit_cmd =
   let events =
     Arg.(value & flag & info [ "events" ] ~doc:"Print streamed job events (log, progress) on stderr.")
   in
-  let run name scale socket client kind jobs max_conflicts max_seconds static_filter q_max
-      p1 report_file out events =
+  let run name scale socket client kind jobs max_conflicts max_seconds q_max p1 report_file
+      out events =
     Option.iter
       (fun j ->
         if j < 1 then begin
@@ -764,7 +747,7 @@ let submit_cmd =
         name;
         netlist = Dfm_netlist.Netlist_io.to_string nl;
         limits = { Serve_proto.jobs; max_conflicts; max_seconds };
-        static_filter;
+        static_filter = false;
         sat_mode = None;
         q_max;
         p1;
@@ -780,17 +763,9 @@ let submit_cmd =
         exit 2
     | Ok r ->
         print_string r.Serve_proto.r_report;
-        (match report_file with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            output_string oc r.Serve_proto.r_report;
-            close_out oc);
+        Option.iter (fun path -> write_file path r.Serve_proto.r_report) report_file;
         (match (out, r.Serve_proto.r_netlist) with
-        | Some path, Some text ->
-            let oc = open_out path in
-            output_string oc text;
-            close_out oc
+        | Some path, Some text -> write_file path text
         | Some _, None -> Fmt.epr "submit: no netlist in result (kind %s)@."
               (Serve_proto.kind_to_string kind)
         | None, _ -> ());
@@ -807,8 +782,7 @@ let submit_cmd =
           byte-identical to the equivalent one-shot run.")
     Term.(
       const run $ circuit_arg $ scale_arg $ socket_arg $ client_name_arg $ kind $ jobs_arg
-      $ max_conflicts_arg $ max_seconds $ static_filter_arg $ q_max $ p1
-      $ report_file_arg $ out $ events)
+      $ max_conflicts_arg $ max_seconds $ q_max $ p1 $ report_file_arg $ out $ events)
 
 let await_cmd =
   let job = Arg.(required & pos 0 (some string) None & info [] ~docv:"JOB" ~doc:"Job id.") in
@@ -824,17 +798,9 @@ let await_cmd =
         exit 2
     | Ok r ->
         print_string r.Serve_proto.r_report;
-        (match report_file with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            output_string oc r.Serve_proto.r_report;
-            close_out oc);
+        Option.iter (fun path -> write_file path r.Serve_proto.r_report) report_file;
         (match (out, r.Serve_proto.r_netlist) with
-        | Some path, Some text ->
-            let oc = open_out path in
-            output_string oc text;
-            close_out oc
+        | Some path, Some text -> write_file path text
         | _ -> ());
         if r.Serve_proto.r_outcome <> "done" then begin
           Fmt.epr "dfm_resynth: job %s: %s@." r.Serve_proto.r_job r.Serve_proto.r_outcome;

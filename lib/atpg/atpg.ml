@@ -24,10 +24,6 @@ let m_classified =
   Metrics.counter ~help:"Faults classified (including cache hits)"
     "dfm_atpg_faults_classified_total"
 
-let m_static_filtered =
-  Metrics.counter ~help:"Faults proven Undetectable by the static pre-SAT filter"
-    "dfm_atpg_static_filtered_total"
-
 (* Per-tenant attributable effort: SAT queries issued and wall time spent
    in the SAT phase, bumped where the work happens so worker domains are
    counted too. *)
@@ -248,8 +244,7 @@ let shard_bounds ~jobs nf = Parallel.chunk_bounds ~chunk:((nf + jobs - 1) / jobs
 (* 64-pattern blocks of random simulation before the SAT phase. *)
 let random_blocks = 16
 
-let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?static_filter ?(certify = false) nl
-    faults =
+let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) nl faults =
   Span.with_ "atpg.classify"
     ~attrs:[ ("faults", string_of_int (Array.length faults)) ]
   @@ fun () ->
@@ -260,44 +255,6 @@ let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?static_filter ?(certify = 
     max 1 (min j (max 1 nf))
   in
   let s = make_state ~certify nl faults in
-  (* Static pre-SAT filter: faults the sound dataflow analysis proves
-     Undetectable are decided here, in the coordinating domain, before the
-     cache, the random-simulation prefilter and the SAT phase ever see
-     them.  The filter is an under-approximation of the SAT queries'
-     UNSAT outcomes, so this can only skip work, never change a verdict;
-     the decided faults are published to the cache below like any other
-     freshly derived verdict. *)
-  (match static_filter with
-  | None -> ()
-  | Some prove ->
-      let proven = ref [] in
-      Array.iteri
-        (fun fid f ->
-          if prove f then begin
-            s.st.(fid) <- 2;
-            proven := fid :: !proven
-          end)
-        faults;
-      Metrics.incr ~by:(List.length !proven) m_static_filtered;
-      (* Certified mode: every Undetectable the filter claims is re-proven
-         by a certified SAT query on a verification-only (uncounted) session
-         — the independent checker replays each proof, so a filter
-         unsoundness surfaces as [Check_failed] here rather than as an
-         uncertified verdict in the report. *)
-      if certify && !proven <> [] then begin
-        let vs = Encode.make_session ~certify:true ~counted:false s.ls in
-        List.iter
-          (fun fid ->
-            match Encode.check_incr vs faults.(fid) with
-            | Encode.Undetectable -> ()
-            | Encode.Tests _ | Encode.Unknown ->
-                raise
-                  (Cert.Check_failed
-                     (Printf.sprintf "static filter claim not re-provable for fault %d (%s)"
-                        fid
-                        (F.describe nl faults.(fid)))))
-          (List.rev !proven)
-      end);
   (* Cache consultation happens here in the coordinating domain, before any
      worker is spawned, so the sharded phases see exactly the same disjoint
      per-fault work in every configuration and the jobs=N bit-identity
@@ -318,17 +275,16 @@ let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?static_filter ?(certify = 
         in
         Array.iteri
           (fun fid sg ->
-            if s.st.(fid) = 0 then
-              match find sg with
-              | Some Dfm_incr.Store.Detected ->
-                  if certify then Cert.note_check ~ok:true ~ns:0L;
-                  cached.(fid) <- true;
-                  s.st.(fid) <- 1
-              | Some Dfm_incr.Store.Undetectable ->
-                  if certify then Cert.note_check ~ok:true ~ns:0L;
-                  cached.(fid) <- true;
-                  s.st.(fid) <- 2
-              | None -> ())
+            match find sg with
+            | Some Dfm_incr.Store.Detected ->
+                if certify then Cert.note_check ~ok:true ~ns:0L;
+                cached.(fid) <- true;
+                s.st.(fid) <- 1
+            | Some Dfm_incr.Store.Undetectable ->
+                if certify then Cert.note_check ~ok:true ~ns:0L;
+                cached.(fid) <- true;
+                s.st.(fid) <- 2
+            | None -> ())
           sigs;
         sigs
   in

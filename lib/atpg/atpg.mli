@@ -4,9 +4,10 @@
 
     - {!classify} answers only "which faults are detectable?" — a
       random-pattern phase drops the easy faults, then each survivor gets a
-      SAT query whose UNSAT outcome *proves* undetectability.  This is the
-      fast path used inside the resynthesis loop, where only the undetectable
-      counts matter.
+      SAT query whose UNSAT outcome *proves* undetectability.  That proof is
+      the only way a fault becomes Undetectable (a cache hit replays a
+      verdict an earlier query proved).  This is the fast path used inside
+      the resynthesis loop, where only the undetectable counts matter.
 
     - {!generate} additionally builds a compacted test set [T] (the paper's
       column [T]): faults are processed in order; an undetected fault gets a
@@ -67,7 +68,6 @@ val classify :
   ?max_conflicts:int ->
   ?jobs:int ->
   ?cache:Dfm_incr.Cache.t ->
-  ?static_filter:(Dfm_faults.Fault.t -> bool) ->
   ?certify:bool ->
   Dfm_netlist.Netlist.t ->
   Dfm_faults.Fault.t array ->
@@ -79,11 +79,10 @@ val classify :
     detecting pattern (random-simulation witness or SAT model) and are
     re-verified by good/faulty resimulation in the coordinating domain;
     Undetectable verdicts from the SAT phase have their learnt-clause
-    proofs replayed through {!Dfm_sat.Cert.Check}; [static_filter] claims
-    are re-proven by certified SAT queries on an uncounted verification
-    session; and cache hits are restricted to entries published by a
-    certified run whose stored certificate mark validated.  A failed check
-    raises {!Dfm_sat.Cert.Check_failed} instead of returning.  The
+    proofs replayed through {!Dfm_sat.Cert.Check}; and cache hits are
+    restricted to entries published by a certified run whose stored
+    certificate mark validated.  A failed check raises
+    {!Dfm_sat.Cert.Check_failed} instead of returning.  The
     classification (statuses and counts) is bit-identical to the
     uncertified run — certification only adds checks, never changes a
     verdict — and the check counts in {!Dfm_sat.Cert.totals} are
@@ -112,18 +111,7 @@ val classify :
     information, never a contradicting verdict.  At the default unbounded
     budget no Aborted verdicts exist and the identity is exact.)  All cache
     traffic happens in the coordinating domain, so the [jobs] bit-identity
-    above is preserved verbatim.
-
-    [static_filter] is a sound static undetectability proof (in practice
-    {!Dfm_lint.Dataflow.prove_undetectable} of the same netlist): faults it
-    returns [true] for are marked Undetectable up front and skip the cache
-    lookup, the random-simulation prefilter and the SAT phase — shrinking
-    [sat_queries].  Soundness contract: the filter may only accept faults
-    whose SAT detection query is unsatisfiable, so the classification
-    (statuses and every count except [sat_queries]) is bit-identical to the
-    unfiltered run; this is qcheck-enforced by the lint test suite.  The
-    filter runs in the coordinating domain before any sharding, and its
-    verdicts are published to [cache] like freshly derived ones. *)
+    above is preserved verbatim. *)
 
 type escalation_stats = {
   rungs : int;       (** ladder rungs that ran at least one query *)

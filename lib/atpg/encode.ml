@@ -53,11 +53,11 @@ type ctx = {
          verdict is checked against it before being reported *)
 }
 
-let make_ctx ?(certify = false) ?counted ls =
+let make_ctx ?(certify = false) ls =
   let nl = Dfm_sim.Logic_sim.netlist ls in
   let is_observe = Array.make (N.num_nets nl) false in
   List.iter (fun (_, n) -> is_observe.(n) <- true) (Dfm_sim.Logic_sim.observes ls);
-  let sess = Incr.create ?counted () in
+  let sess = Incr.create () in
   let cert =
     if certify then begin
       let c = Cert.create () in
@@ -391,15 +391,13 @@ type session = {
          re-derive them, dropped once the fault's verdict is final. *)
 }
 
-let make_session ?certify ?counted ls =
+let make_session ?certify ls =
   {
-    ctx = make_ctx ?certify ?counted ls;
+    ctx = make_ctx ?certify ls;
     ls;
     pending = Hashtbl.create 64;
     results = Hashtbl.create 16;
   }
-
-let session_certified sess = sess.ctx.cert <> None
 
 let session_solver sess = solver sess.ctx
 let session_stats sess = Incr.stats sess.ctx.sess

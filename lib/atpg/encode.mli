@@ -58,16 +58,12 @@ type verdict =
 
 type session
 
-val make_session : ?certify:bool -> ?counted:bool -> Dfm_sim.Logic_sim.t -> session
+val make_session : ?certify:bool -> Dfm_sim.Logic_sim.t -> session
 (** [certify] (default [false]) attaches a {!Dfm_sat.Cert} session to the
     solver: every SAT answer's model and every UNSAT answer's learnt-clause
     proof is replayed through the independent checker before the verdict is
     returned; a discrepancy raises {!Dfm_sat.Cert.Check_failed} rather than
-    reporting an unverified verdict.  [counted] (default [true]) is passed
-    to {!Dfm_sat.Incremental.create}: verification-only sessions use
-    [~counted:false] so their solver effort stays out of process totals. *)
-
-val session_certified : session -> bool
+    reporting an unverified verdict. *)
 
 val check_incr :
   ?max_conflicts:int -> session -> Dfm_faults.Fault.t -> verdict

@@ -35,8 +35,7 @@ type metrics = {
 
 let undetectable t fid = t.classification.Atpg.status.(fid) = Atpg.Undetectable
 
-let implement ?(seed = 3) ?floorplan ?previous ?jobs ?cache ?max_conflicts
-    ?(static_filter = false) ?certify netlist =
+let implement ?(seed = 3) ?floorplan ?previous ?jobs ?cache ?max_conflicts ?certify netlist =
   Span.with_ "implement"
     ~attrs:[ ("gates", string_of_int (N.num_gates netlist)) ]
   @@ fun () ->
@@ -54,18 +53,8 @@ let implement ?(seed = 3) ?floorplan ?previous ?jobs ?cache ?max_conflicts
   let timing = Span.with_ "timing.sta" (fun () -> Dfm_timing.Sta.analyze routing) in
   let power = Span.with_ "timing.power" (fun () -> Dfm_timing.Power.analyze ~seed routing) in
   let fault_list = Span.with_ "dfm.translate" (fun () -> Dfm_guidelines.Translate.build routing) in
-  let static =
-    if static_filter then
-      Span.with_ "lint.static_filter" @@ fun () ->
-      let df = Dfm_lint.Dataflow.analyze netlist in
-      Some (Dfm_lint.Dataflow.prove_undetectable df)
-    else None
-  in
   let faults = fault_list.Dfm_guidelines.Translate.faults in
-  let classification =
-    Atpg.classify ~seed ?jobs ?cache ?max_conflicts ?static_filter:static ?certify netlist
-      faults
-  in
+  let classification = Atpg.classify ~seed ?jobs ?cache ?max_conflicts ?certify netlist faults in
   (* With a bounded budget, aborts are escalated before clustering so the
      cluster view is built from the most-resolved classification we have. *)
   let classification, escalation =

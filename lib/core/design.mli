@@ -45,7 +45,6 @@ val implement :
   ?jobs:int ->
   ?cache:Dfm_incr.Cache.t ->
   ?max_conflicts:int ->
-  ?static_filter:bool ->
   ?certify:bool ->
   Dfm_netlist.Netlist.t ->
   t
@@ -63,10 +62,6 @@ val implement :
     value.  [cache] is handed to the classification so verdicts of
     structurally unchanged fault cones are reused instead of re-derived;
     it too never changes a verdict (see {!Dfm_incr.Cache}).
-    [static_filter] (default off) runs {!Dfm_lint.Dataflow} over the
-    netlist and hands its sound undetectability proof to the
-    classification, skipping random simulation and SAT for statically
-    proven faults — again without changing any verdict.
     [certify] makes the classification (and any escalation) verify every
     emitted verdict against an independent certificate — witness
     resimulation for Detected, replayed UNSAT proofs for Undetectable; see

@@ -19,9 +19,6 @@ type t = {
   n_external : int;
 }
 
-let internal_fault_gate (f : F.t) =
-  match f.F.kind with F.Internal (g, _) -> Some g | _ -> None
-
 (* Fault accumulator with structural deduplication: the same stuck-at site
    can be implicated by several violations; it is one fault in F (both get
    to reference it). *)

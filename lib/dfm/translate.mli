@@ -37,6 +37,3 @@ val internal_only : Dfm_netlist.Netlist.t -> Dfm_faults.Fault.t array
     faults do not depend on placement and routing, which is why the paper
     calls [PDesign()] only after their undetectable count already decreased —
     this fault list supports exactly that pre-physical-design check. *)
-
-val internal_fault_gate : Dfm_faults.Fault.t -> int option
-(** Host gate of an internal fault. *)

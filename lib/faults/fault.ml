@@ -44,12 +44,6 @@ let corresponding_gates t f =
   in
   List.sort_uniq compare gs
 
-let site_net t = function
-  | Stuck (On_net n, _) | Transition (On_net n, _) -> n
-  | Stuck (On_pin (g, pin), _) | Transition (On_pin (g, pin), _) -> (N.gate t g).N.fanins.(pin)
-  | Bridge (n, _, _) -> n
-  | Internal (g, _) -> (N.gate t g).N.fanout
-
 let loc_to_string t = function
   | On_net n -> Printf.sprintf "net %s" (N.net t n).N.net_name
   | On_pin (g, pin) ->

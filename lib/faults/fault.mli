@@ -57,10 +57,6 @@ val corresponding_gates : Dfm_netlist.Netlist.t -> t -> int list
     single host gate of an internal fault; driver and sink gates of the
     net(s) an external fault sits on. *)
 
-val site_net : Dfm_netlist.Netlist.t -> kind -> int
-(** The primary net a fault lives on (output net for internal faults, the
-    first net for bridges); used for layout-based reporting. *)
-
 val describe : Dfm_netlist.Netlist.t -> t -> string
 
 val same_kind : kind -> kind -> bool

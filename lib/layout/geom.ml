@@ -11,8 +11,6 @@ let overlap a b = a.lx < b.hx && b.lx < a.hx && a.ly < b.hy && b.ly < a.hy
 
 type layer = M1 | M2 | M3
 
-let layer_to_string = function M1 -> "M1" | M2 -> "M2" | M3 -> "M3"
-
 type segment = {
   seg_net : int;
   seg_layer : layer;

@@ -16,8 +16,6 @@ type layer = M1 | M2 | M3
 (** M1: intra-cell / pin hookups (horizontal); M2: vertical routing;
     M3: horizontal routing. *)
 
-val layer_to_string : layer -> string
-
 type segment = {
   seg_net : int;       (** net id *)
   seg_layer : layer;

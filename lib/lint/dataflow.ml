@@ -1,6 +1,5 @@
 module N = Dfm_netlist.Netlist
 module Cell = Dfm_netlist.Cell
-module F = Dfm_faults.Fault
 module Tt = Dfm_logic.Truthtable
 
 type value = V0 | V1 | VX
@@ -9,20 +8,16 @@ type value = V0 | V1 | VX
    and pseudo-primary input nets).  [bits] bit [i] is the net's value under
    the assignment where root [sup.(j)] takes bit [j] of [i].  Only kept while
    the support stays within [max_support] roots (<= 64 rows), which is enough
-   to see through decoder/priority-encoder style control logic — the source
-   of the correlated (one-hot, mutually exclusive) signals that plain
-   three-valued propagation cannot reason about. *)
+   to see through reconvergent, correlated logic ([XOR(a, a)], decoder
+   lines) that plain three-valued propagation cannot prove constant. *)
 type fn = { sup : int array; bits : int64 }
 
 let max_support = 6
 
 type t = {
-  nl : N.t;
   values : value array;        (* per net: proven three-valued value *)
-  funcs : fn option array;     (* per net: exact small-support function *)
   observable : bool array;     (* per net: PO or flip-flop D net *)
   reaches_obs : bool array;    (* per net: structural comb path to observable *)
-  has_consts : bool;
 }
 
 let fn_const b = { sup = [||]; bits = (if b then 1L else 0L) }
@@ -47,22 +42,6 @@ let union_support fns =
   in
   if List.length sup > max_support then None else Some (Array.of_list sup)
 
-(* Can the conjunction of [(f, b)] constraints hold under some root
-   assignment?  [true] means "maybe" (no proof); [false] is a proof of
-   unsatisfiability — the roots are free in the SAT encoding, so an
-   exhaustive sweep over their assignments is exact. *)
-let constraints_satisfiable cs =
-  match union_support (List.map fst cs) with
-  | None -> true
-  | Some union ->
-      let rows = 1 lsl Array.length union in
-      let sat = ref false in
-      for row = 0 to rows - 1 do
-        if (not !sat) && List.for_all (fun (f, b) -> fn_eval_row f union row = b) cs
-        then sat := true
-      done;
-      !sat
-
 let value t n = t.values.(n)
 let observable t n = t.observable.(n)
 let reaches_observable t n = t.reaches_obs.(n)
@@ -74,17 +53,16 @@ let proven_constants t =
     t.values;
   List.rev !acc
 
-(* Restrict a cell function by the proven-constant fanins for which [fix]
-   holds; the fixed inputs become vacuous (arity is unchanged). *)
-let restrict values (g : N.gate) ~fix =
+(* Restrict a cell function by its proven-constant fanins; the fixed inputs
+   become vacuous (arity is unchanged). *)
+let restrict values (g : N.gate) =
   let f = ref g.N.cell.Cell.func in
   Array.iteri
     (fun k fn ->
-      if fix k fn then
-        match values.(fn) with
-        | V0 -> f := Tt.cofactor !f k false
-        | V1 -> f := Tt.cofactor !f k true
-        | VX -> ())
+      match values.(fn) with
+      | V0 -> f := Tt.cofactor !f k false
+      | V1 -> f := Tt.cofactor !f k true
+      | VX -> ())
     g.N.fanins;
   !f
 
@@ -150,7 +128,7 @@ let analyze nl =
       if values.(g.N.fanout) = VX then begin
         (* Fallback when the exact function outgrew its support: cofactor
            the proven-constant fanins and test for a degenerate cell. *)
-        let f = restrict values g ~fix:(fun _ _ -> true) in
+        let f = restrict values g in
         let ones = Tt.count_ones f in
         if ones = 0 then values.(g.N.fanout) <- V0
         else if ones = 1 lsl Tt.arity f then values.(g.N.fanout) <- V1
@@ -167,196 +145,4 @@ let analyze nl =
     if reaches_obs.(g.N.fanout) then
       Array.iter (fun fn -> reaches_obs.(fn) <- true) g.N.fanins
   done;
-  let has_consts = Array.exists (fun v -> v <> VX) values in
-  { nl; values; funcs; observable; reaches_obs; has_consts }
-
-let net_fn t n =
-  match t.values.(n) with
-  | V0 -> Some (fn_const false)
-  | V1 -> Some (fn_const true)
-  | VX -> t.funcs.(n)
-
-(* Two nets that compute the same function of the free roots can never
-   disagree; [false] means "could not prove equal". *)
-let provably_equal t n1 n2 =
-  n1 = n2
-  ||
-  match (net_fn t n1, net_fn t n2) with
-  | Some f1, Some f2 -> (
-      match union_support [ f1; f2 ] with
-      | None -> false
-      | Some union ->
-          let rows = 1 lsl Array.length union in
-          let eq = ref true in
-          for row = 0 to rows - 1 do
-            if fn_eval_row f1 union row <> fn_eval_row f2 union row then eq := false
-          done;
-          !eq)
-  | _ -> false
-
-(* Is the cell input pattern [m] (a minterm over the gate's pins) reachable
-   in the good circuit?  [false] is a proof that no root assignment produces
-   it: pins reading the same net with opposite required bits contradict
-   directly, and any jointly unsatisfiable subset of per-pin constraints
-   (unconstrained pins can only widen satisfiability) kills the pattern. *)
-let pattern_reachable t (gg : N.gate) m =
-  let bit k = (m lsr k) land 1 = 1 in
-  let dup_contradiction = ref false in
-  Array.iteri
-    (fun k fk ->
-      Array.iteri
-        (fun l fl -> if l > k && fk = fl && bit k <> bit l then dup_contradiction := true)
-        gg.N.fanins)
-    gg.N.fanins;
-  if !dup_contradiction then false
-  else begin
-    let cs =
-      Array.to_list
-        (Array.mapi (fun k fn -> Option.map (fun f -> (f, bit k)) (net_fn t fn)) gg.N.fanins)
-      |> List.filter_map Fun.id
-    in
-    constraints_satisfiable cs
-    && (* When the full union outgrows [max_support] the check above gives
-          up; pairs of constraints still fit and catch mutually exclusive
-          (one-hot) control lines. *)
-    List.for_all
-      (fun (c1, c2) -> constraints_satisfiable [ c1; c2 ])
-      (List.concat_map (fun c1 -> List.filter_map (fun c2 -> if c1 != c2 then Some (c1, c2) else None) cs) cs)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Per-fault observability with constant blocking                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Can a difference seeded at [seeds] reach an observable net?  [true] means
-   "maybe" (no filtering), [false] is a proof that it cannot.
-
-   The difference set C grows from the seeds through gates whose function,
-   restricted by proven-constant side inputs *outside* C, depends on at
-   least one input in C.  A net inside C never blocks propagation with its
-   constant (its faulty value is unconstrained), so whenever a net joins C
-   every gate reading it is re-examined — the BFS over sink edges does
-   exactly that, and each gate is examined at most [arity] times.  Nets with
-   no structural path to an observable point are never added: they cannot
-   contribute an observation, and any gate that matters reads only nets
-   that do have such a path, so pruning them is sound. *)
-let difference_reaches_observable t seeds =
-  if List.exists (fun n -> t.observable.(n)) seeds then true
-  else if not (List.exists (fun n -> t.reaches_obs.(n)) seeds) then false
-  else if not t.has_consts then
-    (* No constants proven anywhere: blocking can never beat plain
-       structural reachability, already decided above. *)
-    true
-  else begin
-    let in_c = Array.make (N.num_nets t.nl) false in
-    let q = Queue.create () in
-    List.iter
-      (fun n ->
-        if not in_c.(n) then begin
-          in_c.(n) <- true;
-          Queue.add n q
-        end)
-      seeds;
-    let reached = ref false in
-    while (not !reached) && not (Queue.is_empty q) do
-      let n = Queue.pop q in
-      List.iter
-        (fun (gid, _) ->
-          if not !reached then begin
-            let g = N.gate t.nl gid in
-            let out = g.N.fanout in
-            if (not g.N.cell.Cell.is_seq) && (not in_c.(out)) && t.reaches_obs.(out)
-            then begin
-              let f = restrict t.values g ~fix:(fun _ fn -> not in_c.(fn)) in
-              let depends =
-                let d = ref false in
-                Array.iteri
-                  (fun k fn -> if in_c.(fn) && Tt.depends_on f k then d := true)
-                  g.N.fanins;
-                !d
-              in
-              if depends then begin
-                in_c.(out) <- true;
-                if t.observable.(out) then reached := true else Queue.add out q
-              end
-            end
-          end)
-        (N.net t.nl n).N.sinks
-    done;
-    !reached
-  end
-
-let const_equals t n b =
-  match t.values.(n) with V0 -> not b | V1 -> b | VX -> false
-
-let known t n = t.values.(n) <> VX
-
-let forced = function F.Sa0 -> false | F.Sa1 -> true
-
-let is_seq_gate t g = (N.gate t.nl g).N.cell.Cell.is_seq
-
-(* Stuck-at filter, also the frame-2 component of transition faults;
-   mirrors [Encode.stuck_query] case by case. *)
-let stuck_undetectable t loc pol =
-  match loc with
-  | F.On_pin (g, pin) when is_seq_gate t g ->
-      (* Detection = controllability of the D net to the opposite value. *)
-      const_equals t (N.gate t.nl g).N.fanins.(pin) (forced pol)
-  | F.On_net n ->
-      (* Activation needs the good value opposite to the stuck one. *)
-      const_equals t n (forced pol) || not (difference_reaches_observable t [ n ])
-  | F.On_pin (g, pin) ->
-      let gg = N.gate t.nl g in
-      let fn = gg.N.fanins.(pin) in
-      const_equals t fn (forced pol)
-      ||
-      (* The faulty copy differs from the good one only if the host
-         function, with proven-constant *other* pins fixed, actually
-         depends on the forced pin (side pins carry good values here — the
-         fault is on the pin, not on its net). *)
-      let f = restrict t.values gg ~fix:(fun k _ -> k <> pin) in
-      (not (Tt.depends_on f pin))
-      || not (difference_reaches_observable t [ gg.N.fanout ])
-
-let transition_components = function
-  | F.Slow_to_rise -> (false, F.Sa0)
-  | F.Slow_to_fall -> (true, F.Sa1)
-
-let loc_net t = function
-  | F.On_net n -> n
-  | F.On_pin (g, pin) -> (N.gate t.nl g).N.fanins.(pin)
-
-let prove_undetectable t (f : F.t) =
-  match f.F.kind with
-  | F.Stuck (loc, pol) -> stuck_undetectable t loc pol
-  | F.Transition (loc, tr) ->
-      let _init_value, pol = transition_components tr in
-      (* A proven-constant site kills one of the two frames: if the constant
-         matches the frame-1 initialization value it contradicts the frame-2
-         stuck activation, otherwise it contradicts frame 1 itself. *)
-      known t (loc_net t loc) || stuck_undetectable t loc pol
-  | F.Bridge (n1, n2, _) ->
-      (* Activation needs the bridged nets to disagree. *)
-      provably_equal t n1 n2 || not (difference_reaches_observable t [ n1; n2 ])
-  | F.Internal (g, entry_idx) ->
-      let gg = N.gate t.nl g in
-      let u = Dfm_cellmodel.Udfm.for_cell gg.N.cell.Cell.name in
-      let entry = List.nth u.Dfm_cellmodel.Udfm.entries entry_idx in
-      let activation = entry.Dfm_cellmodel.Udfm.activation in
-      if gg.N.cell.Cell.is_seq then
-        (* Activation is a clause over the D value's parities; it is
-           unsatisfiable only when every literal wants the same value and
-           the D net is proven to the opposite constant. *)
-        (match activation with
-        | [] -> true
-        | m0 :: rest ->
-            let v = m0 land 1 = 1 in
-            List.for_all (fun m -> (m land 1 = 1) = v) rest
-            && const_equals t gg.N.fanins.(0) (not v))
-      else
-        (* A minterm contradicting a proven constant, a duplicated fanin, or
-           a jointly unsatisfiable (e.g. one-hot) input combination can never
-           arise in the good circuit; if that kills the whole activation
-           list, the fault is undetectable. *)
-        List.for_all (fun m -> not (pattern_reachable t gg m)) activation
-        || not (difference_reaches_observable t [ gg.N.fanout ])
+  { values; observable; reaches_obs }

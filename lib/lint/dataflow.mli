@@ -1,48 +1,19 @@
 (** Tier-B sound dataflow analysis: three-valued constant propagation plus
-    fault-cone observability, used to prove faults [Undetectable] before any
-    random simulation or SAT query runs.
+    structural observability, the facts behind the lint rules L010
+    (unobservable gate output) and L011 (net proven constant).
 
-    Soundness contract (the invariant {!Dfm_atpg.Atpg.classify}'s
-    [?static_filter] and the qcheck differential suite rely on):
-    {!prove_undetectable} returns [true] only for faults whose detection
-    query in {!Dfm_atpg.Encode} is unsatisfiable — a filtered classification
-    is bit-identical to an unfiltered one (statuses and all counts except
-    [sat_queries], which can only shrink).  The analysis may return [false]
-    for undetectable faults (it is an under-approximation), never [true]
-    for a detectable one.
+    Constants originate at [Const] drivers and at gates whose function
+    degenerates.  On top of the three-valued pass the analysis keeps, per
+    net, the {e exact} function over the free root variables (primary
+    inputs and flip-flop Q nets) while its support stays within 6 roots: an
+    exhaustive sweep over their assignments proves constants that
+    three-valued propagation alone misses, such as [XOR(a, a) = 0] or
+    [NAND(a, NOT a) = 1].
 
-    Two facts are combined per fault:
-
-    - {b activation}: constants proven by three-valued propagation
-      (constants originate at [Const] drivers and at gates whose exact
-      function degenerates) can contradict the fault's activation condition
-      — a stuck-at-[v] on a net proven constant [v], a transition on any
-      proven-constant net, a bridge between two nets proven equal, an
-      internal (UDFM) fault whose every activation minterm is unreachable.
-      On top of the three-valued pass the analysis keeps, per net, the
-      {e exact} function over the free root variables (primary inputs and
-      flip-flop Q nets) while its support stays within 6 roots.  Because the
-      roots are free in the SAT encoding, an exhaustive sweep over their
-      assignments is an exact satisfiability oracle for any constraint set
-      that fits the support bound: it sees through decoders and priority
-      encoders and proves one-hot (mutually exclusive) control lines can
-      never be high together — the mechanism behind the paper's clusters of
-      undetectable cell-internal faults;
-
-    - {b observability}: the fault's difference cone is walked forward from
-      its seed nets; a gate propagates the difference only when its cell
-      function, restricted by proven-constant {e side} inputs that are not
-      themselves in the difference cone, still depends on at least one
-      cone input.  If the cone reaches no PO and no flip-flop D net the
-      fault cannot be observed.
-
-    The side-input restriction is the subtle part: a proven-constant net
-    {e inside} the difference cone carries the faulty value, not its
-    constant, so it must never be used to block propagation — when a net
-    joins the cone, every gate reading it is re-evaluated without that
-    restriction.  (Counterexample otherwise: [g = AND(BUF s, s)] with [s]
-    proven 0 — stuck-at-1 on [s] flips both [g] inputs, so [g] propagates
-    even though each pin is blocked by the other's "constant".) *)
+    The analysis is sound, never complete: a net reported constant is
+    constant under every input assignment, and a net reported unable to
+    reach an observable point has no combinational path to one.  Proving a
+    fault undetectable is left to the SAT query of {!Dfm_atpg.Encode}. *)
 
 type value = V0 | V1 | VX
 
@@ -67,7 +38,3 @@ val reaches_observable : t -> int -> bool
 (** Whether the net has a structural combinational path to an observable
     net (ignoring sensitization — an over-approximation of detectability,
     used by the Tier-A rule L010). *)
-
-val prove_undetectable : t -> Dfm_faults.Fault.t -> bool
-(** Sound static undetectability proof for one fault (see above).  The
-    fault must refer to the analyzed netlist. *)

@@ -25,21 +25,6 @@ type config = { fanout_limit : int; rules : string list option }
 
 let default_config = { fanout_limit = 16; rules = None }
 
-let all_rules =
-  [
-    ("L001", Error, "combinational loop");
-    ("L002", Error, "multi-driven net or driver mismatch");
-    ("L003", Error, "broken structural reference");
-    ("L004", Error, "unknown cell");
-    ("L005", Error, "pin-count mismatch");
-    ("L006", Warning, "dangling combinational gate output");
-    ("L007", Warning, "floating primary input");
-    ("L008", Warning, "constant-fed gate");
-    ("L009", Warning, "fanout above limit");
-    ("L010", Warning, "unobservable gate output");
-    ("L011", Info, "gate-driven net proven constant");
-  ]
-
 let severity_name = function Error -> "error" | Warning -> "warning" | Info -> "info"
 
 let rule_order f = f.rule

@@ -53,9 +53,6 @@ type config = {
 
 val default_config : config
 
-val all_rules : (string * severity * string) list
-(** [(id, severity, one-line meaning)] for every rule, in id order. *)
-
 val check : ?config:config -> Dfm_netlist.Netlist.t -> report
 (** Run every enabled rule.  Never raises: when error-severity structural
     findings make the netlist graph unsafe to traverse (or cyclic), the

@@ -30,13 +30,6 @@ let sink_mutex = Mutex.create ()
 
 let set_level l = Atomic.set threshold (severity l)
 
-let current_level () =
-  match Atomic.get threshold with
-  | 0 -> Error
-  | 1 -> Warn
-  | 2 -> Info
-  | _ -> Debug
-
 let set_sink s =
   Mutex.lock sink_mutex;
   sink := s;

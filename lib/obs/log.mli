@@ -27,8 +27,6 @@ type record = {
 val set_level : level -> unit
 (** Records strictly below this level are dropped (default [Warn]). *)
 
-val current_level : unit -> level
-
 val would_log : level -> bool
 (** True when a record at [level] would reach the sink — the guard for
     call sites that would otherwise build an expensive message. *)

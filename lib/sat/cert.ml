@@ -399,10 +399,6 @@ let attach t solver =
          | Solver.Trace_original lits -> append t (Orig lits)
          | Solver.Trace_learnt lits -> append t (Learnt lits)))
 
-let note_step t = function
-  | Solver.Trace_original lits -> append t (Orig lits)
-  | Solver.Trace_learnt lits -> append t (Learnt lits)
-
 let admit_step t = function
   | Orig lits -> Check.add_original t.checker lits
   | Learnt lits ->

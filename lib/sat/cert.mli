@@ -60,9 +60,6 @@ val attach : t -> Solver.t -> unit
 (** Install this session as [solver]'s derivation tracer.  One session
     mirrors one solver instance. *)
 
-val note_step : t -> Solver.trace_event -> unit
-(** Feed one trace event by hand (tests, replaying stored traces). *)
-
 val checker : t -> Check.t
 
 val check_unsat : t -> assumptions:int list -> unit

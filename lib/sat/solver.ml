@@ -204,8 +204,6 @@ let num_vars s = s.nvars
 let num_clauses s = s.nclauses
 let num_learnts s = s.n_learnts
 let num_conflicts s = s.conflicts
-let num_decisions s = s.decisions
-let num_propagations s = s.propagations
 
 (* Process-wide effort totals, accumulated across every solver instance in
    every domain.  Per-solver counting uses plain mutable fields on the hot
@@ -1114,14 +1112,6 @@ let learnt_clauses s =
   for i = 0 to s.learnts.len - 1 do
     let c = s.learnts.data.(i) in
     if not (is_deleted s c) then out := clause_exts s c :: !out
-  done;
-  !out
-
-let level0_assignments s =
-  let out = ref [] in
-  for i = s.trail_len - 1 downto 0 do
-    let v = lit_var s.trail.(i) in
-    if s.level.(v) = 0 then out := ext_of_int s.trail.(i) :: !out
   done;
   !out
 

@@ -101,9 +101,7 @@ val num_learnts : t -> int
 (** Live learnt clauses currently retained. *)
 
 val num_conflicts : t -> int
-val num_decisions : t -> int
-val num_propagations : t -> int
-(** Per-instance effort counters.  Counting is unconditional (it happens
+(** Per-instance conflict count.  Counting is unconditional (it happens
     whether or not observability is enabled), so effort numbers never
     depend on instrumentation state. *)
 
@@ -126,7 +124,3 @@ val learnt_clauses : t -> int list list
 (** The live learnt clauses, as external literals.  Every one is a logical
     consequence of the clauses added so far — the property test re-proves
     this against a fresh solver. *)
-
-val level0_assignments : t -> int list
-(** Literals fixed at decision level 0 (units and their propagations), in
-    assignment order. *)

@@ -314,11 +314,7 @@ let execute d (j : job) =
   let cache = d.cache in
   match sub.P.kind with
   | P.Analyze ->
-      let static_filter = sub.P.static_filter in
-      let dsg =
-        Design.implement ~cache ~jobs:cap ?max_conflicts ~static_filter
-          ~certify:d.cfg.certify nl
-      in
+      let dsg = Design.implement ~cache ~jobs:cap ?max_conflicts ~certify:d.cfg.certify nl in
       {
         P.r_job = j.id;
         r_outcome = "done";
@@ -480,11 +476,14 @@ let fresh_id d =
 let handle_submit d conn (sub : P.submit) =
   if d.draining then post d conn (P.Error_msg "daemon is draining; not accepting jobs")
   else
-    (* The incremental engine is the only one; the field stays on the wire
-       for clients that still send it. *)
+    (* The incremental engine is the only one, and its UNSAT answer the only
+       proof of undetectability; both fields stay on the wire for clients
+       that still send them. *)
     match sub.P.sat_mode with
     | Some m when m <> "incremental" ->
         post d conn (P.Error_msg (Printf.sprintf "unknown sat mode %S" m))
+    | _ when sub.P.static_filter ->
+        post d conn (P.Error_msg "the static filter is gone; submit with static_filter false")
     | _ when (match sub.P.limits.P.jobs with Some n -> n < 1 | None -> false) ->
         post d conn (P.Error_msg "jobs limit must be at least 1")
     | _ ->

@@ -40,6 +40,7 @@ type submit = {
   netlist : string;      (** netlist text ({!Dfm_netlist.Netlist_io} format) *)
   limits : limits;
   static_filter : bool;
+      (** must be [false]; the daemon refuses [true] *)
   sat_mode : string option;
       (** [None] or ["incremental"], the only SAT engine; the daemon refuses
           any other value *)

@@ -15,7 +15,6 @@ let prepare nl =
 let netlist t = t.nl
 let inputs t = t.ins
 let observes t = t.obs
-let num_inputs t = List.length t.ins
 let topo t = t.order
 
 (* One fresh block seed per call; each input's word is derived from the

@@ -18,8 +18,6 @@ val inputs : t -> (string * int) list
 val observes : t -> (string * int) list
 (** Labels and net ids of the observable points. *)
 
-val num_inputs : t -> int
-
 val random_words : t -> Dfm_util.Rng.t -> int64 array
 (** One fresh random word per controllable point. *)
 

@@ -77,13 +77,6 @@ let or_list t = List.fold_left (or_ t) lit_false
 
 let num_nodes t = t.n
 
-let num_ands t =
-  let c = ref 0 in
-  for i = 0 to t.n - 1 do
-    match t.nodes.(i) with And _ -> incr c | Const0 | Input _ -> ()
-  done;
-  !c
-
 let inputs t = List.rev t.input_list
 
 let kind t i = t.nodes.(i)

@@ -34,8 +34,6 @@ val or_list : t -> lit list -> lit
 val num_nodes : t -> int
 (** Total nodes including the constant and inputs. *)
 
-val num_ands : t -> int
-
 val inputs : t -> (string * lit) list
 (** In creation order. *)
 

@@ -291,10 +291,3 @@ let get ?jobs () =
         at_exit (fun () -> Option.iter shutdown !default)
       end;
       t
-
-let parallel_map ?jobs f xs = map (get ?jobs ()) f xs
-
-let parallel_chunks ?jobs ~chunk n f =
-  let pool = get ?jobs () in
-  let bounds = chunk_bounds ~chunk n in
-  run_tasks pool (Array.map (fun (lo, hi) -> fun () -> f lo hi) bounds)

@@ -86,12 +86,3 @@ val set_pool_floor : int -> unit
     one pool without domain churn.  Sharding is always derived from the
     requested job count, so a wider pool never changes results.  [0]
     (the default) restores exact-size semantics. *)
-
-val parallel_map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-(** {!map} on the global pool. *)
-
-val parallel_chunks : ?jobs:int -> chunk:int -> int -> (int -> int -> unit) -> unit
-(** [parallel_chunks ~chunk n f] calls [f lo hi] for every range of
-    {!chunk_bounds}, in parallel on the global pool.  The set of ranges —
-    and therefore any per-range result keyed by [lo] — does not depend on
-    the job count. *)

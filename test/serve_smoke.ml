@@ -99,7 +99,7 @@ let stop_daemon ~sock ~pid =
   | Error _ -> ());
   ignore (wait_exit pid)
 
-let submit_analyze ?(jobs = 1) ?sat_mode ~client ~name ~netlist sock =
+let submit_analyze ?(jobs = 1) ?(static_filter = false) ?sat_mode ~client ~name ~netlist sock =
   match Client.connect sock with
   | Error e -> Error e
   | Ok c ->
@@ -114,7 +114,7 @@ let submit_analyze ?(jobs = 1) ?sat_mode ~client ~name ~netlist sock =
                 name;
                 netlist;
                 limits = { Protocol.no_limits with jobs = Some jobs };
-                static_filter = false;
+                static_filter;
                 sat_mode;
                 q_max = None;
                 p1 = None;
@@ -287,7 +287,7 @@ let () =
         fail "tenant %s missing attributed series: %s" tenant (String.concat " " missing))
     [ "alpha"; "bravo" ];
 
-  (* ---- 7. a retired SAT engine is refused at submission ------------ *)
+  (* ---- 7. retired engine options are refused at submission --------- *)
   (match
      submit_analyze ~sat_mode:"oneshot" ~client:"delta" ~name:netlist_file
        ~netlist:netlist_text sock1
@@ -295,6 +295,14 @@ let () =
   | Error "unknown sat mode \"oneshot\"" -> pass "sat_mode \"oneshot\" refused at submission"
   | Error e -> fail "sat_mode \"oneshot\": unexpected error %s" e
   | Ok r -> fail "sat_mode \"oneshot\" accepted (outcome %s)" r.Protocol.r_outcome);
+  (match
+     submit_analyze ~static_filter:true ~client:"delta" ~name:netlist_file
+       ~netlist:netlist_text sock1
+   with
+  | Error "the static filter is gone; submit with static_filter false" ->
+      pass "static_filter true refused at submission"
+  | Error e -> fail "static_filter true: unexpected error %s" e
+  | Ok r -> fail "static_filter true accepted (outcome %s)" r.Protocol.r_outcome);
   (match Client.connect sock1 with
   | Error e -> fail "status connect: %s" e
   | Ok c ->

@@ -302,7 +302,34 @@ let () =
             ~netlist:spu sock2)
       ()
   in
-  Unix.sleepf 1.0;
+  (* Cancel only once the campaign runs: a queued job is cancelled without
+     a flight dump, and a fixed sleep can outlast the whole campaign. *)
+  let j1_state () =
+    match Client.connect sock2 with
+    | Error e -> "unreachable: " ^ e
+    | Ok c ->
+        Fun.protect
+          ~finally:(fun () -> Client.close c)
+          (fun () ->
+            match Client.request c (Protocol.Status (Some "J1")) with
+            | Ok (Protocol.Status_report { jobs; _ }) -> (
+                match List.find_opt (fun jv -> jv.Protocol.jv_id = "J1") jobs with
+                | Some jv -> Protocol.state_to_string jv.Protocol.jv_state
+                | None -> "not registered")
+            | Ok _ -> "unexpected status response"
+            | Error e -> "status: " ^ e)
+  in
+  let running = Protocol.state_to_string Protocol.Running in
+  let rec wait_running n =
+    let st = j1_state () in
+    if st <> running then
+      if n = 0 then fail "J1 never seen running within 10 s (last state: %s)" st
+      else begin
+        Unix.sleepf 0.02;
+        wait_running (n - 1)
+      end
+  in
+  wait_running 500;
   (match Client.connect sock2 with
   | Error e -> fail "cancel connect: %s" e
   | Ok c ->

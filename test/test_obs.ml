@@ -310,14 +310,12 @@ let check_candidate_spans label (r : Resynth.result) spans =
    one implement span per counted implement call, the spans only implement
    opens never appear outside an implement span, and every implement span
    holds each layer that always runs exactly once.  [Atpg] opens
-   atpg.classify itself, inside implement and out; lint.static_filter runs
-   only when the filter is on. *)
+   atpg.classify itself, inside implement and out. *)
 let implement_only =
   [ "layout.place"; "layout.route"; "timing.sta"; "timing.power"; "dfm.translate";
-    "lint.static_filter"; "core.cluster" ]
+    "core.cluster" ]
 
-let implement_layers =
-  "atpg.classify" :: List.filter (fun l -> l <> "lint.static_filter") implement_only
+let implement_layers = "atpg.classify" :: implement_only
 
 let check_implement_spans label (r : Resynth.result) spans =
   let named n = List.filter (fun (e : Span.event) -> e.Span.name = n) spans in

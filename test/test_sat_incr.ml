@@ -532,57 +532,6 @@ let test_encode_budget_re_solve () =
   Alcotest.(check int) "re-solve drained the pending set" 0 (Encode.pending_parts sess)
 
 (* ------------------------------------------------------------------ *)
-(* Static filter interplay                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* n2 = NAND(a, not a) is constant 1: Sa1/STR/STF on it are undetectable. *)
-let redundant_circuit () =
-  let b = B.create ~name:"redund" lib in
-  let a = B.add_pi b "a" in
-  let c = B.add_pi b "c" in
-  let n1 = B.add_gate b ~cell:"INVX1" [| a |] in
-  let n2 = B.add_gate b ~cell:"NAND2X1" [| a; n1 |] in
-  let n3 = B.add_gate b ~cell:"NAND2X1" [| n2; c |] in
-  B.mark_po b "y" n3;
-  B.finish b
-
-let test_static_filter_never_encoded () =
-  let nl = redundant_circuit () in
-  let faults = all_faults nl in
-  let m_act = Metrics.counter "dfm_sat_incr_activations_total" in
-  let m_filtered = Metrics.counter "dfm_atpg_static_filtered_total" in
-  let a0 = Metrics.counter_value m_act in
-  let plain = Atpg.classify ~jobs:1 nl faults in
-  let plain_acts = Metrics.counter_value m_act - a0 in
-  (* a sound filter by construction: exactly the SAT-proven undetectables *)
-  let filter f = plain.Atpg.status.(f.F.fault_id) = Atpg.Undetectable in
-  let n_filtered = Array.length (Array.of_seq (Seq.filter filter (Array.to_seq faults))) in
-  Alcotest.(check bool) "circuit has undetectable faults" true (n_filtered > 0);
-  let a1 = Metrics.counter_value m_act in
-  let f1 = Metrics.counter_value m_filtered in
-  let filtered =
-    Atpg.classify ~jobs:1 ~static_filter:filter nl faults
-  in
-  let filtered_acts = Metrics.counter_value m_act - a1 in
-  Alcotest.(check int) "filtered-faults metric is exact" (f1 + n_filtered)
-    (Metrics.counter_value m_filtered);
-  Alcotest.(check bool) "statuses unchanged by the filter" true
-    (plain.Atpg.status = filtered.Atpg.status);
-  (* undetectable faults always reach the SAT phase, so the query saving
-     is exactly the filtered count *)
-  Alcotest.(check int) "sat_queries accounting is exact"
-    (plain.Atpg.counts.Atpg.sat_queries - n_filtered)
-    filtered.Atpg.counts.Atpg.sat_queries;
-  (* each filtered fault would have cost >= 1 activation group: none of
-     them may be encoded into the persistent session *)
-  Alcotest.(check bool) "filtered faults never encoded" true
-    (plain_acts - filtered_acts >= n_filtered);
-  let filtered4 =
-    Atpg.classify ~jobs:4 ~static_filter:filter nl faults
-  in
-  same_classification "filtered jobs=4" filtered filtered4
-
-(* ------------------------------------------------------------------ *)
 (* Failpoint: sat.solve site, kill/resume mid-session                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -694,7 +643,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_escalate_cold;
     Alcotest.test_case "encode session invariants" `Quick test_encode_session_invariants;
     Alcotest.test_case "budget re-solve in one session" `Quick test_encode_budget_re_solve;
-    Alcotest.test_case "static filter never encoded" `Quick test_static_filter_never_encoded;
     Alcotest.test_case "sat.solve failpoint" `Quick test_sat_solve_failpoint;
     Alcotest.test_case "kill/resume mid SAT session" `Slow test_kill_resume_mid_sat_session;
   ]
