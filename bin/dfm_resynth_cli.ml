@@ -360,8 +360,7 @@ let analyze_cmd =
     let certify = certify_enabled certify in
     let obs = apply_obs trace metrics log_level progress in
     let nl = build ?scale name in
-    Fmt.pr "building and implementing %s (%d jobs) ...@." name
-      (Dfm_util.Parallel.default_jobs ());
+    Fmt.pr "building and implementing %s ...@." name;
     let cache = make_cache cache_dir in
     let d =
       try
@@ -491,7 +490,7 @@ let resynth_cmd =
     let obs = apply_obs trace metrics log_level progress in
     let checkpoint = make_checkpoint checkpoint_dir resume in
     let nl = build ?scale name in
-    Fmt.pr "implementing %s (%d jobs) ...@." name (Dfm_util.Parallel.default_jobs ());
+    Fmt.pr "implementing %s ...@." name;
     let cache = make_cache cache_dir in
     let r =
       (* The whole campaign — initial implement included — sits under one

@@ -56,12 +56,12 @@ type generation = {
   cross_check_failures : int;
 }
 
-(* Shared campaign state.  In a parallel campaign the per-fault arrays are
-   written by worker domains at disjoint indices (one contiguous shard per
-   worker); everything else is written by the coordinating domain only. *)
+(* Shared campaign state.  The per-fault arrays are written by pool tasks at
+   disjoint indices (each fault belongs to one random-phase shard and one SAT
+   block); everything else is written by the coordinating domain only. *)
 type state = {
   ls : Ls.t;
-  fs : Fs.t;  (* scratch of the coordinating domain; never given to workers *)
+  fs : Fs.t;  (* the coordinator's scratch; random-phase shard 0 borrows it *)
   faults : F.t array;
   st : int array;  (* 0 unresolved, 1 detected, 2 undetectable, 3 aborted *)
   tf_init : bool array;   (* transition frame-1 covered *)
@@ -150,30 +150,31 @@ let sat_nanos_total = Atomic.make 0
 
 let sat_seconds () = 1e-9 *. float_of_int (Atomic.get sat_nanos_total)
 
-(* One SAT query per unresolved fault of [lo, hi).  The whole range shares
-   one session: the good-circuit CNF is encoded once and each fault adds
-   only activation-guarded faulty-cone clauses, with learnt clauses carried
-   from query to query.  A range writes only its own [lo, hi) slots, so
-   shards stay restartable — a supervised retry simply starts a fresh
-   session for the still-unresolved suffix. *)
-let sat_range ?max_conflicts s ~lo ~hi =
+(* One SAT query per still-unresolved fault of the block [fids].  The
+   block shares one fresh session: the good-circuit CNF is encoded once and
+   each fault adds only activation-guarded faulty-cone clauses, with learnt
+   clauses carried from query to query.  A block writes only its own slots,
+   so it stays restartable — a supervised retry starts a fresh session for
+   the faults the failed attempt left unresolved. *)
+let sat_faults ?max_conflicts s fids =
   let t0 = Dfm_obs.Clock.now_ns () in
   let queries = ref 0 in
   let sess = lazy (Encode.make_session ~certify:s.certify s.ls) in
-  for fid = lo to hi - 1 do
-    if s.st.(fid) = 0 then begin
-      incr queries;
-      match Encode.check_incr ?max_conflicts (Lazy.force sess) s.faults.(fid) with
-      | Encode.Tests pats ->
-          (* Certified mode: the SAT models become the fault's witness,
-             re-verified by resimulation once the campaign quiesces. *)
-          if s.certify then
-            s.witness.(fid) <- List.map (fun (t : Encode.test) -> t.Encode.values) pats;
-          s.st.(fid) <- 1
-      | Encode.Undetectable -> s.st.(fid) <- 2
-      | Encode.Unknown -> s.st.(fid) <- 3
-    end
-  done;
+  Array.iter
+    (fun fid ->
+      if s.st.(fid) = 0 then begin
+        incr queries;
+        match Encode.check_incr ?max_conflicts (Lazy.force sess) s.faults.(fid) with
+        | Encode.Tests pats ->
+            (* Certified mode: the SAT models become the fault's witness,
+               re-verified by resimulation once the campaign quiesces. *)
+            if s.certify then
+              s.witness.(fid) <- List.map (fun (t : Encode.test) -> t.Encode.values) pats;
+            s.st.(fid) <- 1
+        | Encode.Undetectable -> s.st.(fid) <- 2
+        | Encode.Unknown -> s.st.(fid) <- 3
+      end)
+    fids;
   let elapsed = Int64.to_int (Int64.sub (Dfm_obs.Clock.now_ns ()) t0) in
   ignore (Atomic.fetch_and_add sat_nanos_total elapsed);
   Metrics.incr_attr ~by:!queries m_sat_queries;
@@ -235,11 +236,23 @@ let finish_counts s =
       };
   }
 
-(* Contiguous per-worker shards.  The bounds are a pure function of the
-   fault count and the job count, and every per-fault result is a pure
-   function of the fault alone, so the merged classification is
-   bit-identical to the sequential ([jobs = 1]) run for any job count. *)
+(* Contiguous per-worker shards of the random phase: its verdicts are
+   per-fault facts, so the shard layout cannot change them. *)
 let shard_bounds ~jobs nf = Parallel.chunk_bounds ~chunk:((nf + jobs - 1) / jobs) nf
+
+(* The SAT phase cuts the faults the random phase leaves unresolved, in
+   fault order, into evenly sized blocks of at most [sat_block] queries,
+   each searched on a fresh session.  The partition is a pure function of
+   the fault list, so every query, and every conflict, decision and
+   propagation, is the same at any job count. *)
+let sat_block = 512
+
+let sat_blocks pending =
+  let n = Array.length pending in
+  let nb = max 1 ((n + sat_block - 1) / sat_block) in
+  Array.map
+    (fun (lo, hi) -> Array.sub pending lo (hi - lo))
+    (Parallel.chunk_bounds ~chunk:((n + nb - 1) / nb) n)
 
 (* 64-pattern blocks of random simulation before the SAT phase. *)
 let random_blocks = 16
@@ -256,11 +269,10 @@ let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) nl fault
   in
   let s = make_state ~certify nl faults in
   (* Cache consultation happens here in the coordinating domain, before any
-     worker is spawned, so the sharded phases see exactly the same disjoint
-     per-fault work in every configuration and the jobs=N bit-identity
-     argument is untouched.  Only semantic verdicts come out of the store
-     (no Aborted), so a hit can only skip the work the phases below would
-     have spent re-deriving the same verdict. *)
+     task runs, so both phases see the same per-fault work in every
+     configuration.  Only semantic verdicts come out of the store (no
+     Aborted), so a hit can only skip the work the phases below would have
+     spent re-deriving the same verdict. *)
   let cached = Array.make (max 1 nf) false in
   let sigs =
     match cache with
@@ -288,74 +300,68 @@ let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) nl fault
           sigs;
         sigs
   in
+  (* The UDFM lazy caches must not be forced for the first time inside a
+     worker domain. *)
+  Dfm_cellmodel.Udfm.preload ();
+  let pool = Parallel.get ~jobs () in
+  (* Tasks only write the st/tf/witness slots of their own faults, and
+     re-running one reaches the same slots, hence restartable — which is
+     what lets the supervised batch retry a task whose worker raised (a
+     poisoned task degrades throughput, never the verdicts). *)
+  let run tasks = ignore (Parallel.run_tasks_supervised pool tasks : Parallel.supervision) in
+  (* Random phase: one shard per worker, each with its own simulator
+     scratch; shard 0 takes the coordinator's. *)
+  let shards = shard_bounds ~jobs nf in
+  let shard_fs = Array.mapi (fun k _ -> if k = 0 then s.fs else Fs.prepare nl) shards in
   let rng = Rng.create (seed + 77) in
-  (* The random-pattern phase, one span on either path: [block] runs one
-     64-pattern block over the unresolved faults. *)
-  let random_phase block =
-    Span.with_ "atpg.random" @@ fun () ->
-    let blocks = ref 0 in
-    let before = unresolved_count s in
-    let left = ref before in
-    while !blocks < random_blocks && !left > 0 do
-      incr blocks;
-      (* Pattern words and the fault-free simulation are produced once by
-         the coordinator, in the same order on both paths. *)
-      let words = Ls.random_words s.ls rng in
-      block ~words ~good:(Ls.run s.ls words);
-      left := unresolved_count s
-    done;
-    Span.note "blocks" (string_of_int !blocks);
-    Span.note "resolved" (string_of_int (before - !left))
+  Span.with_ "atpg.random" (fun () ->
+      let blocks = ref 0 in
+      let before = unresolved_count s in
+      let left = ref before in
+      while !blocks < random_blocks && !left > 0 do
+        incr blocks;
+        (* Pattern words and the fault-free simulation are produced once,
+           by the coordinator. *)
+        let words = Ls.random_words s.ls rng in
+        let good = Ls.run s.ls words in
+        run
+          (Array.mapi
+             (fun k (lo, hi) () ->
+               Span.with_ "classify.shard"
+                 ~attrs:[ ("phase", "sim"); ("lo", string_of_int lo); ("hi", string_of_int hi) ]
+                 (fun () ->
+                   sim_range s shard_fs.(k) ~words ~good ~lo ~hi;
+                   Fs.publish_counts shard_fs.(k)))
+             shards);
+        left := unresolved_count s
+      done;
+      Span.note "blocks" (string_of_int !blocks);
+      Span.note "resolved" (string_of_int (before - !left)));
+  (* SAT phase: [tasks] pool tasks take the blocks round-robin, block [b]
+     going to task [b mod tasks].  The query count is the number of faults
+     entering the phase unresolved, counted up front so a supervised retry
+     (which re-queries only a task's still-unresolved faults) cannot skew
+     the effort accounting. *)
+  let pending =
+    Array.of_list (List.filter (fun fid -> s.st.(fid) = 0) (List.init nf Fun.id))
   in
-  if jobs = 1 then begin
-    (* Sequential reference path: no pool, no domains. *)
-    random_phase (fun ~words ~good ->
-        sim_range s s.fs ~words ~good ~lo:0 ~hi:nf;
-        Fs.publish_counts s.fs);
-    (* The query count is the number of faults entering the SAT phase
-       unresolved — counted up front so a supervised retry of a shard
-       (which re-queries only the still-unresolved suffix) cannot skew the
-       effort accounting away from the sequential reference. *)
-    s.sat_queries <- unresolved_count s;
-    sat_range ?max_conflicts s ~lo:0 ~hi:nf
-  end
-  else begin
-    (* The UDFM lazy caches must not be forced for the first time inside a
-       worker domain. *)
-    Dfm_cellmodel.Udfm.preload ();
-    let pool = Parallel.get ~jobs () in
-    let bounds = shard_bounds ~jobs nf in
-    (* Every worker owns a full fault-simulation scratch; only the st/tf
-       arrays are shared, at disjoint indices.  Shard tasks are pure
-       per-index recomputations into disjoint slots, hence restartable —
-       which is what lets the supervised batch retry a shard whose worker
-       raised (a poisoned task degrades throughput, never the verdicts). *)
-    let shard_fs = Array.map (fun _ -> Fs.prepare nl) bounds in
-    random_phase (fun ~words ~good ->
-        ignore
-          (Parallel.run_tasks_supervised pool
-             (Array.mapi
-                (fun k (lo, hi) () ->
-                  Span.with_ "classify.shard"
-                    ~attrs:
-                      [ ("phase", "sim"); ("lo", string_of_int lo); ("hi", string_of_int hi) ]
-                    (fun () ->
-                      sim_range s shard_fs.(k) ~words ~good ~lo ~hi;
-                      Fs.publish_counts shard_fs.(k)))
-                bounds)
-            : Parallel.supervision));
-    s.sat_queries <- unresolved_count s;
-    ignore
-      (Parallel.run_tasks_supervised pool
-         (Array.mapi
-            (fun _k (lo, hi) () ->
-              Span.with_ "classify.shard"
-                ~attrs:
-                  [ ("phase", "sat"); ("lo", string_of_int lo); ("hi", string_of_int hi) ]
-                (fun () -> sat_range ?max_conflicts s ~lo ~hi))
-            bounds)
-        : Parallel.supervision)
-  end;
+  s.sat_queries <- Array.length pending;
+  let blocks = sat_blocks pending in
+  let tasks = min jobs (Array.length blocks) in
+  run
+    (Array.init tasks (fun k () ->
+         Array.iteri
+           (fun b fids ->
+             if b mod tasks = k then
+               Span.with_ "classify.shard"
+                 ~attrs:
+                   [
+                     ("phase", "sat");
+                     ("block", string_of_int b);
+                     ("queries", string_of_int (Array.length fids));
+                   ]
+                 (fun () -> sat_faults ?max_conflicts s fids))
+           blocks));
   (* Certified mode: every freshly detected fault's witness patterns are
      re-verified by independent resimulation before the verdict is reported
      or published.  Runs in the coordinating domain, in fault order, so the

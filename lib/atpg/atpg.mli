@@ -19,16 +19,18 @@
     frame-2 detection, possibly covered by different tests — the enhanced
     scan pairing documented in [Fault]).
 
-    SAT queries run in {!Encode} sessions: all unresolved faults of a shard
-    share one persistent solver ({!Dfm_sat.Incremental}), the good-circuit
-    CNF is encoded once, each fault contributes only activation-guarded
-    faulty-cone clauses, and learnt clauses carry from query to query.
-    Semantic verdicts (Detected / Undetectable) do not depend on what a
-    session held before a query.  Under a {e bounded} [max_conflicts]
-    budget the [Aborted] frontier can: retained learnt clauses let a query
-    resolve within a budget that a cold solver would exhaust, and that head
-    start depends on which faults preceded it in its shard.  At the default
-    unbounded budget no Aborted verdicts exist. *)
+    SAT queries run in {!Encode} sessions.  The faults the random phase
+    leaves unresolved are cut, in fault order, into evenly sized blocks of
+    at most 512 queries; each block shares one fresh persistent solver
+    ({!Dfm_sat.Incremental}), its good-circuit CNF is encoded once, each
+    fault contributes only activation-guarded faulty-cone clauses, and
+    learnt clauses carry from query to query.  Semantic verdicts (Detected
+    / Undetectable) do not depend on what a session held before a query.
+    Under a {e bounded} [max_conflicts] budget the [Aborted] frontier does:
+    retained learnt clauses let a query resolve within a budget that a cold
+    solver would exhaust.  The blocks are a pure function of the fault
+    list, so that frontier, like every count, is the same at any [jobs].
+    At the default unbounded budget no Aborted verdicts exist. *)
 
 type status = Detected | Undetectable | Aborted
 
@@ -89,16 +91,12 @@ val classify :
     per-verdict, hence identical for every [jobs] value.
 
     [jobs] (default {!Dfm_util.Parallel.default_jobs}, i.e. [REPRO_JOBS] or
-    the machine's domain count) shards the fault list over that many worker
-    domains for both the random-simulation prefilter and the SAT phase.
-    Shards are contiguous ranges that are a pure function of the fault and
-    job counts, each worker owns its own simulator scratch and solver
-    state, and semantic per-fault verdicts do not depend on each other — so
-    the classification is bit-identical to the sequential result for every
-    [jobs] value.  [jobs = 1] never spawns a domain.  (Under a bounded
-    [max_conflicts] the identity covers the semantic verdicts; the
-    [Aborted] frontier can shift with the shard layout — see above.  At the
-    default unbounded budget the identity is exact bit-for-bit.)
+    the machine's domain count) caps the worker domains: the random phase
+    runs one contiguous shard per worker, and [min jobs blocks] tasks take
+    the SAT blocks round-robin.  Nothing else depends on it: the
+    classification, its SAT queries and their conflicts, decisions and
+    propagations are the same for every [jobs] value, under any
+    [max_conflicts].  [jobs = 1] never spawns a domain.
 
     [cache] consults a content-addressed verdict store before {e both} the
     random-simulation prefilter and the SAT phase, and publishes the
@@ -110,8 +108,7 @@ val classify :
     resolve faults that budget would have Aborted — strictly more
     information, never a contradicting verdict.  At the default unbounded
     budget no Aborted verdicts exist and the identity is exact.)  All cache
-    traffic happens in the coordinating domain, so the [jobs] bit-identity
-    above is preserved verbatim. *)
+    traffic happens in the coordinating domain. *)
 
 type escalation_stats = {
   rungs : int;       (** ladder rungs that ran at least one query *)

@@ -57,8 +57,8 @@ val implement :
     fixed-die constraint of the paper is enforced; otherwise the floorplan
     is created at its default utilization.  [previous] enables
     incremental (ECO) placement relative to an earlier design point.
-    [jobs] shards the ATPG classification over that many worker domains
-    (see {!Dfm_atpg.Atpg.classify}); the result is bit-identical for every
+    [jobs] caps the worker domains of the ATPG classification (see
+    {!Dfm_atpg.Atpg.classify}); the result is bit-identical for every
     value.  [cache] is handed to the classification so verdicts of
     structurally unchanged fault cones are reused instead of re-derived;
     it too never changes a verdict (see {!Dfm_incr.Cache}).

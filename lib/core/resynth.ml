@@ -137,10 +137,7 @@ let event_of_ckpt (e : Checkpoint.event) : event =
 let run_hits st = st.hits_restored + (cache_hits_so_far st - st.hits0)
 
 (* Run-attributed solver effort (conflicts, decisions, propagations):
-   deltas of [Solver.totals].  The query set is deterministic, but each
-   shard of a parallel classification answers its queries on its own
-   session, so these counts depend on [--jobs]; the verdicts and the query
-   count do not. *)
+   deltas of [Solver.totals]. *)
 let run_effort st =
   let c, d, p = Dfm_sat.Solver.totals () in
   ( st.conf_restored + (c - st.conf0),

@@ -58,10 +58,8 @@ type result = {
           [cache_hits]: deltas of the process-wide
           {!Dfm_sat.Solver.totals}, restored across a checkpoint resume.
           Counting is unconditional, so the numbers are independent of any
-          observability setting.  They do depend on [--jobs]: each shard of
-          a parallel classification runs its queries on its own session,
-          whose learnt clauses differ with the sharding.  Verdicts,
-          implement calls and SAT queries are the same at any [--jobs]. *)
+          observability setting, and like every other count here they are
+          the same at any [--jobs]. *)
   elapsed_s : float;
       (** wall-clock duration of the call; {!Report.table2_rows} turns it
           into Rtime *)

@@ -7,8 +7,8 @@
     cache may only skip work, never change a verdict.  This holds because
     only semantic verdicts are stored ([Store.verdict] has no [Aborted]),
     keys are full cone signatures with the ATPG parameters mixed in
-    ([Signature.params]), and lookups happen in the classify coordinator so
-    the jobs=N sharding determinism is untouched.
+    ([Signature.params]), and lookups happen in the classify coordinator,
+    never in a pool task.
 
     A cache is single-domain, like the coordinator that owns it. *)
 

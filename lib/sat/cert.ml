@@ -40,9 +40,8 @@ let m_spill_fallbacks =
     "dfm_cert_spill_fallbacks_total"
 
 (* Process-wide totals, mirrored into the metrics registry.  [checked] and
-   [failed] count verdict-level checks only (one per certified verdict),
-   which makes them independent of sharding — per-shard proofs differ, the
-   set of verdicts does not.  [check_ns] accumulates only while
+   [failed] count verdict-level checks only (one per certified verdict).
+   [check_ns] accumulates only while
    [Metrics.timing_enabled] (bench turns it on); everything else is
    unconditional. *)
 let checked_total = Atomic.make 0

@@ -77,9 +77,8 @@ type totals = { checked : int; failed : int; proof_bytes : int; check_ns : int }
 
 val totals : unit -> totals
 (** Process-wide counters.  [checked]/[failed] count verdict-level checks
-    (shard-independent: one per certified verdict, so identical at any
-    [--jobs]); [proof_bytes] is the nominal traced proof size (shard- and
-    session-dependent — keep it out of deterministic reports);
+    (one per certified verdict); [proof_bytes] is the nominal traced proof
+    size.  Like every effort count they are the same at any [--jobs];
     [check_ns] accumulates only while [Metrics.timing_enabled]. *)
 
 val note_check : ok:bool -> ns:int64 -> unit

@@ -108,8 +108,9 @@ val num_conflicts : t -> int
 val totals : unit -> int * int * int
 (** Process-wide [(conflicts, decisions, propagations)] accumulated across
     every solver instance in every domain, flushed once per {!solve}.
-    Deltas of these totals over a fixed query set are order-independent,
-    hence identical at any [--jobs] count. *)
+    Deltas over a classification are the same at any [--jobs] count:
+    [Atpg.classify] partitions its queries into sessions by the fault list
+    alone, never by the job count. *)
 
 (** {1 Debug / test support} *)
 

@@ -300,7 +300,10 @@ let execute d (j : job) =
      least this frame, so a failure stack is always captured. *)
   Dfm_obs.Span.with_ "serve.job" ~attrs:[ ("job", j.id); ("tenant", sub.P.client) ]
   @@ fun () ->
-  let cap = match sub.P.limits.P.jobs with Some n -> n | None -> d.cfg.jobs in
+  (* A tenant may lower the worker cap, never raise it past the daemon's. *)
+  let cap =
+    match sub.P.limits.P.jobs with Some n -> min n d.cfg.jobs | None -> d.cfg.jobs
+  in
   Dfm_util.Parallel.set_default_jobs cap;
   let max_conflicts = sub.P.limits.P.max_conflicts in
   let deadline = Option.map (fun s -> j.started +. s) sub.P.limits.P.max_seconds in
@@ -964,7 +967,6 @@ let run ?(on_ready = fun () -> ()) cfg =
     replayed.rp_jobs;
   Metrics.set m_queue_depth (Scheduler.pending d.sched);
   let default_jobs0 = Dfm_util.Parallel.default_jobs () in
-  Dfm_util.Parallel.set_pool_floor d.cfg.jobs;
   Dfm_util.Parallel.set_default_jobs d.cfg.jobs;
   install_obs_router d;
   Dfm_obs.Recorder.set_enabled true;
@@ -990,7 +992,6 @@ let run ?(on_ready = fun () -> ()) cfg =
   (try Unix.close wake_w with Unix.Unix_error _ -> ());
   Option.iter Journal.close d.ledger;
   Dfm_incr.Cache.close d.cache;
-  Dfm_util.Parallel.set_pool_floor 0;
   Dfm_util.Parallel.set_default_jobs default_jobs0;
   (match old_usr2 with
   | Some b -> ( try Sys.set_signal Sys.sigusr2 b with Invalid_argument _ | Sys_error _ -> ())

@@ -14,8 +14,8 @@
       SAT sessions) is single-domain by design, so concurrency between
       jobs lives in the {e queue}, not in the engines.  Each job's
       classification still fans out over the shared {!Dfm_util.Parallel}
-      pool, capped by the job's [jobs] limit; {!Dfm_util.Parallel.set_pool_floor}
-      keeps that pool alive across jobs with different caps.
+      pool, capped by the job's [jobs] limit clamped to the daemon's own
+      [jobs]; a pool at least that wide is reused across jobs.
     - Fair-share ordering between clients is {!Scheduler}'s: the pending
       job of the least-served client runs next.
 
@@ -41,13 +41,12 @@
     Determinism: a job's report is byte-identical to the equivalent
     one-shot CLI run ([analyze --report], at any [jobs] value), because
     both sides call the same {!Dfm_core.Report} builders on the same
-    engine results and sharding derives from the job's [jobs] parameter,
-    never from pool width. *)
+    engine results, and no engine result depends on [jobs]. *)
 
 type config = {
   socket_path : string;
   state_dir : string;   (** ledger, shared verdict cache, per-job journals *)
-  jobs : int;           (** pool floor and default per-job worker cap *)
+  jobs : int;           (** default and maximum per-job worker cap *)
   certify : bool;
       (** run every job certified: verdicts verified against independent
           certificates ({!Dfm_core.Design.implement}), ECOs against checked

@@ -114,8 +114,6 @@ let create ~jobs =
   t.domains <- List.init (jobs - 1) (fun _ -> Domain.spawn (worker t));
   t
 
-let jobs t = t.jobs
-
 (* Idempotent: the domain list is claimed under the mutex, so a second call
    (or the at_exit hook racing an explicit shutdown of the global pool)
    finds an empty list and returns without joining anything twice. *)
@@ -212,7 +210,7 @@ let run_tasks_supervised ?(retries = 2) t tasks =
       go 0
     in
     run_tasks t (Array.init n wrap);
-    (* Sequential fallback: the batch's poisoned shards re-run one final
+    (* Sequential fallback: the batch's poisoned tasks re-run one final
        time in the coordinator, where an exception is a real error and
        propagates to the caller instead of killing a worker domain. *)
     let fell_back = ref 0 in
@@ -226,15 +224,6 @@ let run_tasks_supervised ?(retries = 2) t tasks =
         end)
       failed;
     { retried = Atomic.get retried; fell_back = !fell_back }
-  end
-
-let map t f xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n None in
-    run_tasks t (Array.init n (fun i () -> out.(i) <- Some (f xs.(i))));
-    Array.map (function Some y -> y | None -> assert false) out
   end
 
 let chunk_bounds ~chunk n =
@@ -263,28 +252,16 @@ let set_default_jobs j = chosen_jobs := Some (max 1 j)
 
 let at_exit_registered = ref false
 
-(* With a floor set, the global pool is grow-only: a request for fewer
-   workers than the pool has reuses it instead of shutting it down and
-   respawning domains.  The serve daemon multiplexes jobs with differing
-   per-job worker caps onto one pool this way.  Task sharding is derived
-   from the requested job count, never from the pool width, so a wider
-   pool leaves results bit-identical (extra workers simply idle). *)
-let pool_floor = ref 0
-
-let set_pool_floor n = pool_floor := max 0 n
-
+(* Any live pool at least [jobs] wide is reused: callers submit at most
+   [jobs] tasks per batch, so the extra workers of a wider pool stay idle
+   and the worker cap holds without respawning domains. *)
 let get ?jobs () =
   let requested = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  let floor = !pool_floor in
-  let reusable t =
-    (not (stopped t))
-    && (t.jobs = requested || (floor > 0 && t.jobs >= requested && t.jobs >= floor))
-  in
   match !default with
-  | Some t when reusable t -> t
+  | Some t when (not (stopped t)) && t.jobs >= requested -> t
   | prev ->
       Option.iter shutdown prev;
-      let t = create ~jobs:(max requested floor) in
+      let t = create ~jobs:requested in
       default := Some t;
       if not !at_exit_registered then begin
         at_exit_registered := true;

@@ -1,10 +1,10 @@
 (** A reusable fixed-size Domain worker pool.
 
     The pool owns [jobs - 1] worker domains; the submitting domain always
-    participates, so a pool of size [j] runs at most [j] tasks at once.  At
-    [jobs = 1] no domains are ever spawned and every entry point degrades to
-    a plain sequential loop in the caller — the guaranteed fallback the
-    deterministic-sharding contract of the ATPG engine builds on.
+    participates, so a pool of size [j] runs at most [j] tasks at once, and
+    a batch of [n] tasks at most [n].  At [jobs = 1] no domains are ever
+    spawned and every entry point degrades to a plain sequential loop in
+    the caller.
 
     Tasks of one batch are claimed dynamically (any worker may run any
     task), so callers must make tasks write to disjoint state; determinism
@@ -18,8 +18,6 @@ type t
 
 val create : jobs:int -> t
 (** Spawn a pool with [max 1 jobs] slots ([jobs - 1] worker domains). *)
-
-val jobs : t -> int
 
 val shutdown : t -> unit
 (** Join the worker domains.  The pool must be idle; using it afterwards
@@ -44,17 +42,14 @@ val run_tasks_supervised : ?retries:int -> t -> (unit -> unit) array -> supervis
     of killing the batch.  Only that final coordinator attempt may raise.
 
     Tasks must be restartable: re-running one must reach the same final
-    state (true of the engine's shard tasks, which write pure per-index
-    results to disjoint slots).  Every attempt passes the [parallel.task]
-    {!Failpoint} site, which is how the resilience tests inject task
-    failures. *)
+    state (true of the engine's classification tasks, which write pure
+    per-index results to disjoint slots).  Every attempt passes the
+    [parallel.task] {!Failpoint} site, which is how the resilience tests
+    inject task failures. *)
 
 val supervision_totals : unit -> int * int
 (** Cumulative [(retried, fell_back)] across every supervised batch of the
     process — campaign reports read the delta around a run. *)
-
-val map : t -> ('a -> 'b) -> 'a array -> 'b array
-(** Order-preserving parallel map. *)
 
 val chunk_bounds : chunk:int -> int -> (int * int) array
 (** [chunk_bounds ~chunk n] partitions [0 .. n-1] into contiguous [(lo, hi)]
@@ -67,22 +62,13 @@ val chunk_bounds : chunk:int -> int -> (int * int) array
     {!Domain.recommended_domain_count}; overridable by the [--jobs] CLI
     flag via {!set_default_jobs}. *)
 
-val recommended_jobs : unit -> int
-
 val default_jobs : unit -> int
 
 val set_default_jobs : int -> unit
 
 val get : ?jobs:int -> unit -> t
-(** The shared global pool, (re)sized to [jobs] (default {!default_jobs}).
-    Shut down automatically at exit.  With {!set_pool_floor} in force the
-    pool is grow-only: it is sized at least the floor and reused for any
-    smaller request rather than respawned. *)
-
-val set_pool_floor : int -> unit
-(** [set_pool_floor n] keeps the global pool at least [n] workers wide and
-    makes {!get} reuse it for requests of [n] or fewer jobs.  Used by the
-    serve daemon to multiplex jobs with differing per-job worker caps onto
-    one pool without domain churn.  Sharding is always derived from the
-    requested job count, so a wider pool never changes results.  [0]
-    (the default) restores exact-size semantics. *)
+(** The shared global pool, at least [jobs] (default {!default_jobs})
+    wide: a live pool that wide or wider is reused, a narrower one is shut
+    down and respawned at [jobs].  Callers cap their concurrency by
+    submitting at most [jobs] tasks per batch.  Shut down automatically at
+    exit. *)

@@ -339,8 +339,8 @@ let check_implement_spans label (r : Resynth.result) spans =
     implements
 
 let prop_transparency =
-  QCheck.Test.make ~name:"campaign bit-identical with observability on/off (jobs 1 and 4)"
-    ~count:2
+  QCheck.Test.make
+    ~name:"campaign bit-identical with observability on/off and at jobs 1 and 4" ~count:2
     QCheck.(pair (int_range 1 10_000) (int_range 1 2))
     (fun (seed, q_max) ->
       let d0 = Lazy.force transparency_design in
@@ -348,41 +348,47 @@ let prop_transparency =
       Fun.protect ~finally:(fun () -> Parallel.set_default_jobs saved_jobs)
       @@ fun () ->
       with_clean_obs @@ fun () ->
-      List.iter
-        (fun jobs ->
-          Parallel.set_default_jobs jobs;
-          (* everything off: the reference *)
-          Log.set_sink None;
-          Span.set_enabled false;
-          Span.reset ();
-          Metrics.set_timing_enabled false;
-          Progress.set_enabled false;
-          let off = run_campaign ~seed ~q_max d0 in
-          (* everything on: sinks capture into buffers we then discard *)
-          let sunk = ref 0 and drawn = ref 0 in
-          Log.set_sink (Some (fun _ -> incr sunk));
-          Log.set_level Log.Debug;
-          Span.set_enabled true;
-          Metrics.set_timing_enabled true;
-          Metrics.set_attribution [ ("tenant", "qa"); ("job", "J0") ];
-          Recorder.set_enabled true;
-          Progress.set_output (Some (fun _ -> incr drawn));
-          Progress.set_enabled true;
-          let on = run_campaign ~seed ~q_max d0 in
-          Metrics.set_attribution [];
-          Recorder.set_enabled false;
-          let spans = Span.drain () in
-          check_same_result (Printf.sprintf "jobs=%d" jobs) off on;
-          check_candidate_spans (Printf.sprintf "jobs=%d" jobs) on spans;
-          check_implement_spans (Printf.sprintf "jobs=%d" jobs) on spans;
-          (* the instrumented run must actually have observed something,
-             otherwise this property is vacuous.  (Log records only appear
-             on accepted steps, so [sunk] may legitimately stay 0 on a
-             no-accept campaign — the sink is installed to exercise the
-             delivery path, not asserted on.) *)
-          ignore !sunk;
-          if spans = [] then Alcotest.failf "jobs=%d: no spans recorded" jobs)
-        [ 1; 4 ];
+      (* One job count: the campaign with everything off, checked against the
+         same campaign with everything on. *)
+      let run_at jobs =
+        Parallel.set_default_jobs jobs;
+        (* everything off: the reference *)
+        Log.set_sink None;
+        Span.set_enabled false;
+        Span.reset ();
+        Metrics.set_timing_enabled false;
+        Progress.set_enabled false;
+        let off = run_campaign ~seed ~q_max d0 in
+        (* everything on: sinks capture into buffers we then discard *)
+        let sunk = ref 0 and drawn = ref 0 in
+        Log.set_sink (Some (fun _ -> incr sunk));
+        Log.set_level Log.Debug;
+        Span.set_enabled true;
+        Metrics.set_timing_enabled true;
+        Metrics.set_attribution [ ("tenant", "qa"); ("job", "J0") ];
+        Recorder.set_enabled true;
+        Progress.set_output (Some (fun _ -> incr drawn));
+        Progress.set_enabled true;
+        let on = run_campaign ~seed ~q_max d0 in
+        Metrics.set_attribution [];
+        Recorder.set_enabled false;
+        let spans = Span.drain () in
+        check_same_result (Printf.sprintf "jobs=%d" jobs) off on;
+        check_candidate_spans (Printf.sprintf "jobs=%d" jobs) on spans;
+        check_implement_spans (Printf.sprintf "jobs=%d" jobs) on spans;
+        (* the instrumented run must actually have observed something,
+           otherwise this property is vacuous.  (Log records only appear
+           on accepted steps, so [sunk] may legitimately stay 0 on a
+           no-accept campaign — the sink is installed to exercise the
+           delivery path, not asserted on.) *)
+        ignore !sunk;
+        if spans = [] then Alcotest.failf "jobs=%d: no spans recorded" jobs;
+        off
+      in
+      let j1 = run_at 1 in
+      let j4 = run_at 4 in
+      (* the job count changes nothing either, effort counts included *)
+      check_same_result "jobs=1 vs jobs=4" j1 j4;
       true)
 
 (* ------------------------------------------------------------------ *)

@@ -1,6 +1,6 @@
-(* Tests for Dfm_util.Parallel and the determinism contract of the sharded
-   fault-classification engine: any job count must produce bit-identical
-   results to the sequential run. *)
+(* Tests for Dfm_util.Parallel and the determinism contract of the
+   fault-classification engine: any job count must produce the results of
+   the one-worker run, SAT effort included. *)
 
 module Parallel = Dfm_util.Parallel
 module N = Dfm_netlist.Netlist
@@ -18,17 +18,11 @@ let origin = { F.category = Dfm_cellmodel.Defect.Via; guideline_index = 0 }
 (* Worker pool                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let test_map_matches_sequential () =
-  let xs = Array.init 1000 (fun i -> i) in
-  let f x = (x * x) + 7 in
-  let expected = Array.map f xs in
-  List.iter
-    (fun jobs ->
-      let pool = Parallel.create ~jobs in
-      let got = Parallel.map pool f xs in
-      Parallel.shutdown pool;
-      Alcotest.(check bool) (Printf.sprintf "map at %d jobs" jobs) true (got = expected))
-    [ 1; 2; 4; 7 ]
+(* [f] applied to every element of [xs], one pool task per element. *)
+let run_map pool f xs =
+  let out = Array.make (Array.length xs) 0 in
+  Parallel.run_tasks pool (Array.mapi (fun i x () -> out.(i) <- f x) xs);
+  out
 
 let test_chunk_bounds () =
   List.iter
@@ -71,13 +65,13 @@ let test_exception_propagates () =
      Alcotest.fail "expected Boom"
    with Boom -> ());
   (* the pool survives a failed batch *)
-  let ok = Parallel.map pool (fun x -> x + 1) [| 1; 2; 3 |] in
+  let ok = run_map pool (fun x -> x + 1) [| 1; 2; 3 |] in
   Parallel.shutdown pool;
   Alcotest.(check bool) "pool usable after failure" true (ok = [| 2; 3; 4 |])
 
 let test_shutdown_idempotent () =
   let pool = Parallel.create ~jobs:3 in
-  let got = Parallel.map pool (fun x -> x * 2) [| 1; 2; 3 |] in
+  let got = run_map pool (fun x -> x * 2) [| 1; 2; 3 |] in
   Alcotest.(check bool) "pool works" true (got = [| 2; 4; 6 |]);
   Parallel.shutdown pool;
   (* the regression: a second shutdown (e.g. the at_exit hook of the global
@@ -85,7 +79,7 @@ let test_shutdown_idempotent () =
   Parallel.shutdown pool;
   Parallel.shutdown pool;
   (* a stopped pool still runs batches, sequentially in the caller *)
-  let after = Parallel.map pool (fun x -> x + 1) [| 1; 2; 3 |] in
+  let after = run_map pool (fun x -> x + 1) [| 1; 2; 3 |] in
   Alcotest.(check bool) "stopped pool degrades to sequential" true (after = [| 2; 3; 4 |])
 
 (* ------------------------------------------------------------------ *)
@@ -155,7 +149,7 @@ let test_supervised_poisoned_task_raises_in_coordinator () =
    with Boom -> ());
   (* the poisoned task degraded, it did not kill the rest of the batch *)
   Alcotest.(check int) "other tasks all completed" 9 (Atomic.get others);
-  let ok = Parallel.map pool (fun x -> x + 1) [| 1; 2 |] in
+  let ok = run_map pool (fun x -> x + 1) [| 1; 2 |] in
   Parallel.shutdown pool;
   Alcotest.(check bool) "pool survives" true (ok = [| 2; 3 |])
 
@@ -173,7 +167,7 @@ let test_nested_submission_degrades () =
   Alcotest.(check bool) "inner batch ran" true (Array.for_all (fun v -> v = 1) hits)
 
 (* ------------------------------------------------------------------ *)
-(* Determinism of the sharded classification                            *)
+(* Determinism of the classification across job counts                 *)
 (* ------------------------------------------------------------------ *)
 
 let random_netlist seed npis ngates =
@@ -215,28 +209,39 @@ let all_faults nl =
     nl.N.gates;
   Array.of_list (List.rev !faults)
 
+(* A classification and the conflicts, decisions and propagations its SAT
+   phase spent. *)
+let classify_effort ~jobs nl faults =
+  let c0, d0, p0 = Dfm_sat.Solver.totals () in
+  let cls = Atpg.classify ~jobs nl faults in
+  let c1, d1, p1 = Dfm_sat.Solver.totals () in
+  (cls, (c1 - c0, d1 - d0, p1 - p0))
+
 let test_classify_jobs_bit_identical () =
   List.iter
     (fun seed ->
       let nl = random_netlist seed 5 25 in
       let faults = all_faults nl in
-      let ref_cls = Atpg.classify ~jobs:1 nl faults in
+      let ref_cls, ref_effort = classify_effort ~jobs:1 nl faults in
       List.iter
         (fun jobs ->
-          let cls = Atpg.classify ~jobs nl faults in
+          let cls, effort = classify_effort ~jobs nl faults in
           Alcotest.(check bool)
             (Printf.sprintf "status arrays identical (seed %d, %d jobs)" seed jobs)
             true
             (cls.Atpg.status = ref_cls.Atpg.status);
           Alcotest.(check bool)
             (Printf.sprintf "counts identical (seed %d, %d jobs)" seed jobs)
-            true (cls.Atpg.counts = ref_cls.Atpg.counts))
+            true (cls.Atpg.counts = ref_cls.Atpg.counts);
+          Alcotest.(check (triple int int int))
+            (Printf.sprintf "SAT effort identical (seed %d, %d jobs)" seed jobs)
+            ref_effort effort)
         [ 2; 3; 4; 9 ])
     [ 11; 222; 3333 ]
 
 (* The acceptance-level check: classification under injected task failures
-   (each shard raising on its first attempts) is bit-identical to the clean
-   sequential run. *)
+   (each task raising on its first attempts) is bit-identical to the clean
+   one-worker run. *)
 let test_classify_with_failpoints_bit_identical () =
   let nl = random_netlist 4242 5 30 in
   let faults = all_faults nl in
@@ -268,7 +273,6 @@ let test_design_implement_jobs_deterministic () =
 
 let suite =
   [
-    Alcotest.test_case "map matches sequential" `Quick test_map_matches_sequential;
     Alcotest.test_case "chunk bounds tile the range" `Quick test_chunk_bounds;
     Alcotest.test_case "run_tasks disjoint writes" `Quick test_run_tasks_disjoint_writes;
     Alcotest.test_case "exceptions propagate" `Quick test_exception_propagates;

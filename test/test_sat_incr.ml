@@ -548,7 +548,14 @@ let test_sat_solve_failpoint () =
   Alcotest.(check bool) "site counted hits" true (Failpoint.hit_count "sat.solve" > 3);
   Failpoint.clear ();
   let r = Atpg.classify ~jobs:1 nl faults in
-  same_classification "after the injected crash" r_ref r
+  same_classification "after the injected crash" r_ref r;
+  (* One failure mid-block: the supervised retry re-runs the block's
+     still-unresolved faults on a fresh session and reaches the same
+     classification. *)
+  Failpoint.enable ~after:3 ~times:1 "sat.solve" Failpoint.Raise;
+  let r = Atpg.classify ~jobs:1 nl faults in
+  Alcotest.(check bool) "the failure fired" true (Failpoint.hit_count "sat.solve" > 3);
+  same_classification "after one retried block" r_ref r
 
 (* Kill a checkpointed campaign via the sat.solve site — mid-flight of a
    persistent incremental session, possibly inside a worker domain — and

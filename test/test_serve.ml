@@ -616,16 +616,16 @@ let with_daemon ?(jobs = 1) f =
       remove_tree dir)
     (fun () -> f conn)
 
-(* A lint job: it runs in milliseconds, yet the daemon keeps what it keeps
-   for any job. *)
-let run_job conn ~client text =
+(* A lint job by default: it runs in milliseconds, yet the daemon keeps
+   what it keeps for any job. *)
+let run_job ?(kind = Protocol.Lint) ?(limits = Protocol.no_limits) conn ~client text =
   let sub =
     {
       Protocol.client;
-      kind = Protocol.Lint;
+      kind;
       name = "aes_core";
       netlist = text;
-      limits = Protocol.no_limits;
+      limits;
       static_filter = false;
       sat_mode = None;
       q_max = None;
@@ -691,6 +691,29 @@ let test_run_restores_default_jobs () =
   Alcotest.(check int) "default jobs after the daemon returned" 2
     (Dfm_util.Parallel.default_jobs ())
 
+(* A tenant's worker cap is clamped to the daemon's width: on a one-worker
+   daemon, an analyze job asking for three workers submits exactly the pool
+   tasks of a one-worker job (each daemon has its own fresh verdict cache). *)
+let test_tenant_jobs_clamped () =
+  let text =
+    Dfm_netlist.Netlist_io.to_string (Dfm_circuits.Circuits.build ~scale:0.25 "sparc_ffu")
+  in
+  let pool_tasks () =
+    match Metrics.find_value "dfm_pool_tasks_total" with
+    | Some (Metrics.Counter n) -> n
+    | _ -> Alcotest.fail "dfm_pool_tasks_total is not a registered counter"
+  in
+  let tasks jobs =
+    with_daemon ~jobs:1 (fun conn ->
+        let t0 = pool_tasks () in
+        run_job ~kind:Protocol.Analyze
+          ~limits:{ Protocol.no_limits with Protocol.jobs = Some jobs }
+          conn ~client:"alpha" text;
+        pool_tasks () - t0)
+  in
+  let one = tasks 1 in
+  Alcotest.(check int) "pool tasks of a jobs=3 job on a one-worker daemon" one (tasks 3)
+
 let suite =
   [
     Alcotest.test_case "wire: roundtrip" `Quick test_wire_roundtrip;
@@ -726,4 +749,6 @@ let suite =
       test_finished_jobs_release_netlists;
     Alcotest.test_case "daemon: run restores the default worker cap" `Quick
       test_run_restores_default_jobs;
+    Alcotest.test_case "daemon: a tenant's worker cap is clamped to the daemon's" `Quick
+      test_tenant_jobs_clamped;
   ]
