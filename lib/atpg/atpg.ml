@@ -56,12 +56,12 @@ type generation = {
   cross_check_failures : int;
 }
 
-(* Shared campaign state.  The per-fault arrays are written by pool tasks at
-   disjoint indices (each fault belongs to one random-phase shard and one SAT
-   block); everything else is written by the coordinating domain only. *)
+(* Shared campaign state.  SAT-phase tasks write the per-fault arrays at
+   disjoint indices (each fault belongs to one SAT block); everything else
+   is written by the coordinating domain only. *)
 type state = {
   ls : Ls.t;
-  fs : Fs.t;  (* the coordinator's scratch; random-phase shard 0 borrows it *)
+  fs : Fs.t;  (* the coordinator's simulator scratch *)
   faults : F.t array;
   st : int array;  (* 0 unresolved, 1 detected, 2 undetectable, 3 aborted *)
   tf_init : bool array;   (* transition frame-1 covered *)
@@ -73,7 +73,7 @@ type state = {
          random-simulation pattern that first detected the fault, or the
          SAT models — re-verified by independent resimulation before the
          Detected verdict is reported.  Written at the fault's own index
-         only, so shards stay disjoint. *)
+         only, so SAT blocks stay disjoint. *)
 }
 
 let make_state ?(certify = false) nl faults =
@@ -106,20 +106,19 @@ let lsb_bit w =
   done;
   !b
 
-(* Apply the detection evidence of one simulated word restricted to bit
-   [mask] (use [-1L] for all 64 bits).  [fs] is the caller's simulator
-   scratch — per worker in a parallel campaign.  In certified mode the
+(* Apply the detection evidence of one simulated word to fault [fid],
+   through the coordinator's simulator scratch.  In certified mode the
    pattern words are snapshotted as the fault's detection witness the first
    time each detection condition is observed. *)
-let apply_words s fs ~words ~mask ~good fid =
+let apply_words s ~words ~good fid =
   let f = s.faults.(fid) in
   let snap w =
     if s.certify && w <> 0L then
       s.witness.(fid) <- Ls.pattern_of_words words (lsb_bit w) :: s.witness.(fid)
   in
   if is_transition f then begin
-    let dw = Int64.logand mask (Fs.detect_word fs ~good f) in
-    let iw = Int64.logand mask (Fs.init_word fs ~good f) in
+    let dw = Fs.detect_word s.fs ~good f in
+    let iw = Fs.init_word s.fs ~good f in
     if dw <> 0L then begin
       if not s.tf_stuck.(fid) then snap dw;
       s.tf_stuck.(fid) <- true
@@ -131,16 +130,16 @@ let apply_words s fs ~words ~mask ~good fid =
     if s.tf_stuck.(fid) && s.tf_init.(fid) then resolve s fid 1
   end
   else begin
-    let dw = Int64.logand mask (Fs.detect_word fs ~good f) in
+    let dw = Fs.detect_word s.fs ~good f in
     if dw <> 0L then begin
       snap dw;
       resolve s fid 1
     end
   end
 
-let sim_range s fs ~words ~good ~lo ~hi =
-  for fid = lo to hi - 1 do
-    if s.st.(fid) = 0 then apply_words s fs ~words ~mask:(-1L) ~good fid
+let sim_block s ~words ~good =
+  for fid = 0 to Array.length s.st - 1 do
+    if s.st.(fid) = 0 then apply_words s ~words ~good fid
   done
 
 (* Process-wide wall time spent in the SAT phase (session setup, per-fault
@@ -236,10 +235,6 @@ let finish_counts s =
       };
   }
 
-(* Contiguous per-worker shards of the random phase: its verdicts are
-   per-fault facts, so the shard layout cannot change them. *)
-let shard_bounds ~jobs nf = Parallel.chunk_bounds ~chunk:((nf + jobs - 1) / jobs) nf
-
 (* The SAT phase cuts the faults the random phase leaves unresolved, in
    fault order, into evenly sized blocks of at most [sat_block] queries,
    each searched on a fresh session.  The partition is a pure function of
@@ -263,10 +258,7 @@ let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) nl fault
   @@ fun () ->
   let nf = Array.length faults in
   Metrics.incr ~by:nf m_classified;
-  let jobs =
-    let j = match jobs with Some j -> j | None -> Parallel.default_jobs () in
-    max 1 (min j (max 1 nf))
-  in
+  let jobs = match jobs with Some j -> j | None -> Parallel.default_jobs () in
   let s = make_state ~certify nl faults in
   (* Cache consultation happens here in the coordinating domain, before any
      task runs, so both phases see the same per-fault work in every
@@ -303,16 +295,8 @@ let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) nl fault
   (* The UDFM lazy caches must not be forced for the first time inside a
      worker domain. *)
   Dfm_cellmodel.Udfm.preload ();
-  let pool = Parallel.get ~jobs () in
-  (* Tasks only write the st/tf/witness slots of their own faults, and
-     re-running one reaches the same slots, hence restartable — which is
-     what lets the supervised batch retry a task whose worker raised (a
-     poisoned task degrades throughput, never the verdicts). *)
-  let run tasks = ignore (Parallel.run_tasks_supervised pool tasks : Parallel.supervision) in
-  (* Random phase: one shard per worker, each with its own simulator
-     scratch; shard 0 takes the coordinator's. *)
-  let shards = shard_bounds ~jobs nf in
-  let shard_fs = Array.mapi (fun k _ -> if k = 0 then s.fs else Fs.prepare nl) shards in
+  (* Random phase, in the coordinating domain: pattern words, the
+     fault-free simulation and every fault's detection words. *)
   let rng = Rng.create (seed + 77) in
   Span.with_ "atpg.random" (fun () ->
       let blocks = ref 0 in
@@ -320,48 +304,32 @@ let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) nl fault
       let left = ref before in
       while !blocks < random_blocks && !left > 0 do
         incr blocks;
-        (* Pattern words and the fault-free simulation are produced once,
-           by the coordinator. *)
         let words = Ls.random_words s.ls rng in
         let good = Ls.run s.ls words in
-        run
-          (Array.mapi
-             (fun k (lo, hi) () ->
-               Span.with_ "classify.shard"
-                 ~attrs:[ ("phase", "sim"); ("lo", string_of_int lo); ("hi", string_of_int hi) ]
-                 (fun () ->
-                   sim_range s shard_fs.(k) ~words ~good ~lo ~hi;
-                   Fs.publish_counts shard_fs.(k)))
-             shards);
+        sim_block s ~words ~good;
         left := unresolved_count s
       done;
+      Fs.publish_counts s.fs;
       Span.note "blocks" (string_of_int !blocks);
       Span.note "resolved" (string_of_int (before - !left)));
-  (* SAT phase: [tasks] pool tasks take the blocks round-robin, block [b]
-     going to task [b mod tasks].  The query count is the number of faults
-     entering the phase unresolved, counted up front so a supervised retry
-     (which re-queries only a task's still-unresolved faults) cannot skew
-     the effort accounting. *)
+  (* SAT phase: one task per block.  Tasks only write the st/witness slots
+     of their own faults, and re-running one reaches the same slots, hence
+     restartable — which is what lets [Parallel.run] retry a task that
+     raised (a poisoned task degrades throughput, never the verdicts).  The
+     query count is the number of faults entering the phase unresolved,
+     counted up front so a retry (which re-queries only the block's
+     still-unresolved faults) cannot skew the effort accounting. *)
   let pending =
     Array.of_list (List.filter (fun fid -> s.st.(fid) = 0) (List.init nf Fun.id))
   in
   s.sat_queries <- Array.length pending;
-  let blocks = sat_blocks pending in
-  let tasks = min jobs (Array.length blocks) in
-  run
-    (Array.init tasks (fun k () ->
-         Array.iteri
-           (fun b fids ->
-             if b mod tasks = k then
-               Span.with_ "classify.shard"
-                 ~attrs:
-                   [
-                     ("phase", "sat");
-                     ("block", string_of_int b);
-                     ("queries", string_of_int (Array.length fids));
-                   ]
-                 (fun () -> sat_faults ?max_conflicts s fids))
-           blocks));
+  Parallel.run ~jobs
+    (Array.mapi
+       (fun b fids () ->
+         Span.with_ "classify.shard"
+           ~attrs:[ ("block", string_of_int b); ("queries", string_of_int (Array.length fids)) ]
+           (fun () -> sat_faults ?max_conflicts s fids))
+       (sat_blocks pending));
   (* Certified mode: every freshly detected fault's witness patterns are
      re-verified by independent resimulation before the verdict is reported
      or published.  Runs in the coordinating domain, in fault order, so the

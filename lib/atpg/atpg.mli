@@ -91,12 +91,14 @@ val classify :
     per-verdict, hence identical for every [jobs] value.
 
     [jobs] (default {!Dfm_util.Parallel.default_jobs}, i.e. [REPRO_JOBS] or
-    the machine's domain count) caps the worker domains: the random phase
-    runs one contiguous shard per worker, and [min jobs blocks] tasks take
-    the SAT blocks round-robin.  Nothing else depends on it: the
-    classification, its SAT queries and their conflicts, decisions and
-    propagations are the same for every [jobs] value, under any
-    [max_conflicts].  [jobs = 1] never spawns a domain.
+    the machine's domain count) caps the domains of the SAT phase, which
+    submits one {!Dfm_util.Parallel.run} task per block of at most 512
+    queries; the random phase runs in the calling domain.  Nothing else
+    depends on it: the classification, its SAT queries and their
+    conflicts, decisions and propagations, the simulator's work and the
+    tasks submitted are the same for every [jobs] value, under any
+    [max_conflicts].  [jobs = 1], or a single SAT block, never spawns a
+    domain.
 
     [cache] consults a content-addressed verdict store before {e both} the
     random-simulation prefilter and the SAT phase, and publishes the

@@ -46,4 +46,4 @@ val internal_fault_count : string -> int
 val preload : unit -> unit
 (** Force the lazy characterization caches from the calling domain.  OCaml
     [lazy] blocks are not safe to force concurrently; callers that hand
-    cells to {!Dfm_util.Parallel} workers force them up front. *)
+    cells to {!Dfm_util.Parallel.run} tasks force them up front. *)

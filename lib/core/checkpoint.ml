@@ -1,16 +1,16 @@
 module Journal = Dfm_util.Journal
 
 type event = {
-  q : int;
-  phase : int;
-  cell : string option;
-  action : string;
-  u : int;
-  u_internal : int;
-  smax : int;
-  delay : float;
-  power : float;
-  cache_hits : int;
+  ev_q : int;
+  ev_phase : int;
+  ev_cell : string option;
+  ev_action : string;
+  ev_u : int;
+  ev_u_internal : int;
+  ev_smax : int;
+  ev_delay : float;
+  ev_power : float;
+  ev_cache_hits : int;
 }
 
 type accept = {

@@ -26,19 +26,19 @@
     boundary (including torn writes). *)
 
 type event = {
-  q : int;
-  phase : int;
-  cell : string option;
-  action : string;
-  u : int;
-  u_internal : int;
-  smax : int;
-  delay : float;
-  power : float;
-  cache_hits : int;
+  ev_q : int;
+  ev_phase : int;
+  ev_cell : string option;
+  ev_action : string;
+  ev_u : int;
+  ev_u_internal : int;
+  ev_smax : int;
+  ev_delay : float;
+  ev_power : float;
+  ev_cache_hits : int;
 }
-(** Mirror of [Resynth.event]; duplicated here so the journal does not
-    depend on the procedure it serves. *)
+(** One entry of a campaign's trace; {!Resynth.event} re-exports it, and
+    documents the fields. *)
 
 type accept = {
   ev : event;                (** the accept event itself *)

@@ -9,7 +9,7 @@ module Span = Dfm_obs.Span
 module Progress = Dfm_obs.Progress
 module Mapper = Dfm_synth.Mapper
 
-type event = {
+type event = Checkpoint.event = {
   ev_q : int;
   ev_phase : int;
   ev_cell : string option;
@@ -104,34 +104,6 @@ let pct_smax_f (d : Design.t) =
   let f = d.Design.classification.Atpg.counts.Atpg.total in
   if f = 0 then 0.0 else 100.0 *. float_of_int (smax d) /. float_of_int f
 
-let ckpt_of_event (e : event) : Checkpoint.event =
-  {
-    Checkpoint.q = e.ev_q;
-    phase = e.ev_phase;
-    cell = e.ev_cell;
-    action = e.ev_action;
-    u = e.ev_u;
-    u_internal = e.ev_u_internal;
-    smax = e.ev_smax;
-    delay = e.ev_delay;
-    power = e.ev_power;
-    cache_hits = e.ev_cache_hits;
-  }
-
-let event_of_ckpt (e : Checkpoint.event) : event =
-  {
-    ev_q = e.Checkpoint.q;
-    ev_phase = e.Checkpoint.phase;
-    ev_cell = e.Checkpoint.cell;
-    ev_action = e.Checkpoint.action;
-    ev_u = e.Checkpoint.u;
-    ev_u_internal = e.Checkpoint.u_internal;
-    ev_smax = e.Checkpoint.smax;
-    ev_delay = e.Checkpoint.delay;
-    ev_power = e.Checkpoint.power;
-    ev_cache_hits = e.Checkpoint.cache_hits;
-  }
-
 (* Run-attributed cache hits so far, including what a resumed journal
    already accounted for. *)
 let run_hits st = st.hits_restored + (cache_hits_so_far st - st.hits0)
@@ -172,7 +144,7 @@ let record st ~q ~phase ~cell ~action (d : Design.t) =
      [run_phase] as Accept records (which embed this same event) once the
      campaign counters have been bumped. *)
   match st.ckpt with
-  | Some ck when action = "reject" -> Checkpoint.append_event ck (ckpt_of_event ev)
+  | Some ck when action = "reject" -> Checkpoint.append_event ck ev
   | Some _ | None -> ()
 
 let note_escalation st = function
@@ -507,7 +479,7 @@ let run_phase st ~q ~phase ~p1 ~p2 =
                 let rc, rd, rp = run_effort st in
                 Checkpoint.append_accept ck
                   {
-                    Checkpoint.ev = ckpt_of_event (List.hd st.trace);
+                    Checkpoint.ev = List.hd st.trace;
                     netlist = Dfm_netlist.Netlist_io.to_string d'.Design.netlist;
                     accepted = st.accepted;
                     implements = st.implements;
@@ -605,7 +577,7 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
   List.iter
     (function
       | Checkpoint.Header _ -> ()
-      | Checkpoint.Event e -> st.trace <- event_of_ckpt e :: st.trace
+      | Checkpoint.Event e -> st.trace <- e :: st.trace
       | Checkpoint.Accept a ->
           let nl =
             Dfm_netlist.Netlist_io.read
@@ -619,7 +591,7 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
              records a claim, not a proof. *)
           certify_accept st d;
           st.current <- d;
-          st.trace <- event_of_ckpt a.Checkpoint.ev :: st.trace;
+          st.trace <- a.Checkpoint.ev :: st.trace;
           st.accepted <- a.Checkpoint.accepted;
           st.implements <- a.Checkpoint.implements;
           st.sat_queries <- a.Checkpoint.sat_queries;
@@ -628,8 +600,8 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
           st.dec_restored <- a.Checkpoint.run_decisions;
           st.prop_restored <- a.Checkpoint.run_propagations;
           st.resumed_steps <- st.resumed_steps + 1;
-          resume_q := a.Checkpoint.ev.Checkpoint.q;
-          resume_phase := a.Checkpoint.ev.Checkpoint.phase;
+          resume_q := a.Checkpoint.ev.ev_q;
+          resume_phase := a.Checkpoint.ev.ev_phase;
           resume_p2 := a.Checkpoint.p2)
     replay;
   if st.resumed_steps > 0 then

@@ -25,7 +25,7 @@
     applied on top of the previous solution, and keeps the best accepted
     design. *)
 
-type event = {
+type event = Checkpoint.event = {
   ev_q : int;
   ev_phase : int;                 (** 1 or 2 *)
   ev_cell : string option;        (** the excluded-prefix boundary cell *)
@@ -64,7 +64,7 @@ type result = {
       (** wall-clock duration of the call; {!Report.table2_rows} turns it
           into Rtime *)
   resumed_steps : int;     (** accepted steps replayed from a checkpoint journal *)
-  pool_retries : int;      (** supervised worker-pool task retries during the run *)
+  pool_retries : int;      (** in-place task retries of {!Dfm_util.Parallel.run} batches *)
   pool_fallbacks : int;    (** pool tasks re-run sequentially in the coordinator *)
   escalation_retries : int;   (** abort-budget escalation SAT queries *)
   escalation_resolved : int;  (** aborts turned into verdicts by escalation *)

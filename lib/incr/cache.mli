@@ -8,7 +8,7 @@
     only semantic verdicts are stored ([Store.verdict] has no [Aborted]),
     keys are full cone signatures with the ATPG parameters mixed in
     ([Signature.params]), and lookups happen in the classify coordinator,
-    never in a pool task.
+    never in a SAT-phase task.
 
     A cache is single-domain, like the coordinator that owns it. *)
 

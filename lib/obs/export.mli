@@ -8,7 +8,8 @@
 
 val chrome_trace_string : Span.event list -> string
 (** [{"traceEvents":[...]}] with paired ["B"]/["E"] duration events,
-    timestamps in microseconds, [tid] = recording domain, [pid] = 1.
+    timestamps in microseconds, [tid] = the recording domain's slot
+    ({!Span.event}), [pid] = 1.
     Within each tid the B/E stream is properly nested. *)
 
 val write_chrome_trace : string -> Span.event list -> unit

@@ -3,7 +3,7 @@
 
     Handles are registered once (first call wins; re-registering the same
     name/label pair returns the same handle) and updated lock-free with
-    atomics, so hot paths — SAT inner loops, pool workers — can bump them
+    atomics, so hot paths — SAT inner loops, batch tasks — can bump them
     from any domain.  Instrumented libraries register their inventory at
     module initialization, which keeps the exposition stable: a metric
     family is present (at zero) even in runs that never touch it.

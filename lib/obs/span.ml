@@ -48,10 +48,10 @@ let info_of_open o =
   { oi_name = o.o_name; oi_begin_ns = o.o_begin; oi_depth = o.o_depth;
     oi_attrs = List.rev o.o_attrs }
 
-(* One of these per domain, reached through DLS on the hot path and through
-   the global registry at drain time.  The per-state mutex serializes the
-   owning domain's appends against a concurrent drain; it is uncontended in
-   steady state. *)
+(* One of these per live domain, reached through DLS on the hot path and
+   through the global registry at drain time.  The per-state mutex
+   serializes the owning domain's appends against a concurrent drain; it is
+   uncontended in steady state. *)
 type dstate = {
   tid : int;
   lock : Mutex.t;
@@ -71,29 +71,47 @@ type dstate = {
   mutable unwinding : bool;
 }
 
+(* Every state ever made, read by drain and the flight recorder, and the
+   states of exited domains.  Batches spawn fresh domains: a new domain
+   takes a free state, tid included, so the number of states is the peak
+   number of live domains, not the number of domains ever spawned. *)
 let states : dstate list ref = ref []
+let free : dstate list ref = ref []
 let states_mutex = Mutex.create ()
 
 let key =
   Domain.DLS.new_key (fun () ->
-      let st =
-        {
-          tid = (Domain.self () :> int);
-          lock = Mutex.create ();
-          stack = [];
-          events = [];
-          count = 0;
-          seq = 0;
-          ring = Array.make ring_capacity None;
-          ring_pos = 0;
-          ring_count = 0;
-          last_failure = [];
-          unwinding = false;
-        }
-      in
       Mutex.lock states_mutex;
-      states := st :: !states;
+      let st =
+        match !free with
+        | st :: rest ->
+            free := rest;
+            st.unwinding <- false;
+            st
+        | [] ->
+            let st =
+              {
+                tid = (Domain.self () :> int);
+                lock = Mutex.create ();
+                stack = [];
+                events = [];
+                count = 0;
+                seq = 0;
+                ring = Array.make ring_capacity None;
+                ring_pos = 0;
+                ring_count = 0;
+                last_failure = [];
+                unwinding = false;
+              }
+            in
+            states := st :: !states;
+            st
+      in
       Mutex.unlock states_mutex;
+      Domain.at_exit (fun () ->
+          Mutex.lock states_mutex;
+          free := st :: !free;
+          Mutex.unlock states_mutex);
       st)
 
 let push st name attrs =

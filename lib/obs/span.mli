@@ -5,7 +5,9 @@
     call stack, so the begin/end events of one domain are always properly
     bracketed ([with_] guarantees the close even on exceptions).  Each
     domain appends to its own buffer — no cross-domain contention on the
-    hot path — and {!drain} merges the buffers for export.
+    hot path — and {!drain} merges the buffers for export.  Buffers are
+    recycled: the one of an exited domain passes to the next new domain,
+    so their number is the peak number of live domains.
 
     Recording is off by default.  When off, {!with_} runs its thunk with
     no clock reads and no allocation beyond the closure, preserving the
@@ -21,7 +23,11 @@ type event = {
       (** per-domain program-order ticks at begin/end — the exporter
           orders the B/E stream by these, because the clock is too coarse
           to order fast spans (many begin and end on the same tick) *)
-  tid : int;  (** [Domain.self] of the recording domain *)
+  tid : int;
+      (** the recording domain's state slot: the [Domain.self] of the
+          first domain that owned it.  A domain that exits hands its slot,
+          tid included, to the next domain that records, so two live
+          domains never share a tid but a tid may outlive its domain *)
   depth : int;  (** nesting depth on that domain at begin time, 0-based *)
   attrs : (string * string) list;
 }

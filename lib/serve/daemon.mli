@@ -2,7 +2,7 @@
     analyze / resynth / lint jobs from multiple clients over a
     Unix-domain socket.
 
-    Architecture (two threads, one worker pool):
+    Architecture (two threads):
 
     - The {b network thread} (the caller of {!run}) owns the listening
       socket and every connection: a [select] loop reads framed requests,
@@ -13,9 +13,9 @@
       engines' coordinator state (verdict cache consultation, incremental
       SAT sessions) is single-domain by design, so concurrency between
       jobs lives in the {e queue}, not in the engines.  Each job's
-      classification still fans out over the shared {!Dfm_util.Parallel}
-      pool, capped by the job's [jobs] limit clamped to the daemon's own
-      [jobs]; a pool at least that wide is reused across jobs.
+      classification still fans its SAT blocks out over
+      {!Dfm_util.Parallel.run}, on at most the job's [jobs] limit clamped
+      to the daemon's own [jobs] domains, which live for one batch.
     - Fair-share ordering between clients is {!Scheduler}'s: the pending
       job of the least-served client runs next.
 

@@ -21,7 +21,7 @@ val kind_to_string : job_kind -> string
 val kind_of_string : string -> job_kind option
 
 (** Per-job limits, enforced by the scheduler/executor.  [jobs] caps the
-    worker domains the job may occupy on the shared pool (the daemon clamps
+    worker domains the job's classifications may run on (the daemon clamps
     it to its own width); [max_conflicts]
     bounds each SAT query (with the escalation ladder, as on the CLI);
     [max_seconds] cancels a running resynthesis campaign at its next

@@ -1,9 +1,8 @@
 (** Minimal JSON values for the serve protocol.
 
     The toolchain ships no JSON library, so the protocol carries its own
-    reader/printer, in the spirit of the hand-written readers used by the
-    obs validator and the bench harness.  The subset is exactly what the
-    protocol needs: objects, arrays, strings, booleans, null, and numbers
+    reader/printer; the obs validator reads trace files with the same
+    reader.  The subset is exactly what the protocol needs: objects, arrays, strings, booleans, null, and numbers
     (integers kept exact, anything else as float).  The printer emits no
     insignificant whitespace and escapes control characters, so a printed
     value always survives the frame layer byte-transparently. *)

@@ -16,151 +16,11 @@
      and checkpoint metric families.
 
    Exit 0 when everything holds, exit 1 with a one-line reason otherwise.
-   The JSON parser is a small recursive-descent reader (the toolchain has
-   no JSON library); it accepts exactly the subset the exporter emits plus
-   ordinary whitespace. *)
+   JSON is read with the serve protocol's parser ([Dfm_serve.Wire.parse]),
+   which shares no code with the trace writer in [Dfm_obs.Export]: the
+   checks are of the files, not of the writer's own view of them. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then (pos := !pos + l; v)
-    else fail ("expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      match c with
-      | '"' -> Buffer.contents buf
-      | '\\' -> (
-          if !pos >= n then fail "unterminated escape";
-          let e = s.[!pos] in
-          advance ();
-          match e with
-          | '"' -> Buffer.add_char buf '"'; loop ()
-          | '\\' -> Buffer.add_char buf '\\'; loop ()
-          | '/' -> Buffer.add_char buf '/'; loop ()
-          | 'n' -> Buffer.add_char buf '\n'; loop ()
-          | 'r' -> Buffer.add_char buf '\r'; loop ()
-          | 't' -> Buffer.add_char buf '\t'; loop ()
-          | 'b' -> Buffer.add_char buf '\b'; loop ()
-          | 'f' -> Buffer.add_char buf '\012'; loop ()
-          | 'u' ->
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub s !pos 4 in
-              pos := !pos + 4;
-              let code =
-                try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-              in
-              (* the exporter only emits \u00XX control escapes; encode the
-                 code point as UTF-8 for anything else so parsing stays total *)
-              if code < 0x80 then Buffer.add_char buf (Char.chr code)
-              else if code < 0x800 then begin
-                Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end
-              else begin
-                Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end;
-              loop ()
-          | _ -> fail "unknown escape")
-      | c -> Buffer.add_char buf c; loop ()
-    in
-    loop ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    if !pos = start then fail "expected number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (advance (); Obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ((k, v) :: acc)
-            | Some '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (advance (); Arr [])
-        else
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); elements (v :: acc)
-            | Some ']' -> advance (); Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements []
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+module Wire = Dfm_serve.Wire
 
 let read_file path =
   let ic = open_in_bin path in
@@ -172,20 +32,24 @@ let die fmt = Printf.ksprintf (fun msg -> prerr_endline ("obs_validate: " ^ msg)
 
 (* --- trace checks ------------------------------------------------------- *)
 
-let field name = function
-  | Obj kvs -> List.assoc_opt name kvs
-  | _ -> None
+(* The "traceEvents" array of the Chrome trace document at [path]. *)
+let trace_events path =
+  match Wire.parse (read_file path) with
+  | Error m -> die "%s: trace does not parse as JSON (%s)" path m
+  | Ok doc -> (
+      match Option.bind (Wire.member "traceEvents" doc) Wire.to_list with
+      | Some l -> l
+      | None -> die "%s: no \"traceEvents\" array" path)
+
+(* Field [k] of event [i] through the accessor [conv]; a missing or
+   mistyped field is fatal. *)
+let field conv path i ev k =
+  match Option.bind (Wire.member k ev) conv with
+  | Some v -> v
+  | None -> die "%s: event %d: missing \"%s\"" path i k
 
 let validate_trace path min_depth =
-  let doc =
-    try parse_json (read_file path)
-    with Parse_error m -> die "%s: trace does not parse as JSON (%s)" path m
-  in
-  let events =
-    match field "traceEvents" doc with
-    | Some (Arr l) -> l
-    | _ -> die "%s: no \"traceEvents\" array" path
-  in
+  let events = trace_events path in
   if events = [] then die "%s: empty trace" path;
   (* per-tid stack discipline *)
   let stacks : (int, string list ref) Hashtbl.t = Hashtbl.create 8 in
@@ -201,12 +65,7 @@ let validate_trace path min_depth =
   let last_ts : (int, float) Hashtbl.t = Hashtbl.create 8 in
   List.iteri
     (fun i ev ->
-      let str k =
-        match field k ev with Some (Str s) -> s | _ -> die "%s: event %d: missing \"%s\"" path i k
-      in
-      let num k =
-        match field k ev with Some (Num f) -> f | _ -> die "%s: event %d: missing \"%s\"" path i k
-      in
+      let str = field Wire.to_str path i ev and num = field Wire.to_float path i ev in
       let name = str "name" and ph = str "ph" in
       let ts = num "ts" and tid = int_of_float (num "tid") in
       ignore (num "pid");
@@ -300,23 +159,10 @@ let validate_prometheus path =
    well-formed record, and the file as a whole must be a loadable Chrome
    trace at every instant. *)
 let validate_complete_trace path min_events =
-  let doc =
-    try parse_json (read_file path)
-    with Parse_error m -> die "%s: trace does not parse as JSON (%s)" path m
-  in
-  let events =
-    match field "traceEvents" doc with
-    | Some (Arr l) -> l
-    | _ -> die "%s: no \"traceEvents\" array" path
-  in
+  let events = trace_events path in
   List.iteri
     (fun i ev ->
-      let str k =
-        match field k ev with Some (Str s) -> s | _ -> die "%s: event %d: missing \"%s\"" path i k
-      in
-      let num k =
-        match field k ev with Some (Num f) -> f | _ -> die "%s: event %d: missing \"%s\"" path i k
-      in
+      let str = field Wire.to_str path i ev and num = field Wire.to_float path i ev in
       let ph = str "ph" in
       if ph <> "X" then die "%s: event %d: expected phase \"X\", got %S" path i ph;
       if str "name" = "" then die "%s: event %d: empty span name" path i;

@@ -22,16 +22,16 @@ let fresh_path () =
 
 let ev ?(action = "reject") i =
   {
-    Checkpoint.q = i mod 3;
-    phase = 1 + (i mod 2);
-    cell = (if i mod 2 = 0 then Some "NAND2X1" else None);
-    action;
-    u = 40 - i;
-    u_internal = 20 - i;
-    smax = 10 - (i mod 5);
-    delay = 1.0 +. (0.01 *. float_of_int i);
-    power = 0.5 +. (0.001 *. float_of_int i);
-    cache_hits = i;
+    Checkpoint.ev_q = i mod 3;
+    ev_phase = 1 + (i mod 2);
+    ev_cell = (if i mod 2 = 0 then Some "NAND2X1" else None);
+    ev_action = action;
+    ev_u = 40 - i;
+    ev_u_internal = 20 - i;
+    ev_smax = 10 - (i mod 5);
+    ev_delay = 1.0 +. (0.01 *. float_of_int i);
+    ev_power = 0.5 +. (0.001 *. float_of_int i);
+    ev_cache_hits = i;
   }
 
 let acc i =

@@ -338,6 +338,16 @@ let check_implement_spans label (r : Resynth.result) spans =
         implement_layers)
     implements
 
+(* The process totals of simulation-kernel gate evaluations and pool
+   tasks. *)
+let kernel_and_pool () =
+  let counter name =
+    match Metrics.find_value name with
+    | Some (Metrics.Counter n) -> n
+    | _ -> Alcotest.failf "%s is not a registered counter" name
+  in
+  (counter "dfm_sim_gate_evals_total", counter "dfm_pool_tasks_total")
+
 let prop_transparency =
   QCheck.Test.make
     ~name:"campaign bit-identical with observability on/off and at jobs 1 and 4" ~count:2
@@ -358,7 +368,9 @@ let prop_transparency =
         Span.reset ();
         Metrics.set_timing_enabled false;
         Progress.set_enabled false;
+        let k0 = kernel_and_pool () in
         let off = run_campaign ~seed ~q_max d0 in
+        let k1 = kernel_and_pool () in
         (* everything on: sinks capture into buffers we then discard *)
         let sunk = ref 0 and drawn = ref 0 in
         Log.set_sink (Some (fun _ -> incr sunk));
@@ -383,12 +395,17 @@ let prop_transparency =
            delivery path, not asserted on.) *)
         ignore !sunk;
         if spans = [] then Alcotest.failf "jobs=%d: no spans recorded" jobs;
-        off
+        (off, (fst k1 - fst k0, snd k1 - snd k0))
       in
-      let j1 = run_at 1 in
-      let j4 = run_at 4 in
-      (* the job count changes nothing either, effort counts included *)
+      let j1, k1 = run_at 1 in
+      let j4, k4 = run_at 4 in
+      (* the job count changes nothing either, effort counts included, nor
+         the simulation kernel's work or the pool tasks submitted *)
       check_same_result "jobs=1 vs jobs=4" j1 j4;
+      if fst k1 <> fst k4 then
+        Alcotest.failf "jobs=1 vs jobs=4: %d vs %d gate evaluations" (fst k1) (fst k4);
+      if snd k1 <> snd k4 then
+        Alcotest.failf "jobs=1 vs jobs=4: %d vs %d pool tasks" (snd k1) (snd k4);
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -594,6 +611,35 @@ let test_stream_drain_keeps_nothing () =
   if grown >= 100_000 then
     Alcotest.failf "live heap grew by %d words over 200k streamed spans" grown
 
+(* Every [Parallel.run] batch spawns fresh domains, and a domain that
+   exits hands its span state (buffers, ring, tid) to the next one.  Each
+   task waits for the other to start, so every batch records on two
+   domains; fifty batches still leave at most two tids, where one state
+   per spawned domain would leave 51. *)
+let test_span_states_recycled () =
+  with_clean_obs @@ fun () ->
+  Span.reset ();
+  Span.set_enabled true;
+  for _ = 1 to 50 do
+    let started = Atomic.make 0 in
+    let task () =
+      Atomic.incr started;
+      while Atomic.get started < 2 do
+        Domain.cpu_relax ()
+      done;
+      Span.with_ "recycle.task" Fun.id
+    in
+    Parallel.run ~jobs:2 [| task; task |]
+  done;
+  let tids =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (e : Span.event) -> if e.Span.name = "recycle.task" then Some e.Span.tid else None)
+         (Span.drain ()))
+  in
+  if List.length tids > 2 then
+    Alcotest.failf "%d distinct tids over 50 two-domain batches" (List.length tids)
+
 (* ------------------------------------------------------------------ *)
 (* Progress modes                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -707,5 +753,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_stream_concurrent;
     Alcotest.test_case "streaming 200k spans keeps no history" `Quick
       test_stream_drain_keeps_nothing;
+    Alcotest.test_case "span states recycled" `Quick test_span_states_recycled;
     QCheck_alcotest.to_alcotest prop_transparency;
   ]

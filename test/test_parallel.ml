@@ -15,14 +15,8 @@ let lib = Dfm_cellmodel.Osu018.library
 let origin = { F.category = Dfm_cellmodel.Defect.Via; guideline_index = 0 }
 
 (* ------------------------------------------------------------------ *)
-(* Worker pool                                                          *)
+(* Batches                                                              *)
 (* ------------------------------------------------------------------ *)
-
-(* [f] applied to every element of [xs], one pool task per element. *)
-let run_map pool f xs =
-  let out = Array.make (Array.length xs) 0 in
-  Parallel.run_tasks pool (Array.mapi (fun i x () -> out.(i) <- f x) xs);
-  out
 
 let test_chunk_bounds () =
   List.iter
@@ -40,131 +34,85 @@ let test_chunk_bounds () =
       Alcotest.(check int) (Printf.sprintf "covers 0..%d" n) n !covered)
     [ (1, 5); (3, 10); (10, 10); (64, 1000); (1000, 64); (7, 0) ]
 
-let test_run_tasks_disjoint_writes () =
-  let pool = Parallel.create ~jobs:4 in
+let test_run_disjoint_writes () =
   let out = Array.make 997 0 in
   let bounds = Parallel.chunk_bounds ~chunk:13 (Array.length out) in
-  Parallel.run_tasks pool
+  Parallel.run ~jobs:4
     (Array.map
        (fun (lo, hi) () ->
          for i = lo to hi - 1 do
            out.(i) <- i * 3
          done)
        bounds);
-  Parallel.shutdown pool;
   Alcotest.(check bool) "all slots written" true
     (Array.for_all (fun v -> v >= 0) out && out.(996) = 996 * 3 && out.(0) = 0)
 
 exception Boom
 
-let test_exception_propagates () =
-  let pool = Parallel.create ~jobs:3 in
-  (try
-     Parallel.run_tasks pool
-       (Array.init 20 (fun i () -> if i = 11 then raise Boom));
-     Alcotest.fail "expected Boom"
-   with Boom -> ());
-  (* the pool survives a failed batch *)
-  let ok = run_map pool (fun x -> x + 1) [| 1; 2; 3 |] in
-  Parallel.shutdown pool;
-  Alcotest.(check bool) "pool usable after failure" true (ok = [| 2; 3; 4 |])
+(* [f ()] and the [(retried, fell_back)] its batches added to
+   [Parallel.supervision_totals]. *)
+let supervised f =
+  let r0, b0 = Parallel.supervision_totals () in
+  let v = f () in
+  let r1, b1 = Parallel.supervision_totals () in
+  (v, (r1 - r0, b1 - b0))
 
-let test_shutdown_idempotent () =
-  let pool = Parallel.create ~jobs:3 in
-  let got = run_map pool (fun x -> x * 2) [| 1; 2; 3 |] in
-  Alcotest.(check bool) "pool works" true (got = [| 2; 4; 6 |]);
-  Parallel.shutdown pool;
-  (* the regression: a second shutdown (e.g. the at_exit hook of the global
-     pool racing an explicit one) must not join the same domains twice *)
-  Parallel.shutdown pool;
-  Parallel.shutdown pool;
-  (* a stopped pool still runs batches, sequentially in the caller *)
-  let after = run_map pool (fun x -> x + 1) [| 1; 2; 3 |] in
-  Alcotest.(check bool) "stopped pool degrades to sequential" true (after = [| 2; 3; 4 |])
-
-(* ------------------------------------------------------------------ *)
-(* Supervised batches                                                   *)
-(* ------------------------------------------------------------------ *)
+let check_supervision (retried, fell_back) (r, b) =
+  Alcotest.(check int) "in-place retries" retried r;
+  Alcotest.(check int) "coordinator fallbacks" fell_back b
 
 let test_supervised_clean_batch () =
-  let pool = Parallel.create ~jobs:4 in
   let out = Array.make 100 0 in
-  let sup =
-    Parallel.run_tasks_supervised pool (Array.init 100 (fun i () -> out.(i) <- i + 1))
+  let (), sup =
+    supervised (fun () -> Parallel.run ~jobs:4 (Array.init 100 (fun i () -> out.(i) <- i + 1)))
   in
-  Parallel.shutdown pool;
   Alcotest.(check bool) "all ran" true (Array.for_all (fun v -> v > 0) out);
-  Alcotest.(check int) "no retries" 0 sup.Parallel.retried;
-  Alcotest.(check int) "no fallbacks" 0 sup.Parallel.fell_back
+  check_supervision (0, 0) sup
 
 let test_supervised_flaky_task_retried () =
-  let pool = Parallel.create ~jobs:4 in
   let attempts = Array.init 8 (fun _ -> Atomic.make 0) in
   let out = Array.make 8 0 in
   (* task 5 fails on its first two attempts, succeeds on the third — within
-     the default retry budget, so the batch completes without fallback *)
-  let sup =
-    Parallel.run_tasks_supervised pool
-      (Array.init 8 (fun i () ->
-           let n = Atomic.fetch_and_add attempts.(i) 1 in
-           if i = 5 && n < 2 then raise Boom;
-           out.(i) <- i + 1))
+     the retry budget, so the batch completes without fallback *)
+  let (), sup =
+    supervised (fun () ->
+        Parallel.run ~jobs:4
+          (Array.init 8 (fun i () ->
+               let n = Atomic.fetch_and_add attempts.(i) 1 in
+               if i = 5 && n < 2 then raise Boom;
+               out.(i) <- i + 1)))
   in
-  Parallel.shutdown pool;
   Alcotest.(check bool) "every slot filled" true (Array.for_all (fun v -> v > 0) out);
-  Alcotest.(check int) "two in-place retries" 2 sup.Parallel.retried;
-  Alcotest.(check int) "no coordinator fallback" 0 sup.Parallel.fell_back
+  check_supervision (2, 0) sup
 
 let test_supervised_fallback_then_success () =
-  let pool = Parallel.create ~jobs:3 in
   let attempts = Atomic.make 0 in
   let done_ = ref false in
-  (* fails on attempts 1..3 (exhausting retries=2), succeeds on the 4th —
-     which is the sequential coordinator fallback *)
-  let sup =
-    Parallel.run_tasks_supervised pool
-      [|
-        (fun () ->
-          let n = Atomic.fetch_and_add attempts 1 in
-          if n < 3 then raise Boom;
-          done_ := true);
-        (fun () -> ());
-      |]
+  (* fails on attempts 1..3 (exhausting the two retries), succeeds on the
+     4th — which is the sequential coordinator fallback *)
+  let (), sup =
+    supervised (fun () ->
+        Parallel.run ~jobs:3
+          [|
+            (fun () ->
+              let n = Atomic.fetch_and_add attempts 1 in
+              if n < 3 then raise Boom;
+              done_ := true);
+            (fun () -> ());
+          |])
   in
-  Parallel.shutdown pool;
   Alcotest.(check bool) "task eventually completed" true !done_;
-  Alcotest.(check int) "retried twice in place" 2 sup.Parallel.retried;
-  Alcotest.(check int) "one fallback" 1 sup.Parallel.fell_back
+  check_supervision (2, 1) sup
 
 let test_supervised_poisoned_task_raises_in_coordinator () =
-  let pool = Parallel.create ~jobs:3 in
   let others = Atomic.make 0 in
   (try
-     ignore
-       (Parallel.run_tasks_supervised pool
-          (Array.init 10 (fun i () ->
-               if i = 4 then raise Boom else Atomic.incr others))
-         : Parallel.supervision);
+     Parallel.run ~jobs:3
+       (Array.init 10 (fun i () -> if i = 4 then raise Boom else Atomic.incr others));
      Alcotest.fail "expected Boom from the coordinator fallback"
    with Boom -> ());
   (* the poisoned task degraded, it did not kill the rest of the batch *)
-  Alcotest.(check int) "other tasks all completed" 9 (Atomic.get others);
-  let ok = run_map pool (fun x -> x + 1) [| 1; 2 |] in
-  Parallel.shutdown pool;
-  Alcotest.(check bool) "pool survives" true (ok = [| 2; 3 |])
-
-let test_nested_submission_degrades () =
-  let pool = Parallel.create ~jobs:2 in
-  let hits = Array.make 4 0 in
-  Parallel.run_tasks pool
-    [|
-      (fun () ->
-        (* a task fanning out on the same pool must not deadlock *)
-        Parallel.run_tasks pool (Array.init 4 (fun i () -> hits.(i) <- hits.(i) + 1)));
-      (fun () -> ());
-    |];
-  Parallel.shutdown pool;
-  Alcotest.(check bool) "inner batch ran" true (Array.for_all (fun v -> v = 1) hits)
+  Alcotest.(check int) "other tasks all completed" 9 (Atomic.get others)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism of the classification across job counts                 *)
@@ -240,16 +188,18 @@ let test_classify_jobs_bit_identical () =
     [ 11; 222; 3333 ]
 
 (* The acceptance-level check: classification under injected task failures
-   (each task raising on its first attempts) is bit-identical to the clean
-   one-worker run. *)
+   is bit-identical to the clean one-worker run.  The netlist's one task is
+   its SAT block: three failures spend its two in-place retries and send it
+   to the coordinator fallback, which succeeds. *)
 let test_classify_with_failpoints_bit_identical () =
   let nl = random_netlist 4242 5 30 in
   let faults = all_faults nl in
   let ref_cls = Atpg.classify ~jobs:1 nl faults in
   Dfm_util.Failpoint.clear ();
   Fun.protect ~finally:Dfm_util.Failpoint.clear @@ fun () ->
-  Dfm_util.Failpoint.enable ~times:4 "parallel.task" Dfm_util.Failpoint.Raise;
-  let cls = Atpg.classify ~jobs:4 nl faults in
+  Dfm_util.Failpoint.enable ~times:3 "parallel.task" Dfm_util.Failpoint.Raise;
+  let cls, sup = supervised (fun () -> Atpg.classify ~jobs:4 nl faults) in
+  check_supervision (2, 1) sup;
   Alcotest.(check bool) "statuses identical under injected failures" true
     (cls.Atpg.status = ref_cls.Atpg.status);
   Alcotest.(check bool) "counts identical under injected failures" true
@@ -274,9 +224,7 @@ let test_design_implement_jobs_deterministic () =
 let suite =
   [
     Alcotest.test_case "chunk bounds tile the range" `Quick test_chunk_bounds;
-    Alcotest.test_case "run_tasks disjoint writes" `Quick test_run_tasks_disjoint_writes;
-    Alcotest.test_case "exceptions propagate" `Quick test_exception_propagates;
-    Alcotest.test_case "shutdown is idempotent" `Quick test_shutdown_idempotent;
+    Alcotest.test_case "run disjoint writes" `Quick test_run_disjoint_writes;
     Alcotest.test_case "supervised clean batch" `Quick test_supervised_clean_batch;
     Alcotest.test_case "supervised flaky task retried" `Quick test_supervised_flaky_task_retried;
     Alcotest.test_case "supervised fallback succeeds" `Quick test_supervised_fallback_then_success;
@@ -284,7 +232,6 @@ let suite =
       test_supervised_poisoned_task_raises_in_coordinator;
     Alcotest.test_case "classify bit-identical under injected task failures" `Quick
       test_classify_with_failpoints_bit_identical;
-    Alcotest.test_case "nested submission degrades" `Quick test_nested_submission_degrades;
     Alcotest.test_case "classify bit-identical across jobs" `Quick test_classify_jobs_bit_identical;
     Alcotest.test_case "Design.implement deterministic across jobs" `Slow
       test_design_implement_jobs_deterministic;

@@ -572,6 +572,7 @@ let test_conn_delay_then_delivers () =
 module Daemon = Dfm_serve.Daemon
 module Client = Dfm_serve.Client
 module Metrics = Dfm_obs.Metrics
+module Span = Dfm_obs.Span
 
 let rec remove_tree p =
   match Sys.is_directory p with
@@ -692,27 +693,28 @@ let test_run_restores_default_jobs () =
     (Dfm_util.Parallel.default_jobs ())
 
 (* A tenant's worker cap is clamped to the daemon's width: on a one-worker
-   daemon, an analyze job asking for three workers submits exactly the pool
-   tasks of a one-worker job (each daemon has its own fresh verdict cache). *)
+   daemon, an analyze job asking for three workers runs every SAT block of
+   tv80@0.5 (two blocks) on one domain.  The flight recorder, which the
+   daemon arms, shows the domains: the job's classify.shard spans carry one
+   tid. *)
 let test_tenant_jobs_clamped () =
   let text =
-    Dfm_netlist.Netlist_io.to_string (Dfm_circuits.Circuits.build ~scale:0.25 "sparc_ffu")
+    Dfm_netlist.Netlist_io.to_string (Dfm_circuits.Circuits.build ~scale:0.5 "tv80")
   in
-  let pool_tasks () =
-    match Metrics.find_value "dfm_pool_tasks_total" with
-    | Some (Metrics.Counter n) -> n
-    | _ -> Alcotest.fail "dfm_pool_tasks_total is not a registered counter"
+  with_daemon ~jobs:1 @@ fun conn ->
+  let t0 = Dfm_obs.Clock.now_ns () in
+  run_job ~kind:Protocol.Analyze
+    ~limits:{ Protocol.no_limits with Protocol.jobs = Some 3 }
+    conn ~client:"alpha" text;
+  let tids =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (e : Span.event) ->
+           if e.Span.name = "classify.shard" && e.Span.begin_ns >= t0 then Some e.Span.tid
+           else None)
+         (Span.recent ()))
   in
-  let tasks jobs =
-    with_daemon ~jobs:1 (fun conn ->
-        let t0 = pool_tasks () in
-        run_job ~kind:Protocol.Analyze
-          ~limits:{ Protocol.no_limits with Protocol.jobs = Some jobs }
-          conn ~client:"alpha" text;
-        pool_tasks () - t0)
-  in
-  let one = tasks 1 in
-  Alcotest.(check int) "pool tasks of a jobs=3 job on a one-worker daemon" one (tasks 3)
+  Alcotest.(check int) "domains the job's SAT blocks ran on" 1 (List.length tids)
 
 let suite =
   [
