@@ -45,15 +45,18 @@ let write_file path text =
     Fmt.epr "dfm_resynth: cannot write %s: %s@." path reason;
     exit 2
 
-let apply_jobs jobs =
+let check_jobs jobs =
   Option.iter
     (fun j ->
       if j < 1 then begin
         Fmt.epr "dfm_resynth: --jobs must be at least 1 (got %d)@." j;
         exit 2
-      end;
-      Dfm_util.Parallel.set_default_jobs j)
+      end)
     jobs
+
+let apply_jobs jobs =
+  check_jobs jobs;
+  Option.iter Dfm_util.Parallel.set_default_jobs jobs
 
 let failpoint_arg =
   let doc =
@@ -116,16 +119,19 @@ let progress_arg =
 
 type obs = { trace : string option; metrics : string option }
 
-let apply_obs trace metrics log_level progress =
-  Dfm_obs.Log.set_sink (Some Dfm_obs.Log.stderr_sink);
-  (match log_level with
-  | None -> ()
-  | Some s -> (
+let apply_log_level log_level =
+  Option.iter
+    (fun s ->
       match Dfm_obs.Log.level_of_string s with
       | Some l -> Dfm_obs.Log.set_level l
       | None ->
           Fmt.epr "dfm_resynth: --log-level %s: expected error, warn, info or debug@." s;
-          exit 2));
+          exit 2)
+    log_level
+
+let apply_obs trace metrics log_level progress =
+  Dfm_obs.Log.set_sink (Some Dfm_obs.Log.stderr_sink);
+  apply_log_level log_level;
   if trace <> None then Dfm_obs.Span.set_enabled true;
   (* Duration histograms need clock reads; pay for them only when some
      exporter will consume the data. *)
@@ -645,14 +651,7 @@ let serve_cmd =
     apply_jobs jobs;
     apply_failpoints failpoints;
     let certify = certify_enabled certify in
-    Option.iter
-      (fun s ->
-        match Dfm_obs.Log.level_of_string s with
-        | Some l -> Dfm_obs.Log.set_level l
-        | None ->
-            Fmt.epr "dfm_resynth: --log-level %s: expected error, warn, info or debug@." s;
-            exit 2)
-      log_level;
+    apply_log_level log_level;
     let cfg =
       {
         Serve_daemon.socket_path = socket;
@@ -690,6 +689,24 @@ let with_client socket f =
       let r = f c in
       Serve_client.close c;
       r
+
+(* One control request to a running daemon.  A transport error exits 2,
+   the daemon's refusal exits 1, and a reply [handle] does not accept
+   exits 2, each with one line "dfm_resynth: NAME: ...". *)
+let control name socket req handle =
+  with_client socket @@ fun c ->
+  match Serve_client.request c req with
+  | Error e ->
+      Fmt.epr "dfm_resynth: %s: %s@." name e;
+      exit 2
+  | Ok (Serve_proto.Error_msg m) ->
+      Fmt.epr "dfm_resynth: %s: %s@." name m;
+      exit 1
+  | Ok r ->
+      if not (handle r) then begin
+        Fmt.epr "dfm_resynth: %s: unexpected response@." name;
+        exit 2
+      end
 
 let submit_cmd =
   let kind =
@@ -729,13 +746,7 @@ let submit_cmd =
   in
   let run name scale socket client kind jobs max_conflicts max_seconds q_max p1 report_file
       out events =
-    Option.iter
-      (fun j ->
-        if j < 1 then begin
-          Fmt.epr "dfm_resynth: --jobs must be at least 1 (got %d)@." j;
-          exit 2
-        end)
-      jobs;
+    check_jobs jobs;
     let nl = build ?scale name in
     let sub =
       {
@@ -815,12 +826,8 @@ let await_cmd =
 
 let status_cmd =
   let run socket =
-    with_client socket @@ fun c ->
-    match Serve_client.request c (Serve_proto.Status None) with
-    | Error e ->
-        Fmt.epr "dfm_resynth: status: %s@." e;
-        exit 2
-    | Ok (Serve_proto.Status_report { draining; jobs; clients }) ->
+    control "status" socket (Serve_proto.Status None) @@ function
+    | Serve_proto.Status_report { draining; jobs; clients } ->
         if draining then Fmt.pr "daemon: draining@.";
         Fmt.pr "%-6s %-12s %-8s %-14s %-9s %s@." "job" "client" "kind" "name" "state" "detail";
         List.iter
@@ -837,13 +844,9 @@ let status_cmd =
             Fmt.pr "client %s: %d job(s), %.2fs service, cache %d hits / %d misses@."
               cv.Serve_proto.cv_client cv.Serve_proto.cv_jobs cv.Serve_proto.cv_service_s
               cv.Serve_proto.cv_cache_hits cv.Serve_proto.cv_cache_misses)
-          clients
-    | Ok (Serve_proto.Error_msg m) ->
-        Fmt.epr "dfm_resynth: status: %s@." m;
-        exit 1
-    | Ok _ ->
-        Fmt.epr "dfm_resynth: status: unexpected response@.";
-        exit 2
+          clients;
+        true
+    | _ -> false
   in
   Cmd.v (Cmd.info "status" ~doc:"Show the jobs and per-client accounts of a campaign service.")
     Term.(const run $ socket_arg)
@@ -851,18 +854,11 @@ let status_cmd =
 let cancel_cmd =
   let job = Arg.(required & pos 0 (some string) None & info [] ~docv:"JOB" ~doc:"Job id.") in
   let run socket job =
-    with_client socket @@ fun c ->
-    match Serve_client.request c (Serve_proto.Cancel job) with
-    | Error e ->
-        Fmt.epr "dfm_resynth: cancel: %s@." e;
-        exit 2
-    | Ok Serve_proto.Ok_resp -> Fmt.pr "cancelled %s@." job
-    | Ok (Serve_proto.Error_msg m) ->
-        Fmt.epr "dfm_resynth: cancel: %s@." m;
-        exit 1
-    | Ok _ ->
-        Fmt.epr "dfm_resynth: cancel: unexpected response@.";
-        exit 2
+    control "cancel" socket (Serve_proto.Cancel job) @@ function
+    | Serve_proto.Ok_resp ->
+        Fmt.pr "cancelled %s@." job;
+        true
+    | _ -> false
   in
   Cmd.v
     (Cmd.info "cancel"
@@ -873,19 +869,11 @@ let cancel_cmd =
 
 let drain_cmd =
   let run socket =
-    with_client socket @@ fun c ->
-    match Serve_client.request c Serve_proto.Drain with
-    | Error e ->
-        Fmt.epr "dfm_resynth: drain: %s@." e;
-        exit 2
-    | Ok (Serve_proto.Drained { completed }) ->
-        Fmt.pr "drained: %d job(s) completed over the daemon's lifetime@." completed
-    | Ok (Serve_proto.Error_msg m) ->
-        Fmt.epr "dfm_resynth: drain: %s@." m;
-        exit 1
-    | Ok _ ->
-        Fmt.epr "dfm_resynth: drain: unexpected response@.";
-        exit 2
+    control "drain" socket Serve_proto.Drain @@ function
+    | Serve_proto.Drained { completed } ->
+        Fmt.pr "drained: %d job(s) completed over the daemon's lifetime@." completed;
+        true
+    | _ -> false
   in
   Cmd.v
     (Cmd.info "drain"
@@ -1144,19 +1132,11 @@ let top_cmd =
 
 let flight_dump_cmd =
   let run socket =
-    with_client socket @@ fun c ->
-    match Serve_client.request c Serve_proto.Dump with
-    | Error e ->
-        Fmt.epr "dfm_resynth: flight-dump: %s@." e;
-        exit 2
-    | Ok (Serve_proto.Dumped { trace; text }) ->
-        Fmt.pr "flight recorder dumped:@.  %s@.  %s@." trace text
-    | Ok (Serve_proto.Error_msg m) ->
-        Fmt.epr "dfm_resynth: flight-dump: %s@." m;
-        exit 1
-    | Ok _ ->
-        Fmt.epr "dfm_resynth: flight-dump: unexpected response@.";
-        exit 2
+    control "flight-dump" socket Serve_proto.Dump @@ function
+    | Serve_proto.Dumped { trace; text } ->
+        Fmt.pr "flight recorder dumped:@.  %s@.  %s@." trace text;
+        true
+    | _ -> false
   in
   Cmd.v
     (Cmd.info "flight-dump"

@@ -21,9 +21,9 @@
 
     SAT queries run in {!Encode} sessions.  The faults the random phase
     leaves unresolved are cut, in fault order, into evenly sized blocks of
-    at most 512 queries; each block shares one fresh persistent solver
-    ({!Dfm_sat.Incremental}), its good-circuit CNF is encoded once, each
-    fault contributes only activation-guarded faulty-cone clauses, and
+    at most 512 queries; each block shares one fresh persistent
+    {!Dfm_sat.Solver}, its good-circuit CNF is encoded once, each fault
+    contributes only activation-guarded faulty-cone clauses, and
     learnt clauses carry from query to query.  Semantic verdicts (Detected
     / Undetectable) do not depend on what a session held before a query.
     Under a {e bounded} [max_conflicts] budget the [Aborted] frontier does:

@@ -3,7 +3,6 @@ module Cell = Dfm_netlist.Cell
 module F = Dfm_faults.Fault
 module Solver = Dfm_sat.Solver
 module Tseitin = Dfm_sat.Tseitin
-module Incr = Dfm_sat.Incremental
 module Cert = Dfm_sat.Cert
 
 type test = { values : bool array; cared : bool array }
@@ -28,16 +27,18 @@ type cone_group = {
   mutable cone_refs : int;     (* pending query parts bound to this cone *)
 }
 
-(* Miter-building context over one incremental session.  The good-circuit
+(* Miter-building context over one persistent solver.  The good-circuit
    encoding ([good]) is permanent and shared by every query of the session;
    propagation cones are shared per fault site ([cones], bounded LRU);
    everything else a single fault adds — its binding to the cone's faulty
    seeds, activation constraints — is guarded by the query's activation
    literal ([guard]) and registered in [locals] so it can be retired
-   wholesale.  [faulty] and [touched] are scratch for cone construction. *)
+   wholesale.  [faulty] and [touched] are scratch for cone construction.
+   [acts_allocated] and [acts_retired] count activation literals, so the
+   tests can check that none leaks. *)
 type ctx = {
   nl : N.t;
-  sess : Incr.session;
+  solver : Solver.t;
   good : int array;     (* net id -> good var (0 = not yet encoded) *)
   faulty : int array;   (* net id -> faulty var (0 = none / equal to good) *)
   is_observe : bool array;
@@ -48,27 +49,21 @@ type ctx = {
   mutable touched : int list;  (* nets whose [faulty] slot the cone build set *)
   mutable qcone : cone_group option;  (* cone used by the query being encoded *)
   cert : Cert.t option;
-      (* certification session attached to [sess]'s solver: every clause and
+      (* certification session attached to [solver]: every clause and
          learnt step of this context is traced into it, and each query's
          verdict is checked against it before being reported *)
+  mutable acts_allocated : int;
+  mutable acts_retired : int;
 }
 
 let make_ctx ?(certify = false) ls =
   let nl = Dfm_sim.Logic_sim.netlist ls in
   let is_observe = Array.make (N.num_nets nl) false in
   List.iter (fun (_, n) -> is_observe.(n) <- true) (Dfm_sim.Logic_sim.observes ls);
-  let sess = Incr.create () in
-  let cert =
-    if certify then begin
-      let c = Cert.create () in
-      Cert.attach c (Incr.solver sess);
-      Some c
-    end
-    else None
-  in
+  let solver = Solver.create () in
   {
     nl;
-    sess;
+    solver;
     good = Array.make (N.num_nets nl) 0;
     faulty = Array.make (N.num_nets nl) 0;
     is_observe;
@@ -78,20 +73,28 @@ let make_ctx ?(certify = false) ls =
     locals = [];
     touched = [];
     qcone = None;
-    cert;
+    cert = (if certify then Some (Cert.create solver) else None);
+    acts_allocated = 0;
+    acts_retired = 0;
   }
 
-let solver ctx = Incr.solver ctx.sess
+let new_act ctx =
+  ctx.acts_allocated <- ctx.acts_allocated + 1;
+  Solver.new_var ctx.solver
+
+let retire ctx ~act ~locals =
+  ctx.acts_retired <- ctx.acts_retired + 1;
+  Solver.retire ctx.solver ~act ~locals
 
 (* A clause of the query being encoded: guarded by the activation literal. *)
 let qcl ctx lits =
   match ctx.guard with
-  | Some a -> Incr.add_guarded ctx.sess ~act:a lits
-  | None -> Incr.add_permanent ctx.sess lits
+  | Some a -> Solver.add_clause ctx.solver (-a :: lits)
+  | None -> Solver.add_clause ctx.solver lits
 
 (* A private variable of the query being encoded. *)
 let qvar ctx =
-  let v = Solver.new_var (solver ctx) in
+  let v = Solver.new_var ctx.solver in
   ctx.locals <- v :: ctx.locals;
   v
 
@@ -106,18 +109,18 @@ let set_faulty ctx n v =
 let rec good_var ctx n =
   if ctx.good.(n) <> 0 then ctx.good.(n)
   else begin
-    let v = Solver.new_var (solver ctx) in
+    let v = Solver.new_var ctx.solver in
     ctx.good.(n) <- v;
     (match (N.net ctx.nl n).N.driver with
     | N.Pi _ -> ()
     | N.Const b ->
-        if b then Tseitin.const_true (solver ctx) v
-        else Tseitin.const_false (solver ctx) v
+        if b then Tseitin.const_true ctx.solver v
+        else Tseitin.const_false ctx.solver v
     | N.Gate_out g ->
         let gg = N.gate ctx.nl g in
         if not gg.N.cell.Cell.is_seq then begin
           let ins = Array.map (fun fn -> good_var ctx fn) gg.N.fanins in
-          Tseitin.of_truthtable (solver ctx) ~out:v ins gg.N.cell.Cell.func
+          Tseitin.of_truthtable ctx.solver ~out:v ins gg.N.cell.Cell.func
         end);
     v
   end
@@ -158,14 +161,14 @@ let build_cone_and_observe ctx ls seeds =
           (fun fn -> if ctx.faulty.(fn) <> 0 then ctx.faulty.(fn) else good_var ctx fn)
           g.N.fanins
       in
-      Tseitin.of_truthtable ?act:ctx.guard (solver ctx) ~out:v ins g.N.cell.Cell.func)
+      Tseitin.of_truthtable ?act:ctx.guard ctx.solver ~out:v ins g.N.cell.Cell.func)
     cone_gates;
   let diffs = ref [] in
   Hashtbl.iter
     (fun n () ->
       if ctx.is_observe.(n) then begin
         let d = qvar ctx in
-        Tseitin.xor_ ?act:ctx.guard (solver ctx) ~out:d (good_var ctx n) ctx.faulty.(n);
+        Tseitin.xor_ ?act:ctx.guard ctx.solver ~out:d (good_var ctx n) ctx.faulty.(n);
         diffs := d :: !diffs
       end)
     in_cone;
@@ -205,12 +208,12 @@ let cone_for ctx ls seeds =
           with
           | Some victim ->
               let v = Hashtbl.find ctx.cones victim in
-              Incr.retire ctx.sess ~act:v.cone_act ~locals:v.cone_vars;
+              retire ctx ~act:v.cone_act ~locals:v.cone_vars;
               Hashtbl.remove ctx.cones victim;
               ctx.cone_lru <- List.filter (fun k -> k <> victim) ctx.cone_lru
           | None -> ()
         end;
-        let cone_act = Incr.new_activation ctx.sess in
+        let cone_act = new_act ctx in
         let saved_guard = ctx.guard and saved_locals = ctx.locals in
         ctx.guard <- Some cone_act;
         ctx.locals <- [];
@@ -239,7 +242,7 @@ let extract_tests ctx ls =
   let values =
     Array.of_list
       (List.map
-         (fun (_, n) -> ctx.good.(n) <> 0 && Solver.value (solver ctx) ctx.good.(n))
+         (fun (_, n) -> ctx.good.(n) <> 0 && Solver.value ctx.solver ctx.good.(n))
          ins)
   in
   let cared = Array.of_list (List.map (fun (_, n) -> ctx.good.(n) <> 0) ins) in
@@ -258,7 +261,7 @@ let add_activation_minterms ctx (g : N.gate) minterms =
           Array.to_list
             (Array.mapi (fun k v -> if (m lsr k) land 1 = 1 then v else -v) fanin_vars)
         in
-        Tseitin.and_ ?act:ctx.guard (solver ctx) ~out:s lits;
+        Tseitin.and_ ?act:ctx.guard ctx.solver ~out:s lits;
         ignore n;
         s)
       minterms
@@ -315,7 +318,7 @@ let encode_stuck loc pol ctx ls =
             else good_var ctx fn)
           gg.N.fanins
       in
-      Tseitin.of_truthtable ?act:ctx.guard (solver ctx) ~out:fv ins gg.N.cell.Cell.func;
+      Tseitin.of_truthtable ?act:ctx.guard ctx.solver ~out:fv ins gg.N.cell.Cell.func;
       (* Activation: the pin's good value differs from the forced one. *)
       qcl ctx [ lit_for_value (good_var ctx gg.N.fanins.(pin)) (not (forced pol)) ];
       cone.cone_observable
@@ -327,15 +330,15 @@ let encode_bridge n1 n2 k ctx ls =
   (* The wired function drives both bridged nets' shared faulty vars. *)
   let r = qvar ctx in
   (match k with
-  | F.Wired_and -> Tseitin.and_ ?act:ctx.guard (solver ctx) ~out:r [ g1; g2 ]
-  | F.Wired_or -> Tseitin.or_ ?act:ctx.guard (solver ctx) ~out:r [ g1; g2 ]);
+  | F.Wired_and -> Tseitin.and_ ?act:ctx.guard ctx.solver ~out:r [ g1; g2 ]
+  | F.Wired_or -> Tseitin.or_ ?act:ctx.guard ctx.solver ~out:r [ g1; g2 ]);
   qcl ctx [ -fv1; r ];
   qcl ctx [ fv1; -r ];
   qcl ctx [ -fv2; r ];
   qcl ctx [ fv2; -r ];
   (* Activation: the bridged nets must disagree. *)
   let d = qvar ctx in
-  Tseitin.xor_ ?act:ctx.guard (solver ctx) ~out:d g1 g2;
+  Tseitin.xor_ ?act:ctx.guard ctx.solver ~out:d g1 g2;
   qcl ctx [ d ];
   cone.cone_observable
 
@@ -360,7 +363,7 @@ let encode_internal g entry_idx ctx ls =
        output is guarded by this query. *)
     let cone = cone_for ctx ls [ out ] in
     let fv = List.assoc out cone.seed_fv in
-    Tseitin.not_ ?act:ctx.guard (solver ctx) ~out:fv (good_var ctx out);
+    Tseitin.not_ ?act:ctx.guard ctx.solver ~out:fv (good_var ctx out);
     cone.cone_observable
   end
 
@@ -399,8 +402,8 @@ let make_session ?certify ls =
     results = Hashtbl.create 16;
   }
 
-let session_solver sess = solver sess.ctx
-let session_stats sess = Incr.stats sess.ctx.sess
+let session_solver sess = sess.ctx.solver
+let activation_counts sess = (sess.ctx.acts_allocated, sess.ctx.acts_retired)
 let pending_parts sess = Hashtbl.length sess.pending
 let live_cones sess = Hashtbl.length sess.ctx.cones
 
@@ -417,7 +420,7 @@ let run_part ?max_conflicts sess f idx encode =
         match Hashtbl.find_opt sess.pending key with
         | Some p -> Some p
         | None ->
-            let act = Incr.new_activation sess.ctx.sess in
+            let act = new_act sess.ctx in
             sess.ctx.guard <- Some act;
             sess.ctx.locals <- [];
             sess.ctx.qcone <- None;
@@ -436,12 +439,12 @@ let run_part ?max_conflicts sess f idx encode =
               Some p
             end
             else begin
-              Incr.retire sess.ctx.sess ~act ~locals;
+              retire sess.ctx ~act ~locals;
               None
             end
       in
       let drop_part { act; cone; locals } =
-        Incr.retire sess.ctx.sess ~act ~locals;
+        retire sess.ctx ~act ~locals;
         (match cone with Some c -> c.cone_refs <- c.cone_refs - 1 | None -> ());
         Hashtbl.remove sess.pending key
       in
@@ -463,19 +466,18 @@ let run_part ?max_conflicts sess f idx encode =
           let cone_vars =
             match cone with Some c -> c.cone_vars | None -> []
           in
-          Solver.focus_vars (solver sess.ctx) (locals @ cone_vars);
+          Solver.focus_vars sess.ctx.solver (locals @ cone_vars);
           let assumptions =
-            match cone with Some c -> [ c.cone_act ] | None -> []
+            match cone with Some c -> [ act; c.cone_act ] | None -> [ act ]
           in
-          match Incr.solve ?max_conflicts ~assumptions sess.ctx.sess ~act with
+          match Solver.solve ?max_conflicts ~assumptions sess.ctx.solver with
           | Solver.Sat ->
               (* Certified mode: the reported model must satisfy every clause
                  ever given to the solver — checked by replaying the raw
                  clause trace, independent of the solver's own bookkeeping. *)
               (match sess.ctx.cert with
               | Some cert ->
-                  Cert.check_model cert ~assumptions:(act :: assumptions)
-                    ~value:(Solver.value (solver sess.ctx))
+                  Cert.check_model cert ~assumptions ~value:(Solver.value sess.ctx.solver)
               | None -> ());
               let t = extract_tests sess.ctx sess.ls in
               drop_part p;
@@ -486,7 +488,7 @@ let run_part ?max_conflicts sess f idx encode =
                  independent checker; the Undetectable verdict stands only if
                  unit propagation alone refutes the query's assumptions. *)
               (match sess.ctx.cert with
-              | Some cert -> Cert.check_unsat cert ~assumptions:(act :: assumptions)
+              | Some cert -> Cert.check_unsat cert ~assumptions
               | None -> ());
               drop_part p;
               Undetectable

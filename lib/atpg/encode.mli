@@ -14,22 +14,22 @@
 
     {2 Sessions}
 
-    Queries run inside a {!session}: one persistent incremental solver (see
-    {!Dfm_sat.Incremental}) whose good-circuit CNF is encoded once and
-    shared.  Propagation cones — the faulty fanout copy plus the
-    difference-at-observable-point requirement — are also shared, per fault
-    site, under their own activation literals (an LRU-bounded window of
-    live cones); each fault then contributes only the clauses binding its
-    fault semantics to its cone's faulty seed variables, guarded by a
-    per-query activation literal, and is solved assuming both literals.
-    Learnt clauses are retained from query to query — each is a consequence
-    of the full guarded CNF, so reuse is sound for every later fault; path
+    Queries run inside a {!session}: one persistent {!Dfm_sat.Solver}
+    whose good-circuit CNF is encoded once and shared.  Propagation cones
+    — the faulty fanout copy plus the difference-at-observable-point
+    requirement — are also shared, per fault site, under their own
+    activation literals (an LRU-bounded window of live cones); each fault
+    then contributes only the clauses binding its fault semantics to its
+    cone's faulty seed variables, guarded by a per-query activation
+    literal, and is solved assuming both literals.  Learnt clauses are
+    retained from query to query — each is a consequence of the full
+    guarded CNF, so reuse is sound for every later fault; path
     sensitization lemmas about a shared cone in particular carry over
-    directly to the next fault at the same site.  A query whose verdict is final is
-    retired (activation permanently off, private variables pinned); a query
-    that exhausts its conflict budget stays pending, and a later
-    [check_incr] of the same fault re-solves it under a larger budget
-    without re-encoding anything.
+    directly to the next fault at the same site.  A query whose verdict is
+    final is retired ({!Dfm_sat.Solver.retire}: activation permanently
+    off, private variables pinned); a query that exhausts its conflict
+    budget stays pending, and a later [check_incr] of the same fault
+    re-solves it under a larger budget without re-encoding anything.
 
     Verdicts do not depend on what a session held before a query: a fresh
     session per fault gives the same ones.  Only the [cared] sets may be
@@ -78,13 +78,15 @@ val session_solver : session -> Dfm_sat.Solver.t
 (** The session's underlying solver, e.g. for
     {!Dfm_sat.Solver.check_invariants} in tests. *)
 
-val session_stats : session -> Dfm_sat.Incremental.stats
+val activation_counts : session -> int * int
+(** [(allocated, retired)]: activation literals the session has allocated
+    and retired so far. *)
 
 val pending_parts : session -> int
 (** Number of query parts awaiting a final verdict (budget-exhausted). *)
 
 val live_cones : session -> int
 (** Number of shared propagation cones currently live (not yet retired by
-    the LRU window).  [Incremental.stats] satisfy
-    [activations = retired + pending_parts + live_cones] at any quiescent
+    the LRU window).  The {!activation_counts} satisfy
+    [allocated = retired + pending_parts + live_cones] at any quiescent
     point of a session. *)

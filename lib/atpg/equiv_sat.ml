@@ -2,7 +2,6 @@ module N = Dfm_netlist.Netlist
 module Cell = Dfm_netlist.Cell
 module Solver = Dfm_sat.Solver
 module Tseitin = Dfm_sat.Tseitin
-module Incr = Dfm_sat.Incremental
 module Cert = Dfm_sat.Cert
 
 type verdict =
@@ -43,16 +42,8 @@ let check ?(certify = false) ?counted t1 t2 =
   else if out1 <> out2 then Interface_mismatch "outputs"
   else
     Dfm_obs.Span.with_ "equiv.check" @@ fun () ->
-    let sess = Incr.create ?counted () in
-    let solver = Incr.solver sess in
-    let cert =
-      if certify then begin
-        let c = Cert.create () in
-        Cert.attach c solver;
-        Some c
-      end
-      else None
-    in
+    let solver = Solver.create ?counted () in
+    let cert = if certify then Some (Cert.create solver) else None in
     let var_tbl = Hashtbl.create 64 in
     List.iter
       (fun label ->
@@ -63,7 +54,7 @@ let check ?(certify = false) ?counted t1 t2 =
     let v1 = encode solver t1 var_of_label in
     let v2 = encode solver t2 var_of_label in
     (* Check output labels one at a time so a difference can be named; each
-       label is an activation-guarded query on the shared session, so the
+       label is an activation-guarded query on the shared solver, so the
        per-label difference constraints never pollute each other and the
        learnt clauses of a proved-equivalent label speed up the next. *)
     let rec go = function
@@ -71,11 +62,11 @@ let check ?(certify = false) ?counted t1 t2 =
       | label :: rest ->
           let n1 = List.assoc label (N.observe_nets t1) in
           let n2 = List.assoc label (N.observe_nets t2) in
-          let act = Incr.new_activation sess in
+          let act = Solver.new_var solver in
           let d = Solver.new_var solver in
           Tseitin.xor_ ~act solver ~out:d v1.(n1) v2.(n2);
-          Incr.add_guarded sess ~act [ d ];
-          (match Incr.solve sess ~act with
+          Solver.add_clause solver [ -act; d ];
+          (match Solver.solve ~assumptions:[ act ] solver with
           | Solver.Sat ->
               (* Certified mode: the distinguishing assignment must satisfy
                  the traced miter clauses before we report a difference. *)
@@ -89,7 +80,7 @@ let check ?(certify = false) ?counted t1 t2 =
               (match cert with
               | Some c -> Cert.check_unsat c ~assumptions:[ act ]
               | None -> ());
-              Incr.retire sess ~act ~locals:[ d ];
+              Solver.retire solver ~act ~locals:[ d ];
               go rest
           | Solver.Unknown -> Different (label ^ " (unknown)"))
     in

@@ -38,7 +38,6 @@ type result = {
   pool_retries : int;
   pool_fallbacks : int;
   escalation_retries : int;
-  escalation_resolved : int;
   aborted_residual : int;
   certified_checks : int;
   certified_failures : int;
@@ -75,7 +74,6 @@ type state = {
   mutable prop_restored : int;
   mutable resumed_steps : int;  (* accepted steps replayed from the journal *)
   mutable esc_retried : int;
-  mutable esc_resolved : int;
   mutable esc_residual : int;
   cache : Dfm_incr.Cache.t option;
   max_conflicts : int option;
@@ -151,7 +149,6 @@ let note_escalation st = function
   | None -> ()
   | Some (es : Atpg.escalation_stats) ->
       st.esc_retried <- st.esc_retried + es.Atpg.retried;
-      st.esc_resolved <- st.esc_resolved + es.Atpg.resolved;
       st.esc_residual <- st.esc_residual + es.Atpg.residual
 
 (* Undetectable internal fault count of a bare netlist (no layout): internal
@@ -550,7 +547,6 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
       prop_restored = 0;
       resumed_steps = 0;
       esc_retried = 0;
-      esc_resolved = 0;
       esc_residual = 0;
       cache;
       max_conflicts;
@@ -655,7 +651,6 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
     pool_retries = pool_retried1 - pool_retried0;
     pool_fallbacks = pool_fellback1 - pool_fellback0;
     escalation_retries = st.esc_retried;
-    escalation_resolved = st.esc_resolved;
     aborted_residual = st.esc_residual;
     certified_checks = (Dfm_sat.Cert.totals ()).Dfm_sat.Cert.checked - cert0.Dfm_sat.Cert.checked;
     certified_failures = (Dfm_sat.Cert.totals ()).Dfm_sat.Cert.failed - cert0.Dfm_sat.Cert.failed;

@@ -67,7 +67,6 @@ type result = {
   pool_retries : int;      (** in-place task retries of {!Dfm_util.Parallel.run} batches *)
   pool_fallbacks : int;    (** pool tasks re-run sequentially in the coordinator *)
   escalation_retries : int;   (** abort-budget escalation SAT queries *)
-  escalation_resolved : int;  (** aborts turned into verdicts by escalation *)
   aborted_residual : int;
       (** aborts surviving every escalation ladder of the run — reported,
           never silently dropped *)

@@ -19,9 +19,10 @@ type t = {
   n_external : int;
 }
 
-(* Fault accumulator with structural deduplication: the same stuck-at site
-   can be implicated by several violations; it is one fault in F (both get
-   to reference it). *)
+(* External-fault accumulator with structural deduplication: the same
+   stuck-at site can be implicated by several violations; it is one fault
+   in F (both get to reference it).  Internal faults need none: each
+   (gate, UDFM entry) pair is one fault. *)
 type acc = {
   mutable rev_faults : F.t list;
   mutable count : int;
@@ -65,7 +66,7 @@ let reaches nl =
         r
 
 let internal_only nl =
-  let acc = { rev_faults = []; count = 0; dedup = Hashtbl.create 1024 } in
+  let rev_faults = ref [] and count = ref 0 in
   Array.iter
     (fun (g : N.gate) ->
       let u = Udfm.for_cell g.N.cell.Cell.name in
@@ -75,32 +76,23 @@ let internal_only nl =
           let origin =
             { F.category = site.Defect.category; guideline_index = site.Defect.guideline_index }
           in
-          ignore (add_fault acc (F.Internal (g.N.gate_id, entry_idx)) origin))
+          let kind = F.Internal (g.N.gate_id, entry_idx) in
+          rev_faults := { F.fault_id = !count; kind; origin } :: !rev_faults;
+          incr count)
         u.Udfm.entries)
     nl.N.gates;
-  Array.of_list (List.rev acc.rev_faults)
+  Array.of_list (List.rev !rev_faults)
 
 let build (rt : Dfm_layout.Route.t) =
   let nl = rt.Dfm_layout.Route.place.Dfm_layout.Place.nl in
-  let acc = { rev_faults = []; count = 0; dedup = Hashtbl.create 4096 } in
+  let internal = internal_only nl in
+  let n_internal = Array.length internal in
+  (* External fault ids continue after the internal ones. *)
+  let acc = { rev_faults = []; count = n_internal; dedup = Hashtbl.create 4096 } in
   let violations = ref [] in
   let note guideline at nets fault_ids =
     violations := { guideline; at; nets; fault_ids } :: !violations
   in
-  (* ---------------- internal faults ---------------- *)
-  Array.iter
-    (fun (g : N.gate) ->
-      let u = Udfm.for_cell g.N.cell.Cell.name in
-      List.iteri
-        (fun entry_idx (e : Udfm.entry) ->
-          let site = e.Udfm.site in
-          let origin =
-            { F.category = site.Defect.category; guideline_index = site.Defect.guideline_index }
-          in
-          ignore (add_fault acc (F.Internal (g.N.gate_id, entry_idx)) origin))
-        u.Udfm.entries)
-    nl.N.gates;
-  let n_internal = acc.count in
   (* ---------------- external: via guidelines ---------------- *)
   let stuck_and_transition loc origin =
     [
@@ -274,7 +266,7 @@ let build (rt : Dfm_layout.Route.t) =
           end)
         w.Dfm_layout.Density.density)
     dens.Dfm_layout.Density.windows;
-  let faults = Array.of_list (List.rev acc.rev_faults) in
+  let faults = Array.append internal (Array.of_list (List.rev acc.rev_faults)) in
   {
     faults;
     violations = List.rev !violations;

@@ -10,13 +10,9 @@
      reduction machinery cannot also hide here.
 
    - [t] is a certification session gluing one solver's derivation trace
-     (see [Solver.set_trace]) to one checker through a bounded proof
-     buffer.  Traced steps accumulate in memory up to a cap, spill to a
-     temp file past it, and are drained into the checker — each learnt
-     step RUP-verified once, at admission — before any verdict check.
-     A spill failure (disk full, injected [alloc.cap]) falls back to
-     unbounded in-memory buffering with one logged warning: certification
-     degrades in footprint, never in soundness. *)
+     (see [Solver.set_trace]) to one checker.  Traced steps accumulate in
+     an in-memory list and are drained into the checker — each learnt
+     step RUP-verified once, at admission — before any verdict check. *)
 
 module Metrics = Dfm_obs.Metrics
 
@@ -34,10 +30,6 @@ let m_proof_bytes =
     "dfm_cert_proof_bytes_total"
 
 let m_check_ns = Metrics.histogram ~help:"Certificate check duration, ns" "dfm_cert_check_ns"
-
-let m_spill_fallbacks =
-  Metrics.counter ~help:"Proof spills that fell back to in-memory buffering"
-    "dfm_cert_spill_fallbacks_total"
 
 (* Process-wide totals, mirrored into the metrics registry.  [checked] and
    [failed] count verdict-level checks only (one per certified verdict).
@@ -297,110 +289,34 @@ module Check = struct
   let num_clauses t = t.n_clauses
 end
 
-(* ---- bounded proof buffer with disk spill ---------------------------- *)
-
-type step = Orig of int list | Learnt of int list
+(* ---- proof buffer ---------------------------------------------------- *)
 
 (* Nominal DRUP-binary footprint of a step: one tag byte, 4 bytes per
-   literal, 4 for the terminator.  Deterministic by construction (spilling
-   or not does not change it). *)
+   literal, 4 for the terminator. *)
 let nominal_bytes lits = 5 + (4 * List.length lits)
 
 type t = {
   checker : Check.t;
-  mutable mem : step list;  (* newest first *)
-  mutable mem_bytes : int;
-  cap : int;
-  mutable spill_chan : out_channel option;
-  mutable spill_path : string option;
-  mutable spill_failed : bool;
-  mutable steps : int;
+  mutable pending : Solver.trace_event list;
+      (* traced since the last drain, newest first *)
 }
 
-let create ?(mem_cap_bytes = 32 * 1024 * 1024) () =
-  {
-    checker = Check.create ();
-    mem = [];
-    mem_bytes = 0;
-    cap = max 4096 mem_cap_bytes;
-    spill_chan = None;
-    spill_path = None;
-    spill_failed = false;
-    steps = 0;
-  }
+let create solver =
+  let t = { checker = Check.create (); pending = [] } in
+  Solver.set_trace solver
+    (Some
+       (fun ((Solver.Trace_original lits | Solver.Trace_learnt lits) as step) ->
+         let bytes = nominal_bytes lits in
+         ignore (Atomic.fetch_and_add proof_bytes_total bytes);
+         Metrics.incr ~by:bytes m_proof_bytes;
+         t.pending <- step :: t.pending));
+  t
 
 let checker t = t.checker
 
-let spill_fail t reason =
-  if not t.spill_failed then begin
-    t.spill_failed <- true;
-    (match t.spill_chan with Some ch -> close_out_noerr ch | None -> ());
-    t.spill_chan <- None;
-    Metrics.incr m_spill_fallbacks;
-    Dfm_obs.Log.warn
-      (Printf.sprintf "cert: proof spill failed (%s); buffering proof in memory" reason)
-  end
-
-let spill_one t step =
-  match t.spill_chan with
-  | Some ch -> output_value ch step
-  | None -> (
-      match t.spill_path with
-      | Some _ -> assert false
-      | None ->
-          let path = Filename.temp_file "dfmcert" ".proof" in
-          let ch = open_out_bin path in
-          t.spill_path <- Some path;
-          t.spill_chan <- Some ch;
-          (* Flush the in-memory prefix first so drain order is append
-             order. *)
-          List.iter (output_value ch) (List.rev t.mem);
-          t.mem <- [];
-          t.mem_bytes <- 0;
-          output_value ch step)
-
-let append t step =
-  let lits = match step with Orig l | Learnt l -> l in
-  let bytes = nominal_bytes lits in
-  ignore (Atomic.fetch_and_add proof_bytes_total bytes);
-  Metrics.incr ~by:bytes m_proof_bytes;
-  t.steps <- t.steps + 1;
-  (* [alloc.cap]: Raise simulates the memory cap being hit (forcing the
-     spill path); Io_error/Partial_write simulate the cap AND a failing
-     spill write (forcing the in-memory fallback). *)
-  let forced_cap, forced_io =
-    match Dfm_util.Failpoint.check "alloc.cap" with
-    | Some Dfm_util.Failpoint.Raise -> (true, false)
-    | Some (Dfm_util.Failpoint.Io_error | Dfm_util.Failpoint.Partial_write) -> (true, true)
-    | Some (Dfm_util.Failpoint.Delay _) | None -> (false, false)
-  in
-  let over_cap =
-    (not t.spill_failed)
-    && (forced_cap || t.spill_chan <> None || t.mem_bytes + bytes > t.cap)
-  in
-  if over_cap then (
-    try
-      if forced_io then failwith "injected alloc.cap io error";
-      spill_one t step
-    with Sys_error e | Failure e ->
-      spill_fail t e;
-      t.mem <- step :: t.mem;
-      t.mem_bytes <- t.mem_bytes + bytes)
-  else begin
-    t.mem <- step :: t.mem;
-    t.mem_bytes <- t.mem_bytes + bytes
-  end
-
-let attach t solver =
-  Solver.set_trace solver
-    (Some
-       (function
-         | Solver.Trace_original lits -> append t (Orig lits)
-         | Solver.Trace_learnt lits -> append t (Learnt lits)))
-
 let admit_step t = function
-  | Orig lits -> Check.add_original t.checker lits
-  | Learnt lits ->
+  | Solver.Trace_original lits -> Check.add_original t.checker lits
+  | Solver.Trace_learnt lits ->
       if not (Check.add_learnt t.checker lits) then begin
         note_check ~ok:false ~ns:0L;
         raise
@@ -409,32 +325,14 @@ let admit_step t = function
                 (String.concat " " (List.map string_of_int lits))))
       end
 
-(* Feed every buffered step to the checker, spilled prefix first.  Each
-   learnt step is RUP-verified exactly once, so total admission work is
-   linear in the proof, not quadratic in the number of verdict checks. *)
+(* Feed every step traced since the last drain to the checker, oldest
+   first.  Each learnt step is RUP-verified exactly once, so total
+   admission work is linear in the proof, not quadratic in the number of
+   verdict checks. *)
 let drain t =
-  (match t.spill_path with
-  | None -> ()
-  | Some path ->
-      (match t.spill_chan with Some ch -> close_out_noerr ch | None -> ());
-      t.spill_chan <- None;
-      t.spill_path <- None;
-      let steps = ref [] in
-      (try
-         let ic = open_in_bin path in
-         (try
-            while true do
-              steps := (input_value ic : step) :: !steps
-            done
-          with End_of_file -> ());
-         close_in_noerr ic
-       with Sys_error e -> spill_fail t e);
-      (try Sys.remove path with Sys_error _ -> ());
-      List.iter (admit_step t) (List.rev !steps));
-  let mem = List.rev t.mem in
-  t.mem <- [];
-  t.mem_bytes <- 0;
-  List.iter (admit_step t) mem
+  let steps = List.rev t.pending in
+  t.pending <- [];
+  List.iter (admit_step t) steps
 
 let check_unsat t ~assumptions =
   let ok, ns =

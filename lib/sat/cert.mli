@@ -3,9 +3,8 @@
     The solver ({!Solver.set_trace}) reports every clause it admits —
     originals verbatim and learnt clauses as they are derived — forming a
     DRUP-style derivation.  A certification session ({!t}) buffers that
-    trace (bounded in memory, spilling to a temp file past the cap, falling
-    back to unbounded memory with one warning if the spill fails) and
-    replays it into {!Check}, a deliberately dumb checker that shares no
+    trace in memory and, before each verdict check, replays what it
+    buffered into {!Check}, a deliberately dumb checker that shares no
     code or state with the solver: its only inference is unit propagation.
     Each learnt step is verified once at admission, so total checking work
     is linear in the proof regardless of how many verdicts are checked.
@@ -50,15 +49,10 @@ end
 
 type t
 
-val create : ?mem_cap_bytes:int -> unit -> t
-(** A fresh session: empty checker, empty proof buffer.  [mem_cap_bytes]
-    bounds the in-memory proof buffer (default 32 MiB nominal) before
-    spilling to a temp file.  Failpoint [alloc.cap] forces the cap
-    (action [raise]) or the cap plus a failing spill (action [io]). *)
-
-val attach : t -> Solver.t -> unit
-(** Install this session as [solver]'s derivation tracer.  One session
-    mirrors one solver instance. *)
+val create : Solver.t -> t
+(** A fresh session (empty checker, empty proof buffer) installed as
+    [solver]'s derivation tracer.  One session mirrors one solver
+    instance. *)
 
 val checker : t -> Check.t
 

@@ -14,8 +14,8 @@
      snapshot for [value];
    - learnt clauses persist across solves and are periodically reduced by
      LBD ("glue") and activity, with binary and low-LBD clauses kept;
-   - an UNSAT answer under assumptions records the failing assumption
-     subset ({!failed_assumptions}, Minisat's final conflict clause);
+   - [retire] switches an activation group off for good and pins its
+     private variables at level 0;
    - conflict analysis deletes learnt clauses subsumed on the fly by the
      freshly learnt clause.
 
@@ -35,7 +35,7 @@
 
    Deletion only sets the flag: a deleted clause's literals stay readable
    (an assumption-level reason may have been deleted by a reduction, and
-   final-conflict analysis still reads it) until [simplify] has cleared
+   clause minimization still reads it) until [simplify] has cleared
    every reason at level 0.  Only then, and only when more than half the
    arena is dead, is the arena compacted in place.
 
@@ -119,7 +119,6 @@ type t = {
   mutable heap : int array;
   mutable heap_pos : int array;         (* var -> index in heap, -1 = absent *)
   mutable heap_len : int;
-  mutable failed : int list;            (* see [failed_assumptions] *)
   mutable unsat : bool;
   mutable conflicts : int;
   mutable decisions : int;
@@ -138,8 +137,6 @@ type t = {
   mutable lit_gen : int;
   mutable lvl_mark : int array;
   mutable lvl_gen : int;
-  mutable assump_mark : int array;
-  mutable assump_gen : int;
   mutable wscratch : int array;         (* the watch vector being visited *)
   handled : vec;                        (* analyze: lower-level literals met *)
   learnt : vec;                         (* analyze: the learnt clause *)
@@ -172,7 +169,6 @@ let create ?(counted = true) () =
     heap = Array.make 1 0;
     heap_pos = Array.make 1 (-1);
     heap_len = 0;
-    failed = [];
     unsat = false;
     conflicts = 0;
     decisions = 0;
@@ -188,8 +184,6 @@ let create ?(counted = true) () =
     lit_gen = 0;
     lvl_mark = Array.make 5 0;
     lvl_gen = 0;
-    assump_mark = Array.make 1 0;
-    assump_gen = 0;
     wscratch = Array.make 16 0;
     handled = vec_make 16;
     learnt = vec_make 16;
@@ -321,7 +315,6 @@ let grow_arrays s n =
     s.trail <- grow s.trail nn 0;
     s.heap_pos <- grow s.heap_pos nn (-1);
     s.var_mark <- grow s.var_mark nn 0;
-    s.assump_mark <- grow s.assump_mark nn 0;
     s.lit_mark <- grow s.lit_mark (2 * nn) 0;
     let grow_bytes b =
       let c = Bytes.make (2 * nn) v_undef in
@@ -870,47 +863,6 @@ let rec luby i =
   if (1 lsl !k) - 1 = i then 1 lsl (!k - 1)
   else luby (i - (1 lsl (!k - 1)) + 1)
 
-(* Final-conflict analysis (Minisat's analyzeFinal): given the variables of
-   a conflict at or below the assumption levels (marked with the current
-   [var_gen]), walk the implication graph back to the subset of
-   assumptions it depends on.  Variables forced with no reason clause that
-   are not assumptions (learnt units asserted at the assumption level) are
-   consequences of the CNF alone and contribute no dependency. *)
-let analyze_final s =
-  let gen = s.var_gen and seen = s.var_mark and a = s.arena in
-  let failed = ref [] in
-  for i = s.trail_len - 1 downto 0 do
-    let l = s.trail.(i) in
-    let v = lit_var l in
-    if seen.(v) = gen then begin
-      let r = s.reason.(v) in
-      if r < 0 then begin
-        if s.assump_mark.(v) = s.assump_gen then failed := ext_of_int l :: !failed
-      end
-      else
-        for j = r + 2 to r + 1 + hdr_size a.(r) do
-          let qv = lit_var a.(j) in
-          if qv <> v && s.level.(qv) > 0 then seen.(qv) <- gen
-        done;
-      seen.(v) <- 0
-    end
-  done;
-  !failed
-
-let mark_final_var s v = if s.level.(v) > 0 then s.var_mark.(v) <- s.var_gen
-
-let final_of_clause s c =
-  s.var_gen <- s.var_gen + 1;
-  for j = c + 2 to c + 1 + hdr_size s.arena.(c) do
-    mark_final_var s (lit_var s.arena.(j))
-  done;
-  analyze_final s
-
-let final_of_var s v =
-  s.var_gen <- s.var_gen + 1;
-  mark_final_var s v;
-  analyze_final s
-
 let learnt_exts s = List.init s.learnt.len (fun i -> ext_of_int s.learnt.data.(i))
 
 (* Store the learnt clause of [analyze] and assert its first literal.
@@ -949,14 +901,11 @@ let learn s ~blevel ~lbd =
   not s.unsat
 
 let solve_search ?(assumptions = []) ?(max_conflicts = max_int) s =
-  s.failed <- [];
   if s.unsat then Unsat
   else begin
     List.iter (fun l -> ensure_vars s (abs l)) assumptions;
     let assumption_lits = Array.of_list (List.map int_lit assumptions) in
     let n_assumptions = Array.length assumption_lits in
-    s.assump_gen <- s.assump_gen + 1;
-    Array.iter (fun l -> s.assump_mark.(lit_var l) <- s.assump_gen) assumption_lits;
     backtrack s 0;
     if propagate s >= 0 then begin
       s.unsat <- true;
@@ -979,7 +928,7 @@ let solve_search ?(assumptions = []) ?(max_conflicts = max_int) s =
           if s.dlevel <= n_assumptions then begin
             (* Conflict within (or below) the assumption levels: the
                assumptions themselves are contradicted. *)
-            if s.dlevel = 0 then s.unsat <- true else s.failed <- final_of_clause s confl;
+            if s.dlevel = 0 then s.unsat <- true;
             result := Unsat;
             done_ := true
           end
@@ -1026,8 +975,7 @@ let solve_search ?(assumptions = []) ?(max_conflicts = max_int) s =
             if v = v_true then new_decision_level s (* already true: dummy level *)
             else if v = v_false then begin
               (* The assumption is already falsified by the others (or by
-                 the CNF): report which assumptions it depends on. *)
-              s.failed <- ext_of_int l :: final_of_var s (lit_var l);
+                 the CNF). *)
               result := Unsat;
               done_ := true
             end
@@ -1053,8 +1001,7 @@ let solve_search ?(assumptions = []) ?(max_conflicts = max_int) s =
         end
       done;
       (* Fully unwind: assumptions (and all search state above level 0)
-         never survive a solve.  SAT answers live on in [model]; UNSAT
-         dependency in [failed]. *)
+         never survive a solve.  SAT answers live on in [model]. *)
       backtrack s 0;
       !result
     end
@@ -1097,12 +1044,22 @@ let value s v =
 
 let lit_value s l = if l > 0 then value s l else not (value s (-l))
 
-let failed_assumptions s = s.failed
-
 let root_value s v =
   if v < 1 || v > s.nvars then invalid_arg "Solver.root_value";
   let x = lvalue s (2 * (v - 1)) in
   if x = v_undef || s.level.(v - 1) > 0 then None else Some (x = v_true)
+
+(* Retiring an activation group adds the unit [¬act], permanently
+   satisfying its guarded clauses, and pins the group's still-free private
+   ("local") variables at level 0 so branching never wastes decisions on
+   unconstrained garbage.  Pinning is sound: with [act] false the locals
+   are unconstrained by construction (every clause mentioning them carries
+   [¬act]), so fixing them cannot change the satisfiability of anything
+   that remains.  A local already fixed at level 0 — e.g. through a learnt
+   unit resolving against [¬act] — is left alone. *)
+let retire s ~act ~locals =
+  add_clause s [ -act ];
+  List.iter (fun v -> if root_value s v = None then add_clause s [ v ]) locals
 
 let clause_exts s c = List.init (hdr_size s.arena.(c)) (fun i -> ext_of_int s.arena.(c + 2 + i))
 

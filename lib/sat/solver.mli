@@ -11,11 +11,20 @@
     One instance is built for {e reuse}: clauses may be added between
     solves, each {!solve} may carry its own assumption literals, and the
     state left behind is always clean — the trail is fully unwound to
-    level 0, a SAT answer survives in a model snapshot, an UNSAT answer
-    under assumptions records its {!failed_assumptions}.  Learnt clauses
+    level 0 and a SAT answer survives in a model snapshot.  Learnt clauses
     persist across solves (that is where incremental reuse pays) and are
     kept in check by LBD/activity reduction sweeps plus on-the-fly
     subsumption during conflict analysis.
+
+    Many queries share one instance through activation literals: a query
+    allocates a variable [act] with {!new_var}, adds its private clauses
+    guarded as [¬act ∨ C], solves with [act] among the assumptions, and is
+    switched off for good with {!retire} once its verdict is final.  A
+    clause learnt while [act] was assumed either carries [¬act] or follows
+    from the unguarded clauses alone, so it stays sound for every later
+    query.
+
+    Instances are single-domain objects (no internal locking).
 
     Literals in the public API are non-zero integers in DIMACS convention:
     [+v] is variable [v], [-v] its negation, variables start at 1. *)
@@ -50,11 +59,6 @@ val set_trace : t -> (trace_event -> unit) option -> unit
 val new_var : t -> int
 (** Allocate and return the next variable index. *)
 
-val num_vars : t -> int
-
-val ensure_vars : t -> int -> unit
-(** Make sure variables [1 .. n] exist. *)
-
 val add_clause : t -> int list -> unit
 (** Add a clause (a disjunction of literals).  Adding the empty clause makes
     the instance trivially unsatisfiable.  May be called freely between
@@ -66,34 +70,46 @@ val solve : ?assumptions:int list -> ?max_conflicts:int -> t -> result
 
     Assumptions are placed as pseudo-decisions on levels [1 .. n] before
     ordinary branching; a conflict at or below those levels means the CNF
-    contradicts the assumptions and yields [Unsat] with
-    {!failed_assumptions} filled in.  Whatever the result, the solver
-    returns with its trail fully unwound to level 0 — assumptions never
-    leak into later solves ({!check_invariants} audits this). *)
+    contradicts the assumptions and yields [Unsat].  Whatever the result,
+    the solver returns with its trail fully unwound to level 0 —
+    assumptions never leak into later solves ({!check_invariants} audits
+    this). *)
 
 val value : t -> int -> bool
 (** Value of a variable in the model snapshot of the last [Sat] answer.
     Only meaningful after [Sat]; unaffected by later clause additions. *)
 
-val lit_value : t -> int -> bool
-(** Value of a literal in the last model. *)
-
-val failed_assumptions : t -> int list
-(** After an [Unsat] answer of a solve {e under assumptions}: a subset of
-    those assumptions whose conjunction the CNF already contradicts
-    (Minisat's final conflict clause).  Empty when the CNF itself is
-    unsatisfiable, and after solves that did not end [Unsat]. *)
-
 val focus_vars : t -> int list -> unit
 (** Bump the given variables (1-based ids; unknown ids ignored) to the top
-    of the branching order.  Incremental sessions call this with a new
-    query's private variables so the search settles the fresh cone before
-    wandering the shared CNF.  Purely heuristic: answers are unaffected. *)
+    of the branching order.  Callers sharing one instance across queries
+    pass a new query's private variables so the search settles the fresh
+    cone before wandering the shared CNF.  Purely heuristic: answers are
+    unaffected. *)
 
-val root_value : t -> int -> bool option
-(** The variable's fixed value at decision level 0, if any: [Some b] when
-    the CNF (plus learnt facts) forces it, [None] while it is still free.
-    Used by session layers to retire garbage variables safely. *)
+val retire : t -> act:int -> locals:int list -> unit
+(** Permanently disable an activation group: add the unit [¬act] and pin
+    each still-free variable of [locals] (the group's private variables)
+    at level 0.  Sound because every clause over a local carries [¬act];
+    required so retired queries cost later solves neither decisions nor
+    propagations.  Call only once the query's verdict is final.
+    @raise Invalid_argument if a local is outside [1 .. num_vars]. *)
+
+val totals : unit -> int * int * int
+(** Process-wide [(conflicts, decisions, propagations)] accumulated across
+    every solver instance in every domain, flushed once per {!solve}.
+    Deltas over a classification are the same at any [--jobs] count:
+    [Atpg.classify] partitions its queries into sessions by the fault list
+    alone, never by the job count. *)
+
+(** {1 Debug / test support} *)
+
+val num_vars : t -> int
+
+val ensure_vars : t -> int -> unit
+(** Make sure variables [1 .. n] exist. *)
+
+val lit_value : t -> int -> bool
+(** Value of a literal in the last model. *)
 
 val num_clauses : t -> int
 
@@ -104,15 +120,6 @@ val num_conflicts : t -> int
 (** Per-instance conflict count.  Counting is unconditional (it happens
     whether or not observability is enabled), so effort numbers never
     depend on instrumentation state. *)
-
-val totals : unit -> int * int * int
-(** Process-wide [(conflicts, decisions, propagations)] accumulated across
-    every solver instance in every domain, flushed once per {!solve}.
-    Deltas over a classification are the same at any [--jobs] count:
-    [Atpg.classify] partitions its queries into sessions by the fault list
-    alone, never by the job count. *)
-
-(** {1 Debug / test support} *)
 
 val check_invariants : t -> unit
 (** Audit the between-solve invariants: trail fully unwound (level 0,

@@ -1,6 +1,6 @@
 (* Every encoder takes an optional activation literal [?act]; when given,
    each emitted clause is guarded as [¬act ∨ C], so the whole encoding is
-   active only while [act] is assumed (see [Incremental]). *)
+   active only while [act] is assumed (see [Solver.retire]). *)
 
 let cl s act lits =
   match act with
@@ -9,10 +9,6 @@ let cl s act lits =
 
 let const_true ?act s l = cl s act [ l ]
 let const_false ?act s l = cl s act [ -l ]
-
-let equal ?act s a b =
-  cl s act [ -a; b ];
-  cl s act [ a; -b ]
 
 let not_ ?act s ~out a =
   cl s act [ -out; -a ];

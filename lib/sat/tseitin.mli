@@ -6,13 +6,10 @@
 
     When [?act] is given, every emitted clause is guarded as [¬act ∨ C]:
     the encoding holds only while [act] is assumed, which is how per-query
-    constraint groups share one incremental solver (see {!Incremental}). *)
+    constraint groups share one solver (see {!Solver.retire}). *)
 
 val const_true : ?act:int -> Solver.t -> int -> unit
 val const_false : ?act:int -> Solver.t -> int -> unit
-
-val equal : ?act:int -> Solver.t -> int -> int -> unit
-(** [equal s a b] forces [a = b]. *)
 
 val not_ : ?act:int -> Solver.t -> out:int -> int -> unit
 

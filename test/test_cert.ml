@@ -1,7 +1,6 @@
 (* Certification tests: pristine certificates always pass, corrupted ones
-   never pass (checker soundness / no false accepts), proof buffering
-   survives the alloc.cap resource failpoints, and certified engine runs
-   stay bit-identical to uncertified ones. *)
+   never pass (checker soundness / no false accepts), and certified engine
+   runs stay bit-identical to uncertified ones. *)
 
 module Solver = Dfm_sat.Solver
 module Cert = Dfm_sat.Cert
@@ -52,8 +51,7 @@ let prop_pristine =
   QCheck.Test.make ~name:"pristine certificates always check" ~count:300 arb_cnf_assumptions
     (fun ((_, clauses), assumptions) ->
       let s = Solver.create () in
-      let cert = Cert.create () in
-      Cert.attach cert s;
+      let cert = Cert.create s in
       List.iter (Solver.add_clause s) clauses;
       (match Solver.solve ~assumptions s with
       | Solver.Sat -> Cert.check_model cert ~assumptions ~value:(Solver.value s)
@@ -67,8 +65,7 @@ let prop_pristine_incremental =
   QCheck.Test.make ~name:"pristine certificates across incremental solves" ~count:150
     arb_cnf (fun (_, clauses) ->
       let s = Solver.create () in
-      let cert = Cert.create () in
-      Cert.attach cert s;
+      let cert = Cert.create s in
       let rec chunks = function
         | [] -> []
         | l ->
@@ -94,8 +91,7 @@ let prop_no_unsat_forgery =
   QCheck.Test.make ~name:"UNSAT cannot be certified for a SAT instance" ~count:300
     arb_cnf_assumptions (fun ((_, clauses), assumptions) ->
       let s = Solver.create () in
-      let cert = Cert.create () in
-      Cert.attach cert s;
+      let cert = Cert.create s in
       List.iter (Solver.add_clause s) clauses;
       match Solver.solve ~assumptions s with
       | Solver.Sat ->
@@ -146,8 +142,7 @@ let prop_mutated_model_sound =
   QCheck.Test.make ~name:"mutated models: accept iff genuinely satisfying" ~count:300
     arb_cnf (fun (nvars, clauses) ->
       let s = Solver.create () in
-      let cert = Cert.create () in
-      Cert.attach cert s;
+      let cert = Cert.create s in
       List.iter (Solver.add_clause s) clauses;
       match Solver.solve s with
       | Solver.Sat ->
@@ -179,8 +174,7 @@ let test_checker_rejects_non_consequence () =
 
 let test_empty_clause_certified () =
   let s = Solver.create () in
-  let cert = Cert.create () in
-  Cert.attach cert s;
+  let cert = Cert.create s in
   Solver.add_clause s [ 1 ];
   Solver.add_clause s [ -1 ];
   Alcotest.(check bool) "unsat" true (Solver.solve s = Solver.Unsat);
@@ -188,14 +182,11 @@ let test_empty_clause_certified () =
   Alcotest.(check bool) "checker proved unsat" true
     (Cert.Check.proved_unsat (Cert.checker cert))
 
-(* ---- resource exhaustion: alloc.cap ----------------------------------- *)
-
-let pigeonhole_unsat_with_cert () =
+let test_pigeonhole_certifies () =
   (* Pigeonhole 4-into-3: a small but genuinely worked-for UNSAT proof, so
-     the trace has enough steps to exercise buffering. *)
+     the check replays many learnt steps. *)
   let s = Solver.create () in
-  let cert = Cert.create ~mem_cap_bytes:4096 () in
-  Cert.attach cert s;
+  let cert = Cert.create s in
   let var p h = (p * 3) + h + 1 in
   for p = 0 to 3 do
     Solver.add_clause s [ var p 0; var p 1; var p 2 ]
@@ -209,29 +200,6 @@ let pigeonhole_unsat_with_cert () =
   done;
   Alcotest.(check bool) "pigeonhole unsat" true (Solver.solve s = Solver.Unsat);
   Cert.check_unsat cert ~assumptions:[]
-
-let test_spill_path () =
-  (* alloc.cap=raise forces the cap at every append: the whole proof goes
-     through the disk spill and must still check. *)
-  Failpoint.clear ();
-  Failpoint.enable "alloc.cap" Failpoint.Raise;
-  Fun.protect ~finally:Failpoint.clear pigeonhole_unsat_with_cert
-
-let test_spill_failure_falls_back () =
-  (* alloc.cap=io forces the cap AND fails the spill write: certification
-     must degrade to in-memory buffering — one warning, same verdict. *)
-  Failpoint.clear ();
-  Failpoint.enable "alloc.cap" Failpoint.Io_error;
-  Fun.protect ~finally:Failpoint.clear pigeonhole_unsat_with_cert;
-  Alcotest.(check bool) "fallback counted" true
-    (match Dfm_obs.Metrics.find_value "dfm_cert_spill_fallbacks_total" with
-    | Some (Dfm_obs.Metrics.Counter n) -> n > 0
-    | _ -> false)
-
-let test_small_cap_spills_naturally () =
-  (* A 4 KiB cap with no failpoint: the pigeonhole proof exceeds it and
-     spills on its own. *)
-  pigeonhole_unsat_with_cert ()
 
 (* ---- certified classification: bit-identity, jobs invariance ---------- *)
 
@@ -401,10 +369,7 @@ let suite =
     Alcotest.test_case "checker rejects non-consequences" `Quick
       test_checker_rejects_non_consequence;
     Alcotest.test_case "empty clause certified" `Quick test_empty_clause_certified;
-    Alcotest.test_case "alloc.cap raise: proof spills to disk" `Quick test_spill_path;
-    Alcotest.test_case "alloc.cap io: spill failure falls back to memory" `Quick
-      test_spill_failure_falls_back;
-    Alcotest.test_case "small cap spills naturally" `Quick test_small_cap_spills_naturally;
+    Alcotest.test_case "pigeonhole proof certifies" `Quick test_pigeonhole_certifies;
     Alcotest.test_case "certified classification: bit-identical, jobs-invariant" `Quick
       test_certified_classification_identity;
     Alcotest.test_case "store.enospc: disk tier degrades to memory-only" `Quick

@@ -125,12 +125,23 @@ let test_equiv_sat_detects_differences () =
     N.Builder.mark_po b "o" g;
     N.Builder.finish b
   in
-  (match Dfm_atpg.Equiv_sat.check (mk false) (mk true) with
-  | Dfm_atpg.Equiv_sat.Different "o" -> ()
-  | _ -> Alcotest.fail "expected difference at o");
-  match Dfm_atpg.Equiv_sat.check (mk false) (mk false) with
-  | Dfm_atpg.Equiv_sat.Equivalent -> ()
-  | _ -> Alcotest.fail "expected equivalence"
+  let checked () = (Dfm_sat.Cert.totals ()).Dfm_sat.Cert.checked in
+  List.iter
+    (fun certify ->
+      let c0 = checked () in
+      (match Dfm_atpg.Equiv_sat.check ~certify (mk false) (mk true) with
+      | Dfm_atpg.Equiv_sat.Different "o" -> ()
+      | _ -> Alcotest.fail "expected difference at o");
+      (match Dfm_atpg.Equiv_sat.check ~certify (mk false) (mk false) with
+      | Dfm_atpg.Equiv_sat.Equivalent -> ()
+      | _ -> Alcotest.fail "expected equivalence");
+      (* certified: one model check for the differing pair, one proof
+         replay for the equivalent pair *)
+      Alcotest.(check int)
+        (Printf.sprintf "certificate checks (certify=%b)" certify)
+        (if certify then 2 else 0)
+        (checked () - c0))
+    [ false; true ]
 
 let test_design_metrics_consistent () =
   let _, d0, _ = Lazy.force result in

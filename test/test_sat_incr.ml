@@ -6,10 +6,10 @@
 
    Then three layers of differential evidence:
 
-   - Solver level: random CNF query batches run through an
-     [Dfm_sat.Incremental] session (activation-guarded groups over one
-     persistent solver) must answer exactly like a throwaway solver per
-     query; after every solve the between-solve invariants hold
+   - Solver level: random CNF query batches run as activation-guarded
+     groups over one persistent solver must answer exactly like a
+     throwaway solver per query; after every solve the between-solve
+     invariants hold
      ([Solver.check_invariants]) and every retained learnt clause is
      re-proved to be implied by the clauses added so far.  One session is
      driven until its clause arena is compacted, and keeps answering
@@ -26,7 +26,6 @@
      the uninterrupted run. *)
 
 module Solver = Dfm_sat.Solver
-module Incr = Dfm_sat.Incremental
 module Metrics = Dfm_obs.Metrics
 module N = Dfm_netlist.Netlist
 module B = N.Builder
@@ -107,25 +106,24 @@ let check_learnts_implied all_clauses solver =
 let prop_session_matches_oneshot =
   QCheck.Test.make ~name:"incremental session answers = one-shot per query" ~count:100
     arb_session_problem (fun (nvars, base, groups) ->
-      let sess = Incr.create () in
-      let solver = Incr.solver sess in
+      let solver = Solver.create () in
       Solver.ensure_vars solver nvars;
       (* every clause in solver numbering, for the learnt implication check *)
       let all_clauses = ref [] in
       List.iter
         (fun c ->
-          Incr.add_permanent sess c;
+          Solver.add_clause solver c;
           all_clauses := c :: !all_clauses)
         base;
       List.iter
         (fun group ->
-          let act = Incr.new_activation sess in
+          let act = Solver.new_var solver in
           List.iter
             (fun c ->
-              Incr.add_guarded sess ~act c;
+              Solver.add_clause solver (-act :: c);
               all_clauses := (-act :: c) :: !all_clauses)
             group;
-          let r = Incr.solve sess ~act in
+          let r = Solver.solve ~assumptions:[ act ] solver in
           Solver.check_invariants solver;
           (* one-shot reference: base /\ group, nothing else (earlier
              groups' guards are free, so they are invisible) *)
@@ -142,19 +140,14 @@ let prop_session_matches_oneshot =
                     QCheck.Test.fail_report "model violates an active clause")
                 (base @ group)
           | Solver.Unsat ->
-              if expect then QCheck.Test.fail_report "session Unsat, brute force Sat";
-              (* the activation must be among the failed assumptions unless
-                 the permanent CNF is itself unsatisfiable *)
-              let failed = Solver.failed_assumptions solver in
-              if not (List.for_all (fun l -> l = act) failed) then
-                QCheck.Test.fail_report "failed assumptions outside the assumed set"
+              if expect then QCheck.Test.fail_report "session Unsat, brute force Sat"
           | Solver.Unknown -> QCheck.Test.fail_report "unbounded solve returned Unknown");
           ())
         groups;
       check_learnts_implied !all_clauses solver)
 
-let prop_failed_assumptions =
-  QCheck.Test.make ~name:"failed assumptions are a valid unsat core" ~count:150
+let prop_assumption_solves =
+  QCheck.Test.make ~name:"solves under assumptions match brute force" ~count:150
     arb_session_problem (fun (nvars, base, groups) ->
       let clauses = base @ List.concat groups in
       let s = Solver.create () in
@@ -174,46 +167,38 @@ let prop_failed_assumptions =
                 QCheck.Test.fail_report "Sat model contradicts an assumption")
             assumptions
       | Solver.Unsat ->
-          let failed = Solver.failed_assumptions s in
-          List.iter
-            (fun l ->
-              if not (List.mem l assumptions) then
-                QCheck.Test.fail_report "failed assumption not among the assumed")
-            failed;
-          (* the failed subset alone must already be contradicted *)
-          if Solver.solve ~assumptions:failed s <> Solver.Unsat then
-            QCheck.Test.fail_report "failed-assumption subset is not an unsat core"
+          (* the clauses plus one unit per assumption are unsatisfiable *)
+          if brute_sat nvars (clauses @ List.map (fun l -> [ l ]) assumptions) then
+            QCheck.Test.fail_report "Unsat under assumptions, brute force Sat"
       | Solver.Unknown -> QCheck.Test.fail_report "unbounded solve returned Unknown");
       Solver.check_invariants s;
       true)
 
 let test_retire_semantics () =
-  let sess = Incr.create () in
-  let solver = Incr.solver sess in
+  let solver = Solver.create () in
   Solver.ensure_vars solver 2;
-  Incr.add_permanent sess [ 1; 2 ];
-  let act1 = Incr.new_activation sess in
-  Incr.add_guarded sess ~act:act1 [ -1 ];
-  Incr.add_guarded sess ~act:act1 [ -2 ];
+  Solver.add_clause solver [ 1; 2 ];
+  let act1 = Solver.new_var solver in
+  let x = Solver.new_var solver in
+  Solver.add_clause solver [ -act1; -1 ];
+  Solver.add_clause solver [ -act1; -2 ];
+  Solver.add_clause solver [ -act1; x; 1 ];
   Alcotest.(check bool) "group 1 contradicts the base" true
-    (Incr.solve sess ~act:act1 = Solver.Unsat);
-  Alcotest.(check bool) "activation in the failed set" true
-    (List.mem act1 (Solver.failed_assumptions solver));
-  let act2 = Incr.new_activation sess in
-  Incr.add_guarded sess ~act:act2 [ 1 ];
-  Alcotest.(check bool) "group 2 solvable" true (Incr.solve sess ~act:act2 = Solver.Sat);
-  Incr.retire sess ~act:act1 ~locals:[];
+    (Solver.solve ~assumptions:[ act1 ] solver = Solver.Unsat);
+  let act2 = Solver.new_var solver in
+  Solver.add_clause solver [ -act2; 1 ];
+  Alcotest.(check bool) "group 2 solvable" true
+    (Solver.solve ~assumptions:[ act2 ] solver = Solver.Sat);
+  Solver.retire solver ~act:act1 ~locals:[ x ];
   Solver.check_invariants solver;
   Alcotest.(check bool) "group 2 unaffected by the retirement" true
-    (Incr.solve sess ~act:act2 = Solver.Sat);
+    (Solver.solve ~assumptions:[ act2 ] solver = Solver.Sat);
   (* the retired activation is permanently off: assuming it is contradictory *)
   Alcotest.(check bool) "retired group cannot be reactivated" true
-    (Incr.solve sess ~act:act1 = Solver.Unsat);
-  let st = Incr.stats sess in
-  Alcotest.(check int) "activations" 2 st.Incr.activations;
-  Alcotest.(check int) "retired" 1 st.Incr.retired;
-  Alcotest.(check int) "solves" 4 st.Incr.solves;
-  Alcotest.(check bool) "clause reuse accumulates" true (st.Incr.clauses_reused > 0)
+    (Solver.solve ~assumptions:[ act1 ] solver = Solver.Unsat);
+  (* the free local is pinned at level 0 *)
+  Alcotest.(check bool) "retired local is pinned" true
+    (Solver.solve ~assumptions:[ -x ] solver = Solver.Unsat)
 
 (* Arena collection: guarded add/solve/retire rounds on one session fill
    the clause arena with retired cones until [simplify] compacts it.  Every
@@ -232,24 +217,23 @@ let test_arena_collection () =
         let v = 1 + Rng.int rng nvars in
         if Rng.bool rng then v else -v)
   in
-  let sess = Incr.create () in
-  let solver = Incr.solver sess in
+  let solver = Solver.create () in
   Solver.ensure_vars solver nvars;
   let base = List.init 8 (fun _ -> clause ()) in
-  List.iter (Incr.add_permanent sess) base;
+  List.iter (Solver.add_clause solver) base;
   let all_clauses = ref base in
   (* each group is retired one round late, so the learnt clauses of the
      live group are in the arena when a compaction moves it *)
   let previous = ref None in
   let round () =
-    let act = Incr.new_activation sess in
+    let act = Solver.new_var solver in
     let group = List.init (140 + Rng.int rng 40) (fun _ -> clause ()) in
     List.iter
       (fun c ->
-        Incr.add_guarded sess ~act c;
+        Solver.add_clause solver (-act :: c);
         all_clauses := (-act :: c) :: !all_clauses)
       group;
-    let r = Incr.solve sess ~act in
+    let r = Solver.solve ~assumptions:[ act ] solver in
     Solver.check_invariants solver;
     let fresh = Solver.create () in
     List.iter (Solver.add_clause fresh) (base @ group);
@@ -262,7 +246,7 @@ let test_arena_collection () =
         (base @ group);
     Option.iter
       (fun prev ->
-        Incr.retire sess ~act:prev ~locals:[];
+        Solver.retire solver ~act:prev ~locals:[];
         all_clauses := [ -prev ] :: !all_clauses)
       !previous;
     previous := Some act
@@ -281,22 +265,6 @@ let test_arena_collection () =
   match unimplied_learnt !all_clauses solver with
   | Some c -> Alcotest.failf "learnt clause [%s] is not implied by the CNF" (show_clause c)
   | None -> ()
-
-let test_session_metrics () =
-  let m_act = Metrics.counter "dfm_sat_incr_activations_total" in
-  let m_solves = Metrics.counter "dfm_sat_incr_solves_total" in
-  let m_retired = Metrics.counter "dfm_sat_incr_retired_total" in
-  let a0 = Metrics.counter_value m_act
-  and s0 = Metrics.counter_value m_solves
-  and r0 = Metrics.counter_value m_retired in
-  let sess = Incr.create () in
-  let act = Incr.new_activation sess in
-  Incr.add_guarded sess ~act [ 1; 2 ];
-  ignore (Incr.solve sess ~act : Solver.result);
-  Incr.retire sess ~act ~locals:[ 1; 2 ];
-  Alcotest.(check int) "activation counted" (a0 + 1) (Metrics.counter_value m_act);
-  Alcotest.(check int) "solve counted" (s0 + 1) (Metrics.counter_value m_solves);
-  Alcotest.(check int) "retirement counted" (r0 + 1) (Metrics.counter_value m_retired)
 
 (* ------------------------------------------------------------------ *)
 (* ATPG level: against the cold per-fault reference                    *)
@@ -497,11 +465,11 @@ let test_encode_session_invariants () =
       | Encode.Undetectable | Encode.Unknown -> ())
     (all_faults nl);
   Alcotest.(check int) "no pending parts at unbounded budget" 0 (Encode.pending_parts sess);
-  let st = Encode.session_stats sess in
-  Alcotest.(check bool) "session saw work" true (st.Incr.activations > 0);
-  Alcotest.(check int) "every activation group retired or a live shared cone"
-    st.Incr.activations
-    (st.Incr.retired + Encode.live_cones sess)
+  let allocated, retired = Encode.activation_counts sess in
+  Alcotest.(check bool) "session saw work" true (allocated > 0);
+  Alcotest.(check int) "every activation group retired, pending or a live shared cone"
+    allocated
+    (retired + Encode.pending_parts sess + Encode.live_cones sess)
 
 (* A budget-exhausted query stays pending and a later re-check of the same
    fault resolves it in place, to its cold verdict. *)
@@ -640,10 +608,9 @@ let suite =
     Alcotest.test_case "pinned effort: example netlists" `Quick test_pinned_effort_examples;
     Alcotest.test_case "pinned effort: aes_core@0.5" `Slow test_pinned_effort_aes;
     QCheck_alcotest.to_alcotest prop_session_matches_oneshot;
-    QCheck_alcotest.to_alcotest prop_failed_assumptions;
+    QCheck_alcotest.to_alcotest prop_assumption_solves;
     Alcotest.test_case "retire semantics" `Quick test_retire_semantics;
     Alcotest.test_case "arena collection mid-session" `Quick test_arena_collection;
-    Alcotest.test_case "session metrics" `Quick test_session_metrics;
     QCheck_alcotest.to_alcotest prop_modes_agree;
     QCheck_alcotest.to_alcotest prop_modes_agree_after_replace;
     Alcotest.test_case "generate = cold per-fault verdicts" `Quick test_generate_cold;
