@@ -29,7 +29,7 @@ let () =
 
   Format.printf "@.resynthesized: %a@." Design.pp_metrics (Design.metrics r.Resynth.final);
   Format.printf "accepted steps: %d, synthesis+PD+ATPG iterations: %d@." r.Resynth.accepted
-    r.Resynth.implement_calls;
+    r.Resynth.effort.Resynth.implement_calls;
   let _, resyn = Report.table2_rows ~name r in
   Format.printf "runtime: %.1fs, Rtime %.1f (in units of one synthesis+PD+ATPG iteration)@."
     r.Resynth.elapsed_s resyn.Report.rtime;

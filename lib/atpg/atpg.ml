@@ -145,9 +145,7 @@ let sim_block s ~words ~good =
 (* Process-wide wall time spent in the SAT phase (session setup, per-fault
    encoding and solving — everything except the random-simulation
    prefilter), accumulated in nanoseconds across all domains. *)
-let sat_nanos_total = Atomic.make 0
-
-let sat_seconds () = 1e-9 *. float_of_int (Atomic.get sat_nanos_total)
+let sat_seconds () = 1e-9 *. float_of_int (Metrics.counter_value (Metrics.attr_base m_sat_ns))
 
 (* One SAT query per still-unresolved fault of the block [fids].  The
    block shares one fresh session: the good-circuit CNF is encoded once and
@@ -174,10 +172,8 @@ let sat_faults ?max_conflicts s fids =
         | Encode.Unknown -> s.st.(fid) <- 3
       end)
     fids;
-  let elapsed = Int64.to_int (Int64.sub (Dfm_obs.Clock.now_ns ()) t0) in
-  ignore (Atomic.fetch_and_add sat_nanos_total elapsed);
   Metrics.incr_attr ~by:!queries m_sat_queries;
-  Metrics.incr_attr ~by:elapsed m_sat_ns
+  Metrics.incr_attr ~by:(Int64.to_int (Int64.sub (Dfm_obs.Clock.now_ns ()) t0)) m_sat_ns
 
 (* Certified mode: re-verify one Detected fault's witness patterns by
    independent good/faulty resimulation through the coordinator's scratch

@@ -62,8 +62,9 @@ val sat_seconds : unit -> float
 (** Process-wide wall time spent in the SAT phase of classification
     (session setup, per-fault encoding and solving), accumulated across
     every campaign in every domain — the random-simulation prefilter is
-    excluded.  Like {!Dfm_sat.Solver.totals}, meant to be delta'd around a
-    fixed query set. *)
+    excluded.  Read from the [dfm_atpg_sat_ns_total] metric counter.  Like
+    {!Dfm_sat.Solver.totals}, meant to be delta'd around a fixed query
+    set. *)
 
 val classify :
   ?seed:int ->

@@ -51,8 +51,6 @@ val eval : circuit -> condition -> (string * bool) list -> v4
 (** [eval c cond pins] is the value of [Out] for the given input-pin
     assignment under the given defect condition. *)
 
-val eval_node : circuit -> condition -> (string * bool) list -> node -> v4
-
 val pins : circuit -> string list
 (** Input pins appearing in the network, sorted. *)
 

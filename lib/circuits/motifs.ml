@@ -21,7 +21,6 @@ let inv ctx a = g1 ctx "INVX1" a
 let and2 ctx a b = g2 ctx "AND2X2" a b
 let or2 ctx a b = g2 ctx "OR2X2" a b
 let xor2 ctx a b = g2 ctx "XOR2X1" a b
-let nand2 ctx a b = g2 ctx "NAND2X1" a b
 let mux2 ctx ~sel a b = B.add_gate ctx.b ~cell:"MUX2X1" [| a; b; sel |]
 
 let rec tree op ctx = function

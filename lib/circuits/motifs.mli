@@ -37,7 +37,6 @@ val inv : ctx -> int -> int
 val and2 : ctx -> int -> int -> int
 val or2 : ctx -> int -> int -> int
 val xor2 : ctx -> int -> int -> int
-val nand2 : ctx -> int -> int -> int
 val mux2 : ctx -> sel:int -> int -> int -> int
 (** [mux2 ~sel a b] = if sel then b else a. *)
 

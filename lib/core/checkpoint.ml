@@ -10,21 +10,19 @@ type event = {
   ev_smax : int;
   ev_delay : float;
   ev_power : float;
-  ev_cache_hits : int;
 }
 
-type accept = {
-  ev : event;
-  netlist : string;
-  accepted : int;
-  implements : int;
+type effort = {
+  implement_calls : int;
   sat_queries : int;
-  run_cache_hits : int;
-  run_conflicts : int;
-  run_decisions : int;
-  run_propagations : int;
-  p2 : float;
+  conflicts : int;
+  decisions : int;
+  propagations : int;
+  escalation_retries : int;
+  aborted_residual : int;
 }
+
+type accept = { ev : event; netlist : string; accepted : int; effort : effort; p2 : float }
 
 type entry = Header of string | Event of event | Accept of accept
 
@@ -35,7 +33,7 @@ type t = { mutable journal : Journal.t option }
 (* Bumped with every change of the record layout, so older files fail the
    magic check and [attach] restarts them fresh instead of unmarshalling a
    mismatched layout. *)
-let magic = "DFMCK03\n"
+let magic = "DFMCK04\n"
 
 let m_frames =
   Dfm_obs.Metrics.counter ~help:"Checkpoint journal frames written"

@@ -2,8 +2,9 @@
 
     The journal records the progress of one resynthesis campaign — every
     rejected candidate as an {!event} and every accepted design point as an
-    {!accept} carrying the accepted netlist (structural text), the campaign
-    counters and the loop position.  The resumption contract built on it:
+    {!accept} carrying the accepted netlist (structural text), the accepted
+    step count, the campaign's {!effort} record and the loop position.  The
+    resumption contract built on it:
 
     {e kill the process at any instant, attach again with [resume = true],
     and the completed campaign's final design, trace and counters are
@@ -16,7 +17,7 @@
     precisely the work that followed the last accept (whose journal tail is
     truncated at attach time so nothing is duplicated).
 
-    On disk it is a {!Dfm_util.Journal} (magic [DFMCK03]; the format,
+    On disk it is a {!Dfm_util.Journal} (magic [DFMCK04]; the format,
     loading and compaction rules are described there) of marshalled
     {!entry} records.  Records are ordered, so attach keeps only the intact
     prefix before the first damaged record.
@@ -35,21 +36,27 @@ type event = {
   ev_smax : int;
   ev_delay : float;
   ev_power : float;
-  ev_cache_hits : int;
 }
 (** One entry of a campaign's trace; {!Resynth.event} re-exports it, and
     documents the fields. *)
 
+type effort = {
+  implement_calls : int;
+  sat_queries : int;
+  conflicts : int;
+  decisions : int;
+  propagations : int;
+  escalation_retries : int;
+  aborted_residual : int;
+}
+(** A campaign's effort; {!Resynth.effort} re-exports it, and documents the
+    fields. *)
+
 type accept = {
   ev : event;                (** the accept event itself *)
   netlist : string;          (** accepted netlist, [Netlist_io] text *)
-  accepted : int;            (** counters {e after} this accept *)
-  implements : int;
-  sat_queries : int;
-  run_cache_hits : int;      (** cache hits attributed to the run so far *)
-  run_conflicts : int;       (** solver effort attributed to the run so far *)
-  run_decisions : int;
-  run_propagations : int;
+  accepted : int;            (** accepted steps {e after} this accept *)
+  effort : effort;           (** the campaign's effort as of this accept *)
   p2 : float;                (** phase-2 [S_max] bound in force (0 in phase 1) *)
 }
 

@@ -19,13 +19,11 @@ type rates = {
   density_ppm : float;
 }
 
-val default_rates : rates
-(** Via 12 ppm, Metal 6 ppm, Density 3 ppm per uncovered site — ballpark
-    systematic-defect excess rates for a risky 0.18um feature. *)
-
 val escapes_dppm : ?rates:rates -> Design.t -> float
 (** Expected test escapes in DPPM: [1e6 * (1 - prod(1 - p_i))] over the
-    undetectable faults of the design. *)
+    undetectable faults of the design.  [rates] defaults to via 12 ppm,
+    metal 6 ppm and density 3 ppm per uncovered site — ballpark
+    systematic-defect excess rates for a risky 0.18um feature. *)
 
 val breakdown : ?rates:rates -> Design.t -> (string * int * float) list
 (** Per guideline-category: (category, uncovered sites, dppm share). *)

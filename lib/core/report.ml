@@ -143,23 +143,15 @@ let pp_table2_row ppf r =
 
 let pp_effort ppf
     Resynth.
-      { implement_calls; sat_queries; cache_hits; conflicts; decisions; propagations;
-        resumed_steps; pool_retries; pool_fallbacks; escalation_retries; aborted_residual;
-        certified_checks; certified_failures; _ } =
-  let lookups = sat_queries + cache_hits in
-  (* Of the verdicts that would otherwise have needed a SAT query, the share
-     served from the cache — a lower bound, since hits also skip
-     random-simulation work. *)
-  let hit_rate = if lookups = 0 then 0.0 else float_of_int cache_hits /. float_of_int lookups in
-  Format.fprintf ppf "implement calls %d, SAT queries %d, cache hits %d (%.1f%% of hard verdicts)"
-    implement_calls sat_queries cache_hits (100.0 *. hit_rate);
+      { effort = { implement_calls; sat_queries; conflicts; decisions; propagations;
+                   escalation_retries; aborted_residual };
+        resumed_steps; certified_checks; certified_failures; _ } =
+  Format.fprintf ppf "implement calls %d, SAT queries %d" implement_calls sat_queries;
   Format.fprintf ppf ", conflicts %d (decisions %d, propagations %d)" conflicts decisions
     propagations;
   (* Resilience counters appear only when the run actually exercised them:
      the common healthy run keeps its one-line shape. *)
   if resumed_steps > 0 then Format.fprintf ppf ", resumed steps %d" resumed_steps;
-  if pool_retries > 0 || pool_fallbacks > 0 then
-    Format.fprintf ppf ", pool retries %d (fallbacks %d)" pool_retries pool_fallbacks;
   if escalation_retries > 0 then Format.fprintf ppf ", escalation retries %d" escalation_retries;
   if aborted_residual > 0 then Format.fprintf ppf ", residual aborts %d" aborted_residual;
   (* Certification counters follow the same rule: only a certified run

@@ -52,11 +52,11 @@ val pp_table2_header : Format.formatter -> unit -> unit
 val pp_table2_row : Format.formatter -> table2_row -> unit
 
 val pp_effort : Format.formatter -> Resynth.result -> unit
-(** One line: what the run cost in solver work and what the verdict cache
-    saved.  What the resilience machinery (checkpoint resume, pool
-    supervision, abort escalation) had to absorb, and the certification
-    counters, are appended only when nonzero, so an uncertified healthy run
-    keeps its exact shape. *)
+(** One line: what the run cost in solver work, from its
+    {!Resynth.effort}.  What the resilience machinery (checkpoint resume,
+    abort escalation) had to absorb, and the certification counters, are
+    appended only when nonzero, so an uncertified healthy run keeps its
+    exact shape. *)
 
 type fig2_point = {
   step : int;

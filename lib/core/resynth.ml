@@ -19,7 +19,16 @@ type event = Checkpoint.event = {
   ev_smax : int;
   ev_delay : float;
   ev_power : float;
-  ev_cache_hits : int;
+}
+
+type effort = Checkpoint.effort = {
+  implement_calls : int;
+  sat_queries : int;
+  conflicts : int;
+  decisions : int;
+  propagations : int;
+  escalation_retries : int;
+  aborted_residual : int;
 }
 
 type result = {
@@ -27,18 +36,9 @@ type result = {
   final : Design.t;
   trace : event list;
   accepted : int;
-  implement_calls : int;
-  sat_queries : int;
-  cache_hits : int;
-  conflicts : int;
-  decisions : int;
-  propagations : int;
+  effort : effort;
   elapsed_s : float;
   resumed_steps : int;
-  pool_retries : int;
-  pool_fallbacks : int;
-  escalation_retries : int;
-  aborted_residual : int;
   certified_checks : int;
   certified_failures : int;
 }
@@ -56,25 +56,13 @@ type state = {
   mutable current : Design.t;
   mutable trace : event list;  (* reversed *)
   mutable accepted : int;
-  mutable implements : int;
-  mutable sat_queries : int;
-  mutable hits_seen : int;  (* cache hits already attributed to an event *)
-  mutable hits0 : int;          (* cache counter at run (post-replay) start *)
-  mutable hits_restored : int;  (* run-attributed hits restored from the journal *)
-  (* Solver-effort attribution, same shape as the cache-hit attribution:
-     the process-wide [Solver.totals] are snapshot after the replay
-     ([eff0]) and the journaled run-attributed totals of the resumed run are
-     restored separately, so a resumed campaign reports the same effort the
-     uninterrupted run would. *)
-  mutable conf0 : int;
-  mutable dec0 : int;
-  mutable prop0 : int;
-  mutable conf_restored : int;
-  mutable dec_restored : int;
-  mutable prop_restored : int;
+  (* The effort as of [solver0], a [Solver.totals] snapshot taken when the
+     replay ends: [effort st] adds the solver work since.  A resume restores
+     the record from the last journaled accept, so the replay's own work
+     stays off the books. *)
+  mutable effort : effort;
+  mutable solver0 : int * int * int;
   mutable resumed_steps : int;  (* accepted steps replayed from the journal *)
-  mutable esc_retried : int;
-  mutable esc_residual : int;
   cache : Dfm_incr.Cache.t option;
   max_conflicts : int option;
   certify : bool;
@@ -89,9 +77,6 @@ type state = {
   interrupt : unit -> unit;
 }
 
-let cache_hits_so_far st =
-  match st.cache with None -> 0 | Some c -> (Dfm_incr.Cache.stats c).Dfm_incr.Store.hits
-
 let u_total (d : Design.t) = d.Design.classification.Atpg.counts.Atpg.undetectable
 
 let u_internal (d : Design.t) = d.Design.classification.Atpg.counts.Atpg.undetectable_internal
@@ -102,24 +87,17 @@ let pct_smax_f (d : Design.t) =
   let f = d.Design.classification.Atpg.counts.Atpg.total in
   if f = 0 then 0.0 else 100.0 *. float_of_int (smax d) /. float_of_int f
 
-(* Run-attributed cache hits so far, including what a resumed journal
-   already accounted for. *)
-let run_hits st = st.hits_restored + (cache_hits_so_far st - st.hits0)
-
-(* Run-attributed solver effort (conflicts, decisions, propagations):
-   deltas of [Solver.totals]. *)
-let run_effort st =
-  let c, d, p = Dfm_sat.Solver.totals () in
-  ( st.conf_restored + (c - st.conf0),
-    st.dec_restored + (d - st.dec0),
-    st.prop_restored + (p - st.prop0) )
+let effort st =
+  let c0, d0, p0 = st.solver0 and c, d, p = Dfm_sat.Solver.totals () in
+  let e = st.effort in
+  {
+    e with
+    conflicts = e.conflicts + (c - c0);
+    decisions = e.decisions + (d - d0);
+    propagations = e.propagations + (p - p0);
+  }
 
 let record st ~q ~phase ~cell ~action (d : Design.t) =
-  (* Hits since the previous event: the cache traffic of every implement /
-     internal-check call evaluated on the way to this design point. *)
-  let hits_now = cache_hits_so_far st in
-  let ev_cache_hits = hits_now - st.hits_seen in
-  st.hits_seen <- hits_now;
   let ev =
     {
       ev_q = q;
@@ -131,7 +109,6 @@ let record st ~q ~phase ~cell ~action (d : Design.t) =
       ev_smax = smax d;
       ev_delay = d.Design.timing.Dfm_timing.Sta.critical_path_delay;
       ev_power = d.Design.power.Dfm_timing.Power.total;
-      ev_cache_hits;
     }
   in
   st.trace <- ev :: st.trace;
@@ -145,16 +122,26 @@ let record st ~q ~phase ~cell ~action (d : Design.t) =
   | Some ck when action = "reject" -> Checkpoint.append_event ck ev
   | Some _ | None -> ()
 
-let note_escalation st = function
-  | None -> ()
-  | Some (es : Atpg.escalation_stats) ->
-      st.esc_retried <- st.esc_retried + es.Atpg.retried;
-      st.esc_residual <- st.esc_residual + es.Atpg.residual
+(* Charge one classification to the campaign: its SAT queries (the
+   escalation ladder's retries included) and its escalation outcome. *)
+let charge st (cls : Atpg.classification) escalation =
+  let retried, residual =
+    match escalation with
+    | None -> (0, 0)
+    | Some (es : Atpg.escalation_stats) -> (es.Atpg.retried, es.Atpg.residual)
+  in
+  let e = st.effort in
+  st.effort <-
+    {
+      e with
+      sat_queries = e.sat_queries + cls.Atpg.counts.Atpg.sat_queries;
+      escalation_retries = e.escalation_retries + retried;
+      aborted_residual = e.aborted_residual + residual;
+    }
 
 (* Undetectable internal fault count of a bare netlist (no layout): internal
    faults do not depend on placement/routing, so this gates PDesign() as in
-   Section III-B.  The escalated classification's [sat_queries] already
-   include the ladder's retries. *)
+   Section III-B. *)
 let internal_u_of_netlist st nl =
   let faults = Dfm_guidelines.Translate.internal_only nl in
   let cls =
@@ -165,19 +152,17 @@ let internal_u_of_netlist st nl =
     Atpg.escalate ?cache:st.cache ~certify:st.certify ?max_conflicts:st.max_conflicts nl
       faults cls
   in
-  st.sat_queries <- st.sat_queries + cls.Atpg.counts.Atpg.sat_queries;
-  note_escalation st es;
+  charge st cls es;
   cls.Atpg.counts.Atpg.undetectable
 
 let implement_opt st nl =
-  st.implements <- st.implements + 1;
+  st.effort <- { st.effort with implement_calls = st.effort.implement_calls + 1 };
   try
     let d =
       Design.implement ~seed:st.seed ~floorplan:st.floorplan ~previous:st.current
         ?cache:st.cache ?max_conflicts:st.max_conflicts ~certify:st.certify nl
     in
-    st.sat_queries <- st.sat_queries + d.Design.classification.Atpg.counts.Atpg.sat_queries;
-    note_escalation st d.Design.escalation;
+    charge st d.Design.classification d.Design.escalation;
     Some d
   with Dfm_layout.Place.Does_not_fit _ -> None
 
@@ -467,24 +452,18 @@ let run_phase st ~q ~phase ~p1 ~p2 =
             st.accepted <- st.accepted + 1;
             (* Checkpoint the accepted design point: the accept event (just
                recorded at the head of the trace), the netlist text to
-               replay the ECO chain from, the counters as of now, and the
+               replay the ECO chain from, the counts as of now, and the
                loop position — everything a resumed run needs to continue
                as the exact original continuation. *)
             (match st.ckpt with
             | None -> ()
             | Some ck ->
-                let rc, rd, rp = run_effort st in
                 Checkpoint.append_accept ck
                   {
                     Checkpoint.ev = List.hd st.trace;
                     netlist = Dfm_netlist.Netlist_io.to_string d'.Design.netlist;
                     accepted = st.accepted;
-                    implements = st.implements;
-                    sat_queries = st.sat_queries;
-                    run_cache_hits = run_hits st;
-                    run_conflicts = rc;
-                    run_decisions = rd;
-                    run_propagations = rp;
+                    effort = effort st;
                     p2;
                   });
             Dfm_obs.Log.info
@@ -512,7 +491,6 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
   let interrupt = match interrupt with Some f -> f | None -> fun () -> () in
   Span.with_ "campaign" ~attrs:[ ("q_max", string_of_int q_max) ] @@ fun () ->
   let t0 = Unix.gettimeofday () in
-  let pool_retried0, pool_fellback0 = Dfm_util.Parallel.supervision_totals () in
   (* Certification counters are process-wide; attribute to this run only the
      checks performed during this call (replay and campaign). *)
   let cert0 = Dfm_sat.Cert.totals () in
@@ -534,20 +512,18 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
       current = initial;
       trace = [];
       accepted = 0;
-      implements = 0;
-      sat_queries = 0;
-      hits_seen = 0;
-      hits0 = 0;
-      hits_restored = 0;
-      conf0 = 0;
-      dec0 = 0;
-      prop0 = 0;
-      conf_restored = 0;
-      dec_restored = 0;
-      prop_restored = 0;
+      effort =
+        {
+          implement_calls = 0;
+          sat_queries = 0;
+          conflicts = 0;
+          decisions = 0;
+          propagations = 0;
+          escalation_retries = 0;
+          aborted_residual = 0;
+        };
+      solver0 = (0, 0, 0);
       resumed_steps = 0;
-      esc_retried = 0;
-      esc_residual = 0;
       cache;
       max_conflicts;
       certify;
@@ -566,9 +542,9 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
      accepted design point is rebuilt by re-implementing its journaled
      netlist against the previous accepted design — the same incremental
      (ECO) chain the original run walked, hence a bit-identical design
-     state.  Counters are restored from the last Accept; the replay's own
-     implement/SAT work is bookkeeping-free (it happened already, in the
-     run being resumed). *)
+     state.  The accepted count and the effort are restored from the last
+     Accept; the replay's own implement/SAT work is bookkeeping-free (it
+     happened already, in the run being resumed). *)
   let resume_q = ref 0 and resume_phase = ref 1 and resume_p2 = ref 0.0 in
   List.iter
     (function
@@ -589,12 +565,7 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
           st.current <- d;
           st.trace <- a.Checkpoint.ev :: st.trace;
           st.accepted <- a.Checkpoint.accepted;
-          st.implements <- a.Checkpoint.implements;
-          st.sat_queries <- a.Checkpoint.sat_queries;
-          st.hits_restored <- a.Checkpoint.run_cache_hits;
-          st.conf_restored <- a.Checkpoint.run_conflicts;
-          st.dec_restored <- a.Checkpoint.run_decisions;
-          st.prop_restored <- a.Checkpoint.run_propagations;
+          st.effort <- a.Checkpoint.effort;
           st.resumed_steps <- st.resumed_steps + 1;
           resume_q := a.Checkpoint.ev.ev_q;
           resume_phase := a.Checkpoint.ev.ev_phase;
@@ -604,17 +575,7 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
     Dfm_obs.Log.info
       (Printf.sprintf "resume: replayed %d accepted step(s), continuing at q=%d phase %d"
          st.resumed_steps !resume_q !resume_phase);
-  (* A warm cache may arrive with prior traffic (including the replay's);
-     attribute only this run's continuation hits to its events and totals. *)
-  let hits0 = cache_hits_so_far st in
-  st.hits0 <- hits0;
-  st.hits_seen <- hits0;
-  (* Likewise for solver effort: everything the replay spent stays off
-     this run's books. *)
-  let conf0, dec0, prop0 = Dfm_sat.Solver.totals () in
-  st.conf0 <- conf0;
-  st.dec0 <- dec0;
-  st.prop0 <- prop0;
+  st.solver0 <- Dfm_sat.Solver.totals ();
   (* The interrupt hook aborts by raising; the journal must still be
      closed so the campaign stays resumable from its last accept. *)
   Fun.protect ~finally:(fun () -> Option.iter Checkpoint.close ckpt) @@ fun () ->
@@ -633,25 +594,14 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
     run_phase st ~q ~phase:2 ~p1:p1_percent ~p2
   done;
   Progress.finish ();
-  let pool_retried1, pool_fellback1 = Dfm_util.Parallel.supervision_totals () in
-  let run_conflicts, run_decisions, run_propagations = run_effort st in
   {
     initial;
     final = st.current;
     trace = List.rev st.trace;
     accepted = st.accepted;
-    implement_calls = st.implements;
-    sat_queries = st.sat_queries;
-    cache_hits = st.hits_restored + (cache_hits_so_far st - hits0);
-    conflicts = run_conflicts;
-    decisions = run_decisions;
-    propagations = run_propagations;
+    effort = effort st;
     elapsed_s = Unix.gettimeofday () -. t0;
     resumed_steps = st.resumed_steps;
-    pool_retries = pool_retried1 - pool_retried0;
-    pool_fallbacks = pool_fellback1 - pool_fellback0;
-    escalation_retries = st.esc_retried;
-    aborted_residual = st.esc_residual;
     certified_checks = (Dfm_sat.Cert.totals ()).Dfm_sat.Cert.checked - cert0.Dfm_sat.Cert.checked;
     certified_failures = (Dfm_sat.Cert.totals ()).Dfm_sat.Cert.failed - cert0.Dfm_sat.Cert.failed;
   }

@@ -35,41 +35,40 @@ type event = Checkpoint.event = {
   ev_smax : int;
   ev_delay : float;
   ev_power : float;
-  ev_cache_hits : int;
-      (** verdict-cache hits spent reaching this design point, i.e. since
-          the previous event (0 when running without a cache) *)
 }
+
+type effort = Checkpoint.effort = {
+  implement_calls : int;   (** full synthesis+PD+ATPG iterations performed *)
+  sat_queries : int;
+      (** SAT queries spent across all classifications of the procedure
+          (implement calls and internal-only checks) — the quantity the
+          verdict cache saves *)
+  conflicts : int;
+  decisions : int;
+  propagations : int;
+      (** solver effort of the campaign's SAT queries: deltas of the
+          process-wide {!Dfm_sat.Solver.totals}.  Counting is
+          unconditional, so the numbers are independent of any
+          observability setting *)
+  escalation_retries : int;   (** abort-budget escalation SAT queries *)
+  aborted_residual : int;
+      (** aborts surviving every escalation ladder of the run — reported,
+          never silently dropped *)
+}
+(** A campaign's effort, journaled whole with every accepted step and
+    restored whole on resume.  Like every count here it is the same at any
+    [--jobs]; the replay of a resume adds nothing to it. *)
 
 type result = {
   initial : Design.t;
   final : Design.t;
   trace : event list;      (** in chronological order *)
   accepted : int;          (** accepted resynthesis steps *)
-  implement_calls : int;   (** full synthesis+PD+ATPG iterations performed *)
-  sat_queries : int;
-      (** SAT queries spent across all classifications of the procedure
-          (implement calls and internal-only checks) — the quantity the
-          verdict cache saves *)
-  cache_hits : int;        (** verdict-cache hits of this run (0 uncached) *)
-  conflicts : int;
-  decisions : int;
-  propagations : int;
-      (** solver effort of this run's SAT queries, attributed like
-          [cache_hits]: deltas of the process-wide
-          {!Dfm_sat.Solver.totals}, restored across a checkpoint resume.
-          Counting is unconditional, so the numbers are independent of any
-          observability setting, and like every other count here they are
-          the same at any [--jobs]. *)
+  effort : effort;
   elapsed_s : float;
       (** wall-clock duration of the call; {!Report.table2_rows} turns it
           into Rtime *)
   resumed_steps : int;     (** accepted steps replayed from a checkpoint journal *)
-  pool_retries : int;      (** in-place task retries of {!Dfm_util.Parallel.run} batches *)
-  pool_fallbacks : int;    (** pool tasks re-run sequentially in the coordinator *)
-  escalation_retries : int;   (** abort-budget escalation SAT queries *)
-  aborted_residual : int;
-      (** aborts surviving every escalation ladder of the run — reported,
-          never silently dropped *)
   certified_checks : int;
       (** certificate checks performed during this call when [certify] was
           set (witness resimulations, replayed UNSAT proofs, model checks,
@@ -138,10 +137,10 @@ val run :
 
     [checkpoint] journals every design point to [path] ({!Checkpoint}).
     Resumption contract: kill the process at any instant and re-run with
-    [resume = true] — the completed campaign's final design, trace and
-    counters are bit-identical to the uninterrupted run.  (With a
-    {e persistent} cache the per-event [ev_cache_hits] attribution may
-    differ across a resume, since replay skips re-deriving work; every
-    verdict, design and count is unaffected.)  A journal written under a
+    [resume = true] — the completed campaign's final design, trace,
+    [accepted] and [effort] are bit-identical to the uninterrupted run.
+    With a {e persistent} cache the effort is not: the continuation hits
+    verdicts the killed run stored, so it spends fewer SAT queries than the
+    uninterrupted run did.  A journal written under a
     different configuration (netlist, seed, [p1], [q_max], …) is refused
     with {!Checkpoint.Error}. *)

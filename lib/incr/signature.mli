@@ -57,10 +57,8 @@ type params = {
   max_conflicts : int option;
 }
 
-val current_semantics_version : int
-
 val default_params : ?max_conflicts:int -> unit -> params
-(** [semantics_version] pinned to {!current_semantics_version}. *)
+(** [semantics_version] pinned to the current semantics version. *)
 
 type sweep
 (** Per-netlist signature state: the support hash table plus the topology

@@ -33,8 +33,6 @@ type report = {
   warnings : int;
 }
 
-val min_width : float
-
 val check : Route.t -> report
 
 val clean : report -> bool

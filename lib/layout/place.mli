@@ -41,8 +41,6 @@ val net_pads : t -> int -> int array
 val net_pins : t -> int -> Geom.point list
 (** All pin locations of a net (driver output, sink inputs, pads). *)
 
-val net_hpwl : t -> int -> float
-
 val total_hpwl : t -> float
 
 val check_legal : t -> unit

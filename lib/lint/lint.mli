@@ -63,8 +63,6 @@ val check : ?config:config -> Dfm_netlist.Netlist.t -> report
 val errors : report -> finding list
 val warnings : report -> finding list
 
-val severity_name : severity -> string
-
 (** {1 Reporters} *)
 
 val pp_text : Format.formatter -> report -> unit
@@ -88,9 +86,6 @@ val baseline_of_string : string -> baseline
 
 val load_baseline : string -> baseline
 (** Read a baseline file. @raise Sys_error when unreadable. *)
-
-val baseline_entry : finding -> string
-(** The baseline line that would suppress this finding. *)
 
 val baseline_of_report : report -> string
 (** Serialize every finding of the report as a baseline file (with a

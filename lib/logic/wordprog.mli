@@ -22,9 +22,7 @@ type t = private {
 }
 
 type regs = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** A register file of {!max_regs} words. *)
-
-val max_regs : int
+(** A register file of 256 words. *)
 
 val create_regs : unit -> regs
 (** A zeroed register file. *)
@@ -40,8 +38,8 @@ val of_minterms : arity:int -> int list -> t
 val exec : t -> regs -> unit
 (** Run the program on a register file whose registers [0 .. arity-1] hold
     the input words; leaves the result in register [out].
-    @raise Invalid_argument if the register file is smaller than
-    {!max_regs}. *)
+    @raise Invalid_argument if the register file is smaller than 256
+    words. *)
 
 val eval : t -> int64 array -> int64
 (** [exec] on a fresh register file loaded with the given input words.

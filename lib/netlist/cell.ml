@@ -39,8 +39,3 @@ let make ~name ~inputs ?(output = "Y") ~func ~area ~width ?(height = 5.0)
     transistors;
     is_seq;
   }
-
-let pp ppf c =
-  Format.fprintf ppf "%s(%s) area=%.1f tr=%d" c.name
-    (String.concat "," (Array.to_list c.inputs))
-    c.area c.transistors

@@ -45,5 +45,3 @@ val make :
 (** [make] checks that the truth-table arity matches the pin count and
     compiles [func] into [prog].
     [output] defaults to ["Y"]; [height] to [5.0]; [is_seq] to [false]. *)
-
-val pp : Format.formatter -> t -> unit

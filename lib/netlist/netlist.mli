@@ -81,9 +81,6 @@ val num_nets : t -> int
 val gate : t -> int -> gate
 val net : t -> int -> net
 
-val driver_gate : t -> int -> int option
-(** The gate driving a net, if any. *)
-
 val comb_gates : t -> gate list
 val seq_gates : t -> gate list
 
@@ -100,9 +97,6 @@ val topo_order : t -> int array
 
 val gate_levels : t -> int array
 (** Per-gate logic level (0 = fed only by sources); flip-flops get level 0. *)
-
-val fanout_gates : t -> int -> int list
-(** Gates reading the output net of a gate. *)
 
 val fanin_gates : t -> int -> int list
 (** Gates driving the fanin nets of a gate. *)

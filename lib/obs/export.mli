@@ -43,10 +43,6 @@ val write_atomic : string -> string -> unit
     no bracketing requirement — the right shape for streaming, where a
     parent span completes in a later batch than its children. *)
 
-val complete_event_string : Span.event -> string
-(** One ["X"] trace event object ([ts]/[dur] in microseconds, nesting
-    depth under [args.depth]). *)
-
 val complete_events_ndjson : Span.event list -> string
 (** One event object per line — the payload of a telemetry span frame. *)
 

@@ -128,6 +128,8 @@ let observe h v =
   ignore (Atomic.fetch_and_add h.h_counts.(bucket_index v) 1);
   ignore (Atomic.fetch_and_add h.h_sum v)
 
+let histogram_sum h = Atomic.get h.h_sum
+
 let timing = Atomic.make false
 let set_timing_enabled b = Atomic.set timing b
 let timing_enabled () = Atomic.get timing
@@ -157,8 +159,6 @@ let set_attribution labels =
     Mutex.unlock registry_mutex;
     List.iter (fun (name, help) -> ignore (counter ~help ~labels name : counter)) inv
   end
-
-let attribution () = Atomic.get attribution_ctx
 
 type attributed = {
   a_name : string;
@@ -248,15 +248,3 @@ let find_value ?(labels = []) name =
   let labels = canon_labels labels in
   List.find_opt (fun m -> m.name = name && m.labels = labels) (snapshot ())
   |> Option.map (fun m -> m.value)
-
-let reset () =
-  Mutex.lock registry_mutex;
-  Hashtbl.iter
-    (fun _ e ->
-      match e.e_cells with
-      | Ccounter a | Cgauge a -> Atomic.set a 0
-      | Chist { counts; sum } ->
-          Array.iter (fun c -> Atomic.set c 0) counts;
-          Atomic.set sum 0)
-    registry;
-  Mutex.unlock registry_mutex

@@ -8,9 +8,12 @@
     module initialization, which keeps the exposition stable: a metric
     family is present (at zero) even in runs that never touch it.
 
-    All values are integers; durations are recorded in nanoseconds.
-    Metrics are an output-only side channel: nothing reads them back into
-    engine decisions, so collection cannot change a campaign result. *)
+    All values are integers; durations are recorded in nanoseconds.  The
+    registry is never reset, so every counter is monotonic and a delta of
+    one over a region is exact.  Some libraries read their own counters
+    back as process totals ([Solver.totals], [Cert.totals],
+    [Atpg.sat_seconds]); nothing reads a metric into an engine decision,
+    so collection cannot change a campaign result. *)
 
 type counter
 type gauge
@@ -38,6 +41,9 @@ val gauge_value : gauge -> int
 val observe : histogram -> int -> unit
 (** Record one (non-negative; clamped) sample. *)
 
+val histogram_sum : histogram -> int
+(** The sum of every sample recorded so far. *)
+
 (** {1 Timing switch}
 
     Duration histograms need two clock reads per sample; call sites guard
@@ -62,8 +68,6 @@ val set_attribution : (string * string) list -> unit
     eagerly registers every attributed counter's labeled series (at
     zero), so each tenant's families appear in the exposition even for
     work it never did. *)
-
-val attribution : unit -> (string * string) list
 
 type attributed
 (** A counter that always bumps its unlabeled base series and, while an
@@ -99,6 +103,3 @@ val snapshot : unit -> metric list
 (** Every registered metric, sorted by name then labels. *)
 
 val find_value : ?labels:(string * string) list -> string -> value option
-
-val reset : unit -> unit
-(** Zero every registered metric (registrations survive) — test isolation. *)

@@ -17,13 +17,6 @@ val set_enabled : bool -> unit
 
 val enabled : unit -> bool
 
-val trace_string : unit -> string
-(** The dump's trace artifact as a string (retained window + open
-    spans). *)
-
-val text_string : reason:string -> unit -> string
-(** The dump's text post-mortem as a string. *)
-
 val dump : dir:string -> reason:string -> (string * string, string) result
 (** [dump ~dir ~reason] writes [flight-<pid>-<n>.trace.json] and
     [flight-<pid>-<n>.txt] under [dir] (created if missing), atomically.

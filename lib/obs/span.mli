@@ -40,7 +40,7 @@ val enabled : unit -> bool
 
     A second consumer of the same span stream: when the recorder is on,
     every completed span is also written into a fixed per-domain ring
-    ({!ring_capacity} entries) that wraps instead of growing, so the most
+    (1024 entries) that wraps instead of growing, so the most
     recent window is always available for a post-mortem dump at near-zero
     steady-state cost.  Independent of {!set_enabled}: either switch
     activates span collection; only {!set_enabled} feeds {!drain}. *)
@@ -48,8 +48,6 @@ val enabled : unit -> bool
 val set_recorder : bool -> unit
 
 val recorder : unit -> bool
-
-val ring_capacity : int
 
 type open_info = {
   oi_name : string;

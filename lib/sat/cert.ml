@@ -31,39 +31,24 @@ let m_proof_bytes =
 
 let m_check_ns = Metrics.histogram ~help:"Certificate check duration, ns" "dfm_cert_check_ns"
 
-(* Process-wide totals, mirrored into the metrics registry.  [checked] and
-   [failed] count verdict-level checks only (one per certified verdict).
-   [check_ns] accumulates only while
+(* Process-wide totals are the metric counters.  [checked] and [failed]
+   count verdict-level checks only (one per certified verdict).  [check_ns]
+   is the sum of the duration histogram, which records only while
    [Metrics.timing_enabled] (bench turns it on); everything else is
    unconditional. *)
-let checked_total = Atomic.make 0
-let failed_total = Atomic.make 0
-let proof_bytes_total = Atomic.make 0
-let check_ns_total = Atomic.make 0
-
 type totals = { checked : int; failed : int; proof_bytes : int; check_ns : int }
 
 let totals () =
   {
-    checked = Atomic.get checked_total;
-    failed = Atomic.get failed_total;
-    proof_bytes = Atomic.get proof_bytes_total;
-    check_ns = Atomic.get check_ns_total;
+    checked = Metrics.counter_value (Metrics.attr_base m_checked);
+    failed = Metrics.counter_value (Metrics.attr_base m_failed);
+    proof_bytes = Metrics.counter_value m_proof_bytes;
+    check_ns = Metrics.histogram_sum m_check_ns;
   }
 
 let note_check ~ok ~ns =
-  if ok then begin
-    ignore (Atomic.fetch_and_add checked_total 1);
-    Metrics.incr_attr m_checked
-  end
-  else begin
-    ignore (Atomic.fetch_and_add failed_total 1);
-    Metrics.incr_attr m_failed
-  end;
-  if Metrics.timing_enabled () then begin
-    ignore (Atomic.fetch_and_add check_ns_total (Int64.to_int ns));
-    Metrics.observe m_check_ns (Int64.to_int ns)
-  end
+  Metrics.incr_attr (if ok then m_checked else m_failed);
+  if Metrics.timing_enabled () then Metrics.observe m_check_ns (Int64.to_int ns)
 
 let timed f =
   let t0 = Dfm_obs.Clock.now_ns () in
@@ -306,9 +291,7 @@ let create solver =
   Solver.set_trace solver
     (Some
        (fun ((Solver.Trace_original lits | Solver.Trace_learnt lits) as step) ->
-         let bytes = nominal_bytes lits in
-         ignore (Atomic.fetch_and_add proof_bytes_total bytes);
-         Metrics.incr ~by:bytes m_proof_bytes;
+         Metrics.incr ~by:(nominal_bytes lits) m_proof_bytes;
          t.pending <- step :: t.pending));
   t
 

@@ -70,10 +70,13 @@ val check_model : t -> assumptions:int list -> value:(int -> bool) -> unit
 type totals = { checked : int; failed : int; proof_bytes : int; check_ns : int }
 
 val totals : unit -> totals
-(** Process-wide counters.  [checked]/[failed] count verdict-level checks
-    (one per certified verdict); [proof_bytes] is the nominal traced proof
-    size.  Like every effort count they are the same at any [--jobs];
-    [check_ns] accumulates only while [Metrics.timing_enabled]. *)
+(** Process-wide counters, read from the metric counters
+    [dfm_cert_checked_total], [dfm_cert_failed_total] and
+    [dfm_cert_proof_bytes_total] and the sum of the [dfm_cert_check_ns]
+    histogram.  [checked]/[failed] count verdict-level checks (one per
+    certified verdict); [proof_bytes] is the nominal traced proof size.
+    Like every effort count they are the same at any [--jobs]; [check_ns]
+    accumulates only while [Metrics.timing_enabled]. *)
 
 val note_check : ok:bool -> ns:int64 -> unit
 (** Record an externally performed certificate check (witness

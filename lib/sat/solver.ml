@@ -199,18 +199,6 @@ let num_clauses s = s.nclauses
 let num_learnts s = s.n_learnts
 let num_conflicts s = s.conflicts
 
-(* Process-wide effort totals, accumulated across every solver instance in
-   every domain.  Per-solver counting uses plain mutable fields on the hot
-   path; the deltas are flushed here (and to the metrics registry) once per
-   [solve] call.  Counting is unconditional, so effort numbers are identical
-   whether or not any exporter is attached. *)
-let conflicts_total = Atomic.make 0
-let decisions_total = Atomic.make 0
-let propagations_total = Atomic.make 0
-
-let totals () =
-  (Atomic.get conflicts_total, Atomic.get decisions_total, Atomic.get propagations_total)
-
 (* Solves and conflicts carry the ambient tenant/job attribution so a live
    daemon can expose per-tenant SAT effort; the rest stay process-global. *)
 let m_solves =
@@ -227,6 +215,17 @@ let m_decisions =
 let m_propagations =
   Dfm_obs.Metrics.counter ~help:"Literals propagated across all solvers"
     "dfm_sat_propagations_total"
+
+(* Process-wide effort totals are these counters, accumulated across every
+   solver instance in every domain.  Per-solver counting uses plain mutable
+   fields on the hot path; the deltas are flushed once per [solve] call.
+   Counting is unconditional, so effort numbers are identical whether or
+   not any exporter is attached. *)
+let totals () =
+  Dfm_obs.Metrics.
+    ( counter_value (attr_base m_conflicts),
+      counter_value m_decisions,
+      counter_value m_propagations )
 
 let m_learnts_kept =
   Dfm_obs.Metrics.counter ~help:"Learnt clauses kept by reduction sweeps"
@@ -1019,9 +1018,6 @@ let solve ?assumptions ?max_conflicts s =
        to uncertified ones. *)
     if s.counted then begin
       let dc = s.conflicts - c0 and dd = s.decisions - d0 and dp = s.propagations - p0 in
-      ignore (Atomic.fetch_and_add conflicts_total dc);
-      ignore (Atomic.fetch_and_add decisions_total dd);
-      ignore (Atomic.fetch_and_add propagations_total dp);
       Dfm_obs.Metrics.incr_attr m_solves;
       Dfm_obs.Metrics.incr_attr ~by:dc m_conflicts;
       Dfm_obs.Metrics.incr ~by:dd m_decisions;

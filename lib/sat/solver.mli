@@ -96,7 +96,9 @@ val retire : t -> act:int -> locals:int list -> unit
 
 val totals : unit -> int * int * int
 (** Process-wide [(conflicts, decisions, propagations)] accumulated across
-    every solver instance in every domain, flushed once per {!solve}.
+    every solver instance in every domain, flushed once per {!solve}: the
+    values of the [dfm_sat_conflicts_total], [dfm_sat_decisions_total] and
+    [dfm_sat_propagations_total] metric counters.
     Deltas over a classification are the same at any [--jobs] count:
     [Atpg.classify] partitions its queries into sessions by the fault list
     alone, never by the job count. *)

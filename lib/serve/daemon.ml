@@ -323,7 +323,7 @@ let execute d (j : job) =
         r_outcome = "done";
         r_report = Report.analyze_report ~name:sub.P.name dsg;
         r_sat_queries = 0;
-        r_cache_hits = 0;  (* attributed below from the store deltas *)
+        r_cache_hits = 0;  (* filled in from the store's hits by [exec_one] *)
         r_accepted = 0;
         r_netlist = None;
       }
@@ -358,8 +358,8 @@ let execute d (j : job) =
         P.r_job = j.id;
         r_outcome = "done";
         r_report = Report.resynth_report ~name:sub.P.name r;
-        r_sat_queries = r.Resynth.sat_queries;
-        r_cache_hits = r.Resynth.cache_hits;
+        r_sat_queries = r.Resynth.effort.Resynth.sat_queries;
+        r_cache_hits = 0;
         r_accepted = r.Resynth.accepted;
         r_netlist = Some (Dfm_netlist.Netlist_io.to_string r.Resynth.final.Design.netlist);
       }
@@ -406,7 +406,7 @@ let exec_one d (j : job) =
   a.a_hits <- a.a_hits + (stats1.Dfm_incr.Store.hits - stats0.Dfm_incr.Store.hits);
   a.a_misses <- a.a_misses + (stats1.Dfm_incr.Store.misses - stats0.Dfm_incr.Store.misses);
   let payload =
-    if payload.P.r_outcome = "done" && payload.P.r_cache_hits = 0 then
+    if payload.P.r_outcome = "done" then
       { payload with P.r_cache_hits = stats1.Dfm_incr.Store.hits - stats0.Dfm_incr.Store.hits }
     else payload
   in
@@ -549,7 +549,6 @@ let handle_request d conn payload =
       match Dfm_obs.Recorder.dump ~dir:(flight_dir d) ~reason:"dump request" with
       | Ok (trace, text) -> post d conn (P.Dumped { trace; text })
       | Error e -> post d conn (P.Error_msg ("flight dump failed: " ^ e)))
-  | Ok P.Ping -> post d conn P.Pong
 
 (* ---- connection I/O (network thread) ----------------------------------- *)
 

@@ -54,7 +54,6 @@ type request =
   | Metrics
   | Telemetry_sub of telemetry_sub
   | Dump
-  | Ping
 
 type job_state = Pending | Running | Done | Failed | Cancelled
 
@@ -113,7 +112,6 @@ type response =
   | Dumped of { trace : string; text : string }
       (** Flight-recorder dump written; daemon-side artifact paths. *)
   | Ok_resp
-  | Pong
   | Error_msg of string
 
 (* ------------------------------------------------------------------ *)
@@ -160,7 +158,6 @@ let request_to_json r =
            ]
           @ opt_int "interval_ms" t.t_interval_ms)
     | Dump -> W.Obj [ ("op", W.String "dump") ]
-    | Ping -> W.Obj [ ("op", W.String "ping") ]
   in
   W.to_string v
 
@@ -233,7 +230,6 @@ let response_to_json r =
         W.Obj
           [ ("op", W.String "dumped"); ("trace", W.String trace); ("text", W.String text) ]
     | Ok_resp -> W.Obj [ ("op", W.String "ok") ]
-    | Pong -> W.Obj [ ("op", W.String "pong") ]
     | Error_msg m -> W.Obj [ ("op", W.String "error"); ("message", W.String m) ]
   in
   W.to_string v
@@ -340,7 +336,6 @@ let request_of_json s =
       let* t_interval_ms = opt_of "interval_ms" W.to_int v in
       Ok (Telemetry_sub { t_spans; t_metrics; t_families; t_interval_ms })
   | "dump" -> Ok Dump
-  | "ping" -> Ok Ping
   | other -> Error (Printf.sprintf "unknown request op %S" other)
 
 let decode_job_view v =
@@ -428,7 +423,6 @@ let response_of_json s =
       let* text = req_str "text" v in
       Ok (Dumped { trace; text })
   | "ok" -> Ok Ok_resp
-  | "pong" -> Ok Pong
   | "error" ->
       let* message = req_str "message" v in
       Ok (Error_msg message)

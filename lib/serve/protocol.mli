@@ -18,8 +18,6 @@ type job_kind = Analyze | Resynth | Lint
 
 val kind_to_string : job_kind -> string
 
-val kind_of_string : string -> job_kind option
-
 (** Per-job limits, enforced by the scheduler/executor.  [jobs] caps the
     worker domains the job's classifications may run on (the daemon clamps
     it to its own width); [max_conflicts]
@@ -73,7 +71,6 @@ type request =
   | Metrics
   | Telemetry_sub of telemetry_sub
   | Dump  (** write a flight-recorder dump under the daemon state dir *)
-  | Ping
 
 type job_state = Pending | Running | Done | Failed | Cancelled
 
@@ -102,8 +99,8 @@ type result_payload = {
   r_report : string;
       (** the deterministic report text — for [Analyze], byte-identical to
           the one-shot CLI's [--report] output for the same inputs *)
-  r_sat_queries : int;
-  r_cache_hits : int;
+  r_sat_queries : int;       (** resynth: the campaign's SAT queries; 0 otherwise *)
+  r_cache_hits : int;        (** verdict-store hits of the whole job *)
   r_accepted : int;          (** resynth: accepted steps; 0 otherwise *)
   r_netlist : string option; (** resynth: final netlist text *)
 }
@@ -122,7 +119,6 @@ type response =
   | Dumped of { trace : string; text : string }
       (** Flight-recorder dump written; daemon-side artifact paths. *)
   | Ok_resp
-  | Pong
   | Error_msg of string
 
 val request_to_json : request -> string

@@ -38,8 +38,6 @@ val to_int : t -> int option
 val to_float : t -> float option
 (** Accepts [Int] too (promoted). *)
 
-val to_bool : t -> bool option
-
 val to_list : t -> t list option
 
 val str_field : ?default:string -> string -> t -> string option

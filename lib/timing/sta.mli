@@ -14,8 +14,6 @@ type report = {
   net_load : float array;       (** capacitive load per net id, pF *)
 }
 
-val wire_cap_per_um : float
-
 val net_load_of : Dfm_layout.Route.t -> float array
 (** Capacitive load per net (sink pin caps + routed wire cap). *)
 

@@ -81,6 +81,10 @@ let any_active () = !armed
 
 (* ---- spec parsing: NAME=ACTION[:key=val]* ------------------------- *)
 
+let known_sites =
+  [ "checkpoint.append"; "parallel.task"; "sat.solve"; "serve.accept_emfile"; "serve.conn";
+    "serve.ledger"; "store.append"; "store.enospc" ]
+
 let parse spec =
   let spec = String.trim spec in
   match String.index_opt spec '=' with
@@ -88,7 +92,10 @@ let parse spec =
   | Some eq -> (
       let name = String.sub spec 0 eq in
       let rest = String.sub spec (eq + 1) (String.length spec - eq - 1) in
-      if name = "" then Error (Printf.sprintf "failpoint spec %S: empty name" spec)
+      if not (List.mem name known_sites) then
+        Error
+          (Printf.sprintf "failpoint spec %S: unknown site %S (sites: %s)" spec name
+             (String.concat ", " known_sites))
       else
         match String.split_on_char ':' rest with
         | [] | [ "" ] -> Error (Printf.sprintf "failpoint spec %S: missing action" spec)

@@ -37,10 +37,17 @@ val disable : string -> unit
 val clear : unit -> unit
 (** Disarm every site and forget all counters. *)
 
+val known_sites : string list
+(** Every site the program passes: [checkpoint.append], [parallel.task],
+    [sat.solve], [serve.accept_emfile], [serve.conn], [serve.ledger],
+    [store.append] and [store.enospc]. *)
+
 val parse : string -> (unit, string) result
 (** Parse-and-enable one CLI/env spec:
-    [NAME=ACTION[:after=N][:times=N][:prob=P][:seed=N]] with [ACTION] one
-    of [raise], [io], [partial], [delay=SECONDS]. *)
+    [NAME=ACTION[:after=N][:times=N][:prob=P][:seed=N]] with [NAME] one of
+    {!known_sites} and [ACTION] one of [raise], [io], [partial],
+    [delay=SECONDS].  Any other name is refused, so a misspelt site cannot
+    silently arm nothing; {!enable} takes any name. *)
 
 val parse_env : unit -> (unit, string) result
 (** Apply every comma/semicolon-separated spec in [REPRO_FAILPOINTS]. *)

@@ -32,11 +32,6 @@ let run_task_measured task =
   end
   else task ()
 
-let retried_total = Atomic.make 0
-let fallback_total = Atomic.make 0
-
-let supervision_totals () = (Atomic.get retried_total, Atomic.get fallback_total)
-
 (* Every task execution — in-place attempt or coordinator fallback — passes
    through the [parallel.task] failpoint, so resilience tests can poison
    tasks without touching caller code. *)
@@ -58,7 +53,6 @@ let run ~jobs tasks =
       match attempt tasks.(i) with
       | () -> ()
       | exception _ when k < retries ->
-          Atomic.incr retried_total;
           Dfm_obs.Metrics.incr m_retries;
           go (k + 1)
       | exception _ -> failed.(i) <- true
@@ -94,7 +88,6 @@ let run ~jobs tasks =
   Array.iteri
     (fun i f ->
       if f then begin
-        Atomic.incr fallback_total;
         Dfm_obs.Metrics.incr m_fallbacks;
         attempt tasks.(i)
       end)

@@ -22,15 +22,12 @@ val run : jobs:int -> (unit -> unit) array -> unit
     state (true of the engine's classification tasks, which write pure
     per-index results to disjoint slots).  Every attempt passes the
     [parallel.task] {!Failpoint} site, which is how the resilience tests
-    inject task failures.
+    inject task failures.  The [dfm_pool_task_retries_total] and
+    [dfm_pool_task_fallbacks_total] metric counters count the in-place
+    retries and the tasks re-run in the caller.
 
     If a [Domain.spawn] fails, the domains already spawned stop claiming
     tasks and are joined before the exception leaves [run]. *)
-
-val supervision_totals : unit -> int * int
-(** Cumulative [(retried, fell_back)] across every batch of the process:
-    in-place retries, and tasks re-run in the caller.  Campaign reports
-    read the delta around a run. *)
 
 val chunk_bounds : chunk:int -> int -> (int * int) array
 (** [chunk_bounds ~chunk n] partitions [0 .. n-1] into contiguous [(lo, hi)]

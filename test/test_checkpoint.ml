@@ -31,7 +31,6 @@ let ev ?(action = "reject") i =
     ev_smax = 10 - (i mod 5);
     ev_delay = 1.0 +. (0.01 *. float_of_int i);
     ev_power = 0.5 +. (0.001 *. float_of_int i);
-    ev_cache_hits = i;
   }
 
 let acc i =
@@ -39,12 +38,16 @@ let acc i =
     Checkpoint.ev = ev ~action:"accept" i;
     netlist = Printf.sprintf "# accepted netlist %d\nmodule m%d\n" i i;
     accepted = i;
-    implements = 2 * i;
-    sat_queries = 30 * i;
-    run_cache_hits = i;
-    run_conflicts = 5 * i;
-    run_decisions = 7 * i;
-    run_propagations = 11 * i;
+    effort =
+      {
+        Checkpoint.implement_calls = 2 * i;
+        sat_queries = 30 * i;
+        conflicts = 5 * i;
+        decisions = 7 * i;
+        propagations = 11 * i;
+        escalation_retries = 3 * i;
+        aborted_residual = i mod 2;
+      };
     p2 = 1.5;
   }
 
@@ -176,6 +179,11 @@ let test_append_failpoint_is_loud () =
 
 let scale = 0.4
 
+(* The campaigns run with a tiny conflict budget, so the abort escalation
+   ladder works throughout and its counts must survive a resume too. *)
+let campaign ?seed ~resume path d0 =
+  Resynth.run ?seed ~max_conflicts:2 ~checkpoint:{ Resynth.path; resume } d0
+
 (* The uninterrupted reference campaign, journaled with a counting-only
    failpoint so we learn how many journal appends the run performs — the
    crash matrix kills at each of those boundaries. *)
@@ -186,7 +194,7 @@ let reference =
      let path = fresh_path () in
      Failpoint.clear ();
      Failpoint.enable ~after:max_int "checkpoint.append" Failpoint.Raise;
-     let r = Resynth.run ~checkpoint:{ Resynth.path; resume = false } d0 in
+     let r = campaign ~resume:false path d0 in
      let appends = Failpoint.hit_count "checkpoint.append" in
      Failpoint.clear ();
      Sys.remove path;
@@ -200,9 +208,9 @@ let check_bit_identical label (r_ref : Resynth.result) (r : Resynth.result) =
   Alcotest.(check bool) (label ^ ": trace identical") true (r.Resynth.trace = r_ref.Resynth.trace);
   Alcotest.(check int) (label ^ ": accepted") r_ref.Resynth.accepted r.Resynth.accepted;
   Alcotest.(check int)
-    (label ^ ": implement calls")
-    r_ref.Resynth.implement_calls r.Resynth.implement_calls;
-  Alcotest.(check int) (label ^ ": SAT queries") r_ref.Resynth.sat_queries r.Resynth.sat_queries
+    (label ^ ": escalation retries")
+    r_ref.Resynth.effort.Resynth.escalation_retries r.Resynth.effort.Resynth.escalation_retries;
+  Alcotest.(check bool) (label ^ ": effort identical") true (r.Resynth.effort = r_ref.Resynth.effort)
 
 (* Kill the campaign at journal append [kill_at] (0-based) with [action]
    (a clean raise or a torn write), then resume from the journal and
@@ -217,11 +225,11 @@ let kill_and_resume ~kill_at ~action =
       if Sys.file_exists path then Sys.remove path)
   @@ fun () ->
   Failpoint.enable ~after:kill_at ~times:1 "checkpoint.append" action;
-  (match Resynth.run ~checkpoint:{ Resynth.path; resume = false } d0 with
+  (match campaign ~resume:false path d0 with
   | _ -> Alcotest.failf "kill at append %d never fired" kill_at
   | exception (Failpoint.Injected _ | Sys_error _) -> ());
   Failpoint.clear ();
-  let r = Resynth.run ~checkpoint:{ Resynth.path; resume = true } d0 in
+  let r = campaign ~resume:true path d0 in
   check_bit_identical (Printf.sprintf "kill@%d" kill_at) r_ref r;
   r
 
@@ -229,6 +237,8 @@ let test_kill_resume_representative () =
   let _, r_ref, appends = Lazy.force reference in
   Alcotest.(check bool) "campaign journals records" true (appends > 0);
   Alcotest.(check bool) "campaign accepts steps" true (r_ref.Resynth.accepted >= 2);
+  Alcotest.(check bool) "campaign escalates" true
+    (r_ref.Resynth.effort.Resynth.escalation_retries > 0);
   (* mid-campaign clean kill *)
   ignore (kill_and_resume ~kill_at:(appends / 2) ~action:Failpoint.Raise : Resynth.result);
   (* kill during the very last append, with a torn write: every earlier
@@ -243,9 +253,9 @@ let test_resume_completed_campaign () =
   let path = fresh_path () in
   Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
   @@ fun () ->
-  let r1 = Resynth.run ~checkpoint:{ Resynth.path; resume = false } d0 in
+  let r1 = campaign ~resume:false path d0 in
   check_bit_identical "clean checkpointed run" r_ref r1;
-  let r2 = Resynth.run ~checkpoint:{ Resynth.path; resume = true } d0 in
+  let r2 = campaign ~resume:true path d0 in
   check_bit_identical "resume of completed run" r_ref r2;
   Alcotest.(check bool) "replayed the accepted chain" true
     (r2.Resynth.resumed_steps = r_ref.Resynth.accepted)
@@ -256,8 +266,8 @@ let test_resume_refuses_other_config () =
   let path = fresh_path () in
   Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
   @@ fun () ->
-  let _ = Resynth.run ~checkpoint:{ Resynth.path; resume = false } d0 in
-  match Resynth.run ~seed:4 ~checkpoint:{ Resynth.path; resume = true } d0 with
+  let _ = campaign ~resume:false path d0 in
+  match campaign ~seed:4 ~resume:true path d0 with
   | _ -> Alcotest.fail "expected Checkpoint.Error for a foreign journal"
   | exception Checkpoint.Error _ -> ()
 

@@ -60,23 +60,34 @@ let test_disable_and_clear () =
 
 let test_parse_grammar () =
   with_clean @@ fun () ->
-  Alcotest.(check bool) "plain" true (Failpoint.parse "x=raise" = Ok ());
+  Alcotest.(check bool) "plain" true (Failpoint.parse "sat.solve=raise" = Ok ());
   Alcotest.(check bool) "options" true
-    (Failpoint.parse "y=io:after=2:times=1" = Ok ());
-  Alcotest.(check bool) "delay" true (Failpoint.parse "z=delay=0.25" = Ok ());
+    (Failpoint.parse "store.append=io:after=2:times=1" = Ok ());
+  Alcotest.(check bool) "delay" true (Failpoint.parse "parallel.task=delay=0.25" = Ok ());
   Alcotest.(check bool) "prob+seed" true
-    (Failpoint.parse "w=partial:prob=0.5:seed=7" = Ok ());
+    (Failpoint.parse "checkpoint.append=partial:prob=0.5:seed=7" = Ok ());
   List.iter
     (fun bad ->
       match Failpoint.parse bad with
       | Ok () -> Alcotest.failf "accepted %S" bad
       | Error _ -> ())
-    [ ""; "noequals"; "x=frobnicate"; "x=raise:after=x"; "x=raise:bogus=1"; "=raise" ];
+    [
+      "";
+      "noequals";
+      "sat.solve=frobnicate";
+      "sat.solve=raise:after=x";
+      "sat.solve=raise:bogus=1";
+      "=raise";
+      (* a site the program never passes would arm nothing *)
+      "no.such.site=raise";
+      "alloc.cap=raise";
+    ];
   (* the parsed schedule actually drives the site *)
-  Alcotest.(check bool) "y waits out after=2" true (Failpoint.check "y" = None);
-  Alcotest.(check bool) "still waiting" true (Failpoint.check "y" = None);
-  Alcotest.(check bool) "fires on third" true (Failpoint.check "y" = Some Failpoint.Io_error);
-  Alcotest.(check bool) "times=1 exhausted" true (Failpoint.check "y" = None)
+  let check () = Failpoint.check "store.append" in
+  Alcotest.(check bool) "waits out after=2" true (check () = None);
+  Alcotest.(check bool) "still waiting" true (check () = None);
+  Alcotest.(check bool) "fires on third" true (check () = Some Failpoint.Io_error);
+  Alcotest.(check bool) "times=1 exhausted" true (check () = None)
 
 let test_prob_deterministic () =
   with_clean @@ fun () ->
@@ -97,14 +108,18 @@ let test_parse_env () =
   (* parse_env with the variable unset is a no-op Ok *)
   Unix.putenv "REPRO_FAILPOINTS" "";
   Alcotest.(check bool) "empty env ok" true (Failpoint.parse_env () = Ok ());
-  Unix.putenv "REPRO_FAILPOINTS" "e1=raise:times=1,e2=io";
+  Unix.putenv "REPRO_FAILPOINTS" "serve.conn=raise:times=1,serve.ledger=io";
   Alcotest.(check bool) "list parses" true (Failpoint.parse_env () = Ok ());
-  Alcotest.(check bool) "first armed" true (Failpoint.check "e1" <> None);
-  Alcotest.(check bool) "second armed" true (Failpoint.check "e2" = Some Failpoint.Io_error);
-  Unix.putenv "REPRO_FAILPOINTS" "broken";
-  (match Failpoint.parse_env () with
-  | Ok () -> Alcotest.fail "expected parse error"
-  | Error _ -> ());
+  Alcotest.(check bool) "first armed" true (Failpoint.check "serve.conn" <> None);
+  Alcotest.(check bool) "second armed" true
+    (Failpoint.check "serve.ledger" = Some Failpoint.Io_error);
+  List.iter
+    (fun bad ->
+      Unix.putenv "REPRO_FAILPOINTS" bad;
+      match Failpoint.parse_env () with
+      | Ok () -> Alcotest.failf "accepted REPRO_FAILPOINTS=%S" bad
+      | Error _ -> ())
+    [ "broken"; "no.such.site=raise"; "sat.solve=raise,alloc.cap=raise" ];
   Unix.putenv "REPRO_FAILPOINTS" ""
 
 let suite =

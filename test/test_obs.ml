@@ -264,12 +264,7 @@ let check_same_result label (a : Resynth.result) (b : Resynth.result) =
     = Dfm_netlist.Netlist_io.to_string b.Resynth.final.Design.netlist);
   ok "trace" (a.Resynth.trace = b.Resynth.trace);
   ok "accepted" (a.Resynth.accepted = b.Resynth.accepted);
-  ok "implement calls" (a.Resynth.implement_calls = b.Resynth.implement_calls);
-  ok "sat queries" (a.Resynth.sat_queries = b.Resynth.sat_queries);
-  ok "cache hits" (a.Resynth.cache_hits = b.Resynth.cache_hits);
-  ok "conflicts" (a.Resynth.conflicts = b.Resynth.conflicts);
-  ok "decisions" (a.Resynth.decisions = b.Resynth.decisions);
-  ok "propagations" (a.Resynth.propagations = b.Resynth.propagations)
+  ok "effort" (a.Resynth.effort = b.Resynth.effort)
 
 (* Why each candidate was accepted or rejected, read from the spans alone:
    every candidate span carries one outcome, the accepting outcomes add up
@@ -320,9 +315,9 @@ let implement_layers = "atpg.classify" :: implement_only
 let check_implement_spans label (r : Resynth.result) spans =
   let named n = List.filter (fun (e : Span.event) -> e.Span.name = n) spans in
   let implements = named "implement" in
-  if List.length implements <> r.Resynth.implement_calls then
+  if List.length implements <> r.Resynth.effort.Resynth.implement_calls then
     Alcotest.failf "%s: %d implement spans for %d implement calls" label
-      (List.length implements) r.Resynth.implement_calls;
+      (List.length implements) r.Resynth.effort.Resynth.implement_calls;
   List.iter
     (fun (e : Span.event) ->
       if not (List.exists (inside e) implements) then

@@ -49,12 +49,18 @@ let test_run_disjoint_writes () =
 
 exception Boom
 
-(* [f ()] and the [(retried, fell_back)] its batches added to
-   [Parallel.supervision_totals]. *)
+(* The pool's own counts of in-place retries and coordinator fallbacks
+   (registering a name again returns the pool's handle). *)
+let pool_supervision () =
+  let value name = Dfm_obs.Metrics.(counter_value (counter name)) in
+  (value "dfm_pool_task_retries_total", value "dfm_pool_task_fallbacks_total")
+
+(* [f ()] and the [(retried, fell_back)] its batches added to the pool's
+   supervision counters. *)
 let supervised f =
-  let r0, b0 = Parallel.supervision_totals () in
+  let r0, b0 = pool_supervision () in
   let v = f () in
-  let r1, b1 = Parallel.supervision_totals () in
+  let r1, b1 = pool_supervision () in
   (v, (r1 - r0, b1 - b0))
 
 let check_supervision (retried, fell_back) (r, b) =

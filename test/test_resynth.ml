@@ -93,11 +93,11 @@ let test_pinned_campaign () =
     [ 3; 12; 1_223; 11_083; 53_794; 230_938 ]
     [
       r.Resynth.accepted;
-      r.Resynth.implement_calls;
-      r.Resynth.sat_queries;
-      r.Resynth.conflicts;
-      r.Resynth.decisions;
-      r.Resynth.propagations;
+      r.Resynth.effort.Resynth.implement_calls;
+      r.Resynth.effort.Resynth.sat_queries;
+      r.Resynth.effort.Resynth.conflicts;
+      r.Resynth.effort.Resynth.decisions;
+      r.Resynth.effort.Resynth.propagations;
     ];
   Alcotest.(check (list string)) "trace"
     [

@@ -330,7 +330,6 @@ let test_protocol_requests () =
           { t_spans = true; t_metrics = true; t_families = [ "dfm_sat_" ]; t_interval_ms = Some 250 };
         Telemetry_sub { t_spans = false; t_metrics = true; t_families = []; t_interval_ms = None };
         Dump;
-        Ping;
       ]
 
 let test_protocol_responses () =
@@ -390,7 +389,6 @@ let test_protocol_responses () =
         Drained { completed = 9 };
         Dumped { trace = "/tmp/flight-1-1.trace.json"; text = "/tmp/flight-1-1.txt" };
         Ok_resp;
-        Pong;
         Error_msg "no such job";
       ]
 
@@ -403,6 +401,7 @@ let test_protocol_rejects () =
   bad_req "not json";
   bad_req "{}";
   bad_req {|{"type":"teleport"}|};
+  bad_req {|{"op":"ping"}|};
   bad_req {|{"type":"submit"}|};
   (* mistyped optional field: absent would be fine, a wrong type is not *)
   bad_req
