@@ -373,7 +373,7 @@ let analyze_cmd =
         Design.implement ?cache ?max_conflicts ~certify nl
       with Dfm_sat.Cert.Check_failed msg -> certify_failed msg
     in
-    (match d.Design.escalation with
+    (match d.Design.classification.Dfm_atpg.Atpg.escalation with
     | Some es ->
         Fmt.pr "escalation: %d retries over %d rungs resolved %d abort(s), %d residual@."
           es.Dfm_atpg.Atpg.retried es.Dfm_atpg.Atpg.rungs es.Dfm_atpg.Atpg.resolved

@@ -7,7 +7,7 @@ module Span = Dfm_obs.Span
 module Metrics = Dfm_obs.Metrics
 module Cert = Dfm_sat.Cert
 
-(* Escalation-ladder metrics (see [escalate]); registered up front so the
+(* Escalation-ladder metrics (see [ladder]); registered up front so the
    family is always present in the exposition. *)
 let m_esc_rungs =
   Metrics.counter ~help:"Escalation ladder rungs executed" "dfm_escalation_rungs_total"
@@ -48,7 +48,19 @@ type counts = {
   sat_queries : int;
 }
 
-type classification = { status : status array; counts : counts }
+type escalation_stats = {
+  rungs : int;
+  retried : int;
+  resolved : int;
+  residual : int;
+  aborted_per_rung : int list;
+}
+
+type classification = {
+  status : status array;
+  counts : counts;
+  escalation : escalation_stats option;
+}
 
 type generation = {
   classification : classification;
@@ -147,16 +159,14 @@ let sim_block s ~words ~good =
    prefilter), accumulated in nanoseconds across all domains. *)
 let sat_seconds () = 1e-9 *. float_of_int (Metrics.counter_value (Metrics.attr_base m_sat_ns))
 
-(* One SAT query per still-unresolved fault of the block [fids].  The
-   block shares one fresh session: the good-circuit CNF is encoded once and
-   each fault adds only activation-guarded faulty-cone clauses, with learnt
-   clauses carried from query to query.  A block writes only its own slots,
-   so it stays restartable — a supervised retry starts a fresh session for
-   the faults the failed attempt left unresolved. *)
-let sat_faults ?max_conflicts s fids =
+(* One SAT query per still-unresolved fault of [fids], all in the session
+   [sess] (forced at the first query): the good-circuit CNF is encoded once
+   and each fault adds only activation-guarded faulty-cone clauses, with
+   learnt clauses carried from query to query.  A call writes only the
+   slots of [fids]. *)
+let sat_faults ?max_conflicts s sess fids =
   let t0 = Dfm_obs.Clock.now_ns () in
   let queries = ref 0 in
-  let sess = lazy (Encode.make_session ~certify:s.certify s.ls) in
   Array.iter
     (fun fid ->
       if s.st.(fid) = 0 then begin
@@ -197,6 +207,43 @@ let verify_detected s fid =
          (Printf.sprintf "witness for fault %d (%s) does not reproduce detection" fid
             (F.describe (Ls.netlist s.ls) f)))
 
+(* The ladder's budget multiplier per rung, and the cap on the sum of the
+   budgets it grants. *)
+let ladder_factor = 4
+let ladder_cap = 1_000_000
+
+(* The abort-budget escalation ladder documented at [classify]: rung k
+   retries, at budget b_k = max_conflicts * ladder_factor^k, the longest
+   prefix of the remaining aborts whose budgets keep the sum granted within
+   [ladder_cap].  All rungs share one session, so learnt clauses and the
+   still-live activation groups of retried faults carry from rung to rung.
+   A budget below 1 climbs from 1.  Runs in the coordinating domain. *)
+let ladder s ~max_conflicts =
+  let aborted = List.filter (fun fid -> s.st.(fid) = 3) (List.init (Array.length s.st) Fun.id) in
+  Span.with_ "atpg.escalate" ~attrs:[ ("aborted", string_of_int (List.length aborted)) ]
+  @@ fun () ->
+  let sess = lazy (Encode.make_session ~certify:s.certify s.ls) in
+  (* [per_rung]: the aborts left after each rung, latest first *)
+  let rec climb budget granted per_rung pending =
+    let budget = if budget > max_int / ladder_factor then max_int else budget * ladder_factor in
+    match min (List.length pending) ((ladder_cap - granted) / budget) with
+    | 0 -> (List.rev per_rung, List.length pending)
+    | fit ->
+        let rung = Array.of_list (List.filteri (fun i _ -> i < fit) pending) in
+        Array.iter (fun fid -> s.st.(fid) <- 0) rung;
+        sat_faults ~max_conflicts:budget s sess rung;
+        s.sat_queries <- s.sat_queries + fit;
+        let still = List.filter (fun fid -> s.st.(fid) = 3) pending in
+        climb budget (granted + (fit * budget)) (List.length still :: per_rung) still
+  in
+  let queries = s.sat_queries in
+  let aborted_per_rung, residual = climb (max 1 max_conflicts) 0 [] aborted in
+  let retried = s.sat_queries - queries and resolved = List.length aborted - residual in
+  Metrics.incr ~by:(List.length aborted_per_rung) m_esc_rungs;
+  Metrics.incr ~by:retried m_esc_retried;
+  Metrics.incr ~by:resolved m_esc_resolved;
+  { rungs = List.length aborted_per_rung; retried; resolved; residual; aborted_per_rung }
+
 let finish_counts s =
   let detected = ref 0 and undet = ref 0 and aborted = ref 0 in
   let undet_int = ref 0 and undet_ext = ref 0 in
@@ -229,6 +276,7 @@ let finish_counts s =
         undetectable_external = !undet_ext;
         sat_queries = s.sat_queries;
       };
+    escalation = None;
   }
 
 (* The SAT phase cuts the faults the random phase leaves unresolved, in
@@ -308,8 +356,9 @@ let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) nl fault
       Fs.publish_counts s.fs;
       Span.note "blocks" (string_of_int !blocks);
       Span.note "resolved" (string_of_int (before - !left)));
-  (* SAT phase: one task per block.  Tasks only write the st/witness slots
-     of their own faults, and re-running one reaches the same slots, hence
+  (* SAT phase: one task per block, each on a fresh session made inside
+     the task.  Tasks only write the st/witness slots of their own faults,
+     and re-running one reaches the same slots on a fresh session, hence
      restartable — which is what lets [Parallel.run] retry a task that
      raised (a poisoned task degrades throughput, never the verdicts).  The
      query count is the number of faults entering the phase unresolved,
@@ -324,8 +373,16 @@ let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) nl fault
        (fun b fids () ->
          Span.with_ "classify.shard"
            ~attrs:[ ("block", string_of_int b); ("queries", string_of_int (Array.length fids)) ]
-           (fun () -> sat_faults ?max_conflicts s fids))
+           (fun () ->
+             sat_faults ?max_conflicts s (lazy (Encode.make_session ~certify s.ls)) fids))
        (sat_blocks pending));
+  (* A bounded budget's aborts climb the ladder before the verdicts are
+     certified and published, so both loops below cover them too. *)
+  let escalation =
+    match max_conflicts with
+    | Some max_conflicts when Array.mem 3 s.st -> Some (ladder s ~max_conflicts)
+    | Some _ | None -> None
+  in
   (* Certified mode: every freshly detected fault's witness patterns are
      re-verified by independent resimulation before the verdict is reported
      or published.  Runs in the coordinating domain, in fault order, so the
@@ -336,7 +393,10 @@ let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) nl fault
       if s.st.(fid) = 1 && not cached.(fid) then verify_detected s fid
     done;
   (* Publish the freshly derived verdicts (never the cached ones again, and
-     never Aborted: an abort is a budget artifact, not a semantic fact). *)
+     never Aborted: an abort is a budget artifact, not a semantic fact).
+     Escalated verdicts go under the same [max_conflicts] signatures: the
+     verdict is semantic, and that is the key the next same-budget campaign
+     looks up. *)
   (match cache with
   | None -> ()
   | Some c ->
@@ -348,133 +408,7 @@ let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) nl fault
             | 2 -> Dfm_incr.Cache.record ~certified:certify c sg Dfm_incr.Store.Undetectable
             | _ -> ())
         sigs);
-  finish_counts s
-
-(* ------------------------------------------------------------------ *)
-(* Abort-budget escalation                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* The ladder's budget multiplier per rung, and the cap on the sum of the
-   budgets it grants. *)
-let ladder_factor = 4
-let ladder_cap = 1_000_000
-
-type escalation_stats = {
-  rungs : int;
-  retried : int;
-  resolved : int;
-  residual : int;
-  effort : int;
-  aborted_per_rung : int list;
-}
-
-(* Retry the Aborted faults of [cls] on a geometric conflict-budget ladder
-   b_k = max_conflicts * ladder_factor^k, charging each query's granted
-   budget against [ladder_cap]; cheap rungs resolve the easy aborts before
-   the expensive budgets are spent.  One session persists across the whole
-   ladder: a retried fault re-solves its still-live activation groups under
-   the larger budget without re-encoding, and learnt clauses from earlier
-   rungs carry over, so a fault may resolve on an earlier rung than it
-   would on a cold solver (verdicts themselves are budget- and
-   history-independent).  Runs entirely in the coordinating domain: abort
-   sets are small and the cache (if any) must only ever be touched from
-   here. *)
-let escalate ?cache ?(certify = false) ?max_conflicts nl faults (cls : classification) =
-  match max_conflicts with
-  | None -> (cls, None)
-  | Some _ when cls.counts.aborted = 0 -> (cls, None)
-  | Some max_conflicts ->
-      Span.with_ "atpg.escalate"
-        ~attrs:[ ("aborted", string_of_int cls.counts.aborted) ]
-      @@ fun () ->
-      let nf = Array.length faults in
-      let pending = ref [] in
-      for fid = nf - 1 downto 0 do
-        if cls.status.(fid) = Aborted then pending := fid :: !pending
-      done;
-      let s = make_state ~certify nl faults in
-      Array.iteri
-        (fun fid v ->
-          s.st.(fid) <- (match v with Detected -> 1 | Undetectable -> 2 | Aborted -> 3))
-        cls.status;
-      s.sat_queries <- cls.counts.sat_queries;
-      (* Escalated verdicts are published under the *original* budget's
-         signatures: the verdict is semantic (budget-independent), and that is
-         the key the next same-budget campaign will look up. *)
-      let sigs =
-        match cache with
-        | None -> [||]
-        | Some c -> Dfm_incr.Cache.signatures c ~max_conflicts nl faults
-      in
-      let publish fid v =
-        match cache with
-        | None -> ()
-        | Some c -> Dfm_incr.Cache.record ~certified:certify c sigs.(fid) v
-      in
-      (* One persistent session for the whole ladder: Unknown verdicts leave
-         their activation groups pending, so the next rung re-solves them
-         without re-encoding a single clause. *)
-      let sess = Encode.make_session ~certify s.ls in
-      let budget = ref max_conflicts in
-      let effort = ref 0 and retried = ref 0 and rungs = ref 0 and resolved = ref 0 in
-      let per_rung = ref [] in
-      let exhausted = ref false in
-      while (not !exhausted) && !pending <> [] do
-        let b =
-          if !budget > max_int / ladder_factor then max_int else !budget * ladder_factor
-        in
-        budget := b;
-        if !effort + b > ladder_cap then exhausted := true
-        else begin
-          incr rungs;
-          let still = ref [] in
-          List.iter
-            (fun fid ->
-              if !effort + b > ladder_cap then begin
-                exhausted := true;
-                still := fid :: !still
-              end
-              else begin
-                incr retried;
-                effort := !effort + b;
-                s.sat_queries <- s.sat_queries + 1;
-                match Encode.check_incr ~max_conflicts:b sess faults.(fid) with
-                | Encode.Tests pats ->
-                    (* Certified mode: verify the witness right away — the
-                       ladder runs in the coordinating domain, so [s.fs] and
-                       [s.ls] are ours to use. *)
-                    if certify then begin
-                      s.witness.(fid) <-
-                        List.map (fun (t : Encode.test) -> t.Encode.values) pats;
-                      verify_detected s fid
-                    end;
-                    s.st.(fid) <- 1;
-                    incr resolved;
-                    publish fid Dfm_incr.Store.Detected
-                | Encode.Undetectable ->
-                    s.st.(fid) <- 2;
-                    incr resolved;
-                    publish fid Dfm_incr.Store.Undetectable
-                | Encode.Unknown -> still := fid :: !still
-              end)
-            !pending;
-          pending := List.rev !still;
-          per_rung := List.length !pending :: !per_rung
-        end
-      done;
-      Metrics.incr ~by:!rungs m_esc_rungs;
-      Metrics.incr ~by:!retried m_esc_retried;
-      Metrics.incr ~by:!resolved m_esc_resolved;
-      ( finish_counts s,
-        Some
-          {
-            rungs = !rungs;
-            retried = !retried;
-            resolved = !resolved;
-            residual = List.length !pending;
-            effort = !effort;
-            aborted_per_rung = List.rev !per_rung;
-          } )
+  { (finish_counts s) with escalation }
 
 (* ------------------------------------------------------------------ *)
 (* Test generation with fault dropping and greedy per-word compaction  *)
@@ -482,17 +416,14 @@ let escalate ?cache ?(certify = false) ?max_conflicts nl faults (cls : classific
 
 let bit b w = Int64.logand (Int64.shift_right_logical w b) 1L = 1L
 
-let generate ?(seed = 1) ?max_conflicts ?(certify = false) nl faults =
+let generate nl faults =
   Span.with_ "atpg.generate" ~attrs:[ ("faults", string_of_int (Array.length faults)) ]
   @@ fun () ->
   let s = make_state nl faults in
   (* Generation is sequential (coordinator only), so a single session can
-     serve every fault's query.  In certified mode the session checks UNSAT
-     proofs and SAT models; detected faults are additionally witness-checked
-     by the per-word resimulation below (the existing cross-check), which in
-     certified mode escalates a miss from a counter to a hard failure. *)
-  let sess = lazy (Encode.make_session ~certify s.ls) in
-  let rng = Rng.create (seed + 177) in
+     serve every fault's query. *)
+  let sess = lazy (Encode.make_session s.ls) in
+  let rng = Rng.create 178 in
   let nf = Array.length faults in
   let tests = ref [] in
   let cross_fail = ref 0 in
@@ -575,25 +506,17 @@ let generate ?(seed = 1) ?max_conflicts ?(certify = false) nl faults =
   for fid = 0 to nf - 1 do
     if s.st.(fid) = 0 then begin
       s.sat_queries <- s.sat_queries + 1;
-      match Encode.check_incr ?max_conflicts (Lazy.force sess) faults.(fid) with
+      match Encode.check_incr (Lazy.force sess) faults.(fid) with
       | Encode.Undetectable -> resolve s fid 2
       | Encode.Unknown -> resolve s fid 3
       | Encode.Tests pats ->
           List.iter (fun t -> apply_test t ~target:fid) pats;
           (* The SAT engine proved detectability; if simulation-based dropping
-             somehow missed the target, trust the proof but flag it — except
-             in certified mode, where an unreproducible witness is fatal. *)
+             somehow missed the target, trust the proof but flag it. *)
           if s.st.(fid) = 0 then begin
             incr cross_fail;
-            if certify then
-              raise
-                (Cert.Check_failed
-                   (Printf.sprintf
-                      "generated test for fault %d (%s) does not reproduce detection" fid
-                      (F.describe nl faults.(fid))));
             resolve s fid 1
           end
-          else if certify then Cert.note_check ~ok:true ~ns:0L
     end
   done;
   { classification = finish_counts s; tests = List.rev !tests; cross_check_failures = !cross_fail }

@@ -44,9 +44,21 @@ type counts = {
   sat_queries : int;
 }
 
+type escalation_stats = {
+  rungs : int;       (** ladder rungs that ran at least one query *)
+  retried : int;     (** escalation SAT queries issued *)
+  resolved : int;    (** aborts turned into semantic verdicts *)
+  residual : int;    (** aborts surviving the whole ladder — reported, never dropped *)
+  aborted_per_rung : int list;
+      (** aborts remaining {e after} each rung — monotonically non-increasing *)
+}
+
 type classification = {
   status : status array;  (** indexed by [fault_id] *)
   counts : counts;
+  escalation : escalation_stats option;
+      (** the abort-budget ladder's effort, when a bounded [max_conflicts]
+          left aborts to retry (see {!classify}) *)
 }
 
 type generation = {
@@ -60,11 +72,11 @@ type generation = {
 
 val sat_seconds : unit -> float
 (** Process-wide wall time spent in the SAT phase of classification
-    (session setup, per-fault encoding and solving), accumulated across
-    every campaign in every domain — the random-simulation prefilter is
-    excluded.  Read from the [dfm_atpg_sat_ns_total] metric counter.  Like
-    {!Dfm_sat.Solver.totals}, meant to be delta'd around a fixed query
-    set. *)
+    (session setup, per-fault encoding and solving, the escalation ladder
+    included), accumulated across every campaign in every domain — the
+    random-simulation prefilter is excluded.  Read from the
+    [dfm_atpg_sat_ns_total] metric counter.  Like {!Dfm_sat.Solver.totals},
+    meant to be delta'd around a fixed query set. *)
 
 val classify :
   ?seed:int ->
@@ -76,6 +88,19 @@ val classify :
   Dfm_faults.Fault.t array ->
   classification
 (** Sixteen 64-pattern blocks of random simulation precede the SAT phase.
+
+    [max_conflicts] (default unbounded) bounds each SAT query.  The faults
+    it aborts then climb, in the calling domain, a geometric budget ladder
+    [max_conflicts * 4^k]: each rung retries the longest prefix of the
+    remaining aborts, in fault order, that keeps the sum of granted budgets
+    within 1,000,000 conflicts.  All rungs share one solver session, so a
+    retried fault re-solves its still-live activation groups without
+    re-encoding and learnt clauses carry from rung to rung: a fault may
+    resolve on an {e earlier} rung than a cold solver would need, with the
+    same verdict.  Residual aborts stay [Aborted]; [counts.sat_queries]
+    includes the ladder's retries and [escalation] reports its effort
+    ([None] when nothing aborted).  Escalated verdicts are certified and
+    published to [cache] like every other.
 
     [certify] (default [false]) makes every emitted verdict carry an
     independently checked certificate: Detected verdicts keep their
@@ -113,50 +138,9 @@ val classify :
     budget no Aborted verdicts exist and the identity is exact.)  All cache
     traffic happens in the coordinating domain. *)
 
-type escalation_stats = {
-  rungs : int;       (** ladder rungs that ran at least one query *)
-  retried : int;     (** escalation SAT queries issued *)
-  resolved : int;    (** aborts turned into semantic verdicts *)
-  residual : int;    (** aborts surviving the whole ladder — reported, never dropped *)
-  effort : int;      (** sum of granted conflict budgets *)
-  aborted_per_rung : int list;
-      (** aborts remaining {e after} each rung — monotonically non-increasing *)
-}
-
-val escalate :
-  ?cache:Dfm_incr.Cache.t ->
-  ?certify:bool ->
-  ?max_conflicts:int ->
-  Dfm_netlist.Netlist.t ->
-  Dfm_faults.Fault.t array ->
-  classification ->
-  classification * escalation_stats option
-(** Retry the [Aborted] faults of a classification made under
-    [max_conflicts] on a geometric conflict-budget ladder
-    [max_conflicts * 4^k], stopping when every abort is resolved or the
-    next query would take the sum of granted budgets past 1,000,000
-    conflicts.  One solver session persists across the whole ladder:
-    retried faults re-solve their still-live activation groups without
-    re-encoding, learnt clauses accumulate from rung to rung, and a fault
-    can therefore resolve on an {e earlier} rung than a cold solver would
-    need — semantic verdicts are unchanged, only the effort frontier
-    improves.  Resolved verdicts are published to [cache] under the
-    original [max_conflicts] signatures; residual aborts stay [Aborted] in
-    the returned classification, whose [sat_queries] include the ladder's
-    retries.  Returns [(cls, None)] when [max_conflicts] is absent (nothing
-    can abort) or [cls] has no aborts.  Runs in the calling domain. *)
-
-val generate :
-  ?seed:int ->
-  ?max_conflicts:int ->
-  ?certify:bool ->
-  Dfm_netlist.Netlist.t ->
-  Dfm_faults.Fault.t array ->
-  generation
-(** [certify] checks SAT models and UNSAT proofs exactly as in {!classify};
-    detected faults are witness-checked by the per-word resimulation that
-    generation performs anyway, with a cross-check miss escalated from a
-    counter to {!Dfm_sat.Cert.Check_failed}. *)
+val generate : Dfm_netlist.Netlist.t -> Dfm_faults.Fault.t array -> generation
+(** Unbounded and uncertified, with a fixed seed for the randomized
+    don't-care inputs. *)
 
 val coverage : counts -> float
 (** The paper's [Cov = 1 - U/F], as a percentage. *)

@@ -381,5 +381,3 @@ let table1_names = [ "aes_core"; "des_perf"; "sparc_exu"; "sparc_fpu" ]
 let build ?scale name =
   let scale = match scale with Some s -> s | None -> default_scale () in
   (List.assoc name registry) scale
-
-let all ?scale () = List.map (fun (n, _) -> (n, build ?scale n)) registry

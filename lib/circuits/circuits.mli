@@ -21,5 +21,3 @@ val default_scale : unit -> float
 
 val build : ?scale:float -> string -> Dfm_netlist.Netlist.t
 (** Generate a block by name.  @raise Not_found for unknown names. *)
-
-val all : ?scale:float -> unit -> (string * Dfm_netlist.Netlist.t) list

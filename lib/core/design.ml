@@ -40,7 +40,7 @@ let implement ?(seed = 3) ?floorplan ?previous ?jobs ?cache ?max_conflicts ?cert
     ~attrs:[ ("gates", string_of_int (N.num_gates netlist)) ]
   @@ fun () ->
   (* One span per layer, named like the benchmark's per-layer metrics;
-     [Atpg] opens atpg.classify and atpg.escalate itself. *)
+     [Atpg] opens atpg.classify (and atpg.escalate inside it) itself. *)
   let floorplan, placement =
     Span.with_ "layout.place" @@ fun () ->
     let floorplan =
@@ -55,11 +55,6 @@ let implement ?(seed = 3) ?floorplan ?previous ?jobs ?cache ?max_conflicts ?cert
   let fault_list = Span.with_ "dfm.translate" (fun () -> Dfm_guidelines.Translate.build routing) in
   let faults = fault_list.Dfm_guidelines.Translate.faults in
   let classification = Atpg.classify ~seed ?jobs ?cache ?max_conflicts ?certify netlist faults in
-  (* With a bounded budget, aborts are escalated before clustering so the
-     cluster view is built from the most-resolved classification we have. *)
-  let classification, escalation =
-    Atpg.escalate ?cache ?certify ?max_conflicts netlist faults classification
-  in
   let cluster =
     Span.with_ "core.cluster" @@ fun () ->
     Cluster.compute netlist faults
@@ -75,7 +70,7 @@ let implement ?(seed = 3) ?floorplan ?previous ?jobs ?cache ?max_conflicts ?cert
     fault_list;
     classification;
     cluster;
-    escalation;
+    escalation = classification.Atpg.escalation;
   }
 
 let metrics t =

@@ -16,8 +16,8 @@ type t = {
   classification : Dfm_atpg.Atpg.classification;
   cluster : Cluster.t;
   escalation : Dfm_atpg.Atpg.escalation_stats option;
-      (** abort-budget escalation spent on this classification, when a
-          bounded [max_conflicts] left aborts to retry *)
+      (** [classification.escalation], kept for callers that build a [t]
+          themselves *)
 }
 
 type metrics = {
@@ -50,8 +50,8 @@ val implement :
   t
 (** Run the whole pipeline.  [max_conflicts] bounds each classification SAT
     query; faults that budget aborts are retried on the geometric ladder of
-    {!Dfm_atpg.Atpg.escalate} before the cluster view is computed, and the
-    spent effort is reported in the [escalation] field.  When [floorplan]
+    {!Dfm_atpg.Atpg.classify} before the cluster view is computed, and the
+    spent effort is reported in [classification.escalation].  When [floorplan]
     is given the design must fit it (raises
     {!Dfm_layout.Place.Does_not_fit} otherwise) — that is how the
     fixed-die constraint of the paper is enforced; otherwise the floorplan
@@ -62,7 +62,7 @@ val implement :
     value.  [cache] is handed to the classification so verdicts of
     structurally unchanged fault cones are reused instead of re-derived;
     it too never changes a verdict (see {!Dfm_incr.Cache}).
-    [certify] makes the classification (and any escalation) verify every
+    [certify] makes the classification (escalation included) verify every
     emitted verdict against an independent certificate — witness
     resimulation for Detected, replayed UNSAT proofs for Undetectable; see
     {!Dfm_atpg.Atpg.classify}.  Metrics, statuses and counts are

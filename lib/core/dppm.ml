@@ -2,18 +2,9 @@ module F = Dfm_faults.Fault
 module Defect = Dfm_cellmodel.Defect
 module Atpg = Dfm_atpg.Atpg
 
-type rates = {
-  via_ppm : float;
-  metal_ppm : float;
-  density_ppm : float;
-}
-
-let default_rates = { via_ppm = 12.0; metal_ppm = 6.0; density_ppm = 3.0 }
-
-let rate_of rates = function
-  | Defect.Via -> rates.via_ppm
-  | Defect.Metal -> rates.metal_ppm
-  | Defect.Density -> rates.density_ppm
+(* Occurrence probability per uncovered site of each guideline category,
+   in ppm. *)
+let rate_of = function Defect.Via -> 12.0 | Defect.Metal -> 6.0 | Defect.Density -> 3.0
 
 let undetectable_sites (d : Design.t) =
   let faults = d.Design.fault_list.Dfm_guidelines.Translate.faults in
@@ -21,19 +12,19 @@ let undetectable_sites (d : Design.t) =
   |> List.filter (fun (f : F.t) ->
          d.Design.classification.Atpg.status.(f.F.fault_id) = Atpg.Undetectable)
 
-let escapes_dppm ?(rates = default_rates) d =
+let escapes_dppm d =
   let survive =
     List.fold_left
-      (fun acc (f : F.t) -> acc *. (1.0 -. (rate_of rates f.F.origin.F.category /. 1.0e6)))
+      (fun acc (f : F.t) -> acc *. (1.0 -. (rate_of f.F.origin.F.category /. 1.0e6)))
       1.0 (undetectable_sites d)
   in
   1.0e6 *. (1.0 -. survive)
 
-let breakdown ?(rates = default_rates) d =
+let breakdown d =
   let sites = undetectable_sites d in
   List.map
     (fun cat ->
       let mine = List.filter (fun (f : F.t) -> f.F.origin.F.category = cat) sites in
       let n = List.length mine in
-      (Defect.category_to_string cat, n, float_of_int n *. rate_of rates cat))
+      (Defect.category_to_string cat, n, float_of_int n *. rate_of cat))
     [ Defect.Via; Defect.Metal; Defect.Density ]

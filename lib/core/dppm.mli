@@ -9,21 +9,15 @@
     fail more often than wide-metal spots, etc.), and the per-die escape
     probability composes independently across sites.
 
-    Absolute values follow the chosen rates; the meaningful quantity is the
+    Absolute values follow the rates; the meaningful quantity is the
     original-vs-resynthesized *ratio*, reported by the bench next to
     Table II. *)
 
-type rates = {
-  via_ppm : float;      (** occurrence probability per via-guideline site, ppm *)
-  metal_ppm : float;
-  density_ppm : float;
-}
-
-val escapes_dppm : ?rates:rates -> Design.t -> float
+val escapes_dppm : Design.t -> float
 (** Expected test escapes in DPPM: [1e6 * (1 - prod(1 - p_i))] over the
-    undetectable faults of the design.  [rates] defaults to via 12 ppm,
-    metal 6 ppm and density 3 ppm per uncovered site — ballpark
-    systematic-defect excess rates for a risky 0.18um feature. *)
+    undetectable faults of the design, with [p_i] via 12 ppm, metal 6 ppm
+    and density 3 ppm per uncovered site — ballpark systematic-defect
+    excess rates for a risky 0.18um feature. *)
 
-val breakdown : ?rates:rates -> Design.t -> (string * int * float) list
+val breakdown : Design.t -> (string * int * float) list
 (** Per guideline-category: (category, uncovered sites, dppm share). *)

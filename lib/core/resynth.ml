@@ -124,9 +124,9 @@ let record st ~q ~phase ~cell ~action (d : Design.t) =
 
 (* Charge one classification to the campaign: its SAT queries (the
    escalation ladder's retries included) and its escalation outcome. *)
-let charge st (cls : Atpg.classification) escalation =
+let charge st (cls : Atpg.classification) =
   let retried, residual =
-    match escalation with
+    match cls.Atpg.escalation with
     | None -> (0, 0)
     | Some (es : Atpg.escalation_stats) -> (es.Atpg.retried, es.Atpg.residual)
   in
@@ -148,11 +148,7 @@ let internal_u_of_netlist st nl =
     Atpg.classify ~seed:st.seed ?max_conflicts:st.max_conflicts ?cache:st.cache
       ~certify:st.certify nl faults
   in
-  let cls, es =
-    Atpg.escalate ?cache:st.cache ~certify:st.certify ?max_conflicts:st.max_conflicts nl
-      faults cls
-  in
-  charge st cls es;
+  charge st cls;
   cls.Atpg.counts.Atpg.undetectable
 
 let implement_opt st nl =
@@ -162,7 +158,7 @@ let implement_opt st nl =
       Design.implement ~seed:st.seed ~floorplan:st.floorplan ~previous:st.current
         ?cache:st.cache ?max_conflicts:st.max_conflicts ~certify:st.certify nl
     in
-    charge st d.Design.classification d.Design.escalation;
+    charge st d.Design.classification;
     Some d
   with Dfm_layout.Place.Does_not_fit _ -> None
 

@@ -122,7 +122,7 @@ val run :
 
     [max_conflicts] bounds every classification SAT query; aborted faults
     are retried on the geometric budget ladder of
-    {!Dfm_atpg.Atpg.escalate} and any residue is reported in
+    {!Dfm_atpg.Atpg.classify} and any residue is reported in
     [aborted_residual].
 
     [certify] (default false) verifies every verdict the campaign relies on

@@ -3,7 +3,7 @@ type t = { store : Store.t; mutable last_sweep : Signature.sweep option }
 
 let cache_file = "verdicts.bin"
 
-let create ?capacity ?dir ?log () =
+let create ?dir ?log () =
   let path =
     Option.map
       (fun dir ->
@@ -11,7 +11,7 @@ let create ?capacity ?dir ?log () =
         Filename.concat dir cache_file)
       dir
   in
-  { store = Store.create ?capacity ?path ?log (); last_sweep = None }
+  { store = Store.create ?path ?log (); last_sweep = None }
 
 let sweep_for t nl =
   match t.last_sweep with

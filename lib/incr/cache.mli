@@ -14,7 +14,7 @@
 
 type t
 
-val create : ?capacity:int -> ?dir:string -> ?log:(string -> unit) -> unit -> t
+val create : ?dir:string -> ?log:(string -> unit) -> unit -> t
 (** [dir] enables the on-disk tier in [dir ^ "/verdicts.bin"], creating the
     directory when needed; corrupted files are recovered best-effort (see
     {!Store.create}).  Without [dir] the cache is memory-only. *)

@@ -8,10 +8,10 @@ type t = { windows : window array; window_size : float; nx : int; ny : int }
 let low_threshold = 0.02
 let high_threshold = 0.25
 
-let analyze ?(window_size = 12.0) (rt : Route.t) =
+let analyze (rt : Route.t) =
   let die = rt.Route.place.Place.fp.Floorplan.die in
   let w = Geom.rect_width die and h = Geom.rect_height die in
-  let ws = Float.min window_size (Float.min (w /. 2.0) (h /. 2.0)) in
+  let ws = Float.min 12.0 (Float.min (w /. 2.0) (h /. 2.0)) in
   let nx = max 2 (int_of_float (ceil (w /. ws))) in
   let ny = max 2 (int_of_float (ceil (h /. ws))) in
   let area = Array.init 3 (fun _ -> Array.make_matrix nx ny 0.0) in

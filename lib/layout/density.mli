@@ -18,8 +18,8 @@ type t = {
   ny : int;  (** grid rows *)
 }
 
-val analyze : ?window_size:float -> Route.t -> t
-(** Default window size 12 um, clamped so there are at least 2x2 windows. *)
+val analyze : Route.t -> t
+(** Windows of 12 um, shrunk so there are at least 2x2 of them. *)
 
 val window_nets : t -> Route.t -> int list array
 (** For each window of [t] (same index), the nets with routed geometry

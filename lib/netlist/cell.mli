@@ -29,11 +29,9 @@ val arity : t -> int
 val make :
   name:string ->
   inputs:string list ->
-  ?output:string ->
   func:Dfm_logic.Truthtable.t ->
   area:float ->
   width:float ->
-  ?height:float ->
   intrinsic_delay:float ->
   drive_res:float ->
   input_cap:float ->
@@ -44,4 +42,5 @@ val make :
   t
 (** [make] checks that the truth-table arity matches the pin count and
     compiles [func] into [prog].
-    [output] defaults to ["Y"]; [height] to [5.0]; [is_seq] to [false]. *)
+    Every cell drives pin ["Y"] and is 5.0 um tall; [is_seq] defaults to
+    [false]. *)

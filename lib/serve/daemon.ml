@@ -504,10 +504,15 @@ let handle_request d conn payload =
       post d conn (P.Error_msg (Printf.sprintf "bad request: %s" e));
       conn.close_after_flush <- true
   | Ok (P.Submit sub) -> handle_submit d conn sub
-  | Ok (P.Status _) ->
-      post d conn
-        (P.Status_report
-           { draining = d.draining; jobs = job_views d; clients = client_views d })
+  | Ok (P.Status id) ->
+      (* An id not submitted yet lists no job rather than failing: a client
+         may poll for a job that another is still submitting. *)
+      let jobs =
+        match id with
+        | None -> job_views d
+        | Some id -> List.filter (fun jv -> jv.P.jv_id = id) (job_views d)
+      in
+      post d conn (P.Status_report { draining = d.draining; jobs; clients = client_views d })
   | Ok (P.Await id) -> (
       match Hashtbl.find_opt d.jobs id with
       | None -> post d conn (P.Error_msg (Printf.sprintf "unknown job %s" id))

@@ -64,7 +64,7 @@ type telemetry_sub = {
 
 type request =
   | Submit of submit
-  | Status of string option  (** all jobs, or one job id *)
+  | Status of string option  (** all jobs, or one job id (none while unknown) *)
   | Await of string
   | Cancel of string
   | Drain

@@ -260,16 +260,12 @@ let to_bool = function Bool b -> Some b | _ -> None
 
 let to_list = function List l -> Some l | _ -> None
 
-let with_default default = function
-  | Some _ as s -> s
-  | None -> ( match default with Some d -> Some d | None -> None)
+let str_field k v = Option.bind (member k v) to_str
 
-let str_field ?default k v = with_default default (Option.bind (member k v) to_str)
+let int_field k v = Option.bind (member k v) to_int
 
-let int_field ?default k v = with_default default (Option.bind (member k v) to_int)
+let float_field k v = Option.bind (member k v) to_float
 
-let float_field ?default k v = with_default default (Option.bind (member k v) to_float)
-
-let bool_field ?default k v = with_default default (Option.bind (member k v) to_bool)
+let bool_field k v = Option.bind (member k v) to_bool
 
 let equal a b = a = b

@@ -25,8 +25,8 @@ val parse : string -> (t, string) result
 
 (** {1 Accessors}
 
-    All return [None] (or the [~default]) on shape mismatch — protocol
-    decoding treats a missing and a mistyped field identically. *)
+    All return [None] on shape mismatch — protocol decoding treats a
+    missing and a mistyped field identically. *)
 
 val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] on any other constructor. *)
@@ -40,13 +40,13 @@ val to_float : t -> float option
 
 val to_list : t -> t list option
 
-val str_field : ?default:string -> string -> t -> string option
+val str_field : string -> t -> string option
 
-val int_field : ?default:int -> string -> t -> int option
+val int_field : string -> t -> int option
 
-val float_field : ?default:float -> string -> t -> float option
+val float_field : string -> t -> float option
 
-val bool_field : ?default:bool -> string -> t -> bool option
+val bool_field : string -> t -> bool option
 
 val equal : t -> t -> bool
 (** Structural equality with object fields compared order-sensitively

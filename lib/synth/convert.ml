@@ -153,6 +153,6 @@ let remap_region ?goal ?sweep nl ~gates ~table =
   let mapped = remap ?goal ?sweep sub ~table in
   N.replace nl ~gates ~sub:mapped boundary
 
-let remap_full ?goal ?sweep nl ~table =
+let remap_full nl ~table =
   let gates = List.map (fun (g : N.gate) -> g.N.gate_id) (N.comb_gates nl) in
-  remap_region ?goal ?sweep nl ~gates ~table
+  remap_region nl ~gates ~table

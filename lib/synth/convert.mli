@@ -37,10 +37,6 @@ val remap_region :
 (** Re-synthesize only the given combinational gates with the allowed cells,
     leaving the rest of the circuit untouched. *)
 
-val remap_full :
-  ?goal:[ `Delay | `Area ] ->
-  ?sweep:bool ->
-  Dfm_netlist.Netlist.t ->
-  table:Mapper.table ->
-  Dfm_netlist.Netlist.t
-(** Re-synthesize the entire combinational cloud. *)
+val remap_full : Dfm_netlist.Netlist.t -> table:Mapper.table -> Dfm_netlist.Netlist.t
+(** Re-synthesize the entire combinational cloud, delay-oriented and
+    swept. *)

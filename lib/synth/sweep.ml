@@ -2,9 +2,9 @@ module Solver = Dfm_sat.Solver
 
 let sim_words = 8  (* 8 * 64 = 512 random patterns *)
 
-let sweep ?(seed = 91) aig ~outputs =
+let sweep aig ~outputs =
   let n = Aig.num_nodes aig in
-  let rng = Dfm_util.Rng.create seed in
+  let rng = Dfm_util.Rng.create 91 in
   (* Random-simulation signatures over the old graph. *)
   let sig_ = Array.make n (Array.make 0 0L) in
   sig_.(0) <- Array.make sim_words 0L;

@@ -13,7 +13,6 @@
     nodes are merged while rebuilding the graph. *)
 
 val sweep :
-  ?seed:int ->
   Aig.t ->
   outputs:(string * Aig.lit) list ->
   Aig.t * (string * Aig.lit) list

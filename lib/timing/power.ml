@@ -14,7 +14,10 @@ let popcount w =
   let rec go w acc = if w = 0L then acc else go (Int64.logand w (Int64.sub w 1L)) (acc + 1) in
   go w 0
 
-let analyze ?(seed = 5) ?(blocks = 8) (rt : Dfm_layout.Route.t) =
+(* 64-pattern simulation blocks that estimate per-net toggle activity. *)
+let blocks = 8
+
+let analyze ?(seed = 5) (rt : Dfm_layout.Route.t) =
   let nl = rt.Dfm_layout.Route.place.Dfm_layout.Place.nl in
   let ls = Dfm_sim.Logic_sim.prepare nl in
   let rng = Dfm_util.Rng.create (seed + 31) in

@@ -9,6 +9,5 @@ type report = {
   total : float;
 }
 
-val analyze : ?seed:int -> ?blocks:int -> Dfm_layout.Route.t -> report
-(** [blocks] 64-pattern simulation blocks estimate per-net toggle activity
-    (default 8). *)
+val analyze : ?seed:int -> Dfm_layout.Route.t -> report
+(** Eight 64-pattern simulation blocks estimate per-net toggle activity. *)

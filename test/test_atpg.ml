@@ -290,6 +290,36 @@ let test_podem_rejects_other_kinds () =
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
+(* Under a bounded budget the escalation ladder's retries are SAT queries
+   like any other: the process-wide [dfm_atpg_sat_queries_total] counter
+   moves by exactly the classification's [sat_queries], retries included. *)
+let test_ladder_queries_counted () =
+  let sat_queries () =
+    match Dfm_obs.Metrics.find_value "dfm_atpg_sat_queries_total" with
+    | Some (Dfm_obs.Metrics.Counter n) -> n
+    | _ -> Alcotest.fail "dfm_atpg_sat_queries_total is not a counter"
+  in
+  let nl = Dfm_circuits.Circuits.build ~scale:0.25 "sparc_ffu" in
+  let before = sat_queries () in
+  let d = Dfm_core.Design.implement ~jobs:1 ~max_conflicts:1 nl in
+  (match d.Dfm_core.Design.escalation with
+  | Some es ->
+      Alcotest.(check int) "aborts escalated" 38 (es.Atpg.resolved + es.Atpg.residual);
+      Alcotest.(check int) "ladder retries" 80 es.Atpg.retried
+  | None -> Alcotest.fail "sparc_ffu at one conflict escalates no abort");
+  Alcotest.(check int) "metric moves by the classification's SAT queries"
+    d.Dfm_core.Design.classification.Atpg.counts.Atpg.sat_queries
+    (sat_queries () - before)
+
+(* A budget below one conflict climbs the ladder from one, so a zero
+   budget ends, on the verdicts of the unbounded run. *)
+let test_zero_budget_climbs () =
+  let nl = Dfm_circuits.Circuits.build ~scale:0.25 "sparc_ffu" in
+  let status d = d.Dfm_core.Design.classification.Atpg.status in
+  Alcotest.(check bool) "verdicts of the unbounded run" true
+    (status (Dfm_core.Design.implement ~jobs:1 ~max_conflicts:0 nl)
+    = status (Dfm_core.Design.implement ~jobs:1 nl))
+
 let suite =
   [
     Alcotest.test_case "known redundancy" `Quick test_known_redundancy;
@@ -301,4 +331,8 @@ let suite =
     Alcotest.test_case "dff pin fault" `Quick test_dff_pin_fault;
     QCheck_alcotest.to_alcotest prop_podem_agrees_with_sat;
     Alcotest.test_case "podem rejects non-stuck" `Quick test_podem_rejects_other_kinds;
+    Alcotest.test_case "ladder queries reach the SAT-query metric" `Quick
+      test_ladder_queries_counted;
+    Alcotest.test_case "zero conflict budget climbs the ladder" `Quick
+      test_zero_budget_climbs;
   ]

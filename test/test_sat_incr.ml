@@ -15,11 +15,11 @@
      driven until its clause arena is compacted, and keeps answering
      correctly afterwards.
 
-   - ATPG level: [Atpg.classify] / [generate] / [escalate] must produce
-     the verdicts of a cold per-fault reference ([Cold]: a fresh session
-     per fault, every fault SAT-checked), at jobs 1 and 4, including after
-     a region rewrite — and every test pattern must be confirmed by the
-     independent fault simulator.
+   - ATPG level: [Atpg.classify] (its escalation ladder included) and
+     [generate] must produce the verdicts of a cold per-fault reference
+     ([Cold]: a fresh session per fault, every fault SAT-checked), at jobs
+     1 and 4, including after a region rewrite — and every test pattern
+     must be confirmed by the independent fault simulator.
 
    - Campaign level: the [sat.solve] failpoint kills a checkpointed
      campaign mid-incremental-session; the resume must be bit-identical to
@@ -400,13 +400,12 @@ let prop_escalate_cold =
     (fun (seed, ngates) ->
       let nl = random_netlist seed 4 ngates in
       let faults = all_faults nl in
-      let cls = Atpg.classify ~jobs:1 ~max_conflicts:1 nl faults in
-      let esc, stats = Atpg.escalate ~max_conflicts:1 nl faults cls in
+      let esc = Atpg.classify ~jobs:1 ~max_conflicts:1 nl faults in
       let monotone = function
         | [] -> true
         | l -> List.for_all2 ( >= ) l (List.tl l @ [ 0 ])
       in
-      (match stats with
+      (match esc.Atpg.escalation with
       | Some st when not (monotone st.Atpg.aborted_per_rung) ->
           QCheck.Test.fail_report "aborted_per_rung not monotone"
       | Some _ | None -> ());

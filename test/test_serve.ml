@@ -80,14 +80,11 @@ let test_wire_rejects () =
 let test_wire_accessors () =
   let v = Wire.Obj [ ("a", Wire.Int 3); ("b", Wire.String "x") ] in
   Alcotest.(check (option int)) "int_field" (Some 3) (Wire.int_field "a" v);
-  Alcotest.(check (option int)) "missing uses default" (Some 9)
-    (Wire.int_field ~default:9 "zz" v);
-  (* the documented contract: missing and mistyped are indistinguishable,
-     so the default applies to both (protocol decoding that must tell
-     them apart does its own member lookup) *)
+  (* the documented contract: missing and mistyped are indistinguishable
+     (protocol decoding that must tell them apart does its own member
+     lookup) *)
+  Alcotest.(check (option int)) "missing none" None (Wire.int_field "zz" v);
   Alcotest.(check (option int)) "mistyped none" None (Wire.int_field "b" v);
-  Alcotest.(check (option int)) "mistyped takes the default too" (Some 9)
-    (Wire.int_field ~default:9 "b" v);
   Alcotest.(check (option string)) "str_field" (Some "x") (Wire.str_field "b" v);
   Alcotest.(check (option (float 0.0))) "int promotes to float" (Some 3.0)
     (Wire.float_field "a" v)
@@ -715,6 +712,19 @@ let test_tenant_jobs_clamped () =
   in
   Alcotest.(check int) "domains the job's SAT blocks ran on" 1 (List.length tids)
 
+(* A status request naming one job id lists that job alone. *)
+let test_status_of_one_job () =
+  let text = Lazy.force netlist_text in
+  with_daemon @@ fun conn ->
+  run_job conn ~client:"alpha" text;
+  run_job conn ~client:"beta" text;
+  match Client.request conn (Protocol.Status (Some "J2")) with
+  | Ok (Protocol.Status_report { jobs; _ }) ->
+      Alcotest.(check (list string)) "listed jobs" [ "J2" ]
+        (List.map (fun jv -> jv.Protocol.jv_id) jobs)
+  | Ok _ -> Alcotest.fail "unexpected status response"
+  | Error e -> Alcotest.failf "status: %s" e
+
 let suite =
   [
     Alcotest.test_case "wire: roundtrip" `Quick test_wire_roundtrip;
@@ -752,4 +762,6 @@ let suite =
       test_run_restores_default_jobs;
     Alcotest.test_case "daemon: a tenant's worker cap is clamped to the daemon's" `Quick
       test_tenant_jobs_clamped;
+    Alcotest.test_case "daemon: status of one job lists that job alone" `Quick
+      test_status_of_one_job;
   ]
