@@ -388,10 +388,12 @@ let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) nl fault
      or published.  Runs in the coordinating domain, in fault order, so the
      check count and any failure are identical for every job count.  Cached
      hits carry no patterns — their certificate is the validated digest. *)
-  if certify then
+  if certify then begin
     for fid = 0 to nf - 1 do
       if s.st.(fid) = 1 && not cached.(fid) then verify_detected s fid
     done;
+    Fs.publish_counts s.fs
+  end;
   (* Publish the freshly derived verdicts (never the cached ones again, and
      never Aborted: an abort is a budget artifact, not a semantic fact).
      Escalated verdicts go under the same [max_conflicts] signatures: the
@@ -519,6 +521,7 @@ let generate nl faults =
           end
     end
   done;
+  Fs.publish_counts s.fs;
   { classification = finish_counts s; tests = List.rev !tests; cross_check_failures = !cross_fail }
 
 let coverage c = 100.0 *. (1.0 -. (float_of_int c.undetectable /. float_of_int (max 1 c.total)))

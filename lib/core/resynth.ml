@@ -7,6 +7,7 @@ module Udfm = Dfm_cellmodel.Udfm
 module IntSet = Set.Make (Int)
 module Span = Dfm_obs.Span
 module Progress = Dfm_obs.Progress
+module Metrics = Dfm_obs.Metrics
 module Mapper = Dfm_synth.Mapper
 
 type event = Checkpoint.event = {
@@ -52,8 +53,45 @@ let cells_by_internal_faults lib =
          and cb = Udfm.internal_fault_count b.Cell.name in
          if ca <> cb then compare cb ca else compare a.Cell.name b.Cell.name)
 
+(* The q-independent facts of an implemented design: everything the
+   acceptance test, the delay/power test and a trace event read. *)
+type facts = {
+  u : int;
+  u_internal : int;
+  smax : int;
+  faults : int;  (* |F| *)
+  delay : float;
+  power : float;
+}
+
+let facts (d : Design.t) =
+  let counts = d.Design.classification.Atpg.counts in
+  {
+    u = counts.Atpg.undetectable;
+    u_internal = counts.Atpg.undetectable_internal;
+    smax = List.length d.Design.cluster.Cluster.smax;
+    faults = counts.Atpg.total;
+    delay = d.Design.timing.Dfm_timing.Sta.critical_path_delay;
+    power = d.Design.power.Dfm_timing.Power.total;
+  }
+
+let pct_smax f =
+  if f.faults = 0 then 0.0 else 100.0 *. float_of_int f.smax /. float_of_int f.faults
+
+(* What evaluating one candidate gave at the current design point: whether
+   its region maps, its internal count u_in', and, once PDesign() has run,
+   whether it fits and its facts.  None of it depends on q or on the
+   threshold, and it holds no netlist or design. *)
+type physical = Does_not_fit | Fits of facts
+
+type known = Unmappable | Remapped of int * physical option
+
 type state = {
   mutable current : Design.t;
+  memo : (string * int list, known) Hashtbl.t;
+      (* keyed by the excluded prefix's boundary cell, which names the
+         allowed cells, and the region; emptied whenever [current] changes *)
+  mutable misses : int;  (* evaluations the memo could not answer *)
   mutable trace : event list;  (* reversed *)
   mutable accepted : int;
   (* The effort as of [solver0], a [Solver.totals] snapshot taken when the
@@ -77,15 +115,10 @@ type state = {
   interrupt : unit -> unit;
 }
 
-let u_total (d : Design.t) = d.Design.classification.Atpg.counts.Atpg.undetectable
-
-let u_internal (d : Design.t) = d.Design.classification.Atpg.counts.Atpg.undetectable_internal
-
-let smax (d : Design.t) = List.length d.Design.cluster.Cluster.smax
-
-let pct_smax_f (d : Design.t) =
-  let f = d.Design.classification.Atpg.counts.Atpg.total in
-  if f = 0 then 0.0 else 100.0 *. float_of_int (smax d) /. float_of_int f
+(* The design point moves on: what the memo knows belongs to the old one. *)
+let set_current st d =
+  st.current <- d;
+  Hashtbl.reset st.memo
 
 let effort st =
   let c0, d0, p0 = st.solver0 and c, d, p = Dfm_sat.Solver.totals () in
@@ -97,18 +130,18 @@ let effort st =
     propagations = e.propagations + (p - p0);
   }
 
-let record st ~q ~phase ~cell ~action (d : Design.t) =
+let record st ~q ~phase ~cell ~action f =
   let ev =
     {
       ev_q = q;
       ev_phase = phase;
       ev_cell = cell;
       ev_action = action;
-      ev_u = u_total d;
-      ev_u_internal = u_internal d;
-      ev_smax = smax d;
-      ev_delay = d.Design.timing.Dfm_timing.Sta.critical_path_delay;
-      ev_power = d.Design.power.Dfm_timing.Power.total;
+      ev_u = f.u;
+      ev_u_internal = f.u_internal;
+      ev_smax = f.smax;
+      ev_delay = f.delay;
+      ev_power = f.power;
     }
   in
   st.trace <- ev :: st.trace;
@@ -162,16 +195,17 @@ let implement_opt st nl =
     Some d
   with Dfm_layout.Place.Does_not_fit _ -> None
 
-let constraints_ok st ~q (d : Design.t) =
+let constraints_ok st ~q f =
   let limit base = base *. (1.0 +. (float_of_int q /. 100.0)) +. 1e-9 in
-  d.Design.timing.Dfm_timing.Sta.critical_path_delay <= limit st.orig_delay
-  && d.Design.power.Dfm_timing.Power.total <= limit st.orig_power
+  f.delay <= limit st.orig_delay && f.power <= limit st.orig_power
 
-let accepts ~phase ~p2 st (d : Design.t) =
-  let cur = st.current in
+let accepts ~phase ~p2 st f =
+  let cur = facts st.current in
   match phase with
-  | 1 -> smax d < smax cur && u_total d <= u_total cur
-  | _ -> u_total d < u_total cur && pct_smax_f d <= p2 +. 1e-9
+  | 1 -> f.smax < cur.smax && f.u <= cur.u
+  | _ -> f.u < cur.u && pct_smax f <= p2 +. 1e-9
+
+let acceptable st ~q ~phase ~p2 f = accepts ~phase ~p2 st f && constraints_ok st ~q f
 
 (* Combinational gates hosting at least one undetectable internal fault,
    optionally restricted to a gate set: this is C_sub − G_zero. *)
@@ -232,20 +266,60 @@ let remap_opt st nl ~region ~table =
 type candidate_outcome =
   | Worse            (* internal undetectables did not decrease: no PDesign *)
   | No_fit           (* floorplan (die area) violated *)
-  | Implemented of int * Design.t  (* the candidate's internal count *)
+  | Implemented of int * facts * Design.t option
+      (* the candidate's internal count, its facts and its design; the
+         design is there whenever the facts pass [wanted] *)
 
-let evaluate st ~threshold ~region ~table =
+(* Only [constraints_ok] reads q, and the design point changes only on an
+   accept, so each candidate (region and allowed cells) is evaluated once
+   per design point and a repeat is answered from [st.memo].  An accept
+   needs the design, which the memo does not keep: when [wanted] passes
+   stored facts, remap and PDesign() run again.  Both are deterministic,
+   so they rebuild the same design. *)
+let evaluate st ~threshold ~wanted ~cell ~region ~table =
   st.interrupt ();
-  match Span.with_ "remap" (fun () -> remap_opt st st.current.Design.netlist ~region ~table) with
-  | None -> None
-  | Some nl ->
-      let u_in' = Span.with_ "internal_check" (fun () -> internal_u_of_netlist st nl) in
-      if u_in' >= threshold then Some Worse
-      else begin
-        match implement_opt st nl with
-        | None -> Some No_fit
-        | Some d -> Some (Implemented (u_in', d))
-      end
+  let key = (cell, region) in
+  let store k = Hashtbl.replace st.memo key k in
+  (* The work itself; the internal check only when u_in' is not known. *)
+  let run known_u_in =
+    match Span.with_ "remap" (fun () -> remap_opt st st.current.Design.netlist ~region ~table) with
+    | None ->
+        store Unmappable;
+        None
+    | Some nl ->
+        let u_in' =
+          match known_u_in with
+          | Some u -> u
+          | None -> Span.with_ "internal_check" (fun () -> internal_u_of_netlist st nl)
+        in
+        if u_in' >= threshold then begin
+          store (Remapped (u_in', None));
+          Some Worse
+        end
+        else begin
+          match implement_opt st nl with
+          | None ->
+              store (Remapped (u_in', Some Does_not_fit));
+              Some No_fit
+          | Some d ->
+              let f = facts d in
+              store (Remapped (u_in', Some (Fits f)));
+              Some (Implemented (u_in', f, Some d))
+        end
+  in
+  match Hashtbl.find_opt st.memo key with
+  | None ->
+      st.misses <- st.misses + 1;
+      run None
+  | Some Unmappable -> None
+  | Some (Remapped (u_in', _)) when u_in' >= threshold -> Some Worse
+  | Some (Remapped (u_in', None)) ->
+      (* worse under a lower threshold, so PDesign() never ran *)
+      st.misses <- st.misses + 1;
+      run (Some u_in')
+  | Some (Remapped (_, Some Does_not_fit)) -> Some No_fit
+  | Some (Remapped (u_in', Some (Fits f))) ->
+      if wanted f then run (Some u_in') else Some (Implemented (u_in', f, None))
 
 (* ------------------------------------------------------------------ *)
 (* Backtracking procedure (Section III-C)                               *)
@@ -264,29 +338,30 @@ let backtrack st ~q ~phase ~p2 ~region ~table ~prefix_names ~cell_name =
     (* [frozen] gates move from G_i into G_back (kept unchanged). *)
     let result = ref None in
     let frozen = ref 0 in
+    let threshold = (facts st.current).u_internal in
     let try_with_back nback =
       let back = Array.to_list (Array.sub g_i 0 nback) in
       let region' = List.filter (fun g -> not (List.mem g back)) region in
       if region' = [] then None
       else
-        Option.map (fun o -> (o, region'))
-          (evaluate st ~threshold:(u_internal st.current) ~region:region' ~table)
+        evaluate st ~threshold ~wanted:(acceptable st ~q ~phase ~p2) ~cell:cell_name
+          ~region:region' ~table
     in
     (try
        while !frozen < n && !result = None do
          let nback = min n (!frozen + step) in
          frozen := nback;
          match try_with_back nback with
-         | None | Some (Worse, _) ->
+         | None | Some Worse ->
              (* Freezing ever more gates cannot lower the internal count
                 again; stop. *)
              raise Exit
-         | Some (No_fit, _) -> ()  (* still too large: freeze more *)
-         | Some (Implemented (_, d), _) ->
-             let ok_c = constraints_ok st ~q d and ok_a = accepts ~phase ~p2 st d in
+         | Some No_fit -> ()  (* still too large: freeze more *)
+         | Some (Implemented (_, f, d)) ->
+             let ok_c = constraints_ok st ~q f and ok_a = accepts ~phase ~p2 st f in
              if ok_c && ok_a then begin
-               record st ~q ~phase ~cell:(Some cell_name) ~action:"backtrack-accept" d;
-               result := Some d
+               record st ~q ~phase ~cell:(Some cell_name) ~action:"backtrack-accept" f;
+               result := d
              end
              else if ok_c (* constraints met but too few faults removed:
                              return the last group one gate at a time *) then begin
@@ -294,14 +369,14 @@ let backtrack st ~q ~phase ~p2 ~region ~table ~prefix_names ~cell_name =
                let k = ref (nback - 1) in
                while !k > lo && !result = None do
                  (match try_with_back !k with
-                 | Some (Implemented (_, d2), _) ->
-                     let ok_c2 = constraints_ok st ~q d2 and ok_a2 = accepts ~phase ~p2 st d2 in
+                 | Some (Implemented (_, f2, d2)) ->
+                     let ok_c2 = constraints_ok st ~q f2 and ok_a2 = accepts ~phase ~p2 st f2 in
                      if ok_c2 && ok_a2 then begin
-                       record st ~q ~phase ~cell:(Some cell_name) ~action:"backtrack-accept" d2;
-                       result := Some d2
+                       record st ~q ~phase ~cell:(Some cell_name) ~action:"backtrack-accept" f2;
+                       result := d2
                      end
                      else if not ok_c2 then raise Exit
-                 | Some (Worse, _) | Some (No_fit, _) | None -> ());
+                 | Some Worse | Some No_fit | None -> ());
                  decr k
                done;
                raise Exit
@@ -316,14 +391,24 @@ let backtrack st ~q ~phase ~p2 ~region ~table ~prefix_names ~cell_name =
 (* One improvement attempt: the cell loop of Section III-B              *)
 (* ------------------------------------------------------------------ *)
 
+(* One series per candidate outcome, each registered at zero. *)
+let m_candidates =
+  List.map
+    (fun o ->
+      ( o,
+        Metrics.counter ~help:"Resynthesis candidates by outcome" ~labels:[ ("outcome", o) ]
+          "dfm_resynth_candidates_total" ))
+    [ "accept"; "backtrack-accept"; "reject"; "worse"; "no_fit"; "over_budget"; "unmappable" ]
+
 let try_cells st ~q ~phase ~p2 ~region =
   let nl = st.current.Design.netlist in
+  let cur = facts st.current in
   let ordered = cells_by_internal_faults (Mapper.library st.table) in
   (* Only candidates that set a new best internal-undetectable count get the
      expensive physical design + full ATPG; later prefixes that are merely
      "not worse" are skipped.  This mirrors the paper's rule of calling
      PDesign() only on an internal improvement, applied per scan. *)
-  let best_u_in = ref (u_internal st.current) in
+  let best_u_in = ref cur.u_internal in
   let used_in_region =
     List.fold_left
       (fun acc g -> (N.gate nl g).N.cell.Cell.name :: acc)
@@ -347,7 +432,14 @@ let try_cells st ~q ~phase ~p2 ~region =
          if List.mem cell.Cell.name used_in_region then begin
            Span.with_ "candidate" ~attrs:[ ("cell", cell.Cell.name) ] @@ fun () ->
            let table = !allowed in
-           let outcome o = Span.note "outcome" o in
+           let misses = st.misses in
+           (* Every candidate ends in exactly one outcome.  It was answered
+              from the memo if none of its evaluations missed. *)
+           let outcome o =
+             Span.note "outcome" o;
+             if st.misses = misses then Span.note "memo" "hit";
+             Metrics.incr (List.assoc o m_candidates)
+           in
            let backtrack_or ~failed =
              match
                backtrack st ~q ~phase ~p2 ~region ~table ~prefix_names:!prefix
@@ -359,29 +451,32 @@ let try_cells st ~q ~phase ~p2 ~region =
                  raise Exit
              | None -> outcome failed
            in
-           match evaluate st ~threshold:!best_u_in ~region ~table with
+           match
+             evaluate st ~threshold:!best_u_in ~wanted:(acceptable st ~q ~phase ~p2)
+               ~cell:cell.Cell.name ~region ~table
+           with
            | None -> outcome "unmappable"  (* eligibility (3) fails: cells not sufficient *)
            | Some Worse -> outcome "worse"
            | Some No_fit -> backtrack_or ~failed:"no_fit"
-           | Some (Implemented (u_in', d)) ->
+           | Some (Implemented (u_in', f, d)) ->
                best_u_in := min !best_u_in u_in';
-               let ok_a = accepts ~phase ~p2 st d in
-               let ok_c = constraints_ok st ~q d in
+               let ok_a = accepts ~phase ~p2 st f in
+               let ok_c = constraints_ok st ~q f in
                if ok_a && ok_c then begin
                  outcome "accept";
-                 record st ~q ~phase ~cell:(Some cell.Cell.name) ~action:"accept" d;
-                 result := Some d;
+                 record st ~q ~phase ~cell:(Some cell.Cell.name) ~action:"accept" f;
+                 result := d;
                  raise Exit
                end
                else if ok_a (* acceptance met, constraints violated *) then
                  backtrack_or ~failed:"over_budget"
                else begin
                  outcome "reject";
-                 record st ~q ~phase ~cell:(Some cell.Cell.name) ~action:"reject" d;
+                 record st ~q ~phase ~cell:(Some cell.Cell.name) ~action:"reject" f;
                  (* Section III-B early exit: as ever more cells are
                     excluded the undetectable count eventually trends up;
                     stop the scan when it does so twice in a row. *)
-                 if u_total d > u_total st.current then begin
+                 if f.u > cur.u then begin
                    incr rising;
                    if !rising >= 2 then raise Exit
                  end
@@ -431,10 +526,11 @@ let run_phase st ~q ~phase ~p1 ~p2 =
     continue_ := false;
     st.interrupt ();
     let d = st.current in
+    let cur = facts d in
     let stop =
       match phase with
-      | 1 -> smax d = 0 || pct_smax_f d <= p1 +. 1e-9
-      | _ -> u_total d = 0
+      | 1 -> cur.smax = 0 || pct_smax cur <= p1 +. 1e-9
+      | _ -> cur.u = 0
     in
     if not stop then begin
       let within = match phase with 1 -> Some d.Design.cluster.Cluster.gmax | _ -> None in
@@ -444,7 +540,7 @@ let run_phase st ~q ~phase ~p1 ~p2 =
         match try_cells st ~q ~phase ~p2 ~region with
         | Some d' ->
             certify_accept st d';
-            st.current <- d';
+            set_current st d';
             st.accepted <- st.accepted + 1;
             (* Checkpoint the accepted design point: the accept event (just
                recorded at the head of the trace), the netlist text to
@@ -462,9 +558,10 @@ let run_phase st ~q ~phase ~p1 ~p2 =
                     effort = effort st;
                     p2;
                   });
+            let f = facts d' in
             Dfm_obs.Log.info
-              (Printf.sprintf "q=%d phase %d: accepted, U=%d (internal %d), Smax=%d" q phase
-                 (u_total d') (u_internal d') (smax d'));
+              (Printf.sprintf "q=%d phase %d: accepted, U=%d (internal %d), Smax=%d" q phase f.u
+                 f.u_internal f.smax);
             continue_ := true
         | None -> ()
       end
@@ -506,6 +603,8 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
   let st =
     {
       current = initial;
+      memo = Hashtbl.create 64;
+      misses = 0;
       trace = [];
       accepted = 0;
       effort =
@@ -558,7 +657,7 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
           (* Resumed accepts are re-certified like fresh ones: the journal
              records a claim, not a proof. *)
           certify_accept st d;
-          st.current <- d;
+          set_current st d;
           st.trace <- a.Checkpoint.ev :: st.trace;
           st.accepted <- a.Checkpoint.accepted;
           st.effort <- a.Checkpoint.effort;
@@ -585,7 +684,7 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
     if not in_resumed_phase2 then run_phase st ~q ~phase:1 ~p1:p1_percent ~p2:0.0;
     let p2 =
       if in_resumed_phase2 then !resume_p2
-      else Float.max p1_percent (pct_smax_f st.current)
+      else Float.max p1_percent (pct_smax (facts st.current))
     in
     run_phase st ~q ~phase:2 ~p1:p1_percent ~p2
   done;

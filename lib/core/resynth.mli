@@ -55,9 +55,15 @@ type effort = Checkpoint.effort = {
       (** aborts surviving every escalation ladder of the run — reported,
           never silently dropped *)
 }
-(** A campaign's effort, journaled whole with every accepted step and
-    restored whole on resume.  Like every count here it is the same at any
-    [--jobs]; the replay of a resume adds nothing to it. *)
+(** A campaign's effort: the work actually done.  A candidate met again at
+    an unchanged design point (the next q, the other phase) is answered
+    from the campaign's memo and adds nothing; rebuilding the design of an
+    accepted candidate whose facts were remembered adds its implement call
+    and classification.  The record is journaled whole with every accepted
+    step and restored whole on resume.  Like every count here it is the
+    same at any [--jobs], and it is exact across a resume: the replay adds
+    nothing, and the continuation starts from the empty memo the
+    uninterrupted run had at that accept. *)
 
 type result = {
   initial : Design.t;

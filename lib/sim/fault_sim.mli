@@ -56,5 +56,6 @@ val publish_counts : t -> unit
 (** Add the faults simulated and the gate evaluations (queued fanout
     gates) counted since the last call to the process metrics
     [dfm_sim_faults_simulated_total] and [dfm_sim_gate_evals_total]; the
-    kernel counts in plain fields, so callers publish once per
-    classification. *)
+    kernel counts in plain fields, so callers publish after each stretch
+    of simulation: a classification's random phase and its certified
+    witness checks, and a test generation. *)

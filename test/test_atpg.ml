@@ -320,6 +320,29 @@ let test_zero_budget_climbs () =
     (status (Dfm_core.Design.implement ~jobs:1 ~max_conflicts:0 nl)
     = status (Dfm_core.Design.implement ~jobs:1 nl))
 
+(* [dfm_sim_faults_simulated_total] counts every fault the kernel
+   simulates: a certified classification's witness resimulations and test
+   generation included. *)
+let test_sim_counts_published () =
+  let simulated () =
+    match Dfm_obs.Metrics.find_value "dfm_sim_faults_simulated_total" with
+    | Some (Dfm_obs.Metrics.Counter n) -> n
+    | _ -> Alcotest.fail "dfm_sim_faults_simulated_total is not a counter"
+  in
+  let moved f =
+    let before = simulated () in
+    ignore (f ());
+    simulated () - before
+  in
+  let nl = Examples.netlist "sparc_ffu_s025.nl" in
+  let faults = Dfm_guidelines.Translate.internal_only nl in
+  let plain = moved (fun () -> Atpg.classify ~jobs:1 nl faults) in
+  let certified = moved (fun () -> Atpg.classify ~jobs:1 ~certify:true nl faults) in
+  if certified <= plain then
+    Alcotest.failf "certified classification simulated %d faults, plain %d" certified plain;
+  if moved (fun () -> Atpg.generate nl faults) = 0 then
+    Alcotest.fail "test generation simulated no fault"
+
 let suite =
   [
     Alcotest.test_case "known redundancy" `Quick test_known_redundancy;
@@ -335,4 +358,5 @@ let suite =
       test_ladder_queries_counted;
     Alcotest.test_case "zero conflict budget climbs the ladder" `Quick
       test_zero_budget_climbs;
+    Alcotest.test_case "every simulated fault is counted" `Quick test_sim_counts_published;
   ]

@@ -268,16 +268,28 @@ let check_same_result label (a : Resynth.result) (b : Resynth.result) =
 
 (* Why each candidate was accepted or rejected, read from the spans alone:
    every candidate span carries one outcome, the accepting outcomes add up
-   to the campaign's accepted steps, and the remap and internal-check spans
-   of [Resynth.evaluate] nest inside a candidate span. *)
+   to the campaign's accepted steps, each outcome's counter moved by the
+   number of its spans, and the remap and internal-check spans of
+   [Resynth.evaluate] nest inside a candidate span.  A candidate answered
+   from the campaign's memo ([memo=hit]) did no remap, internal check or
+   implement, unless it accepted: an accept rebuilds its design. *)
 let candidate_outcomes =
   [ "accept"; "backtrack-accept"; "reject"; "worse"; "no_fit"; "over_budget"; "unmappable" ]
+
+(* The process totals of [dfm_resynth_candidates_total], per outcome. *)
+let candidate_counts () =
+  List.map
+    (fun o ->
+      match Metrics.find_value ~labels:[ ("outcome", o) ] "dfm_resynth_candidates_total" with
+      | Some (Metrics.Counter n) -> n
+      | _ -> Alcotest.failf "dfm_resynth_candidates_total{outcome=%S} is not registered" o)
+    candidate_outcomes
 
 let inside (e : Span.event) (c : Span.event) =
   c.Span.tid = e.Span.tid && c.Span.begin_seq < e.Span.begin_seq
   && e.Span.end_seq < c.Span.end_seq
 
-let check_candidate_spans label (r : Resynth.result) spans =
+let check_candidate_spans label (r : Resynth.result) ~counted spans =
   let named n = List.filter (fun (e : Span.event) -> e.Span.name = n) spans in
   let candidates = named "candidate" in
   let outcomes =
@@ -295,11 +307,26 @@ let check_candidate_spans label (r : Resynth.result) spans =
   if accepting <> r.Resynth.accepted then
     Alcotest.failf "%s: %d accepting outcomes for %d accepted steps" label accepting
       r.Resynth.accepted;
+  List.iter2
+    (fun o n ->
+      let spans = List.length (List.filter (( = ) o) outcomes) in
+      if n <> spans then
+        Alcotest.failf "%s: outcome %s counted %d times for %d spans" label o n spans)
+    candidate_outcomes counted;
   List.iter
     (fun (e : Span.event) ->
       if not (List.exists (inside e) candidates) then
         Alcotest.failf "%s: %s span outside every candidate span" label e.Span.name)
-    (named "remap" @ named "internal_check")
+    (named "remap" @ named "internal_check");
+  let work = named "remap" @ named "internal_check" @ named "implement" in
+  List.iter2
+    (fun (c : Span.event) o ->
+      if List.assoc_opt "memo" c.Span.attrs = Some "hit" && o <> "accept" && o <> "backtrack-accept"
+      then
+        match List.find_opt (fun e -> inside e c) work with
+        | Some e -> Alcotest.failf "%s: a memo hit (%s) holds a %s span" label o e.Span.name
+        | None -> ())
+    candidates outcomes
 
 (* [Design.implement] opens one span per layer: a campaign opens exactly
    one implement span per counted implement call, the spans only implement
@@ -376,12 +403,14 @@ let prop_transparency =
         Recorder.set_enabled true;
         Progress.set_output (Some (fun _ -> incr drawn));
         Progress.set_enabled true;
+        let c0 = candidate_counts () in
         let on = run_campaign ~seed ~q_max d0 in
+        let counted = List.map2 (fun a b -> b - a) c0 (candidate_counts ()) in
         Metrics.set_attribution [];
         Recorder.set_enabled false;
         let spans = Span.drain () in
         check_same_result (Printf.sprintf "jobs=%d" jobs) off on;
-        check_candidate_spans (Printf.sprintf "jobs=%d" jobs) on spans;
+        check_candidate_spans (Printf.sprintf "jobs=%d" jobs) on ~counted spans;
         check_implement_spans (Printf.sprintf "jobs=%d" jobs) on spans;
         (* the instrumented run must actually have observed something,
            otherwise this property is vacuous.  (Log records only appear

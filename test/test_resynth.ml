@@ -77,6 +77,22 @@ let test_trace_q_monotone () =
   in
   Alcotest.(check bool) "q nondecreasing in trace" true (sorted qs)
 
+let netlist_hash (r : Resynth.result) =
+  Printf.sprintf "%Lx"
+    (Dfm_util.Hash64.of_string (Dfm_netlist.Netlist_io.to_string r.Resynth.final.Design.netlist))
+
+(* Every trace event with all nine fields, floats in hex so that no digit
+   is lost. *)
+let trace_hash (r : Resynth.result) =
+  List.map
+    (fun (e : Resynth.event) ->
+      Printf.sprintf "%d %d %s %s %d %d %d %h %h" e.Resynth.ev_q e.Resynth.ev_phase
+        (Option.value ~default:"-" e.Resynth.ev_cell)
+        e.Resynth.ev_action e.Resynth.ev_u e.Resynth.ev_u_internal e.Resynth.ev_smax
+        e.Resynth.ev_delay e.Resynth.ev_power)
+    r.Resynth.trace
+  |> String.concat "\n" |> Dfm_util.Hash64.of_string |> Printf.sprintf "%Lx"
+
 (* The campaign's output, pinned: values recorded from this sparc_spu@0.4
    campaign (the byte-diff rules elsewhere compare two runs of one build;
    this compares against a recorded run).  A change to mapping, candidate
@@ -84,13 +100,10 @@ let test_trace_q_monotone () =
    same at any job count, so [REPRO_JOBS] cannot move it. *)
 let test_pinned_campaign () =
   let _, _, r = Lazy.force result in
-  Alcotest.(check string) "final netlist hash" "839b01d4abe17514"
-    (Printf.sprintf "%Lx"
-       (Dfm_util.Hash64.of_string
-          (Dfm_netlist.Netlist_io.to_string r.Resynth.final.Design.netlist)));
+  Alcotest.(check string) "final netlist hash" "839b01d4abe17514" (netlist_hash r);
   Alcotest.(check (list int))
     "accepted, implement calls, SAT queries, conflicts, decisions, propagations"
-    [ 3; 12; 1_223; 11_083; 53_794; 230_938 ]
+    [ 3; 12; 1_158; 9_973; 49_284; 208_628 ]
     [
       r.Resynth.accepted;
       r.Resynth.effort.Resynth.implement_calls;
@@ -111,6 +124,35 @@ let test_pinned_campaign () =
            (Option.value ~default:"-" e.Resynth.ev_cell)
            e.Resynth.ev_action e.Resynth.ev_u)
        r.Resynth.trace)
+
+(* Two more campaigns pinned like sparc_spu@0.4, each with its whole trace.
+   tv80@0.5 accepts at q = 1 a candidate (XNOR2X1) that q = 0 found over
+   budget on the same design point; aes_core@0.5 rejects one AND2X2
+   candidate after physical design at every q.  The netlist, accept count
+   and trace must not depend on how often a candidate is evaluated; the
+   effort counts are the work done. *)
+let pinned_campaign name ~scale ~netlist ~accepted ~trace ~effort () =
+  let r = Resynth.run (Design.implement (Dfm_circuits.Circuits.build ~scale name)) in
+  Alcotest.(check string) "final netlist hash" netlist (netlist_hash r);
+  Alcotest.(check int) "accepted" accepted r.Resynth.accepted;
+  Alcotest.(check string) "trace hash" trace (trace_hash r);
+  Alcotest.(check (list int))
+    "implement calls, SAT queries, conflicts, decisions, propagations" effort
+    [
+      r.Resynth.effort.Resynth.implement_calls;
+      r.Resynth.effort.Resynth.sat_queries;
+      r.Resynth.effort.Resynth.conflicts;
+      r.Resynth.effort.Resynth.decisions;
+      r.Resynth.effort.Resynth.propagations;
+    ]
+
+let test_pinned_tv80 =
+  pinned_campaign "tv80" ~scale:0.5 ~netlist:"decc3127979f232c" ~accepted:2
+    ~trace:"beb83e01901cf5cf" ~effort:[ 5; 2_731; 6_724; 117_659; 346_873 ]
+
+let test_pinned_aes_core =
+  pinned_campaign "aes_core" ~scale:0.5 ~netlist:"95bdc5230e5be895" ~accepted:1
+    ~trace:"e0acfd03bf82bacb" ~effort:[ 2; 859; 73_204; 222_540; 2_338_146 ]
 
 let test_equiv_sat_detects_differences () =
   (* sanity: the checker is not a rubber stamp *)
@@ -231,6 +273,8 @@ let suite =
     Alcotest.test_case "trace monotone on accepts" `Slow test_trace_monotone_on_accepts;
     Alcotest.test_case "trace q monotone" `Slow test_trace_q_monotone;
     Alcotest.test_case "pinned campaign: sparc_spu@0.4" `Slow test_pinned_campaign;
+    Alcotest.test_case "pinned campaign: tv80@0.5" `Slow test_pinned_tv80;
+    Alcotest.test_case "pinned campaign: aes_core@0.5" `Slow test_pinned_aes_core;
     Alcotest.test_case "equiv_sat detects differences" `Quick test_equiv_sat_detects_differences;
     Alcotest.test_case "design metrics consistent" `Slow test_design_metrics_consistent;
     Alcotest.test_case "dppm model" `Slow test_dppm_model;
