@@ -24,6 +24,10 @@ let m_classified =
   Metrics.counter ~help:"Faults classified (including cache hits)"
     "dfm_atpg_faults_classified_total"
 
+let m_carried =
+  Metrics.counter ~help:"Faults whose verdict was carried in through [known]"
+    "dfm_atpg_faults_carried_total"
+
 (* Per-tenant attributable effort: SAT queries issued and wall time spent
    in the SAT phase, bumped where the work happens so worker domains are
    counted too. *)
@@ -296,7 +300,7 @@ let sat_blocks pending =
 (* 64-pattern blocks of random simulation before the SAT phase. *)
 let random_blocks = 16
 
-let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) nl faults =
+let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) ?known nl faults =
   Span.with_ "atpg.classify"
     ~attrs:[ ("faults", string_of_int (Array.length faults)) ]
   @@ fun () ->
@@ -304,17 +308,48 @@ let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) nl fault
   Metrics.incr ~by:nf m_classified;
   let jobs = match jobs with Some j -> j | None -> Parallel.default_jobs () in
   let s = make_state ~certify nl faults in
+  (* Carried verdicts are resolved first: they are never certified, looked
+     up in the cache or published to it. *)
+  let carried =
+    match known with
+    | None -> 0
+    | Some known ->
+        if certify then invalid_arg "Atpg.classify: carried verdicts cannot be certified";
+        if Array.length known <> nf then invalid_arg "Atpg.classify: known has the wrong length";
+        let n = ref 0 in
+        Array.iteri
+          (fun fid v ->
+            match v with
+            | Some Detected ->
+                incr n;
+                s.st.(fid) <- 1
+            | Some Undetectable ->
+                incr n;
+                s.st.(fid) <- 2
+            | Some Aborted | None -> ())
+          known;
+        !n
+  in
+  Metrics.incr ~by:carried m_carried;
+  Span.note "carried" (string_of_int carried);
   (* Cache consultation happens here in the coordinating domain, before any
      task runs, so both phases see the same per-fault work in every
      configuration.  Only semantic verdicts come out of the store (no
      Aborted), so a hit can only skip the work the phases below would have
-     spent re-deriving the same verdict. *)
+     spent re-deriving the same verdict.  [fresh] lists the faults the cache
+     is consulted for, and [sigs] holds their signatures, in that order. *)
   let cached = Array.make (max 1 nf) false in
+  let fresh =
+    if cache = None then [||]
+    else Array.of_list (List.filter (fun fid -> s.st.(fid) = 0) (List.init nf Fun.id))
+  in
   let sigs =
     match cache with
     | None -> [||]
     | Some c ->
-        let sigs = Dfm_incr.Cache.signatures c ?max_conflicts nl faults in
+        let sigs =
+          Dfm_incr.Cache.signatures c ?max_conflicts nl (Array.map (Array.get faults) fresh)
+        in
         (* In certified mode only entries published by a certified run (and
            whose stored certificate mark validated on load) are trusted; the
            digest validation is the cached verdict's certificate. *)
@@ -322,7 +357,8 @@ let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) nl fault
           if certify then Dfm_incr.Cache.find_certified c sg else Dfm_incr.Cache.find c sg
         in
         Array.iteri
-          (fun fid sg ->
+          (fun i sg ->
+            let fid = fresh.(i) in
             match find sg with
             | Some Dfm_incr.Store.Detected ->
                 if certify then Cert.note_check ~ok:true ~ns:0L;
@@ -394,8 +430,8 @@ let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) nl fault
     done;
     Fs.publish_counts s.fs
   end;
-  (* Publish the freshly derived verdicts (never the cached ones again, and
-     never Aborted: an abort is a budget artifact, not a semantic fact).
+  (* Publish the freshly derived verdicts (never the carried or cached ones,
+     and never Aborted: an abort is a budget artifact, not a semantic fact).
      Escalated verdicts go under the same [max_conflicts] signatures: the
      verdict is semantic, and that is the key the next same-budget campaign
      looks up. *)
@@ -403,7 +439,8 @@ let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) nl fault
   | None -> ()
   | Some c ->
       Array.iteri
-        (fun fid sg ->
+        (fun i sg ->
+          let fid = fresh.(i) in
           if not cached.(fid) then
             match s.st.(fid) with
             | 1 -> Dfm_incr.Cache.record ~certified:certify c sg Dfm_incr.Store.Detected

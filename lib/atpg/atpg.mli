@@ -84,10 +84,23 @@ val classify :
   ?jobs:int ->
   ?cache:Dfm_incr.Cache.t ->
   ?certify:bool ->
+  ?known:status option array ->
   Dfm_netlist.Netlist.t ->
   Dfm_faults.Fault.t array ->
   classification
 (** Sixteen 64-pattern blocks of random simulation precede the SAT phase.
+
+    [known], indexed by [fault_id], carries verdicts in from elsewhere —
+    the resynthesis campaign carries its parent design point's verdicts
+    for faults outside a remapped region.  A [Some Detected] or
+    [Some Undetectable] entry is taken as given before anything else runs:
+    that fault is never simulated, queried, looked up in [cache] or
+    published to it, and it adds no SAT query.  [None] and [Some Aborted]
+    carry nothing.  Each [atpg.classify] span notes [carried], the number of
+    carried verdicts, which the [dfm_atpg_faults_carried_total] counter
+    also counts.  A carried verdict has no certificate, so [known] with
+    [certify] raises [Invalid_argument], as does a [known] whose length is
+    not the fault list's.
 
     [max_conflicts] (default unbounded) bounds each SAT query.  The faults
     it aborts then climb, in the calling domain, a geometric budget ladder
@@ -128,7 +141,8 @@ val classify :
 
     [cache] consults a content-addressed verdict store before {e both} the
     random-simulation prefilter and the SAT phase, and publishes the
-    freshly derived Detected/Undetectable verdicts afterwards.  Correctness
+    freshly derived Detected/Undetectable verdicts afterwards.  Only the
+    faults [known] leaves open are signed and looked up.  Correctness
     invariant: for any netlist and any warm or cold cache state the
     classification is bit-identical to the uncached run — the cache may
     only skip work, never change a verdict.  (Signatures include

@@ -22,7 +22,14 @@ type effort = {
   aborted_residual : int;
 }
 
-type accept = { ev : event; netlist : string; accepted : int; effort : effort; p2 : float }
+type accept = {
+  ev : event;
+  netlist : string;
+  region : int list;
+  accepted : int;
+  effort : effort;
+  p2 : float;
+}
 
 type entry = Header of string | Event of event | Accept of accept
 
@@ -33,7 +40,7 @@ type t = { mutable journal : Journal.t option }
 (* Bumped with every change of the record layout, so older files fail the
    magic check and [attach] restarts them fresh instead of unmarshalling a
    mismatched layout. *)
-let magic = "DFMCK04\n"
+let magic = "DFMCK05\n"
 
 let m_frames =
   Dfm_obs.Metrics.counter ~help:"Checkpoint journal frames written"

@@ -2,8 +2,9 @@
 
     The journal records the progress of one resynthesis campaign — every
     rejected candidate as an {!event} and every accepted design point as an
-    {!accept} carrying the accepted netlist (structural text), the accepted
-    step count, the campaign's {!effort} record and the loop position.  The
+    {!accept} carrying the accepted netlist (structural text), the region
+    it remapped, the accepted step count, the campaign's {!effort} record
+    and the loop position.  The
     resumption contract built on it:
 
     {e kill the process at any instant, attach again with [resume = true],
@@ -12,12 +13,13 @@
 
     This works because {!Resynth.run} is deterministic and its phase loops
     are fixpoint iterations: replaying the accepted netlists through the
-    incremental [Design.implement] chain reconstructs the exact design
-    state, and re-entering the loop at the journaled position re-derives
+    incremental [Design.implement] chain, each carrying its parent's
+    verdicts outside the journaled region ({!Carry}), reconstructs the
+    exact design state, and re-entering the loop at the journaled position re-derives
     precisely the work that followed the last accept (whose journal tail is
     truncated at attach time so nothing is duplicated).
 
-    On disk it is a {!Dfm_util.Journal} (magic [DFMCK04]; the format,
+    On disk it is a {!Dfm_util.Journal} (magic [DFMCK05]; the format,
     loading and compaction rules are described there) of marshalled
     {!entry} records.  Records are ordered, so attach keeps only the intact
     prefix before the first damaged record.
@@ -55,6 +57,9 @@ type effort = {
 type accept = {
   ev : event;                (** the accept event itself *)
   netlist : string;          (** accepted netlist, [Netlist_io] text *)
+  region : int list;
+      (** the gates of the previous design point that the accepted netlist
+          remapped: what a replay carries verdicts around *)
   accepted : int;            (** accepted steps {e after} this accept *)
   effort : effort;           (** the campaign's effort as of this accept *)
   p2 : float;                (** phase-2 [S_max] bound in force (0 in phase 1) *)

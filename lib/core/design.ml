@@ -35,7 +35,7 @@ type metrics = {
 
 let undetectable t fid = t.classification.Atpg.status.(fid) = Atpg.Undetectable
 
-let implement ?(seed = 3) ?floorplan ?previous ?jobs ?cache ?max_conflicts ?certify netlist =
+let implement ?(seed = 3) ?floorplan ?previous ?jobs ?cache ?max_conflicts ?certify ?known netlist =
   Span.with_ "implement"
     ~attrs:[ ("gates", string_of_int (N.num_gates netlist)) ]
   @@ fun () ->
@@ -54,7 +54,10 @@ let implement ?(seed = 3) ?floorplan ?previous ?jobs ?cache ?max_conflicts ?cert
   let power = Span.with_ "timing.power" (fun () -> Dfm_timing.Power.analyze ~seed routing) in
   let fault_list = Span.with_ "dfm.translate" (fun () -> Dfm_guidelines.Translate.build routing) in
   let faults = fault_list.Dfm_guidelines.Translate.faults in
-  let classification = Atpg.classify ~seed ?jobs ?cache ?max_conflicts ?certify netlist faults in
+  let known = Option.map (fun carry -> carry faults) known in
+  let classification =
+    Atpg.classify ~seed ?jobs ?cache ?max_conflicts ?certify ?known netlist faults
+  in
   let cluster =
     Span.with_ "core.cluster" @@ fun () ->
     Cluster.compute netlist faults

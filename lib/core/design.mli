@@ -46,6 +46,7 @@ val implement :
   ?cache:Dfm_incr.Cache.t ->
   ?max_conflicts:int ->
   ?certify:bool ->
+  ?known:(Dfm_faults.Fault.t array -> Dfm_atpg.Atpg.status option array) ->
   Dfm_netlist.Netlist.t ->
   t
 (** Run the whole pipeline.  [max_conflicts] bounds each classification SAT
@@ -66,7 +67,11 @@ val implement :
     emitted verdict against an independent certificate — witness
     resimulation for Detected, replayed UNSAT proofs for Undetectable; see
     {!Dfm_atpg.Atpg.classify}.  Metrics, statuses and counts are
-    bit-identical to the uncertified run. *)
+    bit-identical to the uncertified run.
+    [known] is given the routed fault list and returns the verdicts to
+    carry into its classification (the [known] of
+    {!Dfm_atpg.Atpg.classify}); the resynthesis campaign passes
+    {!Carry.known} of the design point a candidate was remapped from. *)
 
 val metrics : t -> metrics
 

@@ -92,6 +92,7 @@ type state = {
       (* keyed by the excluded prefix's boundary cell, which names the
          allowed cells, and the region; emptied whenever [current] changes *)
   mutable misses : int;  (* evaluations the memo could not answer *)
+  mutable carry : Carry.t Lazy.t;  (* [current]'s verdicts by fault site *)
   mutable trace : event list;  (* reversed *)
   mutable accepted : int;
   (* The effort as of [solver0], a [Solver.totals] snapshot taken when the
@@ -115,9 +116,11 @@ type state = {
   interrupt : unit -> unit;
 }
 
-(* The design point moves on: what the memo knows belongs to the old one. *)
+(* The design point moves on: what the memo and the carry index know
+   belong to the old one. *)
 let set_current st d =
   st.current <- d;
+  st.carry <- lazy (Carry.index d);
   Hashtbl.reset st.memo
 
 let effort st =
@@ -172,25 +175,36 @@ let charge st (cls : Atpg.classification) =
       aborted_residual = e.aborted_residual + residual;
     }
 
+(* The current design point's verdicts for the faults of [nl], a remap of
+   its gates [region], outside that region (see {!Carry}).  A carried verdict
+   has no certificate, so a certified campaign carries nothing. *)
+let carried st ~region nl =
+  if st.certify then None else Some (Carry.known (Lazy.force st.carry) ~region nl)
+
 (* Undetectable internal fault count of a bare netlist (no layout): internal
    faults do not depend on placement/routing, so this gates PDesign() as in
    Section III-B. *)
-let internal_u_of_netlist st nl =
+let internal_u_of_netlist st ~region nl =
   let faults = Dfm_guidelines.Translate.internal_only nl in
   let cls =
     Atpg.classify ~seed:st.seed ?max_conflicts:st.max_conflicts ?cache:st.cache
-      ~certify:st.certify nl faults
+      ~certify:st.certify
+      ?known:(Option.map (fun carry -> carry faults) (carried st ~region nl))
+      nl faults
   in
   charge st cls;
   cls.Atpg.counts.Atpg.undetectable
 
-let implement_opt st nl =
+(* PDesign() of [nl], a remap of the current design's gates [region], as an
+   ECO of the current design.  A resume rebuilds each accept this way. *)
+let implement st ~region nl =
+  Design.implement ~seed:st.seed ~floorplan:st.floorplan ~previous:st.current ?cache:st.cache
+    ?max_conflicts:st.max_conflicts ~certify:st.certify ?known:(carried st ~region nl) nl
+
+let implement_opt st ~region nl =
   st.effort <- { st.effort with implement_calls = st.effort.implement_calls + 1 };
   try
-    let d =
-      Design.implement ~seed:st.seed ~floorplan:st.floorplan ~previous:st.current
-        ?cache:st.cache ?max_conflicts:st.max_conflicts ~certify:st.certify nl
-    in
+    let d = implement st ~region nl in
     charge st d.Design.classification;
     Some d
   with Dfm_layout.Place.Does_not_fit _ -> None
@@ -251,6 +265,7 @@ let grow_region nl region ~levels =
    netlist text walks through identical netlist representations and
    re-derives a bit-identical continuation (see {!Checkpoint}). *)
 let canonical nl =
+  Span.with_ "synth.canonical" @@ fun () ->
   Dfm_netlist.Netlist_io.read ~library:nl.N.library (Dfm_netlist.Netlist_io.to_string nl)
 
 let remap_opt st nl ~region ~table =
@@ -266,9 +281,9 @@ let remap_opt st nl ~region ~table =
 type candidate_outcome =
   | Worse            (* internal undetectables did not decrease: no PDesign *)
   | No_fit           (* floorplan (die area) violated *)
-  | Implemented of int * facts * Design.t option
-      (* the candidate's internal count, its facts and its design; the
-         design is there whenever the facts pass [wanted] *)
+  | Implemented of int * facts * (int list * Design.t) option
+      (* the candidate's internal count, its facts, and its region and
+         design; those are there whenever the facts pass [wanted] *)
 
 (* Only [constraints_ok] reads q, and the design point changes only on an
    accept, so each candidate (region and allowed cells) is evaluated once
@@ -290,21 +305,21 @@ let evaluate st ~threshold ~wanted ~cell ~region ~table =
         let u_in' =
           match known_u_in with
           | Some u -> u
-          | None -> Span.with_ "internal_check" (fun () -> internal_u_of_netlist st nl)
+          | None -> Span.with_ "internal_check" (fun () -> internal_u_of_netlist st ~region nl)
         in
         if u_in' >= threshold then begin
           store (Remapped (u_in', None));
           Some Worse
         end
         else begin
-          match implement_opt st nl with
+          match implement_opt st ~region nl with
           | None ->
               store (Remapped (u_in', Some Does_not_fit));
               Some No_fit
           | Some d ->
               let f = facts d in
               store (Remapped (u_in', Some (Fits f)));
-              Some (Implemented (u_in', f, Some d))
+              Some (Implemented (u_in', f, Some (region, d)))
         end
   in
   match Hashtbl.find_opt st.memo key with
@@ -538,7 +553,7 @@ let run_phase st ~q ~phase ~p1 ~p2 =
       let region = grow_region d.Design.netlist core_region ~levels:st.context_levels in
       if core_region <> [] then begin
         match try_cells st ~q ~phase ~p2 ~region with
-        | Some d' ->
+        | Some (remapped, d') ->
             certify_accept st d';
             set_current st d';
             st.accepted <- st.accepted + 1;
@@ -554,6 +569,7 @@ let run_phase st ~q ~phase ~p1 ~p2 =
                   {
                     Checkpoint.ev = List.hd st.trace;
                     netlist = Dfm_netlist.Netlist_io.to_string d'.Design.netlist;
+                    region = remapped;
                     accepted = st.accepted;
                     effort = effort st;
                     p2;
@@ -605,6 +621,7 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
       current = initial;
       memo = Hashtbl.create 64;
       misses = 0;
+      carry = lazy (Carry.index initial);
       trace = [];
       accepted = 0;
       effort =
@@ -635,11 +652,13 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
   in
   (* Replay the journal.  Rejected events are restored verbatim; each
      accepted design point is rebuilt by re-implementing its journaled
-     netlist against the previous accepted design — the same incremental
-     (ECO) chain the original run walked, hence a bit-identical design
-     state.  The accepted count and the effort are restored from the last
-     Accept; the replay's own implement/SAT work is bookkeeping-free (it
-     happened already, in the run being resumed). *)
+     netlist against the previous accepted design, carrying that design's
+     verdicts around the journaled region — the same incremental (ECO)
+     chain the original run walked, hence a bit-identical design state,
+     also where a bounded budget would have aborted a carried fault.  The
+     accepted count and the effort are restored from the last Accept; the
+     replay's own implement/SAT work is bookkeeping-free (it happened
+     already, in the run being resumed). *)
   let resume_q = ref 0 and resume_phase = ref 1 and resume_p2 = ref 0.0 in
   List.iter
     (function
@@ -650,10 +669,7 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
             Dfm_netlist.Netlist_io.read
               ~library:st.current.Design.netlist.N.library a.Checkpoint.netlist
           in
-          let d =
-            Design.implement ~seed ~floorplan:st.floorplan ~previous:st.current ?cache
-              ?max_conflicts ~certify nl
-          in
+          let d = implement st ~region:a.Checkpoint.region nl in
           (* Resumed accepts are re-certified like fresh ones: the journal
              records a claim, not a proof. *)
           certify_accept st d;

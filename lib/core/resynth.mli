@@ -41,8 +41,8 @@ type effort = Checkpoint.effort = {
   implement_calls : int;   (** full synthesis+PD+ATPG iterations performed *)
   sat_queries : int;
       (** SAT queries spent across all classifications of the procedure
-          (implement calls and internal-only checks) — the quantity the
-          verdict cache saves *)
+          (implement calls and internal-only checks) — the quantity carried
+          verdicts and the verdict cache save *)
   conflicts : int;
   decisions : int;
   propagations : int;
@@ -117,11 +117,20 @@ val run :
     context are added to C_sub − G_zero (see DESIGN.md §5).  Both exist so
     the design-choice ablations in the bench can quantify their effect.
 
+    Both classifications a candidate pays for, its internal-only
+    pre-check and its [Design.implement], carry the current design point's
+    Detected and Undetectable verdicts for the faults outside the remapped
+    region ({!Carry}), built once per design point; only the rest is
+    classified.  Under the default unbounded budget this changes no
+    verdict, report or accept, only the effort counts.  Under
+    [max_conflicts] a carried verdict may resolve a fault the bound would
+    have aborted, like a cache hit.
+
     [cache] is one verdict store threaded through every classification the
     procedure performs (candidate implement calls and the cheap
-    internal-only pre-checks).  Each iteration edits a local region, so
-    most fault cones — and therefore verdicts — carry over; the cache skips
-    their re-derivation without changing any result ({!Dfm_incr.Cache}).
+    internal-only pre-checks).  It is consulted for the faults no carried
+    verdict resolves, and skips their re-derivation without changing any
+    result ({!Dfm_incr.Cache}).
 
     Each accepted step (and a checkpoint resume) is logged as a
     {!Dfm_obs.Log} [Info] record.
@@ -137,11 +146,15 @@ val run :
     replayed from a journal — must additionally pass a checked SAT
     equivalence certificate against the design it replaces before the
     checkpoint journal records it.  A failed check raises
-    {!Dfm_sat.Cert.Check_failed}.  The final design, trace and every
-    counter except [certified_checks] / [certified_failures] are
-    bit-identical to the uncertified run.
+    {!Dfm_sat.Cert.Check_failed}.  A carried verdict has no certificate,
+    so a certified campaign carries none and classifies every fault
+    afresh.  The final design, trace and [accepted] are bit-identical to
+    the uncertified run; the effort counts are higher by the verdicts the
+    uncertified run carried.
 
-    [checkpoint] journals every design point to [path] ({!Checkpoint}).
+    [checkpoint] journals every design point to [path] ({!Checkpoint}),
+    each accept with the region it remapped, so that a replay carries the
+    same verdicts.
     Resumption contract: kill the process at any instant and re-run with
     [resume = true] — the completed campaign's final design, trace,
     [accepted] and [effort] are bit-identical to the uninterrupted run.

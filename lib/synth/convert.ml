@@ -1,6 +1,7 @@
 module N = Dfm_netlist.Netlist
 module Cell = Dfm_netlist.Cell
 module Tt = Dfm_logic.Truthtable
+module Span = Dfm_obs.Span
 
 (* Shannon decomposition on the first support variable. *)
 let rec shannon_lit aig tt (lits : Aig.lit array) =
@@ -143,15 +144,19 @@ let to_aig nl =
   let outputs = Array.to_list (Array.map (fun (p, nid) -> (p, lit_of_net.(nid))) nl.N.pos) in
   (aig, outputs)
 
+(* One span per Synthesize() step, so a trace splits the remap. *)
 let remap ?goal ?(sweep = true) nl ~table =
-  let aig, outputs = to_aig nl in
-  let aig, outputs = if sweep then Sweep.sweep aig ~outputs else (aig, outputs) in
-  Mapper.map ?goal table ~name:nl.N.name aig ~outputs
+  let aig, outputs = Span.with_ "synth.to_aig" (fun () -> to_aig nl) in
+  let aig, outputs =
+    if sweep then Span.with_ "synth.sweep" (fun () -> Sweep.sweep aig ~outputs)
+    else (aig, outputs)
+  in
+  Span.with_ "synth.map" (fun () -> Mapper.map ?goal table ~name:nl.N.name aig ~outputs)
 
 let remap_region ?goal ?sweep nl ~gates ~table =
-  let sub, boundary = N.extract nl ~gates in
+  let sub, boundary = Span.with_ "synth.extract" (fun () -> N.extract nl ~gates) in
   let mapped = remap ?goal ?sweep sub ~table in
-  N.replace nl ~gates ~sub:mapped boundary
+  Span.with_ "synth.replace" (fun () -> N.replace nl ~gates ~sub:mapped boundary)
 
 let remap_full nl ~table =
   let gates = List.map (fun (g : N.gate) -> g.N.gate_id) (N.comb_gates nl) in

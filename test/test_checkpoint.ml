@@ -37,6 +37,7 @@ let acc i =
   {
     Checkpoint.ev = ev ~action:"accept" i;
     netlist = Printf.sprintf "# accepted netlist %d\nmodule m%d\n" i i;
+    region = List.init (i mod 4) (fun k -> (10 * i) + k);
     accepted = i;
     effort =
       {

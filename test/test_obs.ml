@@ -360,6 +360,53 @@ let check_implement_spans label (r : Resynth.result) spans =
         implement_layers)
     implements
 
+(* A remap opens one span per Synthesize() step.  A remap that produced a
+   netlist holds each exactly once; one the mapper refused ends in its
+   synth.map span. *)
+let synth_steps =
+  [ "synth.extract"; "synth.to_aig"; "synth.sweep"; "synth.map"; "synth.replace";
+    "synth.canonical" ]
+
+let check_remap_spans label spans =
+  let named n = List.filter (fun (e : Span.event) -> e.Span.name = n) spans in
+  let produced =
+    List.fold_left
+      (fun produced remap ->
+        let held step = List.length (List.filter (fun e -> inside e remap) (named step)) in
+        match List.map held synth_steps with
+        | [ 1; 1; 1; 1; 1; 1 ] -> produced + 1
+        | [ 1; 1; 1; 1; 0; 0 ] -> produced
+        | held ->
+            Alcotest.failf "%s: a remap span holds [%s] of the steps [%s]" label
+              (String.concat "; " (List.map string_of_int held))
+              (String.concat "; " synth_steps))
+      0 (named "remap")
+  in
+  if produced = 0 then Alcotest.failf "%s: no remap span produced a netlist" label
+
+(* The process total of [dfm_atpg_faults_carried_total]. *)
+let carried_total () =
+  match Metrics.find_value "dfm_atpg_faults_carried_total" with
+  | Some (Metrics.Counter n) -> n
+  | _ -> Alcotest.fail "dfm_atpg_faults_carried_total is not a registered counter"
+
+(* Every atpg.classify span notes how many verdicts it was handed, and the
+   counter moved by their sum. *)
+let check_carried_spans label ~counted spans =
+  let noted =
+    List.fold_left
+      (fun acc (e : Span.event) ->
+        if e.Span.name <> "atpg.classify" then acc
+        else
+          match List.assoc_opt "carried" e.Span.attrs with
+          | Some n -> acc + int_of_string n
+          | None -> Alcotest.failf "%s: an atpg.classify span without a carried note" label)
+      0 spans
+  in
+  if noted <> counted then
+    Alcotest.failf "%s: the spans note %d carried verdicts, the counter moved by %d" label noted
+      counted
+
 (* The process totals of simulation-kernel gate evaluations and pool
    tasks. *)
 let kernel_and_pool () =
@@ -403,15 +450,18 @@ let prop_transparency =
         Recorder.set_enabled true;
         Progress.set_output (Some (fun _ -> incr drawn));
         Progress.set_enabled true;
-        let c0 = candidate_counts () in
+        let c0 = candidate_counts () and carried0 = carried_total () in
         let on = run_campaign ~seed ~q_max d0 in
         let counted = List.map2 (fun a b -> b - a) c0 (candidate_counts ()) in
+        let carried = carried_total () - carried0 in
         Metrics.set_attribution [];
         Recorder.set_enabled false;
         let spans = Span.drain () in
         check_same_result (Printf.sprintf "jobs=%d" jobs) off on;
         check_candidate_spans (Printf.sprintf "jobs=%d" jobs) on ~counted spans;
         check_implement_spans (Printf.sprintf "jobs=%d" jobs) on spans;
+        check_remap_spans (Printf.sprintf "jobs=%d" jobs) spans;
+        check_carried_spans (Printf.sprintf "jobs=%d" jobs) ~counted:carried spans;
         (* the instrumented run must actually have observed something,
            otherwise this property is vacuous.  (Log records only appear
            on accepted steps, so [sunk] may legitimately stay 0 on a
@@ -431,6 +481,24 @@ let prop_transparency =
       if snd k1 <> snd k4 then
         Alcotest.failf "jobs=1 vs jobs=4: %d vs %d pool tasks" (snd k1) (snd k4);
       true)
+
+(* The transparency campaign carries its parent's verdicts into the
+   classifications of its candidates; certified, it carries none, because a
+   carried verdict has no certificate. *)
+let test_carried_uncertified_only () =
+  let d0 = Lazy.force transparency_design in
+  with_clean_obs @@ fun () ->
+  Span.set_enabled true;
+  Span.reset ();
+  let carried ~certify =
+    let before = carried_total () in
+    ignore (Resynth.run ~certify d0 : Resynth.result);
+    let counted = carried_total () - before in
+    check_carried_spans (Printf.sprintf "certify=%b" certify) ~counted (Span.drain ());
+    counted
+  in
+  if carried ~certify:false = 0 then Alcotest.fail "the campaign carried no verdict";
+  Alcotest.(check int) "verdicts carried under certify" 0 (carried ~certify:true)
 
 (* ------------------------------------------------------------------ *)
 (* Labels and ambient attribution                                       *)
@@ -779,4 +847,5 @@ let suite =
       test_stream_drain_keeps_nothing;
     Alcotest.test_case "span states recycled" `Quick test_span_states_recycled;
     QCheck_alcotest.to_alcotest prop_transparency;
+    Alcotest.test_case "verdicts carried only uncertified" `Slow test_carried_uncertified_only;
   ]

@@ -103,7 +103,7 @@ let test_pinned_campaign () =
   Alcotest.(check string) "final netlist hash" "839b01d4abe17514" (netlist_hash r);
   Alcotest.(check (list int))
     "accepted, implement calls, SAT queries, conflicts, decisions, propagations"
-    [ 3; 12; 1_158; 9_973; 49_284; 208_628 ]
+    [ 3; 12; 290; 7_332; 20_349; 108_546 ]
     [
       r.Resynth.accepted;
       r.Resynth.effort.Resynth.implement_calls;
@@ -148,11 +148,11 @@ let pinned_campaign name ~scale ~netlist ~accepted ~trace ~effort () =
 
 let test_pinned_tv80 =
   pinned_campaign "tv80" ~scale:0.5 ~netlist:"decc3127979f232c" ~accepted:2
-    ~trace:"beb83e01901cf5cf" ~effort:[ 5; 2_731; 6_724; 117_659; 346_873 ]
+    ~trace:"beb83e01901cf5cf" ~effort:[ 5; 559; 5_203; 30_918; 117_443 ]
 
 let test_pinned_aes_core =
   pinned_campaign "aes_core" ~scale:0.5 ~netlist:"95bdc5230e5be895" ~accepted:1
-    ~trace:"e0acfd03bf82bacb" ~effort:[ 2; 859; 73_204; 222_540; 2_338_146 ]
+    ~trace:"e0acfd03bf82bacb" ~effort:[ 2; 846; 72_995; 220_165; 2_312_203 ]
 
 let test_equiv_sat_detects_differences () =
   (* sanity: the checker is not a rubber stamp *)
@@ -264,6 +264,200 @@ let test_table2_sparc_tlu () =
   | Dfm_atpg.Equiv_sat.Different l -> Alcotest.failf "differs at %s" l
   | Dfm_atpg.Equiv_sat.Interface_mismatch m -> Alcotest.failf "interface: %s" m
 
+(* ------------------------------------------------------------------ *)
+(* Carried verdicts against a full classification                      *)
+(* ------------------------------------------------------------------ *)
+
+module Carry = Dfm_core.Carry
+module Checkpoint = Dfm_core.Checkpoint
+module Netlist_io = Dfm_netlist.Netlist_io
+module Rng = Dfm_util.Rng
+module Translate = Dfm_guidelines.Translate
+
+(* Statuses and every count but [sat_queries], which is the work a carried
+   verdict saves. *)
+let same_verdicts label (full : Atpg.classification) (carried : Atpg.classification) =
+  let c = full.Atpg.counts in
+  Alcotest.(check bool) (label ^ ": statuses") true (full.Atpg.status = carried.Atpg.status);
+  Alcotest.(check bool) (label ^ ": counts") true
+    ({ c with Atpg.sat_queries = 0 } = { carried.Atpg.counts with Atpg.sat_queries = 0 })
+
+let canonical nl = Netlist_io.read ~library:nl.N.library (Netlist_io.to_string nl)
+
+let implement_block name pct =
+  Design.implement (Dfm_circuits.Circuits.build ~scale:(float_of_int pct /. 100.0) name)
+
+(* A random region grown the way the campaign grows one: up to six gates
+   hosting undetectable internal faults (any combinational gates if there
+   are none), plus two levels of combinational fanin. *)
+let random_region rng (d : Design.t) =
+  let nl = d.Design.netlist in
+  let comb g = not (N.gate nl g).N.cell.Cell.is_seq in
+  let hosts =
+    Array.to_list d.Design.fault_list.Translate.faults
+    |> List.filter_map (fun (f : Dfm_faults.Fault.t) ->
+           match f.Dfm_faults.Fault.kind with
+           | Dfm_faults.Fault.Internal (g, _)
+             when comb g && Design.undetectable d f.Dfm_faults.Fault.fault_id ->
+               Some g
+           | _ -> None)
+    |> List.sort_uniq compare
+  in
+  let pool =
+    Array.of_list
+      (if hosts <> [] then hosts
+       else List.map (fun (g : N.gate) -> g.N.gate_id) (N.comb_gates nl))
+  in
+  let core = List.init (1 + Rng.int rng 6) (fun _ -> pool.(Rng.int rng (Array.length pool))) in
+  let grow set =
+    List.concat_map (fun g -> List.filter comb (N.fanin_gates nl g)) set @ set
+    |> List.sort_uniq compare
+  in
+  grow (grow (List.sort_uniq compare core))
+
+(* A remap changes only its region's structure, never the region's boundary
+   functions, so a fault outside it keeps its verdict.  On random regions of
+   random blocks, remapped with a random excluded-cell prefix and
+   canonicalized like a campaign candidate, the carried verdicts plus a
+   fresh classification of the rest must equal a full classification, on
+   the internal-only list of the pre-check and on the routed list of
+   PDesign().  The premise is checked too: the extracted region is proven
+   equivalent to its remap. *)
+let prop_carry_random_regions =
+  QCheck.Test.make ~name:"carried verdicts equal a full classification on random regions"
+    ~count:6
+    QCheck.(triple (int_range 0 11) (int_range 25 40) (int_range 1 10_000))
+    (fun (block, pct, seed) ->
+      let name = List.nth Dfm_circuits.Circuits.names block in
+      let d0 = implement_block name pct in
+      let nl0 = d0.Design.netlist in
+      let rng = Rng.create seed in
+      let region = random_region rng d0 in
+      let prefix =
+        List.filteri
+          (fun i _ -> i < Rng.int rng 4)
+          (Resynth.cells_by_internal_faults nl0.N.library)
+        |> List.map (fun (c : Cell.t) -> c.Cell.name)
+      in
+      let table =
+        Dfm_synth.Mapper.restrict (Dfm_synth.Mapper.build_table nl0.N.library) ~excluded:prefix
+      in
+      match Dfm_synth.Convert.remap_region ~goal:`Area nl0 ~gates:region ~table with
+      | exception Dfm_synth.Mapper.Unmappable _ -> true
+      | remapped ->
+          let label = Printf.sprintf "%s@%d%% seed %d" name pct seed in
+          let sub, _ = N.extract nl0 ~gates:region in
+          (match Dfm_atpg.Equiv_sat.check sub (Dfm_synth.Convert.remap ~goal:`Area sub ~table) with
+          | Dfm_atpg.Equiv_sat.Equivalent -> ()
+          | _ -> Alcotest.failf "%s: the remap changes the region's function" label);
+          let nl = canonical remapped in
+          let ix = Carry.index d0 in
+          let internal = Translate.internal_only nl in
+          let known = Carry.known ix ~region nl internal in
+          if not (Array.exists Option.is_some known) then
+            Alcotest.failf "%s: no internal fault carried" label;
+          same_verdicts (label ^ " internal")
+            (Atpg.classify nl internal)
+            (Atpg.classify ~known nl internal);
+          (match
+             Design.implement ~floorplan:d0.Design.floorplan ~previous:d0 nl,
+             Design.implement ~floorplan:d0.Design.floorplan ~previous:d0
+               ~known:(Carry.known ix ~region nl) nl
+           with
+          | full, carried ->
+              same_verdicts (label ^ " routed") full.Design.classification
+                carried.Design.classification
+          | exception Dfm_layout.Place.Does_not_fit _ -> ());
+          true)
+
+(* Replacing a region names each new net [<mapper name>_r<new id>], which
+   can equal the name of a net the parent kept from an earlier remap.  Here
+   the region is gate 0, the mapper's AND2X2 drives its net n2, and four
+   parent nets survive, so the new net is named n2_r4 like the parent's
+   dangling AND2X2 output; the text roundtrip keeps the plain name for the
+   net it meets first, the new one.  Matched by name, the new gate would
+   take the dangling gate's Undetectable verdicts although its output is
+   observed: the disambiguated name must carry nothing, while the inverter
+   reading the region output still carries. *)
+let test_carry_name_clash () =
+  let lib = Dfm_cellmodel.Osu018.library in
+  let b = N.Builder.create ~name:"clash" lib in
+  let a = N.Builder.add_pi b "a" and c = N.Builder.add_pi b "b" in
+  let x = N.Builder.add_gate b ~cell:"AND2X2" [| a; c |] in
+  N.Builder.mark_po b "y" (N.Builder.add_gate b ~cell:"INVX1" [| x |]);
+  N.Builder.add_gate_driving b ~cell:"AND2X2" [| a; c |] (N.Builder.declare_net b "n2_r4");
+  let nl0 = N.Builder.finish b in
+  let table = Dfm_synth.Mapper.build_table lib in
+  let nl = canonical (Dfm_synth.Convert.remap_region ~goal:`Area nl0 ~gates:[ 0 ] ~table) in
+  let driver name =
+    match Array.find_opt (fun (n : N.net) -> n.N.net_name = name) nl.N.nets with
+    | Some { N.driver = N.Gate_out g; _ } -> Some (N.gate nl g).N.gate_name
+    | _ -> None
+  in
+  Alcotest.(check (pair (option string) (option string))) "the names clash"
+    (Some "g0_r2", Some "g2") (driver "n2_r4", driver "n2_r4~3");
+  let internal = Translate.internal_only nl in
+  let known = Carry.known (Carry.index (Design.implement nl0)) ~region:[ 0 ] nl internal in
+  let carried name =
+    List.exists2
+      (fun (f : Dfm_faults.Fault.t) k ->
+        k <> None
+        &&
+        match f.Dfm_faults.Fault.kind with
+        | Dfm_faults.Fault.Internal (g, _) -> (N.gate nl g).N.gate_name = name
+        | _ -> false)
+      (Array.to_list internal) (Array.to_list known)
+  in
+  Alcotest.(check (list bool)) "carried on g1, g2, g0_r2" [ true; false; false ]
+    (List.map carried [ "g1"; "g2"; "g0_r2" ]);
+  same_verdicts "name clash" (Atpg.classify nl internal) (Atpg.classify ~known nl internal)
+
+(* The accepted design points of a campaign, read back from its journal. *)
+let journaled_accepts path =
+  let loaded = Dfm_util.Journal.load ~magic:"DFMCK05\n" path in
+  List.filter_map
+    (fun payload ->
+      match (Marshal.from_string payload 0 : Checkpoint.entry) with
+      | Checkpoint.Accept a -> Some a
+      | Checkpoint.Header _ | Checkpoint.Event _ -> None)
+    (Dfm_util.Journal.intact_prefix loaded)
+
+(* Every accept of a random small campaign, rebuilt from the netlist and
+   region its journal holds: implemented against its parent with the
+   carried verdicts and without them, it gets the same statuses and
+   counts, and the chain ends in the campaign's final design. *)
+let prop_carry_campaign_accepts =
+  QCheck.Test.make ~name:"carried verdicts equal a full classification at every accept"
+    ~count:3
+    QCheck.(triple (int_range 0 3) (int_range 25 30) (pair (int_range 1 10_000) (int_range 0 1)))
+    (fun (block, pct, (seed, q_max)) ->
+      let name = List.nth [ "sparc_ffu"; "sparc_spu"; "sparc_lsu"; "systemcaes" ] block in
+      let d0 = implement_block name pct in
+      let nl0 = d0.Design.netlist in
+      let path = Filename.temp_file "dfm_carry" ".ckpt" in
+      Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) @@ fun () ->
+      let r = Resynth.run ~seed ~q_max ~checkpoint:{ Resynth.path; resume = false } d0 in
+      let accepts = journaled_accepts path in
+      Alcotest.(check int) (name ^ ": journaled accepts") r.Resynth.accepted (List.length accepts);
+      let last =
+        List.fold_left
+          (fun (parent : Design.t) (a : Checkpoint.accept) ->
+            let nl = Netlist_io.read ~library:nl0.N.library a.Checkpoint.netlist in
+            let implement ?known () =
+              Design.implement ~seed ~floorplan:d0.Design.floorplan ~previous:parent ?known nl
+            in
+            let known = Carry.known (Carry.index parent) ~region:a.Checkpoint.region nl in
+            let carried = implement ~known () in
+            same_verdicts (Printf.sprintf "%s seed %d accept" name seed)
+              (implement ()).Design.classification carried.Design.classification;
+            carried)
+          d0 accepts
+      in
+      let status (d : Design.t) = d.Design.classification.Atpg.status in
+      Alcotest.(check bool) (name ^ ": the chain ends in the final design") true
+        (status last = status r.Resynth.final);
+      true)
+
 let suite =
   [
     Alcotest.test_case "cell order" `Quick test_cell_order;
@@ -281,4 +475,7 @@ let suite =
     Alcotest.test_case "guideline table sums" `Slow test_guideline_table_sums;
     Alcotest.test_case "fig2 series shape" `Slow test_fig2_series_shape;
     Alcotest.test_case "Table II shape on sparc_tlu" `Slow test_table2_sparc_tlu;
+    Alcotest.test_case "a clashing net name carries nothing" `Quick test_carry_name_clash;
+    QCheck_alcotest.to_alcotest prop_carry_random_regions;
+    QCheck_alcotest.to_alcotest prop_carry_campaign_accepts;
   ]
