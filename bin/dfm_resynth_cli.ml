@@ -169,7 +169,8 @@ let certify_arg =
     "Verify every emitted verdict against an independent certificate: Detected faults by \
      re-simulating their witness test vector, Undetectable faults by replaying the \
      solver's UNSAT proof through an independent unit-propagation checker, cache hits by \
-     their stored certificate mark, accepted ECOs by a checked equivalence proof.  \
+     their stored certificate mark, verdicts a campaign carries around a remapped region \
+     by a checked proof of that region, accepted ECOs by a checked equivalence proof.  \
      Results are bit-identical to an uncertified run; a failed check aborts with exit 4.  \
      Also enabled by \\$REPRO_CERTIFY=1."
   in
@@ -199,7 +200,7 @@ let cache_dir_arg =
   let doc =
     "Directory for the persistent fault-verdict cache (default \\$REPRO_CACHE; unset \
      disables caching).  Verdicts of structurally unchanged fault cones are reused across \
-     iterations and across invocations; results are bit-identical either way."
+     invocations; results are bit-identical either way."
   in
   Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
 
@@ -488,8 +489,8 @@ let resynth_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
            ~doc:"Write the resynthesized netlist (text format) to \\$(docv).")
   in
-  let run name scale jobs cache_dir expect_hits q_max p1 out max_conflicts certify
-      failpoints checkpoint_dir resume trace metrics log_level progress =
+  let run name scale jobs q_max p1 out max_conflicts certify failpoints checkpoint_dir resume
+      trace metrics log_level progress =
     apply_jobs jobs;
     apply_failpoints failpoints;
     let certify = certify_enabled certify in
@@ -497,15 +498,14 @@ let resynth_cmd =
     let checkpoint = make_checkpoint checkpoint_dir resume in
     let nl = build ?scale name in
     Fmt.pr "implementing %s ...@." name;
-    let cache = make_cache cache_dir in
     let r =
       (* The whole campaign — initial implement included — sits under one
          handler: with --checkpoint-dir, any injected or I/O death becomes
          a one-line "campaign aborted" + exit 2, never a backtrace. *)
       try
-        let d0 = Design.implement ?cache ?max_conflicts ~certify nl in
+        let d0 = Design.implement ?max_conflicts ~certify nl in
         Fmt.pr "original:      %a@." Design.pp_metrics (Design.metrics d0);
-        Resynth.run ~p1_percent:p1 ~q_max ?cache ?max_conflicts ~certify ?checkpoint d0
+        Resynth.run ~p1_percent:p1 ~q_max ?max_conflicts ~certify ?checkpoint d0
       with
       | Dfm_sat.Cert.Check_failed msg -> certify_failed msg
       | Dfm_core.Checkpoint.Error msg ->
@@ -523,7 +523,6 @@ let resynth_cmd =
     in
     Fmt.pr "resynthesized: %a@." Design.pp_metrics (Design.metrics r.Resynth.final);
     Fmt.pr "effort: %a@." Report.pp_effort r;
-    report_cache ~expect_hits cache;
     let orig, resyn = Report.table2_rows ~name r in
     Fmt.pr "@[<v>Table-II rows:@,%a@,%a@,%a@]@." Report.pp_table2_header ()
       Report.pp_table2_row orig Report.pp_table2_row resyn;
@@ -546,10 +545,9 @@ let resynth_cmd =
     (Cmd.info "resynth"
        ~doc:"Run the two-phase resynthesis procedure of the paper on a block.")
     Term.(
-      const run $ circuit_arg $ scale_arg $ jobs_arg $ cache_dir_arg $ expect_hits_arg $ q_max
-      $ p1 $ out $ max_conflicts_arg $ certify_arg $ failpoint_arg
-      $ checkpoint_dir_arg $ resume_arg $ trace_arg $ metrics_arg $ log_level_arg
-      $ progress_arg)
+      const run $ circuit_arg $ scale_arg $ jobs_arg $ q_max $ p1 $ out $ max_conflicts_arg
+      $ certify_arg $ failpoint_arg $ checkpoint_dir_arg $ resume_arg $ trace_arg $ metrics_arg
+      $ log_level_arg $ progress_arg)
 
 (* ---- ablate ---- *)
 

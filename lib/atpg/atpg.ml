@@ -308,24 +308,22 @@ let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) ?known n
   Metrics.incr ~by:nf m_classified;
   let jobs = match jobs with Some j -> j | None -> Parallel.default_jobs () in
   let s = make_state ~certify nl faults in
-  (* Carried verdicts are resolved first: they are never certified, looked
-     up in the cache or published to it. *)
+  (* The carried and cached verdicts, taken as given: no witness, no
+     publication.  Carried ones are resolved first, never looked up. *)
+  let given = Array.make (max 1 nf) false in
   let carried =
     match known with
     | None -> 0
     | Some known ->
-        if certify then invalid_arg "Atpg.classify: carried verdicts cannot be certified";
         if Array.length known <> nf then invalid_arg "Atpg.classify: known has the wrong length";
         let n = ref 0 in
         Array.iteri
           (fun fid v ->
             match v with
-            | Some Detected ->
+            | Some (Detected | Undetectable as v) ->
                 incr n;
-                s.st.(fid) <- 1
-            | Some Undetectable ->
-                incr n;
-                s.st.(fid) <- 2
+                given.(fid) <- true;
+                s.st.(fid) <- (if v = Detected then 1 else 2)
             | Some Aborted | None -> ())
           known;
         !n
@@ -338,7 +336,6 @@ let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) ?known n
      Aborted), so a hit can only skip the work the phases below would have
      spent re-deriving the same verdict.  [fresh] lists the faults the cache
      is consulted for, and [sigs] holds their signatures, in that order. *)
-  let cached = Array.make (max 1 nf) false in
   let fresh =
     if cache = None then [||]
     else Array.of_list (List.filter (fun fid -> s.st.(fid) = 0) (List.init nf Fun.id))
@@ -348,7 +345,7 @@ let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) ?known n
     | None -> [||]
     | Some c ->
         let sigs =
-          Dfm_incr.Cache.signatures c ?max_conflicts nl (Array.map (Array.get faults) fresh)
+          Dfm_incr.Cache.signatures ?max_conflicts nl (Array.map (Array.get faults) fresh)
         in
         (* In certified mode only entries published by a certified run (and
            whose stored certificate mark validated on load) are trusted; the
@@ -360,14 +357,10 @@ let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) ?known n
           (fun i sg ->
             let fid = fresh.(i) in
             match find sg with
-            | Some Dfm_incr.Store.Detected ->
+            | Some v ->
                 if certify then Cert.note_check ~ok:true ~ns:0L;
-                cached.(fid) <- true;
-                s.st.(fid) <- 1
-            | Some Dfm_incr.Store.Undetectable ->
-                if certify then Cert.note_check ~ok:true ~ns:0L;
-                cached.(fid) <- true;
-                s.st.(fid) <- 2
+                given.(fid) <- true;
+                s.st.(fid) <- (if v = Dfm_incr.Store.Detected then 1 else 2)
             | None -> ())
           sigs;
         sigs
@@ -422,11 +415,12 @@ let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) ?known n
   (* Certified mode: every freshly detected fault's witness patterns are
      re-verified by independent resimulation before the verdict is reported
      or published.  Runs in the coordinating domain, in fault order, so the
-     check count and any failure are identical for every job count.  Cached
-     hits carry no patterns — their certificate is the validated digest. *)
+     check count and any failure are identical for every job count.  Given
+     verdicts carry no patterns: a carried one's certificate is the caller's
+     (the campaign's region proof), a cached one's the validated digest. *)
   if certify then begin
     for fid = 0 to nf - 1 do
-      if s.st.(fid) = 1 && not cached.(fid) then verify_detected s fid
+      if s.st.(fid) = 1 && not given.(fid) then verify_detected s fid
     done;
     Fs.publish_counts s.fs
   end;
@@ -441,7 +435,7 @@ let classify ?(seed = 1) ?max_conflicts ?jobs ?cache ?(certify = false) ?known n
       Array.iteri
         (fun i sg ->
           let fid = fresh.(i) in
-          if not cached.(fid) then
+          if not given.(fid) then
             match s.st.(fid) with
             | 1 -> Dfm_incr.Cache.record ~certified:certify c sg Dfm_incr.Store.Detected
             | 2 -> Dfm_incr.Cache.record ~certified:certify c sg Dfm_incr.Store.Undetectable

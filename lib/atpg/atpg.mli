@@ -98,9 +98,10 @@ val classify :
     published to it, and it adds no SAT query.  [None] and [Some Aborted]
     carry nothing.  Each [atpg.classify] span notes [carried], the number of
     carried verdicts, which the [dfm_atpg_faults_carried_total] counter
-    also counts.  A carried verdict has no certificate, so [known] with
-    [certify] raises [Invalid_argument], as does a [known] whose length is
-    not the fault list's.
+    also counts.  Under [certify] a carried verdict is not re-checked: its
+    certificate is the caller's (the campaign proves each remapped region
+    equal to its remap, [Dfm_core.Carry.prove_region]).  A [known] whose
+    length is not the fault list's raises [Invalid_argument].
 
     [max_conflicts] (default unbounded) bounds each SAT query.  The faults
     it aborts then climb, in the calling domain, a geometric budget ladder
@@ -120,10 +121,10 @@ val classify :
     detecting pattern (random-simulation witness or SAT model) and are
     re-verified by good/faulty resimulation in the coordinating domain;
     Undetectable verdicts from the SAT phase have their learnt-clause
-    proofs replayed through {!Dfm_sat.Cert.Check}; and cache hits are
+    proofs replayed through {!Dfm_sat.Cert.Check}; cache hits are
     restricted to entries published by a certified run whose stored
-    certificate mark validated.  A failed check raises
-    {!Dfm_sat.Cert.Check_failed} instead of returning.  The
+    certificate mark validated; carried verdicts are taken as given.  A
+    failed check raises {!Dfm_sat.Cert.Check_failed} instead of returning.  The
     classification (statuses and counts) is bit-identical to the
     uncertified run — certification only adds checks, never changes a
     verdict — and the check counts in {!Dfm_sat.Cert.totals} are

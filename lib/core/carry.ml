@@ -32,6 +32,13 @@ let index (d : Design.t) =
     d.Design.fault_list.Dfm_guidelines.Translate.faults;
   { nl; net_of_name; first_internal; status; external_ }
 
+let prove_region ~sub mapped =
+  let fail what = raise (Dfm_sat.Cert.Check_failed ("a remap changes its region's " ^ what)) in
+  match Dfm_atpg.Equiv_sat.check ~certify:true ~counted:false sub mapped with
+  | Dfm_atpg.Equiv_sat.Equivalent -> ()
+  | Dfm_atpg.Equiv_sat.Different label -> fail ("function at " ^ label)
+  | Dfm_atpg.Equiv_sat.Interface_mismatch what -> fail what
+
 (* Base names of the nets the text roundtrip renamed [base~id]: two nets of
    the replaced netlist shared that name, so it identifies neither. *)
 let disambiguated nl =

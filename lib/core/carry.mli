@@ -8,7 +8,7 @@
     every site lies outside the region therefore has the same faulty
     circuit, up to that equal-function block, in the parent and in the
     candidate, and so the same detectability.  Such a fault takes the
-    parent's verdict.
+    parent's verdict; {!prove_region} proves the premise for one remap.
 
     Sites are matched by name, because [Netlist.replace] keeps the names of
     the nets it keeps and the canonical text roundtrip renumbers every id:
@@ -34,6 +34,12 @@ type t
 val index : Design.t -> t
 (** Build the index once per design point: net names, each gate's first
     internal fault id, and the verdict of each external fault kind. *)
+
+val prove_region : sub:Dfm_netlist.Netlist.t -> Dfm_netlist.Netlist.t -> unit
+(** [prove_region ~sub mapped] proves the extracted region [sub] equal to
+    its remap [mapped] (same boundary names) with a certified, uncounted
+    {!Dfm_atpg.Equiv_sat.check}: the certificate of every verdict carried
+    around the region.  @raise Dfm_sat.Cert.Check_failed otherwise. *)
 
 val known :
   t ->

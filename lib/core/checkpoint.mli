@@ -12,12 +12,13 @@
     bit-identical to the uninterrupted run.}
 
     This works because {!Resynth.run} is deterministic and its phase loops
-    are fixpoint iterations: replaying the accepted netlists through the
-    incremental [Design.implement] chain, each carrying its parent's
-    verdicts outside the journaled region ({!Carry}), reconstructs the
-    exact design state, and re-entering the loop at the journaled position re-derives
-    precisely the work that followed the last accept (whose journal tail is
-    truncated at attach time so nothing is duplicated).
+    are fixpoint iterations: deriving each accept again from its region
+    and boundary cell, like the live run, and implementing it through the
+    incremental [Design.implement] chain with its parent's verdicts carried
+    ({!Carry}), reconstructs the exact design state, and re-entering the
+    loop at the journaled position re-derives precisely the work that
+    followed the last accept (whose journal tail is truncated at attach
+    time so nothing is duplicated).
 
     On disk it is a {!Dfm_util.Journal} (magic [DFMCK05]; the format,
     loading and compaction rules are described there) of marshalled
@@ -59,7 +60,8 @@ type accept = {
   netlist : string;          (** accepted netlist, [Netlist_io] text *)
   region : int list;
       (** the gates of the previous design point that the accepted netlist
-          remapped: what a replay carries verdicts around *)
+          remapped: a replay remaps them again, with the cells
+          [ev.ev_cell] leaves, and must get [netlist] *)
   accepted : int;            (** accepted steps {e after} this accept *)
   effort : effort;           (** the campaign's effort as of this accept *)
   p2 : float;                (** phase-2 [S_max] bound in force (0 in phase 1) *)
@@ -69,7 +71,8 @@ type entry = Header of string | Event of event | Accept of accept
 
 exception Error of string
 (** Raised when attaching to a journal written by a different run
-    configuration (header mismatch), or on use after {!close}. *)
+    configuration (header mismatch), or on use after {!close};
+    {!Resynth.run} raises it when a journaled accept does not rebuild. *)
 
 type t
 

@@ -102,7 +102,6 @@ type state = {
   mutable effort : effort;
   mutable solver0 : int * int * int;
   mutable resumed_steps : int;  (* accepted steps replayed from the journal *)
-  cache : Dfm_incr.Cache.t option;
   max_conflicts : int option;
   certify : bool;
   ckpt : Checkpoint.t option;
@@ -175,22 +174,15 @@ let charge st (cls : Atpg.classification) =
       aborted_residual = e.aborted_residual + residual;
     }
 
-(* The current design point's verdicts for the faults of [nl], a remap of
-   its gates [region], outside that region (see {!Carry}).  A carried verdict
-   has no certificate, so a certified campaign carries nothing. *)
-let carried st ~region nl =
-  if st.certify then None else Some (Carry.known (Lazy.force st.carry) ~region nl)
-
 (* Undetectable internal fault count of a bare netlist (no layout): internal
    faults do not depend on placement/routing, so this gates PDesign() as in
-   Section III-B. *)
+   Section III-B.  It and [implement] carry the current design point's
+   verdicts outside [region] (see {!Carry}). *)
 let internal_u_of_netlist st ~region nl =
   let faults = Dfm_guidelines.Translate.internal_only nl in
   let cls =
-    Atpg.classify ~seed:st.seed ?max_conflicts:st.max_conflicts ?cache:st.cache
-      ~certify:st.certify
-      ?known:(Option.map (fun carry -> carry faults) (carried st ~region nl))
-      nl faults
+    Atpg.classify ~seed:st.seed ?max_conflicts:st.max_conflicts ~certify:st.certify
+      ~known:(Carry.known (Lazy.force st.carry) ~region nl faults) nl faults
   in
   charge st cls;
   cls.Atpg.counts.Atpg.undetectable
@@ -198,8 +190,9 @@ let internal_u_of_netlist st ~region nl =
 (* PDesign() of [nl], a remap of the current design's gates [region], as an
    ECO of the current design.  A resume rebuilds each accept this way. *)
 let implement st ~region nl =
-  Design.implement ~seed:st.seed ~floorplan:st.floorplan ~previous:st.current ?cache:st.cache
-    ?max_conflicts:st.max_conflicts ~certify:st.certify ?known:(carried st ~region nl) nl
+  Design.implement ~seed:st.seed ~floorplan:st.floorplan ~previous:st.current
+    ?max_conflicts:st.max_conflicts ~certify:st.certify
+    ~known:(Carry.known (Lazy.force st.carry) ~region nl) nl
 
 let implement_opt st ~region nl =
   st.effort <- { st.effort with implement_calls = st.effort.implement_calls + 1 };
@@ -268,11 +261,19 @@ let canonical nl =
   Span.with_ "synth.canonical" @@ fun () ->
   Dfm_netlist.Netlist_io.read ~library:nl.N.library (Dfm_netlist.Netlist_io.to_string nl)
 
-let remap_opt st nl ~region ~table =
+(* Synthesize() of the current design's gates [region] with the cells of
+   [table].  Under [certify] the region is proven equal to its remap before
+   the splice: the certificate of every verdict carried around it. *)
+let remap_opt st ~region ~table =
+  let nl = st.current.Design.netlist in
   try
-    Some
-      (canonical
-         (Dfm_synth.Convert.remap_region ~goal:`Area ~sweep:st.sweep nl ~gates:region ~table))
+    let sub, boundary = Span.with_ "synth.extract" (fun () -> N.extract nl ~gates:region) in
+    let mapped = Dfm_synth.Convert.remap ~goal:`Area ~sweep:st.sweep sub ~table in
+    if st.certify then Carry.prove_region ~sub mapped;
+    let spliced =
+      Span.with_ "synth.replace" (fun () -> N.replace nl ~gates:region ~sub:mapped boundary)
+    in
+    Some (canonical spliced)
   with Mapper.Unmappable _ -> None
 
 (* One evaluated candidate: remap, cheap internal check, full implement.
@@ -297,7 +298,7 @@ let evaluate st ~threshold ~wanted ~cell ~region ~table =
   let store k = Hashtbl.replace st.memo key k in
   (* The work itself; the internal check only when u_in' is not known. *)
   let run known_u_in =
-    match Span.with_ "remap" (fun () -> remap_opt st st.current.Design.netlist ~region ~table) with
+    match Span.with_ "remap" (fun () -> remap_opt st ~region ~table) with
     | None ->
         store Unmappable;
         None
@@ -506,6 +507,15 @@ let try_cells st ~q ~phase ~p2 ~region =
 (* Phases and the q sweep                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The match table of the candidates whose excluded prefix ends at [cell]:
+   the one [try_cells] derives one cell at a time. *)
+let table_through st cell =
+  let cells = cells_by_internal_faults (Mapper.library st.table) in
+  let names = List.map (fun (c : Cell.t) -> c.Cell.name) cells in
+  Option.map
+    (fun i -> Mapper.restrict st.table ~excluded:(List.filteri (fun j _ -> j <= i) names))
+    (List.find_index (String.equal cell) names)
+
 (* Certified mode: an accepted ECO carries a checked equivalence
    certificate before the checkpoint journal records it — the rewritten
    netlist is proven functionally identical to the design it replaces and
@@ -586,8 +596,8 @@ let run_phase st ~q ~phase ~p1 ~p2 =
 
 (* The header ties a journal to everything that determines the campaign's
    outcome; resuming under a different configuration would not be the same
-   run, so it is refused.  The cache is deliberately excluded — it can only
-   skip work, never change a result. *)
+   run, so it is refused.  [certify] is left out: it adds checks, never
+   changes a result. *)
 let checkpoint_header ~p1_percent ~q_max ~seed ~sweep ~context_levels ~max_conflicts initial =
   Printf.sprintf "dfm-resynth v1 nl=%Lx p1=%h q_max=%d seed=%d sweep=%b ctx=%d mc=%s"
     (Dfm_util.Hash64.of_string
@@ -596,7 +606,7 @@ let checkpoint_header ~p1_percent ~q_max ~seed ~sweep ~context_levels ~max_confl
     (match max_conflicts with None -> "-" | Some c -> string_of_int c)
 
 let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_levels = 2)
-    ?cache ?max_conflicts ?(certify = false) ?checkpoint ?interrupt initial =
+    ?max_conflicts ?(certify = false) ?checkpoint ?interrupt initial =
   let interrupt = match interrupt with Some f -> f | None -> fun () -> () in
   Span.with_ "campaign" ~attrs:[ ("q_max", string_of_int q_max) ] @@ fun () ->
   let t0 = Unix.gettimeofday () in
@@ -636,7 +646,6 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
         };
       solver0 = (0, 0, 0);
       resumed_steps = 0;
-      cache;
       max_conflicts;
       certify;
       ckpt;
@@ -651,25 +660,29 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
     }
   in
   (* Replay the journal.  Rejected events are restored verbatim; each
-     accepted design point is rebuilt by re-implementing its journaled
-     netlist against the previous accepted design, carrying that design's
-     verdicts around the journaled region — the same incremental (ECO)
-     chain the original run walked, hence a bit-identical design state,
-     also where a bounded budget would have aborted a carried fault.  The
-     accepted count and the effort are restored from the last Accept; the
-     replay's own implement/SAT work is bookkeeping-free (it happened
-     already, in the run being resumed). *)
+     accepted design point is derived like a live accept, [remap_opt] of the
+     journaled region and boundary cell (which must give the journaled
+     text), then PDesign() carrying the previous accepted design's verdicts
+     — the same incremental (ECO) chain the original run walked, hence a
+     bit-identical design state, also where a bounded budget would have
+     aborted a carried fault.  The accepted count and the effort are
+     restored from the last Accept; the replay's own implement/SAT work is
+     bookkeeping-free (it happened already, in the run being resumed). *)
   let resume_q = ref 0 and resume_phase = ref 1 and resume_p2 = ref 0.0 in
   List.iter
     (function
       | Checkpoint.Header _ -> ()
       | Checkpoint.Event e -> st.trace <- e :: st.trace
       | Checkpoint.Accept a ->
+          let region = a.Checkpoint.region in
+          let table = Option.bind a.Checkpoint.ev.ev_cell (table_through st) in
           let nl =
-            Dfm_netlist.Netlist_io.read
-              ~library:st.current.Design.netlist.N.library a.Checkpoint.netlist
+            match Option.bind table (fun table -> remap_opt st ~region ~table) with
+            | Some nl when Dfm_netlist.Netlist_io.to_string nl = a.Checkpoint.netlist -> nl
+            | Some _ | None ->
+                raise (Checkpoint.Error "checkpoint: a journaled accept does not rebuild")
           in
-          let d = implement st ~region:a.Checkpoint.region nl in
+          let d = implement st ~region nl in
           (* Resumed accepts are re-certified like fresh ones: the journal
              records a claim, not a proof. *)
           certify_accept st d;

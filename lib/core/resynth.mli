@@ -42,7 +42,7 @@ type effort = Checkpoint.effort = {
   sat_queries : int;
       (** SAT queries spent across all classifications of the procedure
           (implement calls and internal-only checks) — the quantity carried
-          verdicts and the verdict cache save *)
+          verdicts save *)
   conflicts : int;
   decisions : int;
   propagations : int;
@@ -99,7 +99,6 @@ val run :
   ?seed:int ->
   ?sweep:bool ->
   ?context_levels:int ->
-  ?cache:Dfm_incr.Cache.t ->
   ?max_conflicts:int ->
   ?certify:bool ->
   ?checkpoint:checkpoint_spec ->
@@ -117,6 +116,10 @@ val run :
     context are added to C_sub − G_zero (see DESIGN.md §5).  Both exist so
     the design-choice ablations in the bench can quantify their effect.
 
+    The campaign takes the initial design's verdicts as given: it never
+    classifies that design again.  The CLI and the serve daemon implement
+    it under the same [certify] as the campaign.
+
     Both classifications a candidate pays for, its internal-only
     pre-check and its [Design.implement], carry the current design point's
     Detected and Undetectable verdicts for the faults outside the remapped
@@ -124,13 +127,7 @@ val run :
     classified.  Under the default unbounded budget this changes no
     verdict, report or accept, only the effort counts.  Under
     [max_conflicts] a carried verdict may resolve a fault the bound would
-    have aborted, like a cache hit.
-
-    [cache] is one verdict store threaded through every classification the
-    procedure performs (candidate implement calls and the cheap
-    internal-only pre-checks).  It is consulted for the faults no carried
-    verdict resolves, and skips their re-derivation without changing any
-    result ({!Dfm_incr.Cache}).
+    have aborted.
 
     Each accepted step (and a checkpoint resume) is logged as a
     {!Dfm_obs.Log} [Info] record.
@@ -141,25 +138,21 @@ val run :
     [aborted_residual].
 
     [certify] (default false) verifies every verdict the campaign relies on
-    against an independent certificate: each classification runs certified
-    (see {!Dfm_atpg.Atpg.classify}), and every accepted ECO — fresh or
-    replayed from a journal — must additionally pass a checked SAT
-    equivalence certificate against the design it replaces before the
-    checkpoint journal records it.  A failed check raises
-    {!Dfm_sat.Cert.Check_failed}.  A carried verdict has no certificate,
-    so a certified campaign carries none and classifies every fault
-    afresh.  The final design, trace and [accepted] are bit-identical to
-    the uncertified run; the effort counts are higher by the verdicts the
-    uncertified run carried.
+    against an independent certificate: each remapped region is proven
+    equal to its remap ({!Carry.prove_region}) before verdicts are carried
+    around it, each classification runs certified (see
+    {!Dfm_atpg.Atpg.classify}), and every accepted ECO — fresh or replayed
+    from a journal — must pass a checked SAT equivalence certificate
+    against the design it replaces before the journal records it.  A
+    failed check raises {!Dfm_sat.Cert.Check_failed}.  The final design,
+    trace, [accepted] and [effort] are those of the uncertified run.
 
     [checkpoint] journals every design point to [path] ({!Checkpoint}),
-    each accept with the region it remapped, so that a replay carries the
-    same verdicts.
-    Resumption contract: kill the process at any instant and re-run with
-    [resume = true] — the completed campaign's final design, trace,
-    [accepted] and [effort] are bit-identical to the uninterrupted run.
-    With a {e persistent} cache the effort is not: the continuation hits
-    verdicts the killed run stored, so it spends fewer SAT queries than the
-    uninterrupted run did.  A journal written under a
-    different configuration (netlist, seed, [p1], [q_max], …) is refused
-    with {!Checkpoint.Error}. *)
+    each accept with the region it remapped; a resume derives each accept
+    again like a live one and refuses the journal with {!Checkpoint.Error}
+    unless that gives the journaled netlist text.  Resumption contract:
+    kill the process at any instant and re-run with [resume = true],
+    certified or not — the completed campaign's final design, trace,
+    [accepted] and [effort] are bit-identical to the uninterrupted run.  A
+    journal written under a different configuration (netlist, seed, [p1],
+    [q_max], …) is refused too. *)

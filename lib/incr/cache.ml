@@ -1,39 +1,23 @@
-
-type t = { store : Store.t; mutable last_sweep : Signature.sweep option }
-
-let cache_file = "verdicts.bin"
+type t = Store.t
 
 let create ?dir ?log () =
   let path =
     Option.map
       (fun dir ->
         (try if not (Sys.file_exists dir) then Sys.mkdir dir 0o755 with Sys_error _ -> ());
-        Filename.concat dir cache_file)
+        Filename.concat dir "verdicts.bin")
       dir
   in
-  { store = Store.create ?path ?log (); last_sweep = None }
+  Store.create ?path ?log ()
 
-let sweep_for t nl =
-  match t.last_sweep with
-  | Some sw when Signature.netlist sw == nl -> sw
-  | _ ->
-      let sw = Signature.sweep nl in
-      t.last_sweep <- Some sw;
-      sw
-
-let signatures t ?max_conflicts nl faults =
-  let sw = sweep_for t nl in
+let signatures ?max_conflicts nl faults =
+  let sw = Signature.sweep nl in
   let params = Signature.default_params ?max_conflicts () in
   Array.map (Signature.of_fault sw ~params) faults
 
-let find t sg = Store.find t.store sg
-
-let find_certified t sg = Store.find_certified t.store sg
-
-let record ?certified t sg v = Store.add ?certified t.store sg v
-
-let stats t = Store.stats t.store
-
-let hit_rate t = Store.hit_rate t.store
-
-let close t = Store.close t.store
+let find = Store.find
+let find_certified = Store.find_certified
+let record = Store.add
+let stats = Store.stats
+let hit_rate = Store.hit_rate
+let close = Store.close

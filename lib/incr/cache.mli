@@ -1,5 +1,5 @@
-(** The incremental-analysis façade the engine threads through a campaign:
-    one signature sweep per netlist in front of one verdict {!Store}.
+(** The incremental-analysis façade the engine threads through a
+    classification: cone signatures in front of one verdict {!Store}.
 
     Correctness invariant (enforced by the property tests, relied on by
     [Atpg.classify]): for any netlist and any warm or cold cache state,
@@ -20,10 +20,9 @@ val create : ?dir:string -> ?log:(string -> unit) -> unit -> t
     {!Store.create}).  Without [dir] the cache is memory-only. *)
 
 val signatures :
-  t -> ?max_conflicts:int -> Dfm_netlist.Netlist.t -> Dfm_faults.Fault.t array -> int64 array
-(** Cone signatures of the whole fault list.  The per-netlist sweep is
-    memoized: the same netlist (physical equality) reuses it outright; a
-    different netlist gets a full {!Signature.sweep}. *)
+  ?max_conflicts:int -> Dfm_netlist.Netlist.t -> Dfm_faults.Fault.t array -> int64 array
+(** Cone signatures of the given faults, from one {!Signature.sweep} of
+    the netlist per call. *)
 
 val find : t -> int64 -> Store.verdict option
 

@@ -351,7 +351,7 @@ let execute d (j : job) =
       in
       interrupt ();
       let r =
-        Resynth.run ~p1_percent ~q_max ~cache ?max_conflicts ~certify:d.cfg.certify
+        Resynth.run ~p1_percent ~q_max ?max_conflicts ~certify:d.cfg.certify
           ~checkpoint ~interrupt d0
       in
       {

@@ -20,8 +20,9 @@
       job of the least-served client runs next.
 
     One verdict {!Dfm_incr.Cache} (backed by [<state>/cache/]) serves
-    every job of every client; per-client hit/miss deltas are accounted
-    around each job.  A second tenant analyzing the same block gets the
+    every job's {!Dfm_core.Design.implement} of every client (a resynth
+    campaign's candidates carry their parent's verdicts instead);
+    per-client hit/miss deltas are accounted around each job.  A second tenant analyzing the same block gets the
     first tenant's verdicts for free — the cross-campaign cache-hit
     assertion in the serve smoke test.
 

@@ -9,6 +9,7 @@
    record boundary with both failure modes. *)
 
 module N = Dfm_netlist.Netlist
+module Cell = Dfm_netlist.Cell
 module Design = Dfm_core.Design
 module Resynth = Dfm_core.Resynth
 module Checkpoint = Dfm_core.Checkpoint
@@ -272,6 +273,51 @@ let test_resume_refuses_other_config () =
   | _ -> Alcotest.fail "expected Checkpoint.Error for a foreign journal"
   | exception Checkpoint.Error _ -> ()
 
+(* The journal records a claim, not a proof: a resume derives each accept
+   again from its region and boundary cell, and refuses a journal whose
+   accepted netlist text was edited, here to swap the first gate of the
+   first accept to a cell of the same arity and another function. *)
+let test_resume_refuses_edited_netlist () =
+  let d0, _, _ = Lazy.force reference in
+  let lib = d0.Design.netlist.N.library in
+  let path = fresh_path () in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+  @@ fun () ->
+  ignore (campaign ~resume:false path d0 : Resynth.result);
+  let swap_first_gate text =
+    let nl = Netlist_io.read ~library:lib text in
+    let g = nl.N.gates.(0) in
+    let other =
+      List.find
+        (fun (c : Cell.t) ->
+          Cell.arity c = Cell.arity g.N.cell
+          && not (Dfm_logic.Truthtable.equal c.Cell.func g.N.cell.Cell.func))
+        (Dfm_netlist.Library.combinational lib)
+    in
+    let gates = Array.copy nl.N.gates in
+    gates.(0) <- { g with N.cell = other };
+    Netlist_io.to_string { nl with N.gates }
+  in
+  let magic = "DFMCK05\n" in
+  let loaded = Dfm_util.Journal.load ~magic path in
+  let edited = ref false in
+  let keep =
+    List.map
+      (fun payload ->
+        match (Marshal.from_string payload 0 : Checkpoint.entry) with
+        | Checkpoint.Accept a when not !edited ->
+            edited := true;
+            let netlist = swap_first_gate a.Checkpoint.netlist in
+            Marshal.to_string (Checkpoint.Accept { a with Checkpoint.netlist }) []
+        | Checkpoint.Header _ | Checkpoint.Event _ | Checkpoint.Accept _ -> payload)
+      (Dfm_util.Journal.intact_prefix loaded)
+  in
+  Alcotest.(check bool) "the journal holds an accept" true !edited;
+  Dfm_util.Journal.close (Dfm_util.Journal.open_ ~magic ~keep loaded path);
+  match campaign ~resume:true path d0 with
+  | _ -> Alcotest.fail "expected Checkpoint.Error for an edited accept"
+  | exception Checkpoint.Error _ -> ()
+
 (* The full matrix: kill at every journal append boundary, clean and torn.
    Minutes of work, so it runs under REPRO_CRASH_MATRIX=full — the
    @runtest-crash alias. *)
@@ -296,5 +342,6 @@ let suite =
     Alcotest.test_case "kill/resume is bit-identical" `Slow test_kill_resume_representative;
     Alcotest.test_case "resume of a completed campaign" `Slow test_resume_completed_campaign;
     Alcotest.test_case "foreign journal refused" `Slow test_resume_refuses_other_config;
+    Alcotest.test_case "edited accept refused" `Slow test_resume_refuses_edited_netlist;
     Alcotest.test_case "crash matrix (REPRO_CRASH_MATRIX=full)" `Slow test_crash_matrix;
   ]

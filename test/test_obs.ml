@@ -420,7 +420,7 @@ let kernel_and_pool () =
 let prop_transparency =
   QCheck.Test.make
     ~name:"campaign bit-identical with observability on/off and at jobs 1 and 4" ~count:2
-    QCheck.(pair (int_range 1 10_000) (int_range 1 2))
+    QCheck.(pair (Arb.int_range 1 10_000) (Arb.int_range 1 2))
     (fun (seed, q_max) ->
       let d0 = Lazy.force transparency_design in
       let saved_jobs = Parallel.default_jobs () in
@@ -483,22 +483,28 @@ let prop_transparency =
       true)
 
 (* The transparency campaign carries its parent's verdicts into the
-   classifications of its candidates; certified, it carries none, because a
-   carried verdict has no certificate. *)
-let test_carried_uncertified_only () =
+   classifications of its candidates.  Certified, it proves each remapped
+   region equal to its remap and carries the same verdicts, so it ends in
+   the same design, trace and effort. *)
+let test_certified_carries_like_plain () =
   let d0 = Lazy.force transparency_design in
   with_clean_obs @@ fun () ->
   Span.set_enabled true;
   Span.reset ();
-  let carried ~certify =
+  let run ~certify =
     let before = carried_total () in
-    ignore (Resynth.run ~certify d0 : Resynth.result);
+    let r = Resynth.run ~certify d0 in
     let counted = carried_total () - before in
     check_carried_spans (Printf.sprintf "certify=%b" certify) ~counted (Span.drain ());
-    counted
+    (r, counted)
   in
-  if carried ~certify:false = 0 then Alcotest.fail "the campaign carried no verdict";
-  Alcotest.(check int) "verdicts carried under certify" 0 (carried ~certify:true)
+  let plain, carried = run ~certify:false in
+  if carried = 0 then Alcotest.fail "the campaign carried no verdict";
+  let certified, carried_certified = run ~certify:true in
+  Alcotest.(check int) "verdicts carried under certify" carried carried_certified;
+  check_same_result "certified vs plain" plain certified;
+  if certified.Resynth.certified_checks = 0 then Alcotest.fail "nothing was certified";
+  Alcotest.(check int) "certificate failures" 0 certified.Resynth.certified_failures
 
 (* ------------------------------------------------------------------ *)
 (* Labels and ambient attribution                                       *)
@@ -643,7 +649,7 @@ let prop_prom_label_escape =
 let prop_stream_concurrent =
   QCheck.Test.make ~name:"Span.drain under concurrent domains"
     ~count:4
-    QCheck.(int_range 2 4)
+    (Arb.int_range 2 4)
     (fun doms ->
       with_clean_obs @@ fun () ->
       Span.reset ();
@@ -847,5 +853,6 @@ let suite =
       test_stream_drain_keeps_nothing;
     Alcotest.test_case "span states recycled" `Quick test_span_states_recycled;
     QCheck_alcotest.to_alcotest prop_transparency;
-    Alcotest.test_case "verdicts carried only uncertified" `Slow test_carried_uncertified_only;
+    Alcotest.test_case "a certified campaign carries what the plain one carries" `Slow
+      test_certified_carries_like_plain;
   ]

@@ -326,7 +326,7 @@ let random_region rng (d : Design.t) =
 let prop_carry_random_regions =
   QCheck.Test.make ~name:"carried verdicts equal a full classification on random regions"
     ~count:6
-    QCheck.(triple (int_range 0 11) (int_range 25 40) (int_range 1 10_000))
+    QCheck.(triple (int_range 0 11) (Arb.int_range 25 40) (Arb.int_range 1 10_000))
     (fun (block, pct, seed) ->
       let name = List.nth Dfm_circuits.Circuits.names block in
       let d0 = implement_block name pct in
@@ -347,9 +347,7 @@ let prop_carry_random_regions =
       | remapped ->
           let label = Printf.sprintf "%s@%d%% seed %d" name pct seed in
           let sub, _ = N.extract nl0 ~gates:region in
-          (match Dfm_atpg.Equiv_sat.check sub (Dfm_synth.Convert.remap ~goal:`Area sub ~table) with
-          | Dfm_atpg.Equiv_sat.Equivalent -> ()
-          | _ -> Alcotest.failf "%s: the remap changes the region's function" label);
+          Carry.prove_region ~sub (Dfm_synth.Convert.remap ~goal:`Area sub ~table);
           let nl = canonical remapped in
           let ix = Carry.index d0 in
           let internal = Translate.internal_only nl in
@@ -369,6 +367,55 @@ let prop_carry_random_regions =
                 carried.Design.classification
           | exception Dfm_layout.Place.Does_not_fit _ -> ());
           true)
+
+(* The region proof, the certificate of every verdict a certified campaign
+   carries, passes a true remap of a sparc_ffu region and refuses the same
+   remap with one mapped gate swapped to a cell of the same arity and
+   another function. *)
+let test_region_proof_refuses_tampered_remap () =
+  let nl = Dfm_circuits.Circuits.build ~scale:0.25 "sparc_ffu" in
+  let levels = N.gate_levels nl in
+  let deepest =
+    List.fold_left
+      (fun best (g : N.gate) -> if levels.(g.N.gate_id) > levels.(best) then g.N.gate_id else best)
+      (List.hd (N.comb_gates nl)).N.gate_id (N.comb_gates nl)
+  in
+  let grow set =
+    List.concat_map
+      (fun g -> List.filter (fun d -> not (N.gate nl d).N.cell.Cell.is_seq) (N.fanin_gates nl g))
+      set
+    @ set
+    |> List.sort_uniq compare
+  in
+  let sub, _ = N.extract nl ~gates:(grow (grow [ deepest ])) in
+  let mapped =
+    Dfm_synth.Convert.remap ~goal:`Area sub ~table:(Dfm_synth.Mapper.build_table nl.N.library)
+  in
+  Carry.prove_region ~sub mapped;
+  let swap (g : N.gate) (c : Cell.t) =
+    let gates = Array.copy mapped.N.gates in
+    gates.(g.N.gate_id) <- { g with N.cell = c };
+    { mapped with N.gates }
+  in
+  let swaps =
+    List.concat_map
+      (fun (g : N.gate) ->
+        List.filter_map
+          (fun (c : Cell.t) ->
+            if Cell.arity c = Cell.arity g.N.cell
+               && not (Dfm_logic.Truthtable.equal c.Cell.func g.N.cell.Cell.func)
+            then Some (swap g c)
+            else None)
+          (Dfm_netlist.Library.combinational nl.N.library))
+      (Array.to_list mapped.N.gates)
+  in
+  let differs t = Dfm_atpg.Equiv_sat.check sub t <> Dfm_atpg.Equiv_sat.Equivalent in
+  match List.find_opt differs swaps with
+  | None -> Alcotest.fail "no swapped gate changes the remap's function"
+  | Some tampered -> (
+      match Carry.prove_region ~sub tampered with
+      | () -> Alcotest.fail "the region proof passed a tampered remap"
+      | exception Dfm_sat.Cert.Check_failed _ -> ())
 
 (* Replacing a region names each new net [<mapper name>_r<new id>], which
    can equal the name of a net the parent kept from an earlier remap.  Here
@@ -429,7 +476,8 @@ let journaled_accepts path =
 let prop_carry_campaign_accepts =
   QCheck.Test.make ~name:"carried verdicts equal a full classification at every accept"
     ~count:3
-    QCheck.(triple (int_range 0 3) (int_range 25 30) (pair (int_range 1 10_000) (int_range 0 1)))
+    QCheck.(
+      triple (int_range 0 3) (Arb.int_range 25 30) (pair (Arb.int_range 1 10_000) (int_range 0 1)))
     (fun (block, pct, (seed, q_max)) ->
       let name = List.nth [ "sparc_ffu"; "sparc_spu"; "sparc_lsu"; "systemcaes" ] block in
       let d0 = implement_block name pct in
@@ -476,6 +524,8 @@ let suite =
     Alcotest.test_case "fig2 series shape" `Slow test_fig2_series_shape;
     Alcotest.test_case "Table II shape on sparc_tlu" `Slow test_table2_sparc_tlu;
     Alcotest.test_case "a clashing net name carries nothing" `Quick test_carry_name_clash;
+    Alcotest.test_case "the region proof refuses a tampered remap" `Quick
+      test_region_proof_refuses_tampered_remap;
     QCheck_alcotest.to_alcotest prop_carry_random_regions;
     QCheck_alcotest.to_alcotest prop_carry_campaign_accepts;
   ]
